@@ -38,7 +38,7 @@ from .objective import (
     total_loss,
     weighted_geo,
 )
-from .phantom import PhantomSpec, make_phantom, rasterize_phantom
+from .phantom import PhantomSpec, make_phantom
 from .quadmesh import (
     QuadMesh,
     REGIONS,
@@ -63,10 +63,7 @@ from .volgrid import (
     GridGeom,
     VectorField3D,
     Volume3D,
-    crop_scale_pad,
     load_volume,
-    normalize_intensity,
-    resample_isotropic,
     save_volume,
     trilinear_sample,
     trilinear_sample_vjp,
@@ -79,9 +76,6 @@ __all__ = [
     "VectorField3D",
     "trilinear_sample",
     "trilinear_sample_vjp",
-    "normalize_intensity",
-    "resample_isotropic",
-    "crop_scale_pad",
     "save_volume",
     "load_volume",
     "QuadMesh",
@@ -134,5 +128,4 @@ __all__ = [
     "validate_report",
     "PhantomSpec",
     "make_phantom",
-    "rasterize_phantom",
 ]

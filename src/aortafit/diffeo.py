@@ -6,10 +6,13 @@ squaring: start from u = tau / 2^S, then compose the displacement with itself
 S times, u <- u + u(x + u), using clamped trilinear sampling. The result is a
 displacement field u = phi - id in voxel units on the same grid.
 
+Each squaring step samples u at the points x + u, and that sample is one
+sparse linear operator W (:class:`~aortafit.volgrid.TrilinearSampler`).
 ``exp_vjp`` is the exact reverse-mode derivative of the composite map
-tau -> warped mesh vertices: every squaring step stores its intermediate
-field, and the backward pass differentiates each trilinear sample through both
-its field values and its sample positions.
+tau -> warped mesh vertices: the forward pass keeps every intermediate field
+and its step's operator, and the backward pass applies W.T for the field
+values and W's derivative matrices for the sample positions. The warp of mesh
+vertices is one more such operator, fixed as long as the vertices are.
 """
 
 from __future__ import annotations
@@ -18,20 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volgrid import (
-    VectorField3D,
-    Volume3D,
-    _sample_cache,
-    _sample_from,
-    _sample_vjp_from,
-    trilinear_sample,
-    trilinear_sample_vjp,
-)
+from .volgrid import TrilinearSampler, VectorField3D, Volume3D
 
 __all__ = [
     "DiffeoConfig",
     "exponentiate",
     "warp_vertices",
+    "vertex_sampler",
     "jacobian_determinant",
     "exp_vjp",
 ]
@@ -79,26 +75,26 @@ def _identity_coords(dims):
 
 
 def _forward(svf, cfg):
-    """All intermediate fields u_0 .. u_S (u_0 = tau / 2^S) plus sample caches.
+    """All intermediate fields u_0 .. u_S (u_0 = tau / 2^S) plus step samplers.
 
-    Each squaring step computes u + u(x + u); the per-step trilinear sample
-    cache is kept so a following backward pass can reuse it instead of
-    relocating the same sample points.
+    Step k computes u_k + u_k(x + u_k) with the sampler at the points
+    x + u_k; the samplers are kept so a following backward pass applies their
+    adjoints instead of rebuilding them.
     """
     steps = cfg.resolve_steps(svf)
     dims = svf.geom.dims
-    ident = _identity_coords(dims)
+    ident = _identity_coords(dims).reshape(-1, 3)
     us = [svf.data / (2.0**steps)]
-    caches = []
+    samplers = []
     for k in range(steps):
         u = us[-1]
-        cache = _sample_cache(dims, (ident + u).reshape(-1, 3))
-        out = u + _sample_from(u, cache).reshape(u.shape)
+        sampler = TrilinearSampler(dims, ident + u.reshape(-1, 3))
+        out = u + sampler.sample(u).reshape(u.shape)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError(f"non-finite displacement at squaring step {k}")
         us.append(out)
-        caches.append(cache)
-    return us, caches
+        samplers.append(sampler)
+    return us, samplers
 
 
 def exponentiate(svf, cfg=DiffeoConfig()):
@@ -107,18 +103,26 @@ def exponentiate(svf, cfg=DiffeoConfig()):
     return VectorField3D(svf.geom, us[-1])
 
 
-def warp_vertices(mesh, disp, grid):
-    """Move mesh vertices through a displacement field.
-
-    Vertices (mm) are mapped into grid voxel coordinates, the displacement is
-    sampled there, converted back to mm via the grid spacing, and added.
-    Connectivity, regions, and ring layout are untouched.
-    """
+def vertex_sampler(mesh, grid):
+    """Trilinear sampler at the mesh vertices, which must lie inside ``grid``."""
     pts = grid.world_to_voxel(mesh.vertices)
     hi = np.asarray(grid.dims, dtype=float) - 1.0
     if np.any(pts < 0.0) or np.any(pts > hi):
         raise ValueError("mesh vertices fall outside the grid extent")
-    d = trilinear_sample(disp, pts)
+    return TrilinearSampler(grid.dims, pts)
+
+
+def warp_vertices(mesh, disp, grid, sampler=None):
+    """Move mesh vertices through a displacement field.
+
+    Vertices (mm) are mapped into grid voxel coordinates, the displacement is
+    sampled there, converted back to mm via the grid spacing, and added.
+    Connectivity, regions, and ring layout are untouched. ``sampler`` may pass
+    ``vertex_sampler(mesh, grid)`` built earlier for the same mesh and grid.
+    """
+    if sampler is None:
+        sampler = vertex_sampler(mesh, grid)
+    d = sampler.sample(disp.data)
     return mesh.with_vertices(mesh.vertices + d * np.asarray(grid.spacing))
 
 
@@ -141,31 +145,31 @@ def jacobian_determinant(disp):
     return Volume3D(disp.geom, np.linalg.det(jac))
 
 
-def exp_vjp(svf, cfg, vertex_grad, mesh, grid, states=None):
+def exp_vjp(svf, cfg, vertex_grad, mesh, grid, states=None, sampler=None):
     """Gradient of a vertex loss with respect to the SVF values.
 
     Given d(loss)/d(warped vertex) for every vertex of ``mesh``, pulls the
     gradient back through warp_vertices and every squaring step of
     exponentiate, returning d(loss)/d(tau) as a field on svf's grid.
 
-    ``states`` may pass the ``(us, caches)`` pair from a prior internal
-    forward pass of the same field; omitted, the forward pass is recomputed.
+    ``states`` may pass the ``(us, samplers)`` pair from a prior internal
+    forward pass of the same field: the intermediate fields u_0 .. u_S and the
+    sampler of each squaring step. Omitted, the forward pass is recomputed.
+    ``sampler`` may pass ``vertex_sampler(mesh, grid)``, as for warp_vertices.
     """
     g = np.asarray(vertex_grad, dtype=np.float64)
     if g.shape != mesh.vertices.shape:
         raise ValueError(f"vertex_grad shape {g.shape} does not match vertices {mesh.vertices.shape}")
-    us, caches = _forward(svf, cfg) if states is None else states
-    steps = len(us) - 1
-    geom = svf.geom
+    us, samplers = _forward(svf, cfg) if states is None else states
+    if sampler is None:
+        sampler = vertex_sampler(mesh, grid)
 
     # Through warp: v' = v + spacing * sample(u_S, p), p fixed.
-    pts = grid.world_to_voxel(mesh.vertices)
-    cot = g * np.asarray(grid.spacing)
-    grad_u, _ = trilinear_sample_vjp(VectorField3D(geom, us[-1]), pts, cot)
+    grad_u = sampler.adjoint(g * np.asarray(grid.spacing))
 
     # Through each squaring step, finest last: u_{k+1} = u_k + u_k(x + u_k).
-    for k in range(steps - 1, -1, -1):
-        gd, gp = _sample_vjp_from(us[k], geom.dims, caches[k], grad_u.reshape(-1, 3))
-        grad_u = grad_u + gd + gp.reshape(grad_u.shape)
+    for u, step in zip(reversed(us[:-1]), reversed(samplers)):
+        cot = grad_u.reshape(-1, 3)
+        grad_u = grad_u + step.adjoint(cot) + step.point_grad(u, cot).reshape(grad_u.shape)
 
-    return VectorField3D(geom, grad_u / (2.0**steps))
+    return VectorField3D(svf.geom, grad_u / (2.0 ** len(samplers)))

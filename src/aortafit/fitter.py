@@ -30,6 +30,7 @@ from .diffeo import (
     exp_vjp,
     exponentiate,
     jacobian_determinant,
+    vertex_sampler,
     warp_vertices,
 )
 from .objective import LossBreakdown, LossWeights, chamfer, loss_grad, total_loss
@@ -49,7 +50,11 @@ _DIVERGE_WINDOW = 50
 
 
 class FitDivergence(RuntimeError):
-    """Loss exceeded 10x its initial value for too long; history attached."""
+    """The fit blew up; the loss history up to that point is attached.
+
+    Raised when the loss stays above 10x its initial value for too long, or
+    when the field outgrows the squaring-step guard of scaling and squaring.
+    """
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -184,6 +189,9 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
             up = upsample_svf(VectorField3D(prev_geom, tau), dims)
             tau = up.data
         level_starts.append(len(history))
+        # The template does not move within a level: one sampler at its
+        # vertices serves every warp and the first step of every adjoint.
+        sampler = vertex_sampler(template, geom)
         state = _adam_state(tau.shape)
         best_tau = tau.copy()
         best_loss = np.inf
@@ -192,10 +200,14 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         for _ in range(cfg.iters_per_level):
             fld = VectorField3D(geom, tau)
             # One forward pass per iteration; its states feed both the loss
-            # evaluation and the backward pass below.
-            states = _forward(fld, cfg.diffeo)
+            # evaluation and the backward pass below. A valid field raises
+            # ValueError here only from the squaring-step guard.
+            try:
+                states = _forward(fld, cfg.diffeo)
+            except ValueError as exc:
+                raise FitDivergence(str(exc), history) from None
             disp = VectorField3D(geom, states[0][-1])
-            warped = warp_vertices(template, disp, geom)
+            warped = warp_vertices(template, disp, geom, sampler=sampler)
             breakdown = total_loss(warped, target, cfg.weights)
             loss = breakdown.total
             history.append(loss)
@@ -223,7 +235,7 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
                     break
 
             g_v = loss_grad(warped, target, cfg.weights)
-            g_tau = exp_vjp(fld, cfg.diffeo, g_v, template, geom, states=states)
+            g_tau = exp_vjp(fld, cfg.diffeo, g_v, template, geom, states=states, sampler=sampler)
             tau = _update(tau, g_tau.data, cfg, state)
 
         tau = best_tau
@@ -231,7 +243,7 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
 
     svf = VectorField3D(prev_geom, tau)
     disp = exponentiate(svf, cfg.diffeo)
-    fitted = warp_vertices(template, disp, prev_geom)
+    fitted = warp_vertices(template, disp, prev_geom, sampler=sampler)
     final = total_loss(fitted, target, cfg.weights)
     det = jacobian_determinant(disp).data
     min_jac = float(det[1:-1, 1:-1, 1:-1].min())

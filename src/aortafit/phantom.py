@@ -8,9 +8,7 @@ frames (double-reflection method), so rings never twist through the arch.
 Setting ``arch_radius = descending_length = 0`` yields a straight cylinder.
 
 An optional Gaussian bulge raises the ring radius around a chosen arc length,
-standing in for an aneurysm of known size. ``rasterize_phantom`` turns a mesh
-into a synthetic intensity volume (bright wall band over darker lumen and
-background) for exercising the volume pipeline.
+standing in for an aneurysm of known size.
 """
 
 from __future__ import annotations
@@ -19,16 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .quadmesh import QuadMesh
-from .volgrid import Volume3D, normalize_intensity
 
 __all__ = [
     "PhantomSpec",
     "make_phantom",
     "centerline_length",
-    "rasterize_phantom",
 ]
 
 
@@ -196,54 +191,3 @@ def make_phantom(spec):
         verts = verts + rng.normal(0.0, spec.jitter, size=verts.shape)
 
     return QuadMesh(verts, faces, regions, ring_layout=(c_n, a_n))
-
-
-def _surface_samples(mesh, per_face=3):
-    """Surface points with outward normals: vertices plus bilinear face samples."""
-    v = mesh.vertices
-    f = mesh.faces
-    quads = v[f]  # (m, 4, 3)
-    fnorm = np.cross(quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1])
-    norms = np.linalg.norm(fnorm, axis=1, keepdims=True)
-    fnorm = fnorm / np.where(norms > 0, norms, 1.0)
-
-    vnorm = np.zeros_like(v)
-    for k in range(4):
-        np.add.at(vnorm, f[:, k], fnorm)
-    lens = np.linalg.norm(vnorm, axis=1, keepdims=True)
-    vnorm = vnorm / np.where(lens > 0, lens, 1.0)
-
-    pts = [v]
-    nrm = [vnorm]
-    if per_face > 1:
-        t = (np.arange(per_face) + 0.5) / per_face
-        uu, vv = np.meshgrid(t, t, indexing="ij")
-        uu, vv = uu.ravel(), vv.ravel()
-        w = np.stack([(1 - uu) * (1 - vv), uu * (1 - vv), uu * vv, (1 - uu) * vv], axis=1)
-        inner = np.einsum("sk,mkd->msd", w, quads).reshape(-1, 3)
-        pts.append(inner)
-        nrm.append(np.repeat(fnorm, per_face * per_face, axis=0))
-    return np.concatenate(pts), np.concatenate(nrm)
-
-
-def rasterize_phantom(mesh, grid, wall_sigma=1.5, lumen_level=0.35):
-    """Synthetic intensity volume: bright band at the wall, dim lumen, dark background.
-
-    Intensity is a smooth function of signed distance to the surface (positive
-    outside), normalized to [0, 1]. A grid with no overlap with the mesh comes
-    back as all background.
-    """
-    samples, normals = _surface_samples(mesh)
-    tree = cKDTree(samples)
-
-    idx = np.indices(grid.dims, dtype=np.float64).reshape(3, -1).T
-    world = grid.voxel_to_world(idx)
-    dist, nearest = tree.query(world)
-    outward = np.einsum("ij,ij->i", world - samples[nearest], normals[nearest])
-    signed = np.where(outward >= 0, dist, -dist)
-
-    wall = np.exp(-(signed**2) / (2.0 * wall_sigma**2))
-    lumen = 1.0 / (1.0 + np.exp(signed / wall_sigma))
-    raw = wall + lumen_level * lumen
-    vol = Volume3D(grid, raw.reshape(grid.dims))
-    return normalize_intensity(vol)

@@ -1,8 +1,7 @@
 """Regular 3D voxel grids.
 
 Scalar volumes and 3-vector fields on a regular grid, trilinear sampling with
-edge clamping, intensity normalization, isotropic resampling, and the
-crop/scale/pad step that brings a volume to a fixed cubic shape.
+edge clamping and its adjoint, and the volume file format.
 
 Conventions
 -----------
@@ -13,24 +12,27 @@ Conventions
   is one voxel step along axis ``a``. Conversion to mm multiplies by spacing.
 * Sampling outside the grid clamps to the boundary face (edge padding), so
   every sample is total.
+* Sampling at fixed points is one sparse linear operator W
+  (:class:`TrilinearSampler`): values are ``W @ field``, the adjoint in the
+  field values is ``W.T @ cot``, and the position gradient comes from the
+  derivative matrices of W, zero along clamped axes.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "GridGeom",
     "Volume3D",
     "VectorField3D",
+    "TrilinearSampler",
     "trilinear_sample",
     "trilinear_sample_vjp",
-    "normalize_intensity",
-    "resample_isotropic",
-    "crop_scale_pad",
     "save_volume",
     "load_volume",
 ]
@@ -85,11 +87,10 @@ def _check_data(geom, data, ncomp):
 
 @dataclass(frozen=True)
 class Volume3D:
-    """Scalar volume on a regular grid. ``degenerate`` flags an all-constant source."""
+    """Scalar volume on a regular grid."""
 
     geom: GridGeom
     data: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -116,104 +117,62 @@ class VectorField3D:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
-def _corner_setup(dims, points):
-    """Clamp points, locate their cells, and split into base index + fraction.
+class TrilinearSampler:
+    """Clamped trilinear interpolation at fixed points, as sparse matrices.
 
-    Returns (i0, frac, interior) where i0 is the (N, 3) lower corner index,
-    frac the (N, 3) offset inside the cell, and interior a (N, 3) bool mask
-    that is False where the coordinate was clamped (position derivative 0).
+    ``weights`` is the CSR matrix W (N points x voxels, 8 nonzeros per row)
+    holding each point's cell-corner weights, so sampling a field is
+    ``W @ field`` and the adjoint in the field values is ``W.T @ cot``.
+    ``slopes`` holds the three matrices dW / d(point coordinate along axis a);
+    they share W's ``indices`` and ``indptr`` and give the position gradient.
+    ``interior`` (N, 3) is False where a coordinate was clamped, which zeroes
+    that axis of the position gradient.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample points contain non-finite coordinates")
-    hi = np.asarray(dims, dtype=np.float64) - 1.0
-    interior = (pts > 0.0) & (pts < hi)
-    p = np.clip(pts, 0.0, hi)
-    i0 = np.floor(p).astype(np.intp)
-    np.minimum(i0, (np.asarray(dims, dtype=np.intp) - 2), out=i0)
-    frac = p - i0
-    return i0, frac, interior
 
+    def __init__(self, dims, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("sample points contain non-finite coordinates")
+        self.dims = tuple(dims)
+        hi = np.asarray(self.dims, dtype=np.float64) - 1.0
+        self.interior = (pts > 0.0) & (pts < hi)
+        p = np.clip(pts, 0.0, hi)
+        i0 = np.minimum(np.floor(p).astype(np.intp), np.asarray(self.dims, dtype=np.intp) - 2)
+        frac = p - i0
 
-# The 8 cell corners in (di, dj, dk) order.
-_CORNERS = np.array(
-    [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)],
-    dtype=np.intp,
-)
+        # Each row lists the 8 cell corners (di, dj, dk) in C order, so its
+        # column indices ascend. A corner's weight is the product of one
+        # factor per axis: 1 - frac on the lower side, frac on the upper.
+        corner = np.indices((2, 2, 2)).reshape(3, 8)
+        _, d1, d2 = self.dims
+        base = (i0[:, 0] * d1 + i0[:, 1]) * d2 + i0[:, 2]
+        cols = base[:, None] + (corner[0] * d1 + corner[1]) * d2 + corner[2]
+        wx, wy, wz = (np.stack([1.0 - frac[:, a], frac[:, a]], axis=1)[:, corner[a]] for a in range(3))
+        sx, sy, sz = np.where(corner, 1.0, -1.0)  # slope of each factor along its axis
 
+        n = len(pts)
+        shape = (n, int(np.prod(self.dims)))
+        self.weights = sp.csr_array(((wx * wy * wz).ravel(), cols.ravel(), np.arange(0, 8 * n + 1, 8)), shape=shape)
+        ind, ptr = self.weights.indices, self.weights.indptr
+        self.slopes = tuple(
+            sp.csr_array((w.ravel(), ind, ptr), shape=shape) for w in (sx * wy * wz, wx * sy * wz, wx * wy * sz)
+        )
 
-def _corner_flat_indices(dims, i0):
-    idx = i0[:, None, :] + _CORNERS[None, :, :]
-    return (idx[..., 0] * dims[1] + idx[..., 1]) * dims[2] + idx[..., 2]
+    def sample(self, data):
+        """Values at the points: (N,) for a scalar grid, (N, 3) for a vector grid."""
+        return self.weights @ data.reshape((-1,) + data.shape[3:])
 
+    def adjoint(self, cot):
+        """``W.T @ cot``: d(loss)/d(stored values), shaped like the sampled grid."""
+        return (self.weights.T @ cot).reshape(self.dims + cot.shape[1:])
 
-def _sample_cache(dims, points):
-    """Everything about sample positions that both directions of sampling need.
-
-    Returns (flat, interior, wx, wy, wz): flat (N, 8) corner indices into the
-    flattened grid, the interior mask from :func:`_corner_setup`, and the
-    per-axis weight factors whose product is the trilinear weight. Forward
-    sampling and its adjoint at the same points can share one cache.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    i0, frac, interior = _corner_setup(dims, pts)
-    f = frac
-    g = 1.0 - frac
-    wx = np.where(_CORNERS[:, 0], f[:, None, 0], g[:, None, 0])
-    wy = np.where(_CORNERS[:, 1], f[:, None, 1], g[:, None, 1])
-    wz = np.where(_CORNERS[:, 2], f[:, None, 2], g[:, None, 2])
-    flat = _corner_flat_indices(dims, i0)
-    return flat, interior, wx, wy, wz
-
-
-def _sample_from(data, cache):
-    flat, _, wx, wy, wz = cache
-    w = wx * wy * wz
-    if data.ndim == 3:
-        vals = data.reshape(-1)[flat]
-        return np.einsum("nc,nc->n", w, vals)
-    vals = data.reshape(-1, 3)[flat]
-    return np.einsum("nc,nck->nk", w, vals)
-
-
-def _sample_vjp_from(data, dims, cache, cotangent):
-    flat, interior, wx, wy, wz = cache
-    w = wx * wy * wz
-    nvox = dims[0] * dims[1] * dims[2]
-    cot = np.asarray(cotangent, dtype=np.float64)
-
-    # d value / d weight = stored corner value; scatter cot * weight into data.
-    if data.ndim == 3:
-        cot = cot.reshape(-1)
-        contrib = w * cot[:, None]
-        grad_data = np.bincount(flat.reshape(-1), weights=contrib.reshape(-1), minlength=nvox)
-        grad_data = grad_data.reshape(dims)
-        corner_vals = data.reshape(-1)[flat]  # (N, 8)
-        proj = corner_vals * cot[:, None]
-    else:
-        cot = cot.reshape(-1, 3)
-        contrib = w[:, :, None] * cot[:, None, :]  # (N, 8, 3)
-        cols = []
-        for k in range(3):
-            cols.append(
-                np.bincount(flat.reshape(-1), weights=contrib[:, :, k].reshape(-1), minlength=nvox)
-            )
-        grad_data = np.stack(cols, axis=-1).reshape(dims + (3,))
-        corner_vals = data.reshape(-1, 3)[flat]  # (N, 8, 3)
-        proj = np.einsum("nck,nk->nc", corner_vals, cot)
-
-    # Position gradient: differentiate the weight product along each axis.
-    sx = np.where(_CORNERS[:, 0], 1.0, -1.0)
-    sy = np.where(_CORNERS[:, 1], 1.0, -1.0)
-    sz = np.where(_CORNERS[:, 2], 1.0, -1.0)
-    grad_points = np.empty((len(w), 3), dtype=np.float64)
-    grad_points[:, 0] = np.sum(proj * sx * wy * wz, axis=1)
-    grad_points[:, 1] = np.sum(proj * wx * sy * wz, axis=1)
-    grad_points[:, 2] = np.sum(proj * wx * wy * sz, axis=1)
-    grad_points *= interior
-    return grad_data, grad_points
+    def point_grad(self, data, cot):
+        """(N, 3) d(loss)/d(points) given the cotangent of the sampled values."""
+        flat = data.reshape((-1,) + data.shape[3:])
+        cols = [((s @ flat) * cot).reshape(len(cot), -1).sum(axis=1) for s in self.slopes]
+        return np.stack(cols, axis=1) * self.interior
 
 
 def trilinear_sample(fld, points):
@@ -230,10 +189,8 @@ def trilinear_sample(fld, points):
     (N,) scalars or (N, 3) vectors; a single point returns a scalar / (3,).
     """
     pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    cache = _sample_cache(fld.geom.dims, pts)
-    out = _sample_from(fld.data, cache)
-    return out[0] if single else out
+    out = TrilinearSampler(fld.geom.dims, pts).sample(fld.data)
+    return out[0] if pts.ndim == 1 else out
 
 
 def trilinear_sample_vjp(fld, points, cotangent):
@@ -246,97 +203,9 @@ def trilinear_sample_vjp(fld, points, cotangent):
     * ``grad_points``: (N, 3) contribution d(loss)/d(sample coordinates).
       Clamped coordinates get a zero position gradient.
     """
-    dims = fld.geom.dims
-    cache = _sample_cache(dims, points)
-    return _sample_vjp_from(fld.data, dims, cache, cotangent)
-
-
-def normalize_intensity(vol):
-    """Rescale a volume linearly so values span [0, 1].
-
-    A constant volume cannot be rescaled; it maps to all zeros with the
-    ``degenerate`` flag set.
-    """
-    if vol.data.size == 0:
-        raise ValueError("cannot normalize an empty volume")
-    lo = float(vol.data.min())
-    hi = float(vol.data.max())
-    if hi == lo:
-        return Volume3D(vol.geom, np.zeros_like(vol.data), degenerate=True)
-    return Volume3D(vol.geom, (vol.data - lo) / (hi - lo))
-
-
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
-
-
-def resample_isotropic(vol, target_spacing):
-    """Resample onto an isotropic grid of the given mm spacing.
-
-    Output dims are round-half-up of physical extent (dims * spacing) over the
-    target spacing; values come from clamped trilinear sampling at the new
-    voxel centers.
-    """
-    t = float(target_spacing)
-    if t <= 0:
-        raise ValueError("target_spacing must be > 0")
-    geom = vol.geom
-    new_dims = tuple(max(2, _round_half_up(d * s / t)) for d, s in zip(geom.dims, geom.spacing))
-    new_geom = GridGeom(new_dims, (t, t, t), geom.origin)
-    ii, jj, kk = np.meshgrid(*(np.arange(n, dtype=float) for n in new_dims), indexing="ij")
-    pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-    # New voxel center i sits at origin + i*t; in input voxel units that is i*t/s.
-    pts *= t / np.asarray(geom.spacing)
-    vals = trilinear_sample(vol, pts)
-    return Volume3D(new_geom, vals.reshape(new_dims))
-
-
-def crop_scale_pad(vol, bbox, margin=1.1, target=256):
-    """Crop around a mm bounding box, scale, and pad to a (target,)*3 cube.
-
-    The box is grown by ``margin`` about its center; the output spacing is
-    chosen so the largest grown axis spans exactly ``target`` voxels, shorter
-    axes are padded symmetrically with zeros.
-
-    Parameters
-    ----------
-    bbox : pair of mm corners ``(min_corner, max_corner)``, each length 3.
-    margin : box growth factor, >= 1.
-    target : output dims per axis, >= 2.
-    """
-    lo = np.asarray(bbox[0], dtype=float)
-    hi = np.asarray(bbox[1], dtype=float)
-    if np.any(hi <= lo):
-        raise ValueError("bbox is empty (max corner must exceed min corner)")
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
-    target = int(target)
-    if target < 2:
-        raise ValueError("target must be >= 2")
-    center = 0.5 * (lo + hi)
-    size = (hi - lo) * float(margin)
-    s_max = float(size.max())
-    out_spacing = s_max / target
-
-    axes = [center[a] - 0.5 * s_max + (np.arange(target) + 0.5) * out_spacing for a in range(3)]
-    ii, jj, kk = np.meshgrid(*axes, indexing="ij")
-    world = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-    vals = trilinear_sample(vol, vol.geom.world_to_voxel(world)).reshape((target,) * 3)
-
-    # Zero out samples beyond the grown box: symmetric padding on short axes.
-    for a in range(3):
-        half = 0.5 * size[a]
-        coord = axes[a] - center[a]
-        outside = np.abs(coord) > half + 1e-12
-        if not outside.any():
-            continue
-        sl = [slice(None)] * 3
-        sl[a] = outside
-        vals[tuple(sl)] = 0.0
-
-    out_origin = tuple(center[a] - 0.5 * s_max + 0.5 * out_spacing for a in range(3))
-    geom = GridGeom((target,) * 3, (out_spacing,) * 3, out_origin)
-    return Volume3D(geom, vals)
+    sampler = TrilinearSampler(fld.geom.dims, points)
+    cot = np.reshape(np.asarray(cotangent, dtype=np.float64), (-1,) + fld.data.shape[3:])
+    return sampler.adjoint(cot), sampler.point_grad(fld.data, cot)
 
 
 # ---------------------------------------------------------------------------

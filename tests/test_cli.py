@@ -337,3 +337,18 @@ def test_exit_code_3_fit_divergence(tmp_path, mesh_files, capsys):
                  "--set", "weights.alpha=0.0", "--set", "grid.spacing=2.0"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_exit_code_3_squaring_step_guard_in_fit(tmp_path, mesh_files, capsys):
+    # A huge gradient step makes the fitted field outgrow the squaring-step
+    # guard mid-fit: a numerical failure (3), not a validation error (2).
+    code = main(["pipeline", "--template", mesh_files["template"], "--target",
+                 mesh_files["shifted"], "--out", str(tmp_path / "p"), "--seed", "0",
+                 "--set", "fit.optimizer=gd", "--set", "fit.step=1e9",
+                 "--set", "fit.levels=[[4,4,4]]", "--set", "fit.svf_dims=[4,4,4]",
+                 "--set", "grid.spacing=2.0"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "numerical failure" in err and "squaring steps" in err

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import straight_cylinder
 
+from aortafit.diffeo import DiffeoConfig, exp_vjp, exponentiate, warp_vertices
 from aortafit.fitter import (
     FitConfig,
     FitDivergence,
@@ -15,7 +16,7 @@ from aortafit.fitter import (
     fit_svf,
     upsample_svf,
 )
-from aortafit.objective import LossWeights
+from aortafit.objective import LossWeights, loss_grad, total_loss
 from aortafit.volgrid import GridGeom, VectorField3D
 
 
@@ -225,3 +226,47 @@ def test_fit_divergence_raises_with_history(translation_pair):
     h = exc.value.history
     assert len(h) == 51  # first iterate plus the 50-iteration bad streak
     assert h[-1] > 10.0 * h[0]
+
+
+def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair):
+    # A huge gradient step drives the field past the squaring-step guard:
+    # that is a numerical failure of the fit, not an invalid input.
+    template, target, grid = translation_pair
+    cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=5,
+                    step=1e9, optimizer="gd", diffeo=DiffeoConfig())
+    with pytest.raises(FitDivergence, match="squaring steps") as exc:
+        fit_svf(template, target, grid, cfg)
+    assert len(exc.value.history) == 1  # the zero field's loss, before the step
+
+
+def test_fit_reused_operators_match_reference_loop(translation_pair):
+    # fit_svf builds one vertex sampler per level and hands each forward pass
+    # to its adjoint. A loop of public calls that shares nothing between them
+    # must give the same losses; a stale or mis-scaled operator would not.
+    template, target, grid = translation_pair
+    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)),
+                    iters_per_level=3, optimizer="gd", step=0.05)
+    res = fit_svf(template, target, grid, cfg)
+
+    history = []
+    tau = np.zeros(cfg.levels[0] + (3,))
+    prev = None
+    for dims in cfg.levels:
+        geom = control_grid(grid, dims)
+        if prev is not None:
+            tau = upsample_svf(VectorField3D(prev, tau), dims).data
+        best_loss, best_tau = np.inf, tau
+        for _ in range(cfg.iters_per_level):
+            fld = VectorField3D(geom, tau)
+            warped = warp_vertices(template, exponentiate(fld, cfg.diffeo), geom)
+            loss = total_loss(warped, target, cfg.weights).total
+            history.append(loss)
+            if loss < best_loss:
+                best_loss, best_tau = loss, tau
+            g_v = loss_grad(warped, target, cfg.weights)
+            tau = tau - cfg.step * exp_vjp(fld, cfg.diffeo, g_v, template, geom).data
+        tau, prev = best_tau, geom
+
+    assert res.level_starts == (0, 3)
+    assert history[2] < history[0] and history[5] < history[3]  # both levels descend
+    np.testing.assert_allclose(res.history, history, rtol=1e-12, atol=0.0)

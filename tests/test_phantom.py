@@ -1,14 +1,13 @@
-"""Synthetic phantom generator: geometry, regions, bulges, rasterization."""
+"""Synthetic phantom generator: geometry, regions, bulges."""
 
 import numpy as np
 import pytest
 
 from conftest import straight_cylinder, bulged_cylinder
 
-from aortafit.phantom import PhantomSpec, centerline_length, make_phantom, rasterize_phantom
+from aortafit.phantom import PhantomSpec, centerline_length, make_phantom
 from aortafit.quadmesh import rings, validate_topology
 from aortafit.quality import self_intersections
-from aortafit.volgrid import GridGeom
 
 
 def _ring_radii_of(mesh):
@@ -139,46 +138,3 @@ def test_default_quality_thresholds(default_phantom):
     assert rep.equiangle_skew[0] < 0.1
     assert rep.scaled_jacobian[0] > 0.95
     assert rep.self_intersection_count == 0
-
-
-# ---------------------------------------------------------------------------
-# Rasterization
-# ---------------------------------------------------------------------------
-
-def test_rasterize_wall_band_and_lumen():
-    mesh = straight_cylinder(circumferential=16, axial=20, length=40.0, radius=15.0)
-    grid = GridGeom((40, 40, 30), spacing=(1.0, 1.0, 1.0), origin=(-20.0, -20.0, 5.0))
-    vol = rasterize_phantom(mesh, grid)
-    assert vol.data.min() >= 0.0 and vol.data.max() <= 1.0
-    assert not vol.degenerate
-
-    k = 15  # z = 20 mm, mid-length slice
-    sl = vol.data[:, :, k]
-    xs = np.arange(40) - 20.0
-    rr = np.hypot(xs[:, None], xs[None, :])
-    bright = sl > 0.8
-    # Brightest band hugs the wall radius.
-    assert abs(rr[bright].mean() - 15.0) < 1.0
-    # Lumen interior reads at the dim plateau, above the outside background.
-    lumen = sl[rr < 8.0]
-    background = sl[rr > 19.0]
-    assert 0.15 < lumen.mean() < 0.45
-    assert background.mean() < 0.1
-    assert lumen.mean() > background.max()
-
-
-def test_rasterize_detached_grid_is_background():
-    mesh = straight_cylinder(circumferential=12, axial=10, length=20.0)
-    grid = GridGeom((8, 8, 8), spacing=(1.0, 1.0, 1.0), origin=(400.0, 400.0, 400.0))
-    vol = rasterize_phantom(mesh, grid)
-    assert vol.data.min() >= 0.0 and vol.data.max() <= 1.0
-    # No wall band anywhere near: every voxel is far outside the surface.
-    assert np.all(np.isfinite(vol.data))
-
-
-def test_rasterize_deterministic():
-    mesh = straight_cylinder(circumferential=12, axial=10, length=20.0)
-    grid = GridGeom((16, 16, 16), spacing=(2.0, 2.0, 2.0), origin=(-16.0, -16.0, -4.0))
-    a = rasterize_phantom(mesh, grid)
-    b = rasterize_phantom(mesh, grid)
-    assert np.array_equal(a.data, b.data)

@@ -1,4 +1,4 @@
-"""Volume grid: geometry, trilinear sampling and its adjoint, preprocessing, I/O."""
+"""Volume grid: geometry, trilinear sampling and its adjoint, I/O."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from aortafit.volgrid import (
     VectorField3D,
     trilinear_sample,
     trilinear_sample_vjp,
-    normalize_intensity,
-    resample_isotropic,
-    crop_scale_pad,
     save_volume,
     load_volume,
 )
@@ -125,21 +122,24 @@ def test_sample_vector_field_componentwise():
     assert np.array_equal(single, got[0])
 
 
-def test_sample_vjp_is_exact_adjoint_in_data():
+@pytest.mark.parametrize("kind, comps", [(Volume3D, ()), (VectorField3D, (3,))],
+                         ids=["Volume3D", "VectorField3D"])
+def test_sample_vjp_is_exact_adjoint_in_data(kind, comps):
     # Sampling is linear in the stored values, so the data gradient must
     # satisfy <cot, S(data + delta) - S(data)> = <grad_data, delta> exactly
     # up to roundoff, for any perturbation delta.
     rng = np.random.default_rng(16)
     geom = GridGeom((5, 6, 4))
     for _ in range(5):
-        data = rng.standard_normal(geom.dims)
-        vol = Volume3D(geom, data)
+        data = rng.standard_normal(geom.dims + comps)
+        fld = kind(geom, data)
         pts = rng.uniform(-1.0, 6.0, size=(25, 3))
-        cot = rng.standard_normal(25)
-        grad_data, _ = trilinear_sample_vjp(vol, pts, cot)
-        delta = rng.standard_normal(geom.dims)
-        lhs = np.dot(cot, trilinear_sample(Volume3D(geom, data + delta), pts)
-                     - trilinear_sample(vol, pts))
+        cot = rng.standard_normal((25,) + comps)
+        grad_data, _ = trilinear_sample_vjp(fld, pts, cot)
+        assert grad_data.shape == data.shape
+        delta = rng.standard_normal(data.shape)
+        lhs = np.sum(cot * (trilinear_sample(kind(geom, data + delta), pts)
+                            - trilinear_sample(fld, pts)))
         rhs = np.sum(grad_data * delta)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -180,147 +180,6 @@ def test_sample_rejects_nonfinite_points():
     vol = Volume3D(geom, np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
         trilinear_sample(vol, [np.nan, 1.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
-# normalize_intensity
-# ---------------------------------------------------------------------------
-
-def test_normalize_maps_range_to_unit_interval():
-    geom = GridGeom((2, 2, 2))
-    data = np.array([0.0, 50.0, 100.0, 25.0, 75.0, 100.0, 0.0, 50.0]).reshape(2, 2, 2)
-    out = normalize_intensity(Volume3D(geom, data))
-    assert np.array_equal(out.data, data / 100.0)
-    assert not out.degenerate
-    # Idempotent once normalized.
-    again = normalize_intensity(out)
-    assert np.array_equal(again.data, out.data)
-
-
-def test_normalize_constant_volume_degenerate():
-    geom = GridGeom((3, 3, 3))
-    out = normalize_intensity(Volume3D(geom, np.full((3, 3, 3), 7.5)))
-    assert out.degenerate
-    assert np.all(out.data == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# resample_isotropic
-# ---------------------------------------------------------------------------
-
-def test_resample_identity_at_same_spacing():
-    rng = np.random.default_rng(19)
-    geom = GridGeom((6, 7, 8), spacing=(1.0, 1.0, 1.0))
-    vol = Volume3D(geom, rng.standard_normal((6, 7, 8)))
-    out = resample_isotropic(vol, 1.0)
-    assert out.geom.dims == geom.dims
-    assert np.array_equal(out.data, vol.data)
-
-
-def test_resample_constant_preserving():
-    geom = GridGeom((5, 6, 7), spacing=(2.0, 2.0, 2.0))
-    vol = Volume3D(geom, np.full((5, 6, 7), 3.25))
-    out = resample_isotropic(vol, 1.0)
-    assert out.geom.dims == (10, 12, 14)
-    assert out.geom.spacing == (1.0, 1.0, 1.0)
-    assert np.all(out.data == 3.25)
-
-
-def test_resample_linear_ramp_exact_inside():
-    # f = 2x_mm along axis 0: linear profiles are reproduced exactly by
-    # trilinear interpolation wherever sampling does not clamp.
-    geom = GridGeom((9, 4, 4), spacing=(2.0, 2.0, 2.0))
-    x_mm = np.arange(9) * 2.0
-    data = np.broadcast_to(2.0 * x_mm[:, None, None], (9, 4, 4)).copy()
-    out = resample_isotropic(Volume3D(geom, data), 1.0)
-    assert out.geom.dims[0] == 18
-    inside = out.data[:17]  # beyond x=16mm the input lattice is exhausted (clamp)
-    expect = 2.0 * (np.arange(17) * 1.0)
-    assert np.allclose(inside, expect[:, None, None], rtol=0.0, atol=1e-12)
-
-
-def test_resample_round_half_up_dims():
-    geom = GridGeom((5, 5, 5), spacing=(1.0, 1.0, 1.0))
-    vol = Volume3D(geom, np.zeros((5, 5, 5)))
-    # 5 mm extent / 2 mm = 2.5 rounds half-up to 3.
-    assert resample_isotropic(vol, 2.0).geom.dims == (3, 3, 3)
-    with pytest.raises(ValueError):
-        resample_isotropic(vol, 0.0)
-
-
-def test_resample_idempotent_on_isotropic_input():
-    rng = np.random.default_rng(20)
-    geom = GridGeom((6, 6, 6), spacing=(1.5, 1.5, 1.5))
-    vol = Volume3D(geom, rng.standard_normal((6, 6, 6)))
-    once = resample_isotropic(vol, 1.5)
-    twice = resample_isotropic(once, 1.5)
-    assert np.array_equal(once.data, twice.data)
-
-
-# ---------------------------------------------------------------------------
-# crop_scale_pad
-# ---------------------------------------------------------------------------
-
-def test_crop_scale_pad_lattice_aligned_identity():
-    # With margin 1 and a bbox of one full voxel extent centered on the
-    # lattice, output cell centers land exactly on input voxels.
-    rng = np.random.default_rng(21)
-    d, s = 8, 1.0
-    geom = GridGeom((d, d, d), spacing=(s, s, s))
-    vol = Volume3D(geom, rng.standard_normal((d, d, d)))
-    lo = np.full(3, -0.5 * s)
-    hi = np.full(3, (d - 0.5) * s)
-    out = crop_scale_pad(vol, (lo, hi), margin=1.0, target=d)
-    assert out.geom.dims == (d, d, d)
-    assert out.geom.spacing == (s, s, s)
-    assert np.array_equal(out.data, vol.data)
-
-
-def test_crop_scale_pad_dims_and_spacing():
-    geom = GridGeom((10, 10, 10), spacing=(1.0, 1.0, 1.0))
-    vol = Volume3D(geom, np.ones((10, 10, 10)))
-    bbox = (np.zeros(3), np.array([4.0, 2.0, 8.0]))
-    out = crop_scale_pad(vol, bbox, margin=1.1, target=32)
-    assert out.geom.dims == (32, 32, 32)
-    # Longest grown side 8 * 1.1 spans exactly 32 voxels.
-    assert out.geom.spacing[0] == pytest.approx(8.0 * 1.1 / 32.0)
-    assert out.geom.spacing[0] == out.geom.spacing[1] == out.geom.spacing[2]
-
-
-def test_crop_scale_pad_pads_short_axes_with_zeros():
-    geom = GridGeom((10, 10, 10), spacing=(1.0, 1.0, 1.0))
-    vol = Volume3D(geom, np.ones((10, 10, 10)))
-    bbox = (np.zeros(3), np.array([8.0, 2.0, 8.0]))
-    out = crop_scale_pad(vol, bbox, margin=1.0, target=16)
-    # Axis 1 box is 2 mm inside an 8 mm cube: three quarters of slices are pad.
-    frac_zero = np.mean(out.data[:, :, :] == 0.0)
-    assert frac_zero > 0.5
-    assert np.all(out.data[:, 7:9, :] == 1.0)
-
-
-def test_crop_scale_pad_blob_center_maps_to_cube_center():
-    # Gaussian blob at a known mm position, bbox centered on it: the blob
-    # peak must land within one voxel of the output cube center.
-    geom = GridGeom((24, 24, 24), spacing=(1.0, 1.0, 1.0))
-    center = np.array([10.0, 12.0, 9.0])
-    ii, jj, kk = np.meshgrid(*(np.arange(24.0),) * 3, indexing="ij")
-    r2 = (ii - center[0]) ** 2 + (jj - center[1]) ** 2 + (kk - center[2]) ** 2
-    vol = Volume3D(geom, np.exp(-r2 / (2.0 * 3.0**2)))
-    bbox = (center - 8.0, center + 8.0)
-    out = crop_scale_pad(vol, bbox, margin=1.1, target=20)
-    peak = np.unravel_index(np.argmax(out.data), out.data.shape)
-    assert np.all(np.abs(np.asarray(peak) - (20 - 1) / 2.0) <= 1.0)
-
-
-def test_crop_scale_pad_validation():
-    geom = GridGeom((4, 4, 4))
-    vol = Volume3D(geom, np.zeros((4, 4, 4)))
-    with pytest.raises(ValueError):
-        crop_scale_pad(vol, (np.ones(3), np.zeros(3)))
-    with pytest.raises(ValueError):
-        crop_scale_pad(vol, (np.zeros(3), np.ones(3)), margin=0.9)
-    with pytest.raises(ValueError):
-        crop_scale_pad(vol, (np.zeros(3), np.ones(3)), target=1)
 
 
 # ---------------------------------------------------------------------------
