@@ -86,6 +86,8 @@ class QuadMesh:
         regs = np.asarray(self.regions, dtype=np.int8)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise ValueError(f"vertices must be (n, 3), got {verts.shape}")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("vertex coordinates must be finite")
         if faces.ndim != 2 or faces.shape[1] != 4:
             raise ValueError(f"faces must be (m, 4), got {faces.shape}")
         if regs.shape != (len(verts),):

@@ -11,11 +11,11 @@ Metrics follow the standard verification definitions, computed directly in 3D
 * scaled Jacobian: min over corners of the normalized corner cross product
   against the element normal (normalized cross of the diagonals).
 
-Self-intersection splits quads into triangles, prunes pairs with an
-axis-aligned bounding-box tree, and runs an exact segment-triangle narrow
-phase (with a coplanar overlap fallback). Face pairs sharing a vertex are
-excluded. The brute-force path shares the narrow phase, so the accelerated
-result matches it exactly.
+Self-intersection splits quads into triangles, finds the pairs whose
+axis-aligned bounding boxes overlap with a k-d tree over the box centers,
+and runs an exact segment-triangle narrow phase (with a coplanar overlap
+fallback). Face pairs sharing a vertex are excluded. The brute-force path
+shares the narrow phase, so the accelerated result matches it exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "ElementQuality",
@@ -145,84 +146,39 @@ def _mesh_triangles(mesh):
     return tris
 
 
-def _build_bvh(lo, hi, leaf_size=16):
-    """Median-split AABB tree over boxes (lo, hi); returns flat node arrays."""
-    n = len(lo)
-    node_lo, node_hi, left, right, leaf = [], [], [], [], []
-    centers = lo + hi
+def _box_overlap_pairs(points):
+    """Triangle index pairs (i < j) whose padded AABBs overlap.
 
-    def rec(ids):
-        node = len(node_lo)
-        node_lo.append(lo[ids].min(axis=0))
-        node_hi.append(hi[ids].max(axis=0))
-        left.append(-1)
-        right.append(-1)
-        leaf.append(None)
-        if len(ids) <= leaf_size:
-            leaf[node] = ids
-            return node
-        extent = node_hi[node] - node_lo[node]
-        axis = int(np.argmax(extent))
-        order = np.argsort(centers[ids, axis], kind="stable")
-        half = len(ids) // 2
-        l = rec(ids[order[:half]])
-        r = rec(ids[order[half:]])
-        left[node] = l
-        right[node] = r
-        return node
-
-    rec(np.arange(n, dtype=np.int64))
-    return (
-        np.asarray(node_lo),
-        np.asarray(node_hi),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        leaf,
-    )
-
-
-def _bvh_candidate_pairs(points):
-    """Triangle index pairs (i < j) whose AABBs overlap, via dual tree traversal."""
+    Each box is padded by 1e-9 of its largest extent, well above the narrow
+    phase's 1e-10 relative tolerance, so no pair that test would count is
+    lost to boxes a hair apart or to rounding in the centers and reaches.
+    Overlapping boxes have centers within the larger box's reach (twice its
+    largest half-extent) in the Chebyshev metric, so the larger box of each
+    pair finds it. Boxes are grouped by the binary exponent of their reach,
+    and each group queries a k-d tree of all centers out to the group's
+    largest reach: one huge box widens only its own search, never everyone's.
+    An exact test of the padded boxes then drops the pairs that miss.
+    """
     lo = points.min(axis=1)
     hi = points.max(axis=1)
-    node_lo, node_hi, left, right, leaf = _build_bvh(lo, hi)
-    is_leaf = left < 0
-
-    out = []
-    pairs = np.array([[0, 0]], dtype=np.int64)
-    while len(pairs):
-        a, b = pairs[:, 0], pairs[:, 1]
-        overlap = np.all(node_lo[a] <= node_hi[b], axis=1) & np.all(node_lo[b] <= node_hi[a], axis=1)
-        pairs = pairs[overlap]
-        if not len(pairs):
-            break
-        a, b = pairs[:, 0], pairs[:, 1]
-        both_leaf = is_leaf[a] & is_leaf[b]
-        for pa, pb in pairs[both_leaf]:
-            ta, tb = leaf[pa], leaf[pb]
-            if pa == pb:
-                ii, jj = np.triu_indices(len(ta), k=1)
-                out.append(np.stack([ta[ii], ta[jj]], axis=1))
-            else:
-                gi = np.repeat(ta, len(tb))
-                gj = np.tile(tb, len(ta))
-                out.append(np.stack([gi, gj], axis=1))
-        rest = pairs[~both_leaf]
-        if len(rest):
-            a, b = rest[:, 0], rest[:, 1]
-            expand_a = ~is_leaf[a]
-            nxt = [
-                np.stack([np.where(expand_a, left[a], a), np.where(expand_a, b, left[b])], axis=1),
-                np.stack([np.where(expand_a, right[a], a), np.where(expand_a, b, right[b])], axis=1),
-            ]
-            pairs = np.unique(np.sort(np.concatenate(nxt), axis=1), axis=0)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    cand = np.concatenate(out)
-    cand = np.sort(cand, axis=1)
-    return np.unique(cand[cand[:, 0] != cand[:, 1]], axis=0)
+    pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
+    lo, hi = lo - pad, hi + pad
+    center = 0.5 * (lo + hi)
+    reach = (hi - lo).max(axis=1)
+    tree = cKDTree(center)
+    found = [np.empty((0, 2), dtype=np.int64)]
+    _, group = np.frexp(reach)
+    for g in np.unique(group):
+        ids = np.flatnonzero(group == g)
+        near = cKDTree(center[ids]).sparse_distance_matrix(
+            tree, reach[ids].max(), p=np.inf, output_type="ndarray"
+        )
+        found.append(np.stack([ids[near["i"]], near["j"]], axis=1))
+    i, j = np.concatenate(found).T
+    larger = (reach[i] > reach[j]) | ((reach[i] == reach[j]) & (i < j))
+    i, j = i[larger], j[larger]
+    hit = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
+    return np.sort(np.stack([i[hit], j[hit]], axis=1), axis=1)
 
 
 def _segments_hit_triangle(seg_a, seg_b, t0, t1, t2, scale):
@@ -324,13 +280,14 @@ def self_intersections(mesh, method="bvh"):
 
     Quads are split into triangles; face pairs sharing any vertex are skipped
     (adjacency is not an intersection). ``method="brute"`` tests every pair,
-    ``"bvh"`` prunes with a bounding-box tree; both share the exact narrow
-    phase and return identical results.
+    ``"bvh"`` tests only the pairs whose bounding boxes overlap, found with a
+    k-d tree over the box centers; both share the exact narrow phase and
+    return identical results.
     """
     tris = _mesh_triangles(mesh)
     pts = mesh.vertices[tris]
     if method == "bvh":
-        cand = _bvh_candidate_pairs(pts)
+        cand = _box_overlap_pairs(pts)
     elif method == "brute":
         n = len(tris)
         ii, jj = np.triu_indices(n, k=1)

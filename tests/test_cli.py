@@ -316,6 +316,24 @@ def test_exit_code_2_malformed_mesh(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["quality", "stress"])
+def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command):
+    # A NaN coordinate is an input error (2), not a numerical failure (3).
+    lines = open(mesh_files["tube"]).read().splitlines()
+    first = lines.index(next(l for l in lines if l.startswith("POINTS"))) + 1
+    lines[first] = " ".join(["nan"] + lines[first].split()[1:])
+    bad = tmp_path / "nan.vtk"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = [command, "--mesh", str(bad)]
+    if command == "stress":
+        argv += ["--out", str(tmp_path / "s.vtk")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert "finite" in err
+
+
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):
     # curved tube with free ends: no membrane equilibrium exists
     arch = str(tmp_path / "arch.vtk")

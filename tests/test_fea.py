@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from conftest import cube_sphere, random_rotation, straight_cylinder
 
+from aortafit import fea
 from aortafit.fea import (
     MembraneModel,
     SolverError,
@@ -225,6 +227,16 @@ def test_diagonal_shear_proportional_to_band_height():
         MembraneModel(fixed_rings=()))
     assert fine.cauchy[:, 2].mean() == pytest.approx(
         0.5 * coarse.cauchy[:, 2].mean(), rel=1e-9)
+
+
+def test_symmetric_mode_factor_matches_default_splu(tube24, monkeypatch):
+    # Oracle: the same solve with SuperLU's default ordering and pivoting.
+    fast = solve_membrane_stress(tube24, MembraneModel())
+    monkeypatch.setattr(fea, "splu", lambda gram, **options: splu(gram))
+    ref = solve_membrane_stress(tube24, MembraneModel())
+    scale = np.abs(ref.resultants).max()
+    assert np.abs(fast.resultants - ref.resultants).max() <= 1e-8 * scale
+    assert fast.residual <= 1e-8
 
 
 def test_explicit_end_rings_match_default(tube24):

@@ -46,6 +46,11 @@ def test_mesh_validation():
         QuadMesh(verts, faces, np.zeros(3, dtype=np.int8))
     with pytest.raises(ValueError, match="ring_layout"):
         QuadMesh(verts, faces, regs, ring_layout=(4, 2))  # wants 8 vertices
+    for bad in (np.nan, np.inf, -np.inf):
+        v = verts.copy()
+        v[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QuadMesh(v, faces, regs)
 
 
 def test_region_code_names_and_ints():

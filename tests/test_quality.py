@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import random_rotation, straight_cylinder
 
+from aortafit import quality
 from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh, rings
 from aortafit.quality import (
+    _box_overlap_pairs,
+    _mesh_triangles,
     aspect_ratio,
     element_quality,
     equiangle_skew,
@@ -234,6 +238,62 @@ def test_random_soups_bvh_matches_brute():
         nr, pr = self_intersections(mesh, method="brute")
         assert nb == nr
         assert sorted(pb) == sorted(pr)
+
+
+def test_far_pulled_vertex_bvh_matches_brute():
+    # One vertex dragged 200 mm through the far wall: its faces' boxes dwarf
+    # every other box, and their long triangles pierce the opposite wall.
+    mesh = straight_cylinder(circumferential=12, axial=20, length=40.0)
+    assert mesh.n_faces <= 500
+    v = mesh.vertices.copy()
+    ring = rings(mesh)[10]
+    center = v[ring].mean(axis=0)
+    vid = int(ring[0])
+    v[vid] = center + (center - v[vid]) / np.linalg.norm(center - v[vid]) * 200.0
+    bad = mesh.with_vertices(v)
+    nb, pb = self_intersections(bad, method="bvh")
+    nr, pr = self_intersections(bad, method="brute")
+    assert nb == nr > 0
+    assert sorted(pb) == sorted(pr)
+
+
+class _CountingTree(cKDTree):
+    """k-d tree that tallies the candidate pairs its queries return."""
+
+    found = 0
+
+    def sparse_distance_matrix(self, *args, **kwargs):
+        out = super().sparse_distance_matrix(*args, **kwargs)
+        _CountingTree.found += len(out)
+        return out
+
+
+@pytest.mark.parametrize("spike_mm", [3.0, 60.0])
+def test_spiked_phantom_broad_phase_stays_local(default_phantom, monkeypatch, spike_mm):
+    # One vertex moved off the wall may only add the pairs of its own
+    # triangles, and must not widen every box's search: one search radius
+    # sized by the largest box gives about 5x the candidates at 3 mm and
+    # runs out of memory at 60 mm.
+    monkeypatch.setattr(quality, "cKDTree", _CountingTree)
+    mesh, _ = default_phantom
+    tris = _mesh_triangles(mesh)
+    v = mesh.vertices.copy()
+    vid = int(rings(mesh)[160][0])
+    v[vid, 0] += spike_mm
+
+    _CountingTree.found = 0
+    clean = _box_overlap_pairs(mesh.vertices[tris])
+    clean_candidates = _CountingTree.found
+    _CountingTree.found = 0
+    pairs = _box_overlap_pairs(v[tris])
+    assert _CountingTree.found < 2 * clean_candidates
+    assert len(clean) < len(pairs) < 2 * len(clean)
+    moved = np.flatnonzero((tris == vid).any(axis=1))
+
+    def away(p):
+        return {tuple(x) for x in p[~np.isin(p, moved).any(axis=1)]}
+
+    assert away(pairs) == away(clean)
 
 
 def test_unknown_method_rejected(tube24):
