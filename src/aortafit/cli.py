@@ -3,10 +3,11 @@
 Subcommands: phantom, template, fit, warp, quality, chamfer, stress, report,
 pipeline. Settings come from a JSON config file with sections (grid, phantom,
 fit, weights, diffeo, membrane, report); any value can be overridden on the
-command line with ``--set section.key=value``. Unknown sections or keys are
-rejected. The effective config (defaults merged with file and overrides) is
-echoed into every output next to its sha256 hash, so runs are reproducible:
-identical config and seed produce byte-identical output bundles.
+command line with ``--set section.key=value``. Unknown sections or keys, and
+values whose JSON type differs from the default's, are rejected. The
+effective config (defaults merged with file and overrides) is echoed into
+every output next to its sha256 hash, so runs are reproducible: identical
+config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
 missing input), 3 numerical failure (divergence, solver residual).
@@ -28,8 +29,6 @@ if os.environ.get("AORTAFIT_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["AORTAFIT_THREADS"])
 
-import numpy as np
-
 from . import __version__
 from .clinical import build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
@@ -49,7 +48,7 @@ def default_config():
     phantom = dataclasses.asdict(PhantomSpec())
     phantom.pop("radius_profile")  # callable; not expressible in config files
     fit = dataclasses.asdict(FitConfig())
-    for nested in ("weights", "diffeo", "seed"):
+    for nested in ("weights", "diffeo"):
         fit.pop(nested)
     weights = dataclasses.asdict(LossWeights())
     diffeo = dataclasses.asdict(DiffeoConfig())
@@ -65,19 +64,38 @@ def default_config():
     }
 
 
-def _merge_section(base, update, path):
-    for key, value in update.items():
-        if key not in base:
-            raise ValueError(f"unknown config key {path}{key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _merge_section(base[key], value, f"{path}{key}.")
-        else:
-            base[key] = value
+def _json_kind(value):
+    """JSON type name of a config value, telling integers from other numbers."""
+    kinds = (("boolean", bool), ("integer", int), ("number", float), ("string", str), ("array", (list, tuple)))
+    return next((kind for kind, types in kinds if isinstance(value, types)), "null")
+
+
+def _set(node, default, key, value, path):
+    """Set ``node[key] = value`` where ``default`` holds the key's default.
+
+    A section takes an object, merged key by key. Any other key takes a value
+    of its default's JSON type (a float key also takes an integer); keys whose
+    default is null are left to their dataclass to check.
+    """
+    if key not in default:
+        raise ValueError(f"unknown config key '{path}{key}'")
+    want = default[key]
+    if isinstance(want, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config section '{path}{key}' needs an object, got {json.dumps(value)}")
+        for k, v in value.items():
+            _set(node[key], want, k, v, f"{path}{key}.")
+        return
+    kind, got = _json_kind(want), _json_kind(value)
+    if want is not None and got != kind and (kind, got) != ("number", "integer"):
+        raise ValueError(f"config key '{path}{key}' needs a JSON {kind}, got {json.dumps(value)}")
+    node[key] = value
 
 
 def load_config(path=None, overrides=()):
     """Defaults merged with an optional JSON file and --set overrides."""
-    cfg = copy.deepcopy(default_config())
+    defaults = default_config()
+    cfg = copy.deepcopy(defaults)
     if path is not None:
         with open(path) as fh:
             try:
@@ -86,24 +104,23 @@ def load_config(path=None, overrides=()):
                 raise ValueError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        _merge_section(cfg, data, "")
+        for key, value in data.items():
+            _set(cfg, defaults, key, value, "")
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set needs section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        parts = dotted.split(".")
-        node = cfg
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
+        *parents, key = dotted.split(".")
+        node, default = cfg, defaults
+        for part in parents:
+            if not isinstance(default.get(part), dict):
                 raise ValueError(f"unknown config key {dotted!r}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ValueError(f"unknown config key {dotted!r}")
+            node, default = node[part], default[part]
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node[parts[-1]] = value
+        _set(node, default, key, value, "".join(p + "." for p in parents))
     return cfg
 
 
@@ -134,13 +151,8 @@ def _phantom_spec(cfg):
     return PhantomSpec(**cfg["phantom"])
 
 
-def _fit_config(cfg, seed):
-    return FitConfig(
-        weights=LossWeights(**cfg["weights"]),
-        diffeo=DiffeoConfig(**cfg["diffeo"]),
-        seed=seed,
-        **cfg["fit"],
-    )
+def _fit_config(cfg):
+    return FitConfig(weights=LossWeights(**cfg["weights"]), diffeo=DiffeoConfig(**cfg["diffeo"]), **cfg["fit"])
 
 
 def _membrane_model(cfg):
@@ -216,11 +228,11 @@ def cmd_template(args):
     return 0
 
 
-def _run_fit(template_path, target_path, cfg, seed):
+def _run_fit(template_path, target_path, cfg):
     template = load_mesh(template_path)
     target = load_mesh(target_path)
     grid = bounding_grid([template, target], spacing=cfg["grid"]["spacing"], margin=cfg["grid"]["margin"])
-    result = fit_svf(template, target, grid, _fit_config(cfg, seed))
+    result = fit_svf(template, target, grid, _fit_config(cfg))
     return template, target, result
 
 
@@ -251,7 +263,7 @@ def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
 
 def cmd_fit(args):
     cfg = load_config(args.config, args.set or ())
-    _, _, result = _run_fit(args.template, args.target, cfg, args.seed)
+    _, _, result = _run_fit(args.template, args.target, cfg)
     _write_fit_outputs(args.out, cfg, args.seed, result, args.target)
     print(
         f"fit done: chamfer {result.final_chamfer:.4f} mm, "
@@ -346,7 +358,7 @@ def cmd_report(args):
 
 def _run_case(template_path, target_path, case_dir, cfg, seed):
     """One pipeline case: fit, quality, chamfer, stress, report, manifest."""
-    template, target, result = _run_fit(template_path, target_path, cfg, seed)
+    template, target, result = _run_fit(template_path, target_path, cfg)
     files = _write_fit_outputs(case_dir, cfg, seed, result, target_path)
 
     qrep = quality_report(result.fitted)
@@ -444,7 +456,7 @@ def build_parser():
     p.add_argument("--template", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="recorded in the outputs; the fit is deterministic")
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -486,7 +498,7 @@ def build_parser():
     p.add_argument("--template", required=True)
     p.add_argument("--target", dest="targets", action="append", required=True, help="repeatable")
     p.add_argument("--out", required=True, help="bundle directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="recorded in the outputs; the fit is deterministic")
     p.add_argument("--jobs", type=int, default=1, help="concurrent cases")
     p.add_argument("--summary-table", action="store_true")
     _add_common(p)

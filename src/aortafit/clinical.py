@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadmesh import REGIONS, face_regions, rings
+from .quadmesh import REGIONS, face_regions, majority_region, rings
 
 __all__ = [
     "SCHEMA_VERSION",
     "ClinicalReport",
-    "ring_diameter",
     "all_ring_diameters",
     "ring_region_codes",
     "max_diameter_per_region",
@@ -34,50 +33,28 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def ring_diameter(ring_vertices, method="equivalent"):
-    """Diameter of one circumferential ring of vertices (mm).
+def all_ring_diameters(mesh, method="equivalent"):
+    """Diameter of every ring (mm), shape (A,).
 
     ``equivalent``: 2 * mean distance to the ring centroid (exact for a
     regular polygon inscribed in a circle). ``chord``: maximum pairwise
     vertex distance.
     """
-    v = np.asarray(ring_vertices, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != 3 or len(v) < 3:
-        raise ValueError("a ring needs at least 3 vertices of shape (n, 3)")
-    radii = np.linalg.norm(v - v.mean(axis=0), axis=1)
-    if radii.max() == 0:
-        raise ValueError("degenerate ring: all vertices coincide")
-    if method == "equivalent":
-        return float(2.0 * radii.mean())
-    if method == "chord":
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt(np.einsum("ijd,ijd->ij", diff, diff)).max())
-    raise ValueError(f"unknown diameter method {method!r}")
-
-
-def all_ring_diameters(mesh, method="equivalent"):
-    """Diameter of every ring, shape (A,)."""
-    loops = rings(mesh)
-    v = mesh.vertices[loops]  # (A, C, 3)
+    v = mesh.vertices[rings(mesh)]  # (A, C, 3)
     radii = np.linalg.norm(v - v.mean(axis=1, keepdims=True), axis=2)
     if np.any(radii.max(axis=1) == 0):
         raise ValueError("degenerate ring: all vertices coincide")
     if method == "equivalent":
         return 2.0 * radii.mean(axis=1)
     if method == "chord":
-        return np.array([ring_diameter(v[a], method="chord") for a in range(len(v))])
+        diff = v[:, :, None, :] - v[:, None, :, :]
+        return np.sqrt(np.einsum("aijd,aijd->aij", diff, diff).max(axis=(1, 2)))
     raise ValueError(f"unknown diameter method {method!r}")
 
 
 def ring_region_codes(mesh):
     """Region code per ring: majority of vertex labels, ties to the lowest code."""
-    loops = rings(mesh)
-    labels = mesh.regions[loops]  # (A, C)
-    counts = np.zeros((len(loops), len(REGIONS)), dtype=np.int64)
-    rows = np.arange(len(loops))
-    for c in range(labels.shape[1]):
-        np.add.at(counts, (rows, labels[:, c].astype(np.intp)), 1)
-    return counts.argmax(axis=1).astype(np.int8)
+    return majority_region(mesh.regions[rings(mesh)])
 
 
 def max_diameter_per_region(mesh, method="equivalent"):

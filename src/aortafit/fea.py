@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .quadmesh import face_regions, region_code, rings, validate_topology, REGIONS
+from .quadmesh import rings, validate_topology
 
 __all__ = [
     "MembraneModel",
@@ -37,7 +37,6 @@ __all__ = [
     "pressure_nodal_forces",
     "solve_membrane_stress",
     "principal_stresses",
-    "mean_stress_error",
 ]
 
 KPA_TO_N_PER_MM2 = 1e-3
@@ -356,26 +355,3 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
         residual=residual,
     )
 
-
-def mean_stress_error(pred_mesh, pred_field, gt_mesh, gt_field):
-    """Per-region relative error of mean maximum-principal stress.
-
-    err_r = |mean sigma1(pred) - mean sigma1(gt)| / mean sigma1(gt), keyed by
-    region name. Both meshes must induce the same face partition.
-    """
-    fr_pred = face_regions(pred_mesh)
-    fr_gt = face_regions(gt_mesh)
-    if not np.array_equal(fr_pred, fr_gt):
-        raise ValueError("meshes do not share a face-region partition")
-    s1_pred = pred_field.principal[:, 0]
-    s1_gt = gt_field.principal[:, 0]
-    errors = {}
-    for code, name in enumerate(REGIONS):
-        mask = fr_gt == code
-        if not mask.any():
-            raise ValueError(f"region {name!r} has no faces")
-        gt_mean = s1_gt[mask].mean()
-        if gt_mean == 0:
-            raise ValueError(f"region {name!r} has zero ground-truth mean stress")
-        errors[name] = float(abs(s1_pred[mask].mean() - gt_mean) / abs(gt_mean))
-    return errors

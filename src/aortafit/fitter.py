@@ -14,8 +14,7 @@ coordinate, so unconstrained control nodes stay put instead of taking
 normalized full-size steps). Plain gradient descent is available via
 ``optimizer="gd"``. The whole procedure is deterministic: a zero initial
 field, no stochastic sampling, and reduction orders fixed by the array
-layout. ``seed`` is carried into provenance (and reserved for randomized
-variants) but does not influence the result.
+layout.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class FitConfig:
     momentum: tuple = (0.9, 0.999)
     weights: LossWeights = field(default_factory=LossWeights)
     diffeo: DiffeoConfig = field(default_factory=DiffeoConfig)
-    seed: int = 0
     tol: float = 1e-6
     tol_iters: int = 25
     optimizer: str = "adam"

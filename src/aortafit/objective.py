@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .quadmesh import REGIONS, region_code
+from .quadmesh import REGIONS
 
 __all__ = [
     "LossWeights",
     "LossBreakdown",
-    "region_mse",
-    "weighted_geo",
     "smoothness",
     "total_loss",
     "loss_grad",
@@ -87,22 +85,6 @@ def _check_correspondence(pred, gt):
         raise ValueError("meshes must share region labels")
 
 
-def region_mse(pred, gt, region):
-    """Mean squared vertex distance over one region (mm^2)."""
-    _check_correspondence(pred, gt)
-    code = region_code(region)
-    mask = pred.regions == code
-    if not mask.any():
-        raise ValueError(f"region {REGIONS[code]!r} has no vertices")
-    diff = pred.vertices[mask] - gt.vertices[mask]
-    return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
-
-
-def weighted_geo(pred, gt, weights):
-    """Convex combination sum_r omega_r * region_mse_r (mm^2)."""
-    return float(sum(w * region_mse(pred, gt, r) for r, w in enumerate(weights.omega)))
-
-
 def _chain_penalties(e1, e2):
     """1 - cos(theta) per consecutive edge pair, with zero-length pairs masked.
 
@@ -150,14 +132,21 @@ def smoothness(mesh, return_skipped=False):
 
 def total_loss(pred, gt, weights):
     """Full loss breakdown: region MSEs, weighted sum, smoothness, total."""
-    per_region = tuple(region_mse(pred, gt, r) for r in range(len(REGIONS)))
+    _check_correspondence(pred, gt)
+    per_region = []
+    for code, name in enumerate(REGIONS):
+        mask = pred.regions == code
+        if not mask.any():
+            raise ValueError(f"region {name!r} has no vertices")
+        diff = pred.vertices[mask] - gt.vertices[mask]
+        per_region.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
     geo = float(sum(w * l for w, l in zip(weights.omega, per_region)))
     if weights.alpha > 0:
         smooth, skipped = smoothness(pred, return_skipped=True)
     else:
         smooth, skipped = 0.0, 0
     return LossBreakdown(
-        region=per_region,
+        region=tuple(per_region),
         weighted_geo=geo,
         smoothness=smooth,
         alpha=weights.alpha,

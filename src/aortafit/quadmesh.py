@@ -36,7 +36,7 @@ reports the line of the offending token on error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,8 +49,8 @@ __all__ = [
     "validate_topology",
     "average_template",
     "rings",
+    "majority_region",
     "face_regions",
-    "region_vertex_indices",
     "load_mesh",
     "save_mesh",
 ]
@@ -126,19 +126,15 @@ class QuadMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
 
-def region_vertex_indices(mesh, region):
-    """Vertex indices carrying the given region label."""
-    return np.nonzero(mesh.regions == region_code(region))[0]
+def majority_region(labels):
+    """Majority region code along the last axis of ``labels``, ties to the lowest code."""
+    counts = (labels[..., None] == np.arange(len(REGIONS))).sum(axis=-2)
+    return counts.argmax(axis=-1).astype(np.int8)
 
 
 def face_regions(mesh):
     """Per-face region code: majority of the 4 corner labels, ties to the lowest code."""
-    labels = mesh.regions[mesh.faces]  # (m, 4)
-    counts = np.zeros((len(mesh.faces), len(REGIONS)), dtype=np.int8)
-    m = np.arange(len(mesh.faces))
-    for k in range(4):
-        np.add.at(counts, (m, labels[:, k].astype(np.intp)), 1)
-    return counts.argmax(axis=1).astype(np.int8)
+    return majority_region(mesh.regions[mesh.faces])
 
 
 def rings(mesh):
@@ -419,7 +415,10 @@ def load_mesh(path, return_cell_data=False):
             toks.expect("LOOKUP_TABLE")
             toks.next("lookup table name")
             for i in range(nv):
-                regions[i] = toks.next_int("region label")
+                label = toks.next_int("region label")
+                if not 0 <= label < len(REGIONS):
+                    toks.error(f"region label {label} out of range 0..{len(REGIONS) - 1}")
+                regions[i] = label
         elif section == "FIELD":
             toks.next("field name")
             narr = toks.next_int("field array count")
@@ -430,8 +429,8 @@ def load_mesh(path, return_cell_data=False):
                 toks.next("array dtype")
                 vals = [toks.next_float("field value") for _ in range(ncomp * ntup)]
                 if aname == "ring_layout":
-                    if ncomp * ntup != 2:
-                        toks.error("ring_layout must hold exactly 2 integers")
+                    if len(vals) != 2 or not all(x.is_integer() and 0 < x <= nv for x in vals):
+                        toks.error(f"ring_layout must hold 2 integers in 1..{nv}, got {vals}")
                     ring_layout = (int(vals[0]), int(vals[1]))
         elif section == "CELL_DATA":
             count = toks.next_int("cell data count")

@@ -20,20 +20,18 @@ shares the narrow phase, so the accelerated result matches it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "ElementQuality",
     "QualityReport",
     "quad_angles",
     "equiangle_skew",
     "aspect_ratio",
     "scaled_jacobian",
-    "element_quality",
     "self_intersections",
     "quality_report",
 ]
@@ -107,29 +105,6 @@ def scaled_jacobian(face):
     j = np.einsum("mkd,md->mk", corner, normal) / denom
     out = j.min(axis=1)
     return float(out[0]) if single else out
-
-
-@dataclass(frozen=True)
-class ElementQuality:
-    """Per-element scores in Table order: skew, aspect, scaled Jacobian, angles."""
-
-    equiangle_skew: float
-    aspect_ratio: float
-    scaled_jacobian: float
-    min_angle: float
-    max_angle: float
-
-
-def element_quality(face):
-    """All metrics for one quad."""
-    ang = quad_angles(face)
-    return ElementQuality(
-        equiangle_skew=equiangle_skew(face),
-        aspect_ratio=aspect_ratio(face),
-        scaled_jacobian=scaled_jacobian(face),
-        min_angle=float(ang.min()),
-        max_angle=float(ang.max()),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ def test_load_config_typed_overrides():
     assert cfg["membrane"]["fixed_rings"] == []
     assert cfg["fit"]["iters_per_level"] == 5
     assert cfg["diffeo"]["auto_steps"] is False
+    # a float key takes an integer, stored as given; a section object merges
+    cfg = load_config(overrides=("grid.spacing=2", 'grid={"margin": 3.5}'))
+    assert cfg["grid"] == {"spacing": 2, "margin": 3.5}
+    assert isinstance(cfg["grid"]["spacing"], int)
 
 
 def test_load_config_rejections(tmp_path):
@@ -100,6 +104,14 @@ def test_load_config_rejections(tmp_path):
     nested.write_text(json.dumps({"grid": {"space": 1.0}}))
     with pytest.raises(ValueError, match="grid.*space"):
         load_config(str(nested))
+    sectionless = tmp_path / "sectionless.json"
+    sectionless.write_text(json.dumps({"grid": 5}))
+    with pytest.raises(ValueError, match="section 'grid' needs an object"):
+        load_config(str(sectionless))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"membrane": {"pressure": "16"}}))
+    with pytest.raises(ValueError, match="'membrane.pressure' needs a JSON number"):
+        load_config(str(typo))
     with pytest.raises(ValueError, match="--set needs"):
         load_config(overrides=("grid.spacing",))
     with pytest.raises(ValueError, match="unknown config key"):
@@ -316,13 +328,20 @@ def test_exit_code_2_malformed_mesh(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["quality", "stress"])
-def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command):
-    # A NaN coordinate is an input error (2), not a numerical failure (3).
+@pytest.mark.parametrize("command, section, token, message", [
+    pytest.param("quality", "POINTS", "nan", "finite", id="quality"),
+    pytest.param("stress", "POINTS", "nan", "finite", id="stress"),
+    pytest.param("quality", "LOOKUP_TABLE", "300", "region label 300 out of range", id="region_label_300"),
+    pytest.param("quality", "ring_layout", "inf", "ring_layout must hold 2 integers", id="ring_layout_inf"),
+])
+def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command, section, token, message):
+    # A bad number in a mesh file (a NaN coordinate, a region label or ring
+    # count out of range) is an input error (2), not a numerical failure (3)
+    # or a crash. The first number after the section header is replaced.
     lines = open(mesh_files["tube"]).read().splitlines()
-    first = lines.index(next(l for l in lines if l.startswith("POINTS"))) + 1
-    lines[first] = " ".join(["nan"] + lines[first].split()[1:])
-    bad = tmp_path / "nan.vtk"
+    first = lines.index(next(l for l in lines if l.startswith(section))) + 1
+    lines[first] = " ".join([token] + lines[first].split()[1:])
+    bad = tmp_path / "bad.vtk"
     bad.write_text("\n".join(lines) + "\n")
     argv = [command, "--mesh", str(bad)]
     if command == "stress":
@@ -331,7 +350,41 @@ def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
-    assert "finite" in err
+    assert message in err
+    if section != "POINTS":
+        assert f"bad.vtk:{first + 1}:" in err  # file and line of the bad value
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("phantom", "phantom.circumferential=abc"),
+    ("phantom", "phantom.base_radius=null"),
+    ("phantom", "grid=5"),
+    ("phantom", "membrane=5"),
+    ("report", "membrane.pressure=abc"),
+    ("report", "report.percentile=abc"),
+    ("fit", "fit.step=abc"),
+    ("fit", 'fit.iters_per_level="3"'),
+    ("fit", "fit.iters_per_level=2.5"),
+    ("fit", "fit.momentum=5"),
+    ("fit", "weights.alpha=abc"),
+    ("fit", "grid.spacing=abc"),
+    ("fit", "diffeo.auto_steps=1"),
+    ("fit", "fit.optimizer=5"),
+])
+def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting):
+    # A value of the wrong JSON type, or a section replaced by a non-object,
+    # is a validation error (2) with one stderr line.
+    argv = {
+        "phantom": ["phantom", "--out", str(tmp_path / "p.vtk")],
+        "report": ["report", "--mesh", mesh_files["tube"]],
+        "fit": ["fit", "--template", mesh_files["template"], "--target", mesh_files["shifted"],
+                "--out", str(tmp_path / "f"), "--seed", "0"],
+    }[command]
+    assert main(argv + ["--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert repr(setting.split("=")[0]) in err
 
 
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):

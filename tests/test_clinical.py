@@ -12,13 +12,27 @@ from aortafit.clinical import (
     build_report,
     max_diameter_per_region,
     regional_stress_stats,
-    ring_diameter,
     ring_region_codes,
     validate_report,
 )
 from aortafit.fea import MembraneModel, StressField, solve_membrane_stress
 from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh, rings
+
+
+def _ring_mesh(ring):
+    """One ring repeated as both rings of a (C, 2) tube: diameters of that ring."""
+    verts = np.concatenate([ring, ring])
+    c = len(ring)
+    slot = np.arange(c)
+    faces = np.stack([slot, (slot + 1) % c, (slot + 1) % c + c, slot + c], axis=1)
+    return QuadMesh(verts, faces, np.zeros(2 * c, dtype=np.int8), (c, 2))
+
+
+def _ring_diameter(ring, method="equivalent"):
+    diams = all_ring_diameters(_ring_mesh(ring), method=method)
+    assert diams[0] == diams[1]
+    return diams[0]
 
 
 def _ngon(n, radius=15.0, center=(0.0, 0.0, 0.0)):
@@ -40,13 +54,13 @@ def tube_stress(tube24):
 
 
 # ---------------------------------------------------------------------------
-# Single-ring diameters
+# Single-ring diameters (through all_ring_diameters on a one-ring tube)
 # ---------------------------------------------------------------------------
 
 def test_regular_polygon_diameter_exact():
     for n in (3, 7, 24, 100):
         ring = _ngon(n, radius=15.0, center=(3.0, -2.0, 7.0))
-        assert ring_diameter(ring) == pytest.approx(30.0, abs=1e-12)
+        assert _ring_diameter(ring) == pytest.approx(30.0, abs=1e-12)
 
 
 def test_ellipse_equivalent_diameter_matches_quadrature():
@@ -57,25 +71,25 @@ def test_ellipse_equivalent_diameter_matches_quadrature():
     t = 2.0 * np.pi * np.arange(400) / 400
     ring = np.stack([a * np.cos(t), b * np.sin(t), np.full(400, 5.0)], axis=1)
     expect = 2.0 * (2.0 * a / np.pi) * ellipe(1.0 - (b / a) ** 2)
-    assert ring_diameter(ring) == pytest.approx(expect, rel=1e-9)
+    assert _ring_diameter(ring) == pytest.approx(expect, rel=1e-9)
 
 
 def test_ellipse_chord_diameter_is_major_axis():
     a, b = 20.0, 10.0
     t = 2.0 * np.pi * np.arange(100) / 100  # includes t = 0 and t = pi
     ring = np.stack([a * np.cos(t), b * np.sin(t), np.zeros(100)], axis=1)
-    assert ring_diameter(ring, method="chord") == pytest.approx(2.0 * a, rel=1e-12)
+    assert _ring_diameter(ring, method="chord") == pytest.approx(2.0 * a, rel=1e-12)
 
 
 def test_ring_diameter_validation():
-    with pytest.raises(ValueError, match="at least 3"):
-        ring_diameter(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="C >= 3"):
+        _ring_diameter(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\(n, 3\)"):
-        ring_diameter(np.zeros((5, 2)))
+        _ring_diameter(np.zeros((5, 2)))
     with pytest.raises(ValueError, match="degenerate"):
-        ring_diameter(np.tile([1.0, 2.0, 3.0], (4, 1)))
+        _ring_diameter(np.tile([1.0, 2.0, 3.0], (4, 1)))
     with pytest.raises(ValueError, match="unknown diameter method"):
-        ring_diameter(_ngon(8), method="area")
+        _ring_diameter(_ngon(8), method="area")
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +97,16 @@ def test_ring_diameter_validation():
 # ---------------------------------------------------------------------------
 
 def test_all_ring_diameters_matches_per_ring_loop(arch_small):
+    loops = rings(arch_small)
     for method in ("equivalent", "chord"):
         diams = all_ring_diameters(arch_small, method=method)
-        loops = rings(arch_small)
         assert diams.shape == (len(loops),)
         for a, loop in enumerate(loops):
-            one = ring_diameter(arch_small.vertices[loop], method=method)
+            ring = arch_small.vertices[loop]
+            if method == "equivalent":
+                one = 2.0 * np.mean([np.linalg.norm(p - ring.mean(axis=0)) for p in ring])
+            else:
+                one = max(np.linalg.norm(p - q) for p in ring for q in ring)
             assert diams[a] == pytest.approx(one, rel=1e-12)
 
 

@@ -11,7 +11,6 @@ from aortafit.fea import (
     MembraneModel,
     SolverError,
     StressField,
-    mean_stress_error,
     pressure_nodal_forces,
     principal_stresses,
     solve_membrane_stress,
@@ -279,32 +278,3 @@ def test_open_mesh_without_layout_needs_explicit_rings():
     with pytest.raises(ValueError, match="fixed_rings"):
         solve_membrane_stress(patch, MembraneModel())
 
-
-# ---------------------------------------------------------------------------
-# Field comparison
-# ---------------------------------------------------------------------------
-
-def test_mean_stress_error_zero_on_identical(cylinder_solution):
-    mesh, _, field = cylinder_solution
-    err = mean_stress_error(mesh, field, mesh, field)
-    assert set(err) == {"root", "ascending", "arch", "descending"}
-    assert all(v == 0.0 for v in err.values())
-
-
-def test_mean_stress_error_uniform_scaling(cylinder_solution):
-    mesh, _, field = cylinder_solution
-    scaled = StressField(frames=field.frames, resultants=1.1 * field.resultants,
-                         thickness=field.thickness, pressure=field.pressure,
-                         residual=field.residual)
-    err = mean_stress_error(mesh, scaled, mesh, field)
-    for name, v in err.items():
-        assert v == pytest.approx(0.1, rel=1e-9), name
-
-
-def test_mean_stress_error_rejects_partition_mismatch(cylinder_solution):
-    mesh, _, field = cylinder_solution
-    relabeled = QuadMesh(mesh.vertices, mesh.faces,
-                         np.roll(mesh.regions, mesh.ring_layout[0] * 10),
-                         mesh.ring_layout)
-    with pytest.raises(ValueError, match="partition"):
-        mean_stress_error(mesh, field, relabeled, field)

@@ -5,16 +5,13 @@ import pytest
 
 from conftest import straight_cylinder, random_rotation
 
-from aortafit.objective import (
-    LossWeights,
-    chamfer,
-    loss_grad,
-    region_mse,
-    smoothness,
-    total_loss,
-    weighted_geo,
-)
+from aortafit.objective import LossWeights, chamfer, loss_grad, smoothness, total_loss
 from aortafit.quadmesh import REGIONS, QuadMesh
+
+
+def _region_mse(pred, gt):
+    """Per-region MSEs, in REGIONS order, as total_loss reports them."""
+    return total_loss(pred, gt, LossWeights(alpha=0.0)).region
 
 
 def _jittered(mesh, scale, seed):
@@ -44,33 +41,33 @@ def test_weights_validation():
 
 
 # ---------------------------------------------------------------------------
-# region_mse / weighted_geo
+# Region MSEs and their weighted sum (total_loss .region / .weighted_geo)
 # ---------------------------------------------------------------------------
 
 def test_region_mse_zero_on_identical(tube24):
-    for r in REGIONS:
-        assert region_mse(tube24, tube24, r) == 0.0
+    assert _region_mse(tube24, tube24) == (0.0,) * len(REGIONS)
 
 
 def test_region_mse_uniform_offset(tube24):
     # Every vertex moved by (1, 2, 2): squared distance is 9 everywhere.
     pred = tube24.with_vertices(tube24.vertices + np.array([1.0, 2.0, 2.0]))
-    for r in range(4):
-        assert region_mse(pred, tube24, r) == pytest.approx(9.0, abs=1e-12)
+    for mse in _region_mse(pred, tube24):
+        assert mse == pytest.approx(9.0, abs=1e-12)
 
 
 def test_region_mse_matches_brute_force():
     rng = np.random.default_rng(61)
     base = straight_cylinder(circumferential=8, axial=12, length=30.0)
     pred = _jittered(base, 0.7, 62)
-    for code, name in enumerate(REGIONS):
+    got = _region_mse(pred, base)
+    for code in range(len(REGIONS)):
         acc, cnt = 0.0, 0
         for i in range(base.n_vertices):
             if base.regions[i] == code:
                 d = pred.vertices[i] - base.vertices[i]
                 acc += float(d @ d)
                 cnt += 1
-        assert region_mse(pred, base, name) == pytest.approx(acc / cnt, rel=1e-12)
+        assert got[code] == pytest.approx(acc / cnt, rel=1e-12)
 
 
 def test_region_mse_missing_region_raises():
@@ -78,30 +75,34 @@ def test_region_mse_missing_region_raises():
     solo = QuadMesh(mesh.vertices, mesh.faces, np.zeros(mesh.n_vertices, dtype=np.int8),
                     mesh.ring_layout)
     with pytest.raises(ValueError, match="no vertices"):
-        region_mse(solo, solo, "arch")
+        _region_mse(solo, solo)
 
 
 def test_region_mse_rejects_mismatched_meshes():
     a = straight_cylinder(circumferential=6, axial=4, length=10.0)
     b = straight_cylinder(circumferential=8, axial=4, length=10.0)
     with pytest.raises(ValueError):
-        region_mse(a, b, 0)
+        _region_mse(a, b)
 
 
 def test_weighted_geo_identities(tube24):
     pred = _jittered(tube24, 0.5, 63)
-    per = [region_mse(pred, tube24, r) for r in range(4)]
+    per = _region_mse(pred, tube24)
+
+    def weighted_geo(w):
+        return total_loss(pred, tube24, w).weighted_geo
+
     # Pure single-region weight picks out that region's MSE.
     for r in range(4):
         om = [0.0] * 4
         om[r] = 1.0
-        assert weighted_geo(pred, tube24, LossWeights(omega=om)) == pytest.approx(per[r], rel=1e-12)
+        assert weighted_geo(LossWeights(omega=om)) == pytest.approx(per[r], rel=1e-12)
     # Equal weights give the arithmetic mean.
-    got = weighted_geo(pred, tube24, LossWeights())
+    got = weighted_geo(LossWeights())
     assert got == pytest.approx(sum(per) / 4.0, rel=1e-12)
     # Convexity: any weighting stays within the component range.
     w = LossWeights(omega=(0.1, 0.5, 0.15, 0.25))
-    assert min(per) <= weighted_geo(pred, tube24, w) <= max(per)
+    assert min(per) <= weighted_geo(w) <= max(per)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from aortafit.quadmesh import (
     average_template,
     face_regions,
     load_mesh,
+    majority_region,
     region_code,
-    region_vertex_indices,
     rings,
     save_mesh,
     validate_topology,
@@ -62,15 +62,6 @@ def test_region_code_names_and_ints():
         region_code(4)
 
 
-def test_region_vertex_indices(tube24):
-    total = 0
-    for name in REGIONS:
-        idx = region_vertex_indices(tube24, name)
-        assert np.array_equal(tube24.regions[idx], np.full(len(idx), region_code(name)))
-        total += len(idx)
-    assert total == tube24.n_vertices
-
-
 def test_face_regions_majority_and_tie():
     verts = np.zeros((4, 3))
     verts[:, 0] = np.arange(4)
@@ -81,6 +72,21 @@ def test_face_regions_majority_and_tie():
     # 3-1 majority.
     mesh = QuadMesh(verts, faces, np.array([2, 2, 2, 0], dtype=np.int8))
     assert face_regions(mesh)[0] == 2
+
+
+def test_majority_region_matches_counting_loop():
+    # The vectorized vote against a plain count, on rows of 4 (faces) and of
+    # 7 (odd ring sizes), where ties are common.
+    rng = np.random.default_rng(71)
+    for width in (4, 7):
+        labels = rng.integers(0, len(REGIONS), size=(300, width)).astype(np.int8)
+        expect = []
+        for row in labels:
+            counts = [int(np.sum(row == code)) for code in range(len(REGIONS))]
+            expect.append(counts.index(max(counts)))  # first maximum: lowest code
+        got = majority_region(labels)
+        assert got.dtype == np.int8
+        assert got.tolist() == expect
 
 
 def test_with_vertices_and_bounds(tube24):

@@ -13,7 +13,6 @@ from aortafit.quality import (
     _box_overlap_pairs,
     _mesh_triangles,
     aspect_ratio,
-    element_quality,
     equiangle_skew,
     quad_angles,
     quality_report,
@@ -77,16 +76,6 @@ def test_zero_length_edge_raises():
         quad_angles(bad)
     with pytest.raises(ValueError, match="zero-length edge"):
         scaled_jacobian(bad)
-
-
-def test_element_quality_consistent_with_metrics():
-    q = np.array([[0.0, 0, 0], [1.5, 0.1, 0], [1.4, 1.2, 0.3], [-0.1, 1.0, 0.1]])
-    eq = element_quality(q)
-    assert eq.equiangle_skew == equiangle_skew(q)
-    assert eq.aspect_ratio == aspect_ratio(q)
-    assert eq.scaled_jacobian == scaled_jacobian(q)
-    ang = quad_angles(q)
-    assert eq.min_angle == ang.min() and eq.max_angle == ang.max()
 
 
 # ---------------------------------------------------------------------------
