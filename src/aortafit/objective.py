@@ -8,6 +8,8 @@ closed, axial chains are open) and penalizes each consecutive edge pair by
 1 - cos(theta): straight chains score 0, a right angle 1, a reversal 2.
 
 Gradients of the total loss with respect to vertex positions are analytic.
+The loss and its gradient each take every structured edge and its norm from
+one pass (a loop's outgoing edges are its incoming ones, rolled by a slot).
 Chamfer distance is the half-averaged symmetric nearest-neighbor distance;
 the k-d tree accelerated path returns exactly the brute-force value because
 distances are recomputed from the matched indices.
@@ -77,37 +79,47 @@ class LossBreakdown:
 
 
 def _check_correspondence(pred, gt):
+    """Vertex count of each region, once the meshes are known to correspond."""
     if pred.vertices.shape != gt.vertices.shape:
         raise ValueError("meshes must have identical vertex counts")
     if not np.array_equal(pred.faces, gt.faces):
         raise ValueError("meshes must share connectivity")
     if not np.array_equal(pred.regions, gt.regions):
         raise ValueError("meshes must share region labels")
+    counts = np.bincount(pred.regions.astype(np.intp), minlength=len(REGIONS))
+    if np.any(counts == 0):
+        raise ValueError(f"region {REGIONS[int(np.argmin(counts))]!r} has no vertices")
+    return counts
 
 
-def _chain_penalties(e1, e2):
-    """1 - cos(theta) per consecutive edge pair, with zero-length pairs masked.
+def _edge_pairs(mesh):
+    """Edge pairs of both structured directions, from one pass over the edges.
 
-    Returns (penalties, valid_mask, n1, n2) with edge norms for gradient reuse.
+    Circumferential (a, c) then axial (a - 2, c) pairs, each as (e1, e2, n1,
+    n2, valid, denom, cos): e1 runs into a vertex, e2 out of it, n1 and n2 are
+    their norms, ``valid`` masks pairs touching a zero-length edge, ``denom``
+    is n1 * n2 (1 where masked) and ``cos`` the cosine of their angle.
     """
-    n1 = np.linalg.norm(e1, axis=-1)
-    n2 = np.linalg.norm(e2, axis=-1)
-    valid = (n1 > 0) & (n2 > 0)
-    denom = np.where(valid, n1 * n2, 1.0)
-    cos = np.einsum("...i,...i->...", e1, e2) / denom
-    pen = np.where(valid, 1.0 - cos, 0.0)
-    return pen, valid, n1, n2
-
-
-def _structured_edges(mesh):
-    """Edge pairs (e1 into vertex, e2 out of it) in both structured directions."""
+    if mesh.ring_layout is None:
+        raise ValueError("smoothness needs a structured mesh (ring_layout)")
     c, a = mesh.ring_layout
     v = mesh.vertices.reshape(a, c, 3)
-    circ_e1 = v - np.roll(v, 1, axis=1)
-    circ_e2 = np.roll(v, -1, axis=1) - v
-    ax_e1 = v[1:-1] - v[:-2]
-    ax_e2 = v[2:] - v[1:-1]
-    return v, (circ_e1, circ_e2), (ax_e1, ax_e2)
+    circ = v - np.roll(v, 1, axis=1)
+    circ_n = np.linalg.norm(circ, axis=-1)
+    ax = v[1:] - v[:-1]
+    ax_n = np.linalg.norm(ax, axis=-1)
+    pairs = []
+    for e1, e2, n1, n2 in (
+        (circ, np.roll(circ, -1, axis=1), circ_n, np.roll(circ_n, -1, axis=1)),
+        (ax[:-1], ax[1:], ax_n[:-1], ax_n[1:]),
+    ):
+        valid = (n1 > 0) & (n2 > 0)
+        denom = np.where(valid, n1 * n2, 1.0)
+        cos = np.einsum("...i,...i->...", e1, e2) / denom
+        pairs.append((e1, e2, n1, n2, valid, denom, cos))
+    if not (pairs[0][4].any() or pairs[1][4].any()):
+        raise ValueError("all edge pairs degenerate; smoothness undefined")
+    return pairs
 
 
 def smoothness(mesh, return_skipped=False):
@@ -117,15 +129,11 @@ def smoothness(mesh, return_skipped=False):
     count interior vertices. Pairs touching a zero-length edge are skipped and
     tallied.
     """
-    if mesh.ring_layout is None:
-        raise ValueError("smoothness needs a structured mesh (ring_layout)")
-    _, (ce1, ce2), (ae1, ae2) = _structured_edges(mesh)
-    pc, vc, _, _ = _chain_penalties(ce1, ce2)
-    pa, va, _, _ = _chain_penalties(ae1, ae2)
+    (*_, vc, _, cc), (*_, va, _, ca) = _edge_pairs(mesh)
+    pc = np.where(vc, 1.0 - cc, 0.0)
+    pa = np.where(va, 1.0 - ca, 0.0)
     counted = int(vc.sum() + va.sum())
     skipped = pc.size + pa.size - counted
-    if counted == 0:
-        raise ValueError("all edge pairs degenerate; smoothness undefined")
     value = float((pc.sum() + pa.sum()) / counted)
     return (value, skipped) if return_skipped else value
 
@@ -133,13 +141,9 @@ def smoothness(mesh, return_skipped=False):
 def total_loss(pred, gt, weights):
     """Full loss breakdown: region MSEs, weighted sum, smoothness, total."""
     _check_correspondence(pred, gt)
-    per_region = []
-    for code, name in enumerate(REGIONS):
-        mask = pred.regions == code
-        if not mask.any():
-            raise ValueError(f"region {name!r} has no vertices")
-        diff = pred.vertices[mask] - gt.vertices[mask]
-        per_region.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+    diff = pred.vertices - gt.vertices
+    sq = np.einsum("ij,ij->i", diff, diff)
+    per_region = [float(np.mean(sq[pred.regions == code])) for code in range(len(REGIONS))]
     geo = float(sum(w * l for w, l in zip(weights.omega, per_region)))
     if weights.alpha > 0:
         smooth, skipped = smoothness(pred, return_skipped=True)
@@ -155,50 +159,38 @@ def total_loss(pred, gt, weights):
     )
 
 
+def _pair_grads(e1, e2, n1, n2, valid, denom, cos):
+    """d(1 - cos)/d e1 and d e2 per edge pair; zero on masked pairs."""
+    d1 = -(e2 / denom[..., None] - (cos / np.where(valid, n1 * n1, 1.0))[..., None] * e1)
+    d2 = -(e1 / denom[..., None] - (cos / np.where(valid, n2 * n2, 1.0))[..., None] * e2)
+    d1[~valid] = 0.0
+    d2[~valid] = 0.0
+    return d1, d2
+
+
 def _smoothness_grad(mesh):
     """d(smoothness)/d(vertex), shape (n, 3)."""
-    c, a = mesh.ring_layout
-    v, (ce1, ce2), (ae1, ae2) = _structured_edges(mesh)
-    grad = np.zeros_like(v)
-    counted = 0
+    circ, axial = _edge_pairs(mesh)
+    grad = np.zeros_like(circ[0])
 
-    def pair_grads(e1, e2):
-        pen, valid, n1, n2 = _chain_penalties(e1, e2)
-        denom = np.where(valid, n1 * n2, 1.0)
-        cos = np.einsum("...i,...i->...", e1, e2) / denom
-        # d(1 - cos)/d e1 and d e2; zero on masked pairs.
-        d1 = -(e2 / denom[..., None] - (cos / np.where(valid, n1 * n1, 1.0))[..., None] * e1)
-        d2 = -(e1 / denom[..., None] - (cos / np.where(valid, n2 * n2, 1.0))[..., None] * e2)
-        d1[~valid] = 0.0
-        d2[~valid] = 0.0
-        return d1, d2, int(valid.sum())
-
-    d1, d2, n = pair_grads(ce1, ce2)
-    counted += n
+    d1, d2 = _pair_grads(*circ)
     # e1 = v - prev, e2 = next - v; pair centered at slot c along axis 1.
     grad += d1 - d2
     grad += np.roll(-d1, -1, axis=1)
     grad += np.roll(d2, 1, axis=1)
 
-    d1, d2, n = pair_grads(ae1, ae2)
-    counted += n
+    d1, d2 = _pair_grads(*axial)
     grad[1:-1] += d1 - d2
     grad[:-2] += -d1
     grad[2:] += d2
 
-    if counted == 0:
-        raise ValueError("all edge pairs degenerate; smoothness undefined")
-    return grad.reshape(-1, 3) / counted
+    return grad.reshape(-1, 3) / (int(circ[4].sum()) + int(axial[4].sum()))
 
 
 def loss_grad(pred, gt, weights):
     """Analytic d(total_loss)/d(pred vertex positions), shape (n, 3)."""
-    _check_correspondence(pred, gt)
+    counts = _check_correspondence(pred, gt)
     grad = np.zeros_like(pred.vertices)
-    counts = np.bincount(pred.regions.astype(np.intp), minlength=len(REGIONS))
-    if np.any(counts == 0):
-        empty = REGIONS[int(np.argmin(counts))]
-        raise ValueError(f"region {empty!r} has no vertices")
     scale = 2.0 * np.asarray(weights.omega) / counts
     grad += scale[pred.regions.astype(np.intp), None] * (pred.vertices - gt.vertices)
     if weights.alpha > 0:

@@ -43,7 +43,6 @@ import numpy as np
 
 __all__ = [
     "REGIONS",
-    "region_code",
     "QuadMesh",
     "TopologyReport",
     "validate_topology",
@@ -56,19 +55,6 @@ __all__ = [
 ]
 
 REGIONS = ("root", "ascending", "arch", "descending")
-
-
-def region_code(region):
-    """Accept a region name or integer code; return the integer code."""
-    if isinstance(region, str):
-        try:
-            return REGIONS.index(region)
-        except ValueError:
-            raise ValueError(f"unknown region {region!r}, expected one of {REGIONS}") from None
-    code = int(region)
-    if not 0 <= code < len(REGIONS):
-        raise ValueError(f"region code {code} out of range 0..{len(REGIONS) - 1}")
-    return code
 
 
 @dataclass(frozen=True)

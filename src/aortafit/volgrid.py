@@ -13,15 +13,18 @@ Conventions
 * Sampling outside the grid clamps to the boundary face (edge padding), so
   every sample is total.
 * Sampling at fixed points is one sparse linear operator W
-  (:class:`TrilinearSampler`): values are ``W @ field``, the adjoint in the
-  field values is ``W.T @ cot``, and the position gradient comes from the
-  derivative matrices of W, zero along clamped axes.
+  (:class:`TrilinearSampler`, int32 indices): values are ``W @ field``, the
+  adjoint in the field values is ``W.T @ cot``, and the position gradient
+  comes from the derivative matrices of W, zero along clamped axes and built
+  only when a position gradient is first asked for.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,14 +120,23 @@ class VectorField3D:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
+# Cell corners (di, dj, dk) in C order, so each row's column indices ascend.
+_CORNER = np.indices((2, 2, 2)).reshape(3, 8)
+# Per axis, the (2, 8) 0/1 matrix expanding a (1 - frac, frac) factor pair to
+# the 8 corners, and the corners' +-1 slopes: products with them are exact.
+_SELECT = tuple(np.stack([1 - c, c]).astype(np.float64) for c in _CORNER)
+_SIGN = np.where(_CORNER, 1.0, -1.0)
+
+
 class TrilinearSampler:
     """Clamped trilinear interpolation at fixed points, as sparse matrices.
 
-    ``weights`` is the CSR matrix W (N points x voxels, 8 nonzeros per row)
-    holding each point's cell-corner weights, so sampling a field is
-    ``W @ field`` and the adjoint in the field values is ``W.T @ cot``.
-    ``slopes`` holds the three matrices dW / d(point coordinate along axis a);
-    they share W's ``indices`` and ``indptr`` and give the position gradient.
+    ``weights`` is the CSR matrix W (N points x voxels, 8 nonzeros per row,
+    int32 indices) holding each point's cell-corner weights, so sampling a
+    field is ``W @ field`` and the adjoint in the field values is
+    ``W.T @ cot``. ``slopes`` holds the three matrices dW / d(point coordinate
+    along axis a), built on the first ``point_grad`` (forward-only sampling
+    never pays for them); they share W's ``indices`` and ``indptr``.
     ``interior`` (N, 3) is False where a coordinate was clamped, which zeroes
     that axis of the position gradient.
     """
@@ -136,29 +148,39 @@ class TrilinearSampler:
         if not np.all(np.isfinite(pts)):
             raise ValueError("sample points contain non-finite coordinates")
         self.dims = tuple(dims)
+        nvox = math.prod(self.dims)
+        if nvox >= 2**31:
+            raise ValueError(f"grid {self.dims} has {nvox} voxels, over the int32 index range")
         hi = np.asarray(self.dims, dtype=np.float64) - 1.0
         self.interior = (pts > 0.0) & (pts < hi)
         p = np.clip(pts, 0.0, hi)
-        i0 = np.minimum(np.floor(p).astype(np.intp), np.asarray(self.dims, dtype=np.intp) - 2)
+        i0 = np.minimum(p.astype(np.int32), np.asarray(self.dims, dtype=np.int32) - 2)  # p >= 0: truncation floors
         frac = p - i0
 
-        # Each row lists the 8 cell corners (di, dj, dk) in C order, so its
-        # column indices ascend. A corner's weight is the product of one
-        # factor per axis: 1 - frac on the lower side, frac on the upper.
-        corner = np.indices((2, 2, 2)).reshape(3, 8)
+        # A corner's weight is the product of one factor per axis: 1 - frac
+        # on the lower side, frac on the upper, multiplied as (wx * wy) * wz.
         _, d1, d2 = self.dims
         base = (i0[:, 0] * d1 + i0[:, 1]) * d2 + i0[:, 2]
-        cols = base[:, None] + (corner[0] * d1 + corner[1]) * d2 + corner[2]
-        wx, wy, wz = (np.stack([1.0 - frac[:, a], frac[:, a]], axis=1)[:, corner[a]] for a in range(3))
-        sx, sy, sz = np.where(corner, 1.0, -1.0)  # slope of each factor along its axis
+        cols = base[:, None] + ((_CORNER[0] * d1 + _CORNER[1]) * d2 + _CORNER[2]).astype(np.int32)
+        px, py, pz = (np.stack([1.0 - frac[:, a], frac[:, a]], axis=1) for a in range(3))
+        wxy = (px @ _SELECT[0]) * (py @ _SELECT[1])
+        wz = pz @ _SELECT[2]
 
-        n = len(pts)
-        shape = (n, int(np.prod(self.dims)))
-        self.weights = sp.csr_array(((wx * wy * wz).ravel(), cols.ravel(), np.arange(0, 8 * n + 1, 8)), shape=shape)
-        ind, ptr = self.weights.indices, self.weights.indptr
-        self.slopes = tuple(
-            sp.csr_array((w.ravel(), ind, ptr), shape=shape) for w in (sx * wy * wz, wx * sy * wz, wx * wy * sz)
-        )
+        ptr = np.arange(0, 8 * len(pts) + 1, 8, dtype=np.int32)
+        self.weights = sp.csr_array(((wxy * wz).ravel(), cols.ravel(), ptr), shape=(len(pts), nvox))
+        self._pairs = (px, py, pz)
+
+    @cached_property
+    def slopes(self):
+        """dW / d(point coordinate along axis a) for a = 0, 1, 2, built on first use."""
+        px, py, pz = self._pairs
+        del self._pairs
+        wz = pz @ _SELECT[2]
+        # W's products with one factor replaced by its +-1 slope (0 comes out +0.0).
+        data = ((py @ (_SELECT[1] * _SIGN[0])) * wz, (px @ (_SELECT[0] * _SIGN[1])) * wz,
+                ((px @ _SELECT[0]) * (py @ _SELECT[1])) * _SIGN[2])
+        w = self.weights
+        return tuple(sp.csr_array((d.ravel(), w.indices, w.indptr), shape=w.shape) for d in data)
 
     def sample(self, data):
         """Values at the points: (N,) for a scalar grid, (N, 3) for a vector grid."""
@@ -171,8 +193,8 @@ class TrilinearSampler:
     def point_grad(self, data, cot):
         """(N, 3) d(loss)/d(points) given the cotangent of the sampled values."""
         flat = data.reshape((-1,) + data.shape[3:])
-        cols = [((s @ flat) * cot).reshape(len(cot), -1).sum(axis=1) for s in self.slopes]
-        return np.stack(cols, axis=1) * self.interior
+        ds = [(s @ flat) * cot for s in self.slopes]
+        return np.stack([d if d.ndim == 1 else d[:, 0] + d[:, 1] + d[:, 2] for d in ds], axis=1) * self.interior
 
 
 def trilinear_sample(fld, points):

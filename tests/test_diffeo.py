@@ -5,6 +5,7 @@ import pytest
 
 from conftest import smooth_svf, straight_cylinder
 
+from aortafit import diffeo, volgrid
 from aortafit.diffeo import (
     DiffeoConfig,
     exp_vjp,
@@ -12,7 +13,7 @@ from aortafit.diffeo import (
     jacobian_determinant,
     warp_vertices,
 )
-from aortafit.volgrid import GridGeom, VectorField3D, trilinear_sample
+from aortafit.volgrid import GridGeom, TrilinearSampler, VectorField3D, trilinear_sample
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,35 @@ def test_exp_rejects_nonfinite_growth():
     geom = GridGeom((4, 4, 4))
     with pytest.raises(ValueError):
         VectorField3D(geom, np.full((4, 4, 4, 3), np.nan))
+
+
+def test_forward_only_sampling_builds_no_slopes(monkeypatch):
+    # exponentiate and trilinear_sample only sample, so the slope matrices
+    # are never built; a point_grad after other calls builds them and gives
+    # what building them first gives.
+    made = []
+
+    class Recording(TrilinearSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(diffeo, "TrilinearSampler", Recording)
+    monkeypatch.setattr(volgrid, "TrilinearSampler", Recording)
+    svf = smooth_svf((9, 8, 7), max_abs=2.5, seed=31)
+    exponentiate(svf)
+    pts = np.random.default_rng(32).uniform(-1.0, 9.0, size=(50, 3))
+    trilinear_sample(svf, pts)
+    assert len(made) > 1 and not any("slopes" in vars(s) for s in made)
+
+    cot = np.random.default_rng(33).standard_normal((50, 3))
+    eager = TrilinearSampler(svf.geom.dims, pts)
+    eager.slopes
+    late = TrilinearSampler(svf.geom.dims, pts)
+    late.sample(svf.data)
+    late.adjoint(cot)
+    assert np.array_equal(late.point_grad(svf.data, cot), eager.point_grad(svf.data, cot))
+    assert late.slopes is late.slopes
 
 
 # ---------------------------------------------------------------------------

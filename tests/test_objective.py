@@ -243,6 +243,81 @@ def test_loss_grad_matches_finite_differences():
             assert fd == pytest.approx(g[i, a], rel=1e-5, abs=1e-10)
 
 
+def _reference_loss(pred, gt, weights):
+    """(LossBreakdown fields, loss_grad) with each edge pair's arithmetic in full.
+
+    Every direction forms its own e1 and e2 from the vertices and computes
+    their norms; the gradient recomputes the cosines; each region's MSE
+    differences only that region's vertices.
+    """
+    c, a = pred.ring_layout
+    v = pred.vertices.reshape(a, c, 3)
+    chains = [(v - np.roll(v, 1, axis=1), np.roll(v, -1, axis=1) - v), (v[1:-1] - v[:-2], v[2:] - v[1:-1])]
+    grads, pens, valids = [], [], []
+    for e1, e2 in chains:
+        n1, n2 = np.linalg.norm(e1, axis=-1), np.linalg.norm(e2, axis=-1)
+        valid = (n1 > 0) & (n2 > 0)
+        denom = np.where(valid, n1 * n2, 1.0)
+        cos = np.einsum("...i,...i->...", e1, e2) / denom
+        pens.append(np.where(valid, 1.0 - cos, 0.0))
+        valids.append(valid)
+        d1 = -(e2 / denom[..., None] - (cos / np.where(valid, n1 * n1, 1.0))[..., None] * e1)
+        d2 = -(e1 / denom[..., None] - (cos / np.where(valid, n2 * n2, 1.0))[..., None] * e2)
+        d1[~valid] = 0.0
+        d2[~valid] = 0.0
+        grads.append((d1, d2))
+    counted = int(valids[0].sum() + valids[1].sum())
+    smooth = float((pens[0].sum() + pens[1].sum()) / counted)
+    skipped = pens[0].size + pens[1].size - counted
+
+    sgrad = np.zeros_like(v)
+    (d1, d2), (a1, a2) = grads
+    sgrad += d1 - d2
+    sgrad += np.roll(-d1, -1, axis=1)
+    sgrad += np.roll(d2, 1, axis=1)
+    sgrad[1:-1] += a1 - a2
+    sgrad[:-2] += -a1
+    sgrad[2:] += a2
+
+    region = []
+    for code in range(len(REGIONS)):
+        mask = pred.regions == code
+        diff = pred.vertices[mask] - gt.vertices[mask]
+        region.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+    geo = float(sum(w * l for w, l in zip(weights.omega, region)))
+    fields = (tuple(region), geo, smooth, weights.alpha, geo + weights.alpha * smooth, skipped)
+
+    counts = np.bincount(pred.regions.astype(np.intp), minlength=len(REGIONS))
+    grad = np.zeros_like(pred.vertices)
+    scale = 2.0 * np.asarray(weights.omega) / counts
+    grad += scale[pred.regions.astype(np.intp), None] * (pred.vertices - gt.vertices)
+    grad += weights.alpha * (sgrad.reshape(-1, 3) / counted)
+    return fields, grad
+
+
+def test_loss_and_grad_match_reference_arithmetic(tube24):
+    # One edge pass must reproduce the per-direction arithmetic exactly,
+    # including the pairs skipped at two coincident ring neighbours.
+    pred = _jittered(tube24, 0.4, 71)
+    v = pred.vertices.copy()
+    v[24 * 10 + 5] = v[24 * 10 + 6]
+    pred = pred.with_vertices(v)
+    gt = _jittered(tube24, 0.2, 72)
+    w = LossWeights(omega=(0.1, 0.2, 0.3, 0.4), alpha=0.3)
+    bd = total_loss(pred, gt, w)
+    fields, grad = _reference_loss(pred, gt, w)
+    assert bd.skipped_pairs > 0
+    assert (bd.region, bd.weighted_geo, bd.smoothness, bd.alpha, bd.total, bd.skipped_pairs) == fields
+    assert np.array_equal(loss_grad(pred, gt, w), grad)
+
+
+def test_smoothness_terms_require_ring_layout(sphere16):
+    w = LossWeights(alpha=0.01)
+    for fn in (total_loss, loss_grad):
+        with pytest.raises(ValueError, match="structured mesh"):
+            fn(sphere16, sphere16, w)
+
+
 # ---------------------------------------------------------------------------
 # chamfer
 # ---------------------------------------------------------------------------

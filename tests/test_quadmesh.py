@@ -13,7 +13,6 @@ from aortafit.quadmesh import (
     face_regions,
     load_mesh,
     majority_region,
-    region_code,
     rings,
     save_mesh,
     validate_topology,
@@ -51,15 +50,6 @@ def test_mesh_validation():
         v[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             QuadMesh(v, faces, regs)
-
-
-def test_region_code_names_and_ints():
-    assert [region_code(r) for r in REGIONS] == [0, 1, 2, 3]
-    assert region_code(2) == 2
-    with pytest.raises(ValueError, match="unknown region"):
-        region_code("sinus")
-    with pytest.raises(ValueError, match="out of range"):
-        region_code(4)
 
 
 def test_face_regions_majority_and_tie():

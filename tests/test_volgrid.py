@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aortafit.volgrid import (
     GridGeom,
+    TrilinearSampler,
     Volume3D,
     VectorField3D,
     trilinear_sample,
@@ -180,6 +182,79 @@ def test_sample_rejects_nonfinite_points():
     vol = Volume3D(geom, np.zeros((4, 4, 4)))
     with pytest.raises(ValueError):
         trilinear_sample(vol, [np.nan, 1.0, 1.0])
+
+
+def _reference_sampler(dims, pts):
+    """The sampler's arithmetic written out plainly: W, slopes and interior.
+
+    Corner weights come from fancy-indexed (1 - frac, frac) pairs multiplied
+    as (wx * wy) * wz, and each slope swaps one factor for its +-1 corner
+    sign, in the same multiplication order.
+    """
+    hi = np.asarray(dims, dtype=np.float64) - 1.0
+    interior = (pts > 0.0) & (pts < hi)
+    p = np.clip(pts, 0.0, hi)
+    i0 = np.minimum(np.floor(p).astype(np.intp), np.asarray(dims, dtype=np.intp) - 2)
+    frac = p - i0
+    corner = np.indices((2, 2, 2)).reshape(3, 8)
+    _, d1, d2 = dims
+    base = (i0[:, 0] * d1 + i0[:, 1]) * d2 + i0[:, 2]
+    cols = base[:, None] + (corner[0] * d1 + corner[1]) * d2 + corner[2]
+    wx, wy, wz = (np.stack([1.0 - frac[:, a], frac[:, a]], axis=1)[:, corner[a]] for a in range(3))
+    sx, sy, sz = np.where(corner, 1.0, -1.0)
+    shape = (len(pts), int(np.prod(dims)))
+    ptr = np.arange(0, 8 * len(pts) + 1, 8)
+    mats = [sp.csr_array((w.ravel(), cols.ravel(), ptr), shape=shape)
+            for w in (wx * wy * wz, sx * wy * wz, wx * sy * wz, wx * wy * sz)]
+    return mats[0], mats[1:], interior
+
+
+def _reference_point_grad(slopes, interior, data, cot):
+    flat = data.reshape((-1,) + data.shape[3:])
+    cols = [((s @ flat) * cot).reshape(len(cot), -1).sum(axis=1) for s in slopes]
+    return np.stack(cols, axis=1) * interior
+
+
+def _mixed_points(dims, rng):
+    """Interior, on-face, lattice, clamped and far out-of-range points."""
+    hi = np.asarray(dims, dtype=float) - 1.0
+    inside = rng.uniform(0.0, 1.0, size=(40, 3)) * hi
+    on_face = rng.uniform(0.0, 1.0, size=(6, 3)) * hi
+    on_face[[0, 1, 2], [0, 1, 2]] = 0.0
+    on_face[[3, 4, 5], [0, 1, 2]] = hi
+    lattice = rng.integers(0, np.asarray(dims), size=(8, 3)).astype(float)
+    clamped = rng.uniform(-0.6, 1.0, size=(12, 3)) * (hi + 1.2)
+    far = rng.uniform(-50.0, 50.0, size=(8, 3))
+    return np.concatenate([inside, on_face, lattice, clamped, far])
+
+
+@pytest.mark.parametrize("comps", [(), (3,)], ids=["scalar", "vector"])
+def test_sampler_matches_reference_arithmetic(comps):
+    # The operator, its slopes and every product must equal the plain
+    # arithmetic above value for value, not just to roundoff.
+    rng = np.random.default_rng(19)
+    dims = (5, 7, 4)
+    pts = _mixed_points(dims, rng)
+    data = rng.standard_normal(dims + comps)
+    cot = rng.standard_normal((len(pts),) + comps)
+    cot[::5] = 0.0
+    ref_w, ref_slopes, ref_interior = _reference_sampler(dims, pts)
+    sampler = TrilinearSampler(dims, pts)
+    assert sampler.weights.indices.dtype == np.int32 and sampler.weights.indptr.dtype == np.int32
+    for got, ref in zip((sampler.weights,) + sampler.slopes, (ref_w,) + tuple(ref_slopes)):
+        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(sampler.interior, ref_interior)
+    flat = data.reshape((-1,) + comps)
+    assert np.array_equal(sampler.sample(data), ref_w @ flat)
+    assert np.array_equal(sampler.adjoint(cot), (ref_w.T @ cot).reshape(dims + comps))
+    assert np.array_equal(sampler.point_grad(data, cot), _reference_point_grad(ref_slopes, ref_interior, data, cot))
+
+
+def test_sampler_rejects_grids_beyond_int32_indices():
+    with pytest.raises(ValueError, match="int32"):
+        TrilinearSampler((2048, 1024, 1024), [[1.0, 1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
