@@ -286,7 +286,7 @@ def cmd_warp(args):
 
 
 def cmd_quality(args):
-    rep = quality_report(load_mesh(args.mesh), intersection_method="brute" if args.brute else "bvh")
+    rep = quality_report(load_mesh(args.mesh))
     payload = dict(rep.as_dict(), provenance={"mesh": os.path.basename(args.mesh), "tool_version": __version__})
     if args.out:
         _write_json(args.out, payload)
@@ -470,7 +470,6 @@ def build_parser():
     p = sub.add_parser("quality", help="element quality and self-intersection report")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--brute", action="store_true", help="brute-force intersection search")
     p.add_argument("--summary-table", action="store_true")
     p.set_defaults(func=cmd_quality)
 

@@ -41,6 +41,8 @@ __all__ = [
 
 KPA_TO_N_PER_MM2 = 1e-3
 N_PER_MM2_TO_KPA = 1e3
+_DAMPING = 1e-8  # Tikhonov damping, relative to the equilibrium operator's RMS column norm
+_REFINE_ROUNDS = 40  # cap on residual-refinement rounds
 
 
 class SolverError(RuntimeError):
@@ -54,33 +56,35 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class MembraneModel:
-    """Load, wall, boundary and solver settings.
+    """Load, wall and boundary settings.
 
     ``fixed_rings`` is a tuple of vertex-index arrays whose equilibrium rows
     are dropped (supported boundary). None means the default: first and last
-    ring for open structured tubes, nothing for closed surfaces.
-    ``regularization`` is Tikhonov damping relative to the RMS column norm of
-    the equilibrium operator; ``max_iters`` caps the residual-refinement
-    rounds (default 40).
+    ring for open structured tubes, nothing for closed surfaces. The solver
+    settings are fixed: Tikhonov damping 1e-8 relative to the RMS column norm
+    of the equilibrium operator, at most 40 residual-refinement rounds, and
+    the target relative residual ``solver_tol`` (a class constant, not a
+    field).
     """
 
     pressure: float = 16.0
     thickness: float = 2.0
     fixed_rings: Optional[tuple] = None
-    regularization: float = 1e-8
-    solver_tol: float = 1e-8
-    max_iters: Optional[int] = None
+    solver_tol = 1e-8
 
     def __post_init__(self):
         if self.pressure < 0:
             raise ValueError("pressure must be nonnegative")
         if self.thickness <= 0:
             raise ValueError("thickness must be positive")
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
         if self.fixed_rings is not None:
-            fixed = tuple(np.asarray(r, dtype=np.int64) for r in self.fixed_rings)
-            object.__setattr__(self, "fixed_rings", fixed)
+            try:
+                fixed = tuple(np.asarray(r) for r in self.fixed_rings)
+            except TypeError:  # not a list at all
+                fixed = None
+            if fixed is None or any(r.ndim != 1 or (r.size and r.dtype.kind not in "iu") for r in fixed):
+                raise ValueError(f"fixed_rings must be a list of vertex-index lists, got {self.fixed_rings!r}")
+            object.__setattr__(self, "fixed_rings", tuple(r.astype(np.int64) for r in fixed))
 
 
 @dataclass(frozen=True)
@@ -265,9 +269,10 @@ def _collapse_resultants(mesh, x, frames, areas):
 
 def _fixed_vertices(mesh, model, report):
     if model.fixed_rings is not None:
-        if len(model.fixed_rings) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(model.fixed_rings))
+        fixed = np.unique(np.concatenate(model.fixed_rings)) if model.fixed_rings else np.zeros(0, dtype=np.int64)
+        if fixed.size and (fixed[0] < 0 or fixed[-1] >= mesh.n_vertices):
+            raise ValueError(f"fixed_rings vertex index out of range 0..{mesh.n_vertices - 1}")
+        return fixed
     if report.boundary_edge_count == 0:
         return np.zeros(0, dtype=np.int64)
     if mesh.ring_layout is None:
@@ -284,7 +289,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     not consistently oriented.
     """
     report = validate_topology(mesh)
-    if not (report.manifold and report.oriented and not report.degenerate_faces):
+    if not report.ok:
         raise ValueError("membrane solve needs a manifold, consistently oriented mesh")
 
     A, tri_frames, tri_areas = _assemble(mesh)
@@ -309,7 +314,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # roundoff on near-mechanism modes and removes the Tikhonov bias where the
     # damping barely matters, while keeping x free of null-space components.
     col_rms = np.sqrt((A_free.data**2).sum() / A_free.shape[1])
-    damp = model.regularization * col_rms
+    damp = _DAMPING * col_rms
     gram = (A_free @ A_free.T).tocsc()
     if damp > 0.0:
         gram = (gram + damp**2 * identity(gram.shape[0], format="csc")).tocsc()
@@ -325,12 +330,11 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
 
     b_norm = np.linalg.norm(b_free)
     limit = max(10.0 * model.solver_tol, 1e-6)
-    max_rounds = model.max_iters if model.max_iters is not None else 40
     y = np.zeros(A_free.shape[0])
     x = np.zeros(A_free.shape[1])
     residual = 1.0 if b_norm > 0.0 else 0.0
     itn = 0
-    while b_norm > 0.0 and residual > model.solver_tol and itn < max_rounds:
+    while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
         y = y + factor.solve(b_free - A_free @ x)
         x = A_free.T @ y
         itn += 1

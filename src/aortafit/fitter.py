@@ -7,14 +7,14 @@ level of a multiresolution ladder, trilinearly upsampled to the next, and the
 best-loss iterate of the final level is returned. Gradients flow analytically
 from the loss through warp and exponentiation (exp_vjp).
 
-The default update is an adaptive first-order rule: a bias-corrected first
-moment divided by a running field-wide infinity-norm of the gradient (the
-Adamax update with the max taken over the whole field rather than per
-coordinate, so unconstrained control nodes stay put instead of taking
-normalized full-size steps). Plain gradient descent is available via
-``optimizer="gd"``. The whole procedure is deterministic: a zero initial
-field, no stochastic sampling, and reduction orders fixed by the array
-layout.
+The update is an adaptive first-order rule with fixed settings: a
+bias-corrected first moment divided by a running field-wide infinity-norm of
+the gradient (the Adamax update with the max taken over the whole field
+rather than per coordinate, so unconstrained control nodes stay put instead
+of taking normalized full-size steps). A level ends after ``iters_per_level``
+iterations, or earlier once its best loss has improved by less than a relative
+1e-6 over 25 iterations. The whole procedure is deterministic: a zero initial
+field, no stochastic sampling, and reduction orders fixed by the array layout.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ __all__ = [
     "bounding_grid",
 ]
 
+_STEP = 0.25
+_DECAYS = (0.9, 0.999)  # first-moment and infinity-norm decay rates
+# A level stops once its best loss gained less than _PLATEAU_TOL, relative,
+# over the last _PLATEAU_ITERS iterations.
+_PLATEAU_TOL = 1e-6
+_PLATEAU_ITERS = 25
 _DIVERGE_WINDOW = 50
 
 
@@ -67,17 +73,17 @@ class FitConfig:
     svf_dims: tuple = (32, 32, 32)
     levels: tuple = ((8, 8, 8), (16, 16, 16), (32, 32, 32))
     iters_per_level: int = 300
-    step: float = 0.25
-    momentum: tuple = (0.9, 0.999)
     weights: LossWeights = field(default_factory=LossWeights)
     diffeo: DiffeoConfig = field(default_factory=DiffeoConfig)
-    tol: float = 1e-6
-    tol_iters: int = 25
-    optimizer: str = "adam"
 
     def __post_init__(self):
-        dims = tuple(tuple(int(d) for d in lv) for lv in self.levels)
-        svf_dims = tuple(int(d) for d in self.svf_dims)
+        try:
+            dims = tuple(tuple(int(d) for d in lv) for lv in self.levels)
+            svf_dims = tuple(int(d) for d in self.svf_dims)
+        except (TypeError, OverflowError):
+            raise ValueError(f"levels and svf_dims must be lists of grid dims, got {self.levels!r}") from None
+        if not dims:
+            raise ValueError("levels must list at least one grid")
         for lv in dims + (svf_dims,):
             if len(lv) != 3 or any(d < 2 for d in lv):
                 raise ValueError(f"grid dims must be 3 axes of >= 2, got {lv}")
@@ -88,16 +94,8 @@ class FitConfig:
             raise ValueError("last level must equal svf_dims")
         if self.iters_per_level < 1:
             raise ValueError("iters_per_level must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        b1, b2 = (float(b) for b in self.momentum)
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError("momentum decays must lie in [0, 1)")
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         object.__setattr__(self, "levels", dims)
         object.__setattr__(self, "svf_dims", svf_dims)
-        object.__setattr__(self, "momentum", (b1, b2))
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,8 @@ def bounding_grid(meshes, spacing=1.0, margin=5.0):
     """Isotropic grid (mm spacing) containing all meshes plus a mm margin."""
     lo = np.min([m.vertices.min(axis=0) for m in meshes], axis=0) - margin
     hi = np.max([m.vertices.max(axis=0) for m in meshes], axis=0) + margin
+    if not (spacing > 0 and np.all(hi - lo < spacing * 2**31)):
+        raise ValueError(f"grid spacing must be > 0 mm and leave under 2^31 voxels per axis, got {spacing}")
     dims = tuple(int(np.ceil((h - l) / spacing)) + 1 for l, h in zip(lo, hi))
     return GridGeom(dims, (spacing,) * 3, tuple(lo))
 
@@ -152,10 +152,8 @@ def _adam_state(shape):
     return {"m": np.zeros(shape), "u": 0.0, "t": 0}
 
 
-def _update(tau, grad, cfg, state):
-    if cfg.optimizer == "gd":
-        return tau - cfg.step * grad
-    b1, b2 = cfg.momentum
+def _update(tau, grad, state):
+    b1, b2 = _DECAYS
     state["t"] += 1
     state["m"] = b1 * state["m"] + (1.0 - b1) * grad
     # Field-wide infinity-norm scale (Adamax-style), not per coordinate:
@@ -164,7 +162,7 @@ def _update(tau, grad, cfg, state):
     # smoothness; one shared scale preserves the gradient's spatial profile.
     state["u"] = max(b2 * state["u"], float(np.max(np.abs(grad))))
     mhat = state["m"] / (1.0 - b1 ** state["t"])
-    return tau - cfg.step * mhat / (state["u"] + 1e-12)
+    return tau - _STEP * mhat / (state["u"] + 1e-12)
 
 
 def fit_svf(template, target, grid, cfg=FitConfig()):
@@ -227,14 +225,14 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
             else:
                 bad_streak = 0
 
-            if len(best_track) > cfg.tol_iters:
-                prev = best_track[-cfg.tol_iters - 1]
-                if prev - best_loss < cfg.tol * max(prev, 1e-300):
+            if len(best_track) > _PLATEAU_ITERS:
+                prev = best_track[-_PLATEAU_ITERS - 1]
+                if prev - best_loss < _PLATEAU_TOL * max(prev, 1e-300):
                     break
 
             g_v = loss_grad(warped, target, cfg.weights)
             g_tau = exp_vjp(fld, cfg.diffeo, g_v, template, geom, states=states, sampler=sampler)
-            tau = _update(tau, g_tau.data, cfg, state)
+            tau = _update(tau, g_tau.data, state)
 
         tau = best_tau
         prev_geom = geom

@@ -140,7 +140,6 @@ class TopologyReport:
     nonmanifold_edges: list
     inconsistent_edges: list
     boundary_edge_count: int
-    ring_layout_ok: Optional[bool]
 
     @property
     def manifold(self):
@@ -152,8 +151,7 @@ class TopologyReport:
 
     @property
     def ok(self):
-        ring_ok = self.ring_layout_ok in (None, True)
-        return self.manifold and self.oriented and not self.degenerate_faces and ring_ok
+        return self.manifold and self.oriented and not self.degenerate_faces
 
 
 def validate_topology(mesh):
@@ -193,18 +191,12 @@ def validate_topology(mesh):
     inconsistent = [decode(k) for k in uniq[(counts == 2) & (np.abs(signsum) == 2)]]
     boundary = int(np.sum(counts == 1))
 
-    ring_ok = None
-    if mesh.ring_layout is not None:
-        c, a = mesh.ring_layout
-        ring_ok = mesh.n_vertices == c * a and mesh.n_faces == c * (a - 1)
-
     return TopologyReport(
         n_faces=mesh.n_faces,
         degenerate_faces=degen.tolist(),
         nonmanifold_edges=nonmanifold,
         inconsistent_edges=inconsistent,
         boundary_edge_count=boundary,
-        ring_layout_ok=ring_ok,
     )
 
 
@@ -298,9 +290,6 @@ class _Tokens:
                     self.toks.append((tok, lineno))
         self.pos = 0
         self.last_line = 0
-
-    def __len__(self):
-        return len(self.toks) - self.pos
 
     def peek(self):
         if self.pos >= len(self.toks):

@@ -21,7 +21,6 @@ shares the narrow phase, so the accelerated result matches it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -306,7 +305,6 @@ class QualityReport:
     max_angle: tuple
     self_intersection_count: int
     intersecting_pairs: tuple = ()
-    elements: Optional[dict] = None
 
     def as_dict(self):
         d = {
@@ -320,7 +318,7 @@ class QualityReport:
         return d
 
 
-def quality_report(mesh, include_elements=False, intersection_method="bvh"):
+def quality_report(mesh):
     """Aggregate element metrics over a mesh.
 
     Elements with a zero-length edge or undefined normal are excluded from the
@@ -350,7 +348,7 @@ def quality_report(mesh, include_elements=False, intersection_method="bvh"):
             return (float("nan"), float("nan"))
         return (float(x.mean()), float(x.std()))
 
-    count, pairs = self_intersections(mesh, method=intersection_method)
+    count, pairs = self_intersections(mesh)
     return QualityReport(
         n_elements=len(mesh.faces),
         n_degenerate=int((~valid).sum()),
@@ -361,5 +359,4 @@ def quality_report(mesh, include_elements=False, intersection_method="bvh"):
         max_angle=agg(metrics["max_angle"]),
         self_intersection_count=count,
         intersecting_pairs=tuple(pairs),
-        elements=dict(metrics, valid=valid) if include_elements else None,
     )

@@ -35,7 +35,6 @@ __all__ = [
     "VectorField3D",
     "TrilinearSampler",
     "trilinear_sample",
-    "trilinear_sample_vjp",
     "save_volume",
     "load_volume",
 ]
@@ -63,23 +62,10 @@ class GridGeom:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
 
-    @property
-    def shape(self):
-        return self.dims
-
     def world_to_voxel(self, points_mm):
         """Map mm positions to continuous voxel coordinates."""
         pts = np.asarray(points_mm, dtype=float)
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
-
-    def voxel_to_world(self, points_vox):
-        """Map continuous voxel coordinates to mm positions."""
-        pts = np.asarray(points_vox, dtype=float)
-        return np.asarray(self.origin) + pts * np.asarray(self.spacing)
-
-    def physical_extent(self):
-        """Extent in mm per axis, counting whole voxels (dims * spacing)."""
-        return tuple(d * s for d, s in zip(self.dims, self.spacing))
 
 
 def _check_data(geom, data, ncomp):
@@ -215,21 +201,6 @@ def trilinear_sample(fld, points):
     return out[0] if pts.ndim == 1 else out
 
 
-def trilinear_sample_vjp(fld, points, cotangent):
-    """Adjoint of :func:`trilinear_sample`.
-
-    Given d(loss)/d(sampled values), returns
-
-    * ``grad_data``: array shaped like ``fld.data`` with the scattered
-      contribution d(loss)/d(stored voxel values),
-    * ``grad_points``: (N, 3) contribution d(loss)/d(sample coordinates).
-      Clamped coordinates get a zero position gradient.
-    """
-    sampler = TrilinearSampler(fld.geom.dims, points)
-    cot = np.reshape(np.asarray(cotangent, dtype=np.float64), (-1,) + fld.data.shape[3:])
-    return sampler.adjoint(cot), sampler.point_grad(fld.data, cot)
-
-
 # ---------------------------------------------------------------------------
 # File format: structured-text header + raw little-endian payload.
 # ---------------------------------------------------------------------------
@@ -303,12 +274,15 @@ def load_volume(path):
         raise ValueError(f"{hdr}: unsupported dtype {dtype!r}")
     if ncomp not in (1, 3):
         raise ValueError(f"{hdr}: components must be 1 or 3, got {ncomp}")
+    try:
+        geom = GridGeom(dims, spacing, origin)
+    except ValueError as exc:
+        raise ValueError(f"{hdr}: {exc}") from None
     raw = os.path.join(os.path.dirname(hdr) or ".", dataname)
-    count = dims[0] * dims[1] * dims[2] * ncomp
+    count = math.prod(dims) * ncomp
     data = np.fromfile(raw, dtype=_DTYPES[dtype])
     if data.size != count:
         raise ValueError(f"{raw}: expected {count} values, found {data.size}")
-    geom = GridGeom(dims, spacing, origin)
     if ncomp == 1:
         return Volume3D(geom, data.reshape(dims))
     return VectorField3D(geom, data.reshape(dims + (3,)))

@@ -8,10 +8,10 @@ import pytest
 
 from conftest import bulged_cylinder, straight_cylinder
 
-from aortafit import __version__
+from aortafit import __version__, fitter
 from aortafit.cli import config_hash, default_config, load_config, main
 from aortafit.quadmesh import load_mesh, save_mesh
-from aortafit.volgrid import GridGeom, Volume3D, save_volume
+from aortafit.volgrid import GridGeom, VectorField3D, Volume3D, save_volume
 
 FIT_OVERRIDES = [
     "--set", "fit.levels=[[4,4,4],[6,6,6]]",
@@ -47,6 +47,9 @@ def test_default_config_sections():
     assert set(cfg) == {"grid", "phantom", "fit", "weights", "diffeo", "membrane", "report"}
     # nested dataclass settings live in their own sections, not under fit
     assert {"weights", "diffeo", "seed"}.isdisjoint(cfg["fit"])
+    # optimizer and solver tuning values are constants, not config keys
+    assert set(cfg["fit"]) == {"svf_dims", "levels", "iters_per_level"}
+    assert set(cfg["membrane"]) == {"pressure", "thickness", "fixed_rings"}
     assert cfg["grid"] == {"spacing": 1.0, "margin": 5.0}
     assert "radius_profile" not in cfg["phantom"]
 
@@ -118,6 +121,17 @@ def test_load_config_rejections(tmp_path):
         load_config(overrides=("grid.spcing=1.0",))
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(overrides=("grid.spacing.x=1.0",))
+    # fixed optimizer and solver settings are unknown keys, from a file or --set
+    for section, key, value in [("fit", "step", 0.25), ("fit", "momentum", [0.9, 0.999]),
+                                ("fit", "optimizer", "gd"), ("fit", "tol", 1e-6),
+                                ("fit", "tol_iters", 25), ("membrane", "regularization", 1e-8),
+                                ("membrane", "solver_tol", 1e-8), ("membrane", "max_iters", 40)]:
+        removed = tmp_path / "removed.json"
+        removed.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ValueError, match=f"unknown config key '{section}.{key}'"):
+            load_config(str(removed))
+        with pytest.raises(ValueError, match=f"unknown config key '{section}.{key}'"):
+            load_config(overrides=(f"{section}.{key}={json.dumps(value)}",))
 
 
 def test_version_flag(capsys):
@@ -169,6 +183,10 @@ def test_quality_command_json_and_table(tmp_path, mesh_files, capsys):
     assert data["n_degenerate"] == 0
     assert data["self_intersection_count"] == 0
     assert data["provenance"]["tool_version"] == __version__
+    with pytest.raises(SystemExit) as exc:  # the brute-force search is a test oracle only
+        main(["quality", "--mesh", mesh_files["template"], "--brute"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --brute" in capsys.readouterr().err
 
 
 def test_stress_command_free_end_cylinder(tmp_path, mesh_files, capsys):
@@ -244,6 +262,21 @@ def test_warp_rejects_scalar_volume(tmp_path, mesh_files, capsys):
                  "--out", str(tmp_path / "w.vtk")])
     assert code == 2
     assert "3-component" in capsys.readouterr().err
+
+
+def test_warp_rejects_two_axis_header(tmp_path, mesh_files, capsys):
+    # A header with two dims is an input error (2), found before the payload
+    # size is computed from the dims.
+    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
+    hdr = tmp_path / "svf.hdr"
+    save_volume(fld, str(hdr))
+    hdr.write_text(hdr.read_text().replace("dims: 4 4 4", "dims: 4 4"))
+    code = main(["warp", "--mesh", mesh_files["template"], "--svf", str(hdr),
+                 "--out", str(tmp_path / "w.vtk")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "svf.hdr: dims, spacing, origin must each have 3 entries" in err
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +395,14 @@ def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command
     ("phantom", "membrane=5"),
     ("report", "membrane.pressure=abc"),
     ("report", "report.percentile=abc"),
-    ("fit", "fit.step=abc"),
+    ("fit", "fit.levels=abc"),
     ("fit", 'fit.iters_per_level="3"'),
     ("fit", "fit.iters_per_level=2.5"),
-    ("fit", "fit.momentum=5"),
+    ("fit", "fit.svf_dims=5"),
     ("fit", "weights.alpha=abc"),
     ("fit", "grid.spacing=abc"),
     ("fit", "diffeo.auto_steps=1"),
-    ("fit", "fit.optimizer=5"),
+    ("report", "membrane.thickness=abc"),
 ])
 def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting):
     # A value of the wrong JSON type, or a section replaced by a non-object,
@@ -387,6 +420,31 @@ def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting)
     assert repr(setting.split("=")[0]) in err
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("fit", "fit.levels=[]", "at least one grid"),
+    ("fit", "fit.levels=[8]", "lists of grid dims"),
+    ("fit", "grid.spacing=0", "grid spacing must be > 0"),
+    ("fit", "grid.spacing=1e-320", "under 2^31 voxels"),
+    ("stress", "membrane.fixed_rings=5", "fixed_rings must be a list"),
+    ("stress", "membrane.fixed_rings=[[1e30]]", "fixed_rings must be a list"),
+    ("stress", "membrane.fixed_rings=[[99999]]", "out of range 0..79"),
+    ("stress", "membrane.fixed_rings=[[-1]]", "out of range 0..79"),
+])
+def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting, message):
+    # A value of the right JSON type that its dataclass or the mesh cannot
+    # take is a validation error (2) with one stderr line, not a crash.
+    argv = {
+        "stress": ["stress", "--mesh", mesh_files["template"], "--out", str(tmp_path / "s.vtk")],
+        "fit": ["fit", "--template", mesh_files["template"], "--target", mesh_files["shifted"],
+                "--out", str(tmp_path / "f"), "--seed", "0"],
+    }[command]
+    assert main(argv + ["--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):
     # curved tube with free ends: no membrane equilibrium exists
     arch = str(tmp_path / "arch.vtk")
@@ -399,23 +457,25 @@ def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_exit_code_3_fit_divergence(tmp_path, mesh_files, capsys):
+def test_exit_code_3_fit_divergence(tmp_path, mesh_files, capsys, monkeypatch):
+    # Oversized gradient-descent steps with the plateau stop off.
+    monkeypatch.setattr(fitter, "_update", lambda tau, grad, state: tau - 2.0 * grad)
+    monkeypatch.setattr(fitter, "_PLATEAU_TOL", 0.0)
     code = main(["fit", "--template", mesh_files["template"], "--target",
                  mesh_files["shifted"], "--out", str(tmp_path / "f"), "--seed", "0",
                  "--set", "fit.levels=[[4,4,4]]", "--set", "fit.svf_dims=[4,4,4]",
-                 "--set", "fit.iters_per_level=80", "--set", "fit.step=2.0",
-                 "--set", "fit.optimizer=gd", "--set", "fit.tol=0.0",
+                 "--set", "fit.iters_per_level=80",
                  "--set", "weights.alpha=0.0", "--set", "grid.spacing=2.0"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_exit_code_3_squaring_step_guard_in_fit(tmp_path, mesh_files, capsys):
+def test_exit_code_3_squaring_step_guard_in_fit(tmp_path, mesh_files, capsys, monkeypatch):
     # A huge gradient step makes the fitted field outgrow the squaring-step
     # guard mid-fit: a numerical failure (3), not a validation error (2).
+    monkeypatch.setattr(fitter, "_update", lambda tau, grad, state: tau - 1e9 * grad)
     code = main(["pipeline", "--template", mesh_files["template"], "--target",
                  mesh_files["shifted"], "--out", str(tmp_path / "p"), "--seed", "0",
-                 "--set", "fit.optimizer=gd", "--set", "fit.step=1e9",
                  "--set", "fit.levels=[[4,4,4]]", "--set", "fit.svf_dims=[4,4,4]",
                  "--set", "grid.spacing=2.0"])
     assert code == 3

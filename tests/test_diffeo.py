@@ -178,7 +178,7 @@ def test_warp_linear_radial_field_exact():
     mesh = straight_cylinder(circumferential=16, axial=10, length=30.0, radius=15.0)
     grid = _grid_around(mesh, spacing=1.0, margin=6.0)
     ii, jj, kk = np.meshgrid(*(np.arange(float(n)) for n in grid.dims), indexing="ij")
-    world = grid.voxel_to_world(np.stack([ii, jj, kk], axis=-1).reshape(-1, 3))
+    world = np.asarray(grid.origin) + np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) * grid.spacing
     u = np.zeros_like(world)
     u[:, 0] = 0.08 * world[:, 0]
     u[:, 1] = 0.08 * world[:, 1]
@@ -192,7 +192,7 @@ def test_warp_nonlinear_radial_profile_within_tolerance():
     mesh = straight_cylinder(circumferential=16, axial=10, length=30.0, radius=15.0)
     grid = _grid_around(mesh, spacing=1.0, margin=6.0)
     ii, jj, kk = np.meshgrid(*(np.arange(float(n)) for n in grid.dims), indexing="ij")
-    world = grid.voxel_to_world(np.stack([ii, jj, kk], axis=-1).reshape(-1, 3))
+    world = np.asarray(grid.origin) + np.stack([ii, jj, kk], axis=-1).reshape(-1, 3) * grid.spacing
     r = np.hypot(world[:, 0], world[:, 1])
     amp = 2.0 * np.sin(np.pi * r / 40.0)
     with np.errstate(invalid="ignore", divide="ignore"):

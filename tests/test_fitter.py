@@ -5,6 +5,7 @@ import pytest
 
 from conftest import straight_cylinder
 
+from aortafit import fitter
 from aortafit.diffeo import DiffeoConfig, exp_vjp, exponentiate, warp_vertices
 from aortafit.fitter import (
     FitConfig,
@@ -50,12 +51,10 @@ def test_config_validation_errors():
         FitConfig(svf_dims=(16, 16, 16), levels=((8, 8, 8),))
     with pytest.raises(ValueError, match="iters_per_level"):
         FitConfig(iters_per_level=0)
-    with pytest.raises(ValueError, match="step"):
-        FitConfig(step=0.0)
-    with pytest.raises(ValueError, match="momentum"):
-        FitConfig(momentum=(0.9, 1.0))
-    with pytest.raises(ValueError, match="unknown optimizer"):
-        FitConfig(optimizer="lbfgs")
+    with pytest.raises(ValueError, match="at least one grid"):
+        FitConfig(levels=())
+    with pytest.raises(ValueError, match="lists of grid dims"):
+        FitConfig(levels=(8,), svf_dims=(8, 8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +136,17 @@ def test_upsample_refuses_to_shrink():
 # Optimizer update rule
 # ---------------------------------------------------------------------------
 
-def test_gd_update_exact():
-    cfg = FitConfig(optimizer="gd", step=0.3)
-    rng = np.random.default_rng(3)
-    tau = rng.normal(size=(4, 4, 4, 3))
-    grad = rng.normal(size=(4, 4, 4, 3))
-    out = _update(tau, grad, cfg, {})
-    assert np.array_equal(out, tau - 0.3 * grad)
+def _gd(step):
+    """Plain gradient descent in place of ``fitter._update``, for the failure tests."""
+    return lambda tau, grad, state: tau - step * grad
 
 
 def test_adam_first_step_formula():
-    cfg = FitConfig(step=0.25, momentum=(0.9, 0.999))
     rng = np.random.default_rng(4)
     tau = rng.normal(size=(3, 3, 3, 3))
     grad = rng.normal(size=(3, 3, 3, 3))
     state = _adam_state(tau.shape)
-    out = _update(tau, grad, cfg, state)
+    out = _update(tau, grad, state)
     # After one step the bias correction cancels: mhat == grad and the scale
     # is the field-wide max |grad|.
     gmax = np.abs(grad).max()
@@ -162,15 +156,14 @@ def test_adam_first_step_formula():
 
 
 def test_adam_zero_gradient_keeps_field():
-    cfg = FitConfig()
     tau = np.full((3, 3, 3, 3), 0.7)
     state = _adam_state(tau.shape)
-    out = _update(tau, np.zeros_like(tau), cfg, state)
+    out = _update(tau, np.zeros_like(tau), state)
     assert np.array_equal(out, tau)
     # The infinity-norm scale decays once gradients arrive and vanish again.
-    _update(tau, np.full_like(tau, 2.0), cfg, state)
+    _update(tau, np.full_like(tau, 2.0), state)
     u_after = state["u"]
-    _update(tau, np.zeros_like(tau), cfg, state)
+    _update(tau, np.zeros_like(tau), state)
     assert state["u"] == pytest.approx(0.999 * u_after, rel=1e-15)
 
 
@@ -216,10 +209,13 @@ def test_fit_deterministic_rerun(translation_pair):
     assert a.final_chamfer == b.final_chamfer
 
 
-def test_fit_divergence_raises_with_history(translation_pair):
+def test_fit_divergence_raises_with_history(translation_pair, monkeypatch):
+    # Oversized gradient-descent steps, with the plateau stop off so that the
+    # 10x-initial window is what ends the fit.
+    monkeypatch.setattr(fitter, "_update", _gd(2.0))
+    monkeypatch.setattr(fitter, "_PLATEAU_TOL", 0.0)
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=80,
-                    step=2.0, optimizer="gd", tol=0.0,
                     weights=LossWeights(alpha=0.0))
     with pytest.raises(FitDivergence, match="10x initial") as exc:
         fit_svf(template, target, grid, cfg)
@@ -228,24 +224,27 @@ def test_fit_divergence_raises_with_history(translation_pair):
     assert h[-1] > 10.0 * h[0]
 
 
-def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair):
+def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair, monkeypatch):
     # A huge gradient step drives the field past the squaring-step guard:
     # that is a numerical failure of the fit, not an invalid input.
+    monkeypatch.setattr(fitter, "_update", _gd(1e9))
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=5,
-                    step=1e9, optimizer="gd", diffeo=DiffeoConfig())
+                    diffeo=DiffeoConfig())
     with pytest.raises(FitDivergence, match="squaring steps") as exc:
         fit_svf(template, target, grid, cfg)
     assert len(exc.value.history) == 1  # the zero field's loss, before the step
 
 
-def test_fit_reused_operators_match_reference_loop(translation_pair):
+def test_fit_reused_operators_match_reference_loop(translation_pair, monkeypatch):
     # fit_svf builds one vertex sampler per level and hands each forward pass
     # to its adjoint. A loop of public calls that shares nothing between them
     # must give the same losses; a stale or mis-scaled operator would not.
+    step = 0.05
+    monkeypatch.setattr(fitter, "_update", _gd(step))
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)),
-                    iters_per_level=3, optimizer="gd", step=0.05)
+                    iters_per_level=3)
     res = fit_svf(template, target, grid, cfg)
 
     history = []
@@ -264,7 +263,7 @@ def test_fit_reused_operators_match_reference_loop(translation_pair):
             if loss < best_loss:
                 best_loss, best_tau = loss, tau
             g_v = loss_grad(warped, target, cfg.weights)
-            tau = tau - cfg.step * exp_vjp(fld, cfg.diffeo, g_v, template, geom).data
+            tau = tau - step * exp_vjp(fld, cfg.diffeo, g_v, template, geom).data
         tau, prev = best_tau, geom
 
     assert res.level_starts == (0, 3)

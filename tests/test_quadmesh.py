@@ -123,7 +123,6 @@ def test_topology_clean_tube(tube24):
     assert rep.degenerate_faces == []
     # Open tube: one boundary loop of C edges at each end.
     assert rep.boundary_edge_count == 2 * tube24.ring_layout[0]
-    assert rep.ring_layout_ok is True
 
 
 def test_topology_clean_sphere(sphere16):

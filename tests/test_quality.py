@@ -319,16 +319,6 @@ def test_report_excludes_degenerate_elements():
     assert np.isfinite(rep.aspect_ratio[0])
 
 
-def test_report_include_elements():
-    mesh = straight_cylinder(circumferential=8, axial=5, length=10.0)
-    rep = quality_report(mesh, include_elements=True)
-    assert rep.elements is not None
-    assert len(rep.elements["scaled_jacobian"]) == mesh.n_faces
-    assert rep.elements["valid"].all()
-    lone = quality_report(mesh)
-    assert lone.elements is None
-
-
 def test_report_on_smooth_tube_metrics(tube24):
     rep = quality_report(tube24)
     assert rep.n_degenerate == 0
