@@ -166,7 +166,7 @@ def _element_frames(mesh):
     return t1, t2, n
 
 
-def _assemble(mesh):
+def _assemble(mesh, t1):
     """Equilibrium operator A (3|V| x 6|F|): A @ resultants = nodal loads.
 
     Each element is integrated as its two flat triangles (the same v0-v2 split
@@ -181,20 +181,23 @@ def _assemble(mesh):
     contract.  The per-quad resultants reported to callers are the
     area-weighted average of the two triangle tensors.
 
+    ``t1`` is the elements' first frame axis. Corner c of a triangle is the
+    start of edge c and the end of edge c - 1, so one 3x3 block per corner,
+    the sum of those two edges' blocks, fills the corner's (vertex row,
+    triangle column) entries. Each entry has exactly these two addends, so
+    A does not depend on the order they are summed in.
+
     Returns (A, frames, areas): per split s in (0, 1), ``frames[s]`` is the
     (t1, t2) in-plane basis pair and ``areas[s]`` the triangle areas.
     """
     f = mesh.faces
     m = len(f)
     v = mesh.vertices
-    t1, t2, _ = _element_frames(mesh)
-
-    entries_rows = []
-    entries_cols = []
-    entries_data = []
+    splits = ((0, 1, 2), (0, 2, 3))
+    blocks = np.empty((m, 2, 3, 3, 3))  # (element, split, corner, unknown, force comp)
     frames = []
     areas = []
-    for split, corner_ids in enumerate(((0, 1, 2), (0, 2, 3))):
+    for split, corner_ids in enumerate(splits):
         tri = f[:, corner_ids]
         p = v[tri]  # (m, 3, 3)
         n_tri = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
@@ -210,10 +213,8 @@ def _assemble(mesh):
         t1p = t1p / t1p_len
         t2p = np.cross(n_tri, t1p)
         frames.append((t1p, t2p))
-        col0 = 6 * np.arange(m) + 3 * split
+        edge_blocks = []
         for k in range(3):
-            a = tri[:, k]
-            b = tri[:, (k + 1) % 3]
             edge = p[:, (k + 1) % 3] - p[:, k]  # lies in the triangle plane
             length = np.linalg.norm(edge, axis=1)
             if np.any(length == 0):
@@ -227,32 +228,35 @@ def _assemble(mesh):
                 [m1[:, None] * t1p, m2[:, None] * t2p, m2[:, None] * t1p + m1[:, None] * t2p],
                 axis=1,
             )  # (m, 3 unknowns, 3 force comps)
-            coeff = 0.5 * length[:, None, None] * coeff
-            for endpoint in (a, b):
-                rows = (3 * endpoint[:, None, None] + np.arange(3)[None, None, :]).repeat(3, axis=1)
-                cols = (col0[:, None, None] + np.arange(3)[None, :, None]).repeat(3, axis=2)
-                entries_rows.append(rows.ravel())
-                entries_cols.append(cols.ravel())
-                entries_data.append(coeff.ravel())
+            edge_blocks.append(0.5 * length[:, None, None] * coeff)
+        for c in range(3):
+            np.add(edge_blocks[c], edge_blocks[c - 1], out=blocks[:, split, c])
 
     nrows = 3 * len(mesh.vertices)
     ncols = 6 * m
+    index = np.int32 if max(nrows, ncols) < 2**31 else np.int64
+    corner_vertex = f[:, np.array(splits)].astype(index)  # (m, 2, 3)
+    rows = 3 * corner_vertex[:, :, :, None, None] + np.arange(3, dtype=index)
+    cols = (6 * np.arange(m, dtype=index)[:, None, None, None, None]
+            + 3 * np.arange(2, dtype=index)[:, None, None, None]
+            + np.arange(3, dtype=index)[:, None])
+    shape = blocks.shape
     A = coo_matrix(
-        (np.concatenate(entries_data), (np.concatenate(entries_rows), np.concatenate(entries_cols))),
+        (blocks.ravel(), (np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel())),
         shape=(nrows, ncols),
     )
     return A.tocsr(), frames, areas
 
 
-def _collapse_resultants(mesh, x, frames, areas):
+def _collapse_resultants(x, frames, tri_frames, areas):
     """Area-weighted per-quad average of the two triangle tensors, in the quad frame."""
-    m = len(mesh.faces)
-    t1, t2, _ = _element_frames(mesh)
+    t1, t2, _ = frames
+    m = len(t1)
     xr = x.reshape(m, 2, 3)
     tensor = np.zeros((m, 3, 3))
     weight_sum = areas[0] + areas[1]
     for split in range(2):
-        t1p, t2p = frames[split]
+        t1p, t2p = tri_frames[split]
         a11, a22, a12 = xr[:, split, 0], xr[:, split, 1], xr[:, split, 2]
         part = (
             a11[:, None, None] * t1p[:, :, None] * t1p[:, None, :]
@@ -292,7 +296,8 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     if not report.ok:
         raise ValueError("membrane solve needs a manifold, consistently oriented mesh")
 
-    A, tri_frames, tri_areas = _assemble(mesh)
+    frames = _element_frames(mesh)
+    A, tri_frames, tri_areas = _assemble(mesh, frames[0])
     p_internal = model.pressure * KPA_TO_N_PER_MM2
     b = pressure_nodal_forces(mesh, p_internal).ravel()
 
@@ -350,10 +355,9 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
             iterations=itn,
         )
 
-    t1, t2, n = _element_frames(mesh)
     return StressField(
-        frames=(t1, t2, n),
-        resultants=_collapse_resultants(mesh, x, tri_frames, tri_areas),
+        frames=frames,
+        resultants=_collapse_resultants(x, frames, tri_frames, tri_areas),
         thickness=model.thickness,
         pressure=model.pressure,
         residual=residual,

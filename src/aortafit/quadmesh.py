@@ -30,12 +30,15 @@ File format (legacy VTK-style ASCII polydata)
     <name> <ncomp> <nf> double
     <values> ...
 
-Numbers may be split across lines arbitrarily; the parser is token based and
-reports the line of the offending token on error.
+Numbers may be split across lines arbitrarily. The reader parses each
+numeric section as one array; on a file it cannot vouch for, a token walker
+parses again and reports the line of the offending token on error.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -230,15 +233,13 @@ class MeshFileError(ValueError):
     """Malformed mesh file; message carries file and line context."""
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
     """Write a mesh (plus optional per-face cell data arrays) to ``path``.
 
     ``cell_data`` maps array names to (n_faces,) or (n_faces, k) float arrays.
-    Vertex coordinates round-trip bitwise (shortest-roundtrip decimals).
+    Vertex coordinates round-trip bitwise (shortest-roundtrip decimals). Rows
+    are formatted from ``tolist()`` values, one f-string per row and one
+    ``repr`` per value of a 1-component array.
     """
     lines = [
         "# vtk DataFile Version 3.0",
@@ -247,16 +248,13 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
         "DATASET POLYDATA",
         f"POINTS {mesh.n_vertices} double",
     ]
-    for v in mesh.vertices:
-        lines.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     lines.append(f"POLYGONS {mesh.n_faces} {5 * mesh.n_faces}")
-    for f in mesh.faces:
-        lines.append(f"4 {f[0]} {f[1]} {f[2]} {f[3]}")
+    lines += [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.faces.tolist()]
     lines.append(f"POINT_DATA {mesh.n_vertices}")
     lines.append("SCALARS region int 1")
     lines.append("LOOKUP_TABLE default")
-    for r in mesh.regions:
-        lines.append(str(int(r)))
+    lines += map(str, mesh.regions.tolist())
     if mesh.ring_layout is not None:
         lines.append("FIELD meta 1")
         lines.append("ring_layout 2 1 int")
@@ -271,8 +269,10 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
             ncomp = 1 if arr.ndim == 1 else arr.shape[1]
             lines.append(f"{name} {ncomp} {mesh.n_faces} double")
             flat = arr.reshape(mesh.n_faces, -1)
-            for row in flat:
-                lines.append(" ".join(_fmt(x) for x in row))
+            if flat.shape[1] == 1:
+                lines += map(repr, flat[:, 0].tolist())
+            else:
+                lines += [" ".join(map(repr, row)) for row in flat.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -327,11 +327,11 @@ class _Tokens:
             self.error(f"expected {what}, got {tok!r}")
 
 
-def load_mesh(path, return_cell_data=False):
-    """Read a mesh file written by :func:`save_mesh`.
+def _walk_tokens(path):
+    """Parse a mesh file token by token: the reference grammar and the error path.
 
-    With ``return_cell_data`` the result is ``(mesh, dict)`` where the dict
-    holds any per-face arrays stored in the file.
+    Returns (vertices, faces, regions, ring_layout, cell_data). Raises
+    MeshFileError naming the file and the line of the first bad token.
     """
     # The two header lines are free text; skip them by raw line count.
     with open(path) as fh:
@@ -428,6 +428,183 @@ def load_mesh(path, return_cell_data=False):
         else:
             toks.error(f"unknown section {section!r}")
 
+    return verts, faces, regions, ring_layout, cell_data
+
+
+_NUMERIC_RUN = re.compile(r"[\s0-9eE.+-]*")
+_TOKEN = re.compile(r"\S+")
+
+
+class _Reject(Exception):
+    """The block reader cannot vouch for a file; the token walker decides."""
+
+
+class _Blocks:
+    """Cursor over a mesh file's text that reads each numeric run as one array.
+
+    Any token or value the walker might read differently raises _Reject.
+    """
+
+    def __init__(self, text, pos):
+        self.text = text
+        self.pos = pos
+
+    def more(self):
+        return _TOKEN.search(self.text, self.pos) is not None
+
+    def next(self):
+        m = _TOKEN.search(self.text, self.pos)
+        if m is None:
+            raise _Reject
+        self.pos = m.end()
+        return m.group()
+
+    def expect(self, literal):
+        if self.next() != literal:
+            raise _Reject
+
+    def count(self):
+        """The next token as a nonnegative integer."""
+        try:
+            n = int(self.next())
+        except ValueError:
+            raise _Reject from None
+        if n < 0:
+            raise _Reject
+        return n
+
+    def block(self, count, dtype):
+        """The next ``count`` tokens as one array, from one ``np.fromstring`` call.
+
+        The span is the run of digits, signs, points, ``e`` and ``E`` from the
+        cursor. It must end at a token boundary and hold exactly ``count``
+        values. Files outside that (``nan``, ``inf``, ``1_0``, non-ASCII
+        digits, a numeric-looking array name right after a block) go to the
+        walker.
+        """
+        if count == 0:
+            return np.zeros(0, dtype=dtype)
+        text, start = self.text, self.pos
+        end = _NUMERIC_RUN.match(text, start).end()
+        if end < len(text) and not text[end - 1].isspace():
+            raise _Reject  # the run stops inside a token
+        span = text[start:end]
+        if not span or span.isspace():  # fromstring(" ") would give one value
+            raise _Reject
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns on a partial parse
+            try:
+                values = np.fromstring(span, dtype=dtype, sep=" ")
+            except (ValueError, DeprecationWarning):
+                raise _Reject from None
+        if values.size != count:
+            raise _Reject
+        self.pos = end
+        return values
+
+
+def _read_blocks(text):
+    """Parse a mesh file's text with the walker's grammar, one array per section.
+
+    Returns what :func:`_walk_tokens` returns for the same file, with equal
+    arrays of equal dtypes, or raises _Reject. Counts and ranges are checked
+    on whole arrays: cell size 4, vertex indices in 0..nv-1, region labels in
+    0..3, and ring_layout as 2 integers in 1..nv.
+    """
+    pos = -1
+    for _ in range(4):
+        pos = text.find("\n", pos + 1)
+        if pos < 0:
+            raise _Reject
+    header = text[:pos].split("\n")
+    if (not header[0].startswith("# vtk DataFile") or header[2].strip() != "ASCII"
+            or header[3].strip() != "DATASET POLYDATA"):
+        raise _Reject
+    cur = _Blocks(text, pos + 1)
+
+    cur.expect("POINTS")
+    nv = cur.count()
+    cur.next()
+    verts = cur.block(3 * nv, np.float64).reshape(nv, 3)
+
+    cur.expect("POLYGONS")
+    nf = cur.count()
+    if cur.count() != 5 * nf:
+        raise _Reject
+    cells = cur.block(5 * nf, np.int64).reshape(nf, 5)
+    faces = np.ascontiguousarray(cells[:, 1:])
+    if nf and ((cells[:, 0] != 4).any() or faces.min() < 0 or faces.max() >= nv):
+        raise _Reject
+
+    regions = np.zeros(nv, dtype=np.int8)
+    ring_layout = None
+    cell_data = {}
+    while cur.more():
+        section = cur.next()
+        if section == "POINT_DATA":
+            if cur.count() != nv:
+                raise _Reject
+            cur.expect("SCALARS")
+            cur.expect("region")
+            cur.next()
+            cur.next()
+            cur.expect("LOOKUP_TABLE")
+            cur.next()
+            labels = cur.block(nv, np.int64)
+            if nv and (labels.min() < 0 or labels.max() >= len(REGIONS)):
+                raise _Reject
+            regions = labels.astype(np.int8)
+        elif section == "FIELD":
+            cur.next()
+            for _ in range(cur.count()):
+                aname = cur.next()
+                ncomp = cur.count()
+                ntup = cur.count()
+                cur.next()
+                vals = cur.block(ncomp * ntup, np.float64)
+                if aname == "ring_layout":
+                    if vals.size != 2 or not np.all((vals == np.floor(vals)) & (vals > 0) & (vals <= nv)):
+                        raise _Reject
+                    ring_layout = (int(vals[0]), int(vals[1]))
+        elif section == "CELL_DATA":
+            if cur.count() != nf:
+                raise _Reject
+            cur.expect("FIELD")
+            cur.next()
+            for _ in range(cur.count()):
+                aname = cur.next()
+                ncomp = cur.count()
+                if ncomp == 0 or cur.count() != nf:
+                    raise _Reject
+                cur.next()
+                vals = cur.block(ncomp * nf, np.float64)
+                cell_data[aname] = vals.reshape(nf, ncomp) if ncomp > 1 else vals
+        else:
+            raise _Reject
+    return verts, faces, regions, ring_layout, cell_data
+
+
+def load_mesh(path, return_cell_data=False):
+    """Read a mesh file written by :func:`save_mesh`.
+
+    The file is read once, and each numeric section (coordinates, polygons,
+    region labels, each field and cell-data array) is parsed as one array
+    and checked as a whole. A file that this block reader cannot vouch for
+    is parsed again by the token walker, which accepts the same files with
+    the same values and reports the file and line of the first bad token.
+
+    With ``return_cell_data`` the result is ``(mesh, dict)`` where the dict
+    holds any per-face arrays stored in the file.
+    """
+    with open(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            text = ""  # the walker reports it
+    try:
+        verts, faces, regions, ring_layout, cell_data = _read_blocks(text)
+    except _Reject:
+        verts, faces, regions, ring_layout, cell_data = _walk_tokens(path)
     try:
         mesh = QuadMesh(verts, faces, regions, ring_layout)
     except ValueError as exc:

@@ -129,9 +129,12 @@ def _box_overlap_pairs(points):
     Overlapping boxes have centers within the larger box's reach (twice its
     largest half-extent) in the Chebyshev metric, so the larger box of each
     pair finds it. Boxes are grouped by the binary exponent of their reach,
-    and each group queries a k-d tree of all centers out to the group's
-    largest reach: one huge box widens only its own search, never everyone's.
-    An exact test of the padded boxes then drops the pairs that miss.
+    and each group gets a k-d tree of its centers: pairs inside a group come
+    from one ``query_pairs`` out to the group's largest reach, and pairs
+    across groups from the larger group's tree into each smaller group's tree
+    out to the larger group's reach. Every pair is found once, and one huge
+    box widens only its own group's search, never everyone's. An exact test
+    of the padded boxes then drops the pairs that miss.
     """
     lo = points.min(axis=1)
     hi = points.max(axis=1)
@@ -139,18 +142,19 @@ def _box_overlap_pairs(points):
     lo, hi = lo - pad, hi + pad
     center = 0.5 * (lo + hi)
     reach = (hi - lo).max(axis=1)
-    tree = cKDTree(center)
-    found = [np.empty((0, 2), dtype=np.int64)]
     _, group = np.frexp(reach)
+    groups = []  # (ids, tree, largest reach), smallest reach first
     for g in np.unique(group):
         ids = np.flatnonzero(group == g)
-        near = cKDTree(center[ids]).sparse_distance_matrix(
-            tree, reach[ids].max(), p=np.inf, output_type="ndarray"
-        )
-        found.append(np.stack([ids[near["i"]], near["j"]], axis=1))
+        groups.append((ids, cKDTree(center[ids]), reach[ids].max()))
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for k, (ids, tree, r) in enumerate(groups):
+        near = tree.query_pairs(r, p=np.inf, output_type="ndarray")
+        found.append(ids[near])
+        for small_ids, small_tree, _ in groups[:k]:
+            near = tree.sparse_distance_matrix(small_tree, r, p=np.inf, output_type="ndarray")
+            found.append(np.stack([ids[near["i"]], small_ids[near["j"]]], axis=1))
     i, j = np.concatenate(found).T
-    larger = (reach[i] > reach[j]) | ((reach[i] == reach[j]) & (i < j))
-    i, j = i[larger], j[larger]
     hit = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
     return np.sort(np.stack([i[hit], j[hit]], axis=1), axis=1)
 

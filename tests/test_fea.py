@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from conftest import cube_sphere, random_rotation, straight_cylinder
@@ -244,6 +245,61 @@ def test_explicit_end_rings_match_default(tube24):
     a = solve_membrane_stress(tube24, MembraneModel())
     b = solve_membrane_stress(tube24, explicit)
     assert np.array_equal(a.resultants, b.resultants)
+
+
+def _assemble_per_edge(mesh):
+    """The per-edge COO loop _assemble replaced: 12 blocks per element."""
+    f, v = mesh.faces, mesh.vertices
+    t1, _, _ = fea._element_frames(mesh)
+    rows, cols, data = [], [], []
+    for split, corner_ids in enumerate(((0, 1, 2), (0, 2, 3))):
+        tri = f[:, corner_ids]
+        p = v[tri]
+        n_tri = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        n_tri = n_tri / np.linalg.norm(n_tri, axis=1, keepdims=True)
+        t1p = t1 - np.einsum("md,md->m", t1, n_tri)[:, None] * n_tri
+        t1p = t1p / np.linalg.norm(t1p, axis=1, keepdims=True)
+        t2p = np.cross(n_tri, t1p)
+        col0 = 6 * np.arange(len(f)) + 3 * split
+        for k in range(3):
+            edge = p[:, (k + 1) % 3] - p[:, k]
+            length = np.linalg.norm(edge, axis=1)
+            mhat = np.cross(edge / length[:, None], n_tri)
+            m1 = np.einsum("md,md->m", mhat, t1p)
+            m2 = np.einsum("md,md->m", mhat, t2p)
+            coeff = np.stack(
+                [m1[:, None] * t1p, m2[:, None] * t2p, m2[:, None] * t1p + m1[:, None] * t2p],
+                axis=1,
+            )
+            coeff = 0.5 * length[:, None, None] * coeff
+            for endpoint in (tri[:, k], tri[:, (k + 1) % 3]):
+                rows.append((3 * endpoint[:, None, None] + np.arange(3)[None, None, :]).repeat(3, axis=1).ravel())
+                cols.append((col0[:, None, None] + np.arange(3)[None, :, None]).repeat(3, axis=2).ravel())
+                data.append(coeff.ravel())
+    shape = (3 * len(v), 6 * len(f))
+    return coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+
+
+@pytest.mark.parametrize("which", ["tube24", "sphere16", "phantom_patch"])
+def test_corner_assembly_bitwise_equals_per_edge(which, tube24, sphere16, default_phantom):
+    # Each (vertex row, triangle column) entry has exactly two addends, one
+    # per edge at that corner, and a + b == b + a: summing them per corner
+    # before the sparse conversion leaves A bitwise unchanged.
+    if which == "phantom_patch":
+        mesh, _ = default_phantom
+        c = mesh.ring_layout[0]
+        lo, hi = 150 * c, 171 * c  # rings 150..170 of the arch
+        faces = mesh.faces[(mesh.faces >= lo).all(axis=1) & (mesh.faces < hi).all(axis=1)] - lo
+        verts = mesh.vertices[lo:hi] + np.random.default_rng(35).normal(0.0, 0.3, (hi - lo, 3))
+        mesh = QuadMesh(verts, faces, mesh.regions[lo:hi], (c, 21))
+    else:
+        mesh = {"tube24": tube24, "sphere16": sphere16}[which]
+    got, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0])
+    ref = _assemble_per_edge(mesh)
+    assert got.shape == ref.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part))
+        assert getattr(got, part).dtype == getattr(ref, part).dtype
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """Quad mesh container, topology checks, template averaging, VTK-style I/O."""
 
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cube_sphere, straight_cylinder
 
+from aortafit import quadmesh
 from aortafit.quadmesh import (
     REGIONS,
     MeshFileError,
@@ -301,3 +309,228 @@ def test_load_rejects_truncated_file(tmp_path):
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_mesh(str(tmp_path / "absent.vtk"))
+
+
+def test_load_mesh_allocation_stays_near_file_size(tmp_path, default_phantom):
+    # Whole-section arrays peak at about 2.3x the file; a (token, line) list
+    # per token, as the walker builds, at about 14x.
+    mesh, _ = default_phantom
+    path = str(tmp_path / "phantom.vtk")
+    save_mesh(mesh, path)
+    tracemalloc.start()
+    try:
+        back = load_mesh(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * os.path.getsize(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Block reader against the token walker
+# ---------------------------------------------------------------------------
+
+def _save_per_element(mesh, path, cell_data=None, title="aortafit mesh"):
+    """The per-element writer save_mesh replaced: the byte-identity reference."""
+    def fmt(x):
+        return repr(float(x))
+
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA",
+             f"POINTS {mesh.n_vertices} double"]
+    for v in mesh.vertices:
+        lines.append(f"{fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
+    lines.append(f"POLYGONS {mesh.n_faces} {5 * mesh.n_faces}")
+    for f in mesh.faces:
+        lines.append(f"4 {f[0]} {f[1]} {f[2]} {f[3]}")
+    lines += [f"POINT_DATA {mesh.n_vertices}", "SCALARS region int 1", "LOOKUP_TABLE default"]
+    for r in mesh.regions:
+        lines.append(str(int(r)))
+    if mesh.ring_layout is not None:
+        lines += ["FIELD meta 1", "ring_layout 2 1 int", f"{mesh.ring_layout[0]} {mesh.ring_layout[1]}"]
+    if cell_data:
+        lines += [f"CELL_DATA {mesh.n_faces}", f"FIELD celldata {len(cell_data)}"]
+        for name, arr in cell_data.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            ncomp = 1 if arr.ndim == 1 else arr.shape[1]
+            lines.append(f"{name} {ncomp} {mesh.n_faces} double")
+            for row in arr.reshape(mesh.n_faces, -1):
+                lines.append(" ".join(fmt(x) for x in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_save_mesh_bytes_match_per_element_writer(tmp_path, tube24):
+    verts = tube24.vertices * (1.0 / 3.0) + np.array([0.1, -1e-7, 12345.6789])
+    mesh = tube24.with_vertices(verts)
+    rng = np.random.default_rng(34)
+    cell_data = {
+        "one": rng.standard_normal(mesh.n_faces) * 1e-7,
+        "column": rng.uniform(-1, 1, (mesh.n_faces, 1)) / 3.0,
+        "three": rng.standard_normal((mesh.n_faces, 3)) * np.array([1.0, 1e5, 1e-300]),
+    }
+    cell_data["three"][0] = [-0.0, 12345.6789, 1.0 / 3.0]
+    for cd in (None, cell_data):
+        new, old = str(tmp_path / "new.vtk"), str(tmp_path / "old.vtk")
+        save_mesh(mesh, new, cell_data=cd)
+        _save_per_element(mesh, old, cell_data=cd)
+        assert open(new, "rb").read() == open(old, "rb").read()
+    # and without a ring layout
+    save_mesh(_patch_mesh(), new)
+    _save_per_element(_patch_mesh(), old)
+    assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def _outcome(path):
+    """load_mesh's result as (mesh, cell_data), or its exception's type and text."""
+    try:
+        return load_mesh(path, return_cell_data=True)
+    except Exception as exc:  # any failure must be the walker's, word for word
+        return type(exc).__name__, str(exc)
+
+
+def _walked_outcome(path):
+    with mock.patch.object(quadmesh, "_read_blocks", side_effect=quadmesh._Reject):
+        return _outcome(path)
+
+
+def _same_arrays(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_outcome(a, b):
+    if isinstance(a[0], str) or isinstance(b[0], str):
+        return a == b
+    (ma, ca), (mb, cb) = a, b
+    return (_same_arrays(ma.vertices, mb.vertices) and _same_arrays(ma.faces, mb.faces)
+            and _same_arrays(ma.regions, mb.regions) and ma.ring_layout == mb.ring_layout
+            and list(ca) == list(cb) and all(_same_arrays(ca[k], cb[k]) for k in ca))
+
+
+_TRICKY = ["1_0", "\uff11\uff12", "\u0663", "0x10", "0x1p3", "1.5d0", "1,5", "nan", "nan(12)",
+           "-Infinity", "inf", "+1.5", ".5", "-0", "5.", "007", "+3", "1e500", "1e-500", "1e",
+           "-", "+-1", "2.0", "99999999999999999999", "e5", "abc", "4 4", ""]
+_ASCII_SEPARATORS = [" ", "   ", "\t", "\x0b", "\x0c"]
+_OTHER_SEPARATORS = ["\x1c", "\x85", "\xa0", "\u3000"]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structured=st.booleans(),
+    ncomp=st.sampled_from([0, 1, 3]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    sep=st.sampled_from(_ASCII_SEPARATORS + _OTHER_SEPARATORS),
+    per_line=st.integers(1, 7),
+    tricky=st.one_of(st.none(), st.sampled_from(_TRICKY)),
+)
+def test_block_reader_matches_token_walker(seed, structured, ncomp, newline, sep, per_line, tricky):
+    # Rewrapped lines, other line endings and separators, and one token
+    # swapped for a form that float() or int() and np.fromstring may read
+    # differently: whatever the block reader accepts, the walker accepts with
+    # the same arrays, and load_mesh gives exactly what the walker alone gives
+    # (arrays, or the same exception text).
+    rng = np.random.default_rng(seed)
+    base = straight_cylinder(circumferential=4, axial=3, length=10.0) if structured else _patch_mesh()
+    scale = rng.choice([1.0, 1.0 / 3.0, 1e-7, 12345.6789])
+    mesh = QuadMesh(base.vertices * scale + rng.standard_normal(base.vertices.shape),
+                    base.faces, rng.integers(0, len(REGIONS), base.n_vertices), base.ring_layout)
+    cell_data = {"s": rng.standard_normal((mesh.n_faces, ncomp)).squeeze(-1) if ncomp == 1
+                 else rng.standard_normal((mesh.n_faces, ncomp))} if ncomp else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.vtk")
+        save_mesh(mesh, path, cell_data=cell_data)
+        lines = open(path).read().split("\n")
+        tokens = " ".join(lines[4:]).split()
+        if tricky is not None:
+            tokens[rng.integers(len(tokens))] = tricky
+        body = []
+        while tokens:
+            take = int(rng.integers(1, per_line + 1))
+            body.append(rng.choice(["", sep]) + sep.join(tokens[:take]))
+            tokens = tokens[take:]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(newline.join(lines[:4] + body) + newline)
+
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            fast = quadmesh._read_blocks(text)
+        except quadmesh._Reject:
+            fast = None
+        if fast is not None:
+            walked = quadmesh._walk_tokens(path)
+            assert all(_same_arrays(a, b) for a, b in zip(fast[:3], walked[:3]))
+            assert fast[3] == walked[3]
+            assert list(fast[4]) == list(walked[4])
+            assert all(_same_arrays(fast[4][k], walked[4][k]) for k in fast[4])
+        elif tricky is None and sep in _ASCII_SEPARATORS:
+            pytest.fail("block reader rejected a valid file")
+        assert _same_outcome(_outcome(path), _walked_outcome(path))
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (12, "POLYGONS 3 14", "POLYGONS size total 14 != 15"),
+    (13, "4 0 1 99 3", "m.vtk:13: vertex index 99 out of range 0..5 in face 0"),
+    (13, "4 0 -1 4 3", "m.vtk:13: vertex index -1 out of range 0..5 in face 0"),
+    (14, "3 1 2 5 4", "m.vtk:14: non-quad cell of size 3 at face 1"),
+    (16, "POINT_DATA 5", "m.vtk:16: POINT_DATA count 5 != 6 vertices"),
+    (19, "4", "m.vtk:19: region label 4 out of range 0..3"),
+    (19, "-1", "m.vtk:19: region label -1 out of range 0..3"),
+    (27, "2.5 2", "m.vtk:27: ring_layout must hold 2 integers in 1..6, got [2.5, 2.0]"),
+    (27, "3 7", "m.vtk:27: ring_layout must hold 2 integers in 1..6, got [3.0, 7.0]"),
+    (27, "0 2", "m.vtk:27: ring_layout must hold 2 integers in 1..6, got [0.0, 2.0]"),
+    (28, "CELL_DATA 2", "m.vtk:28: CELL_DATA count 2 != 3 faces"),
+    (30, "s 1 2 double", "m.vtk:30: cell array 's' has 2 tuples, mesh has 3 faces"),
+    (34, "FIELD extra 1\nx 1 1 double\n", "unexpected end of file, expected field value"),
+    (34, "FIELD extra 2\nx 1 1 double\n5.0y 1 1 double 6.0", "m.vtk:36: expected field value, got '5.0y'"),
+])
+def test_block_reader_failures_give_walker_message(tmp_path, line, text, message):
+    # Every whole-array check of the block reader rejects, and the walker
+    # then reports the first bad token with its line, as it always has. The
+    # last two cases are a one-value block with nothing left in the file but
+    # whitespace, which np.fromstring would read as one value, and a number
+    # run that stops inside a token.
+    path = str(tmp_path / "m.vtk")
+    mesh = straight_cylinder(circumferential=3, axial=2, length=5.0)
+    save_mesh(mesh, path, cell_data={"s": np.arange(3.0)})
+    lines = open(path).read().split("\n")
+    lines[line - 1] = text
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    with pytest.raises(quadmesh._Reject):
+        quadmesh._read_blocks(open(path).read())
+    got = _outcome(path)
+    assert got == _walked_outcome(path)
+    assert got[0] == "MeshFileError" and message in got[1]
+
+
+@pytest.mark.parametrize("token, fast", [
+    ("+1.5", True), (".5", True), ("-0", True), ("5.", True), ("1e-500", True), ("007", True),
+    ("1_0", False), ("\uff11\uff12", False), ("nan", False), ("-Infinity", False),
+    ("0x10", False), ("0x1p3", False), ("1.5d0", False), ("1,5", False), ("nan(12)", False),
+])
+def test_block_reader_token_forms(tmp_path, token, fast):
+    # A coordinate the block reader takes is read bit for bit as float() reads
+    # it; every other form goes to the walker, which accepts 1_0 and
+    # full-width digits (as float() does) and names the line of the rest.
+    path = str(tmp_path / "m.vtk")
+    save_mesh(_patch_mesh(), path)
+    lines = open(path).read().split("\n")
+    lines[5] = " ".join([token] + lines[5].split()[1:])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if fast:
+        verts = quadmesh._read_blocks(text)[0]
+        assert np.float64(float(token)).tobytes() == verts[0, 0].tobytes()
+    else:
+        with pytest.raises(quadmesh._Reject):
+            quadmesh._read_blocks(text)
+    assert _same_outcome(_outcome(path), _walked_outcome(path))
+    try:
+        float(token)
+    except ValueError:
+        with pytest.raises(MeshFileError, match=r"m\.vtk:6: expected coordinate"):
+            load_mesh(path)

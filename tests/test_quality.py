@@ -256,6 +256,11 @@ class _CountingTree(cKDTree):
         _CountingTree.found += len(out)
         return out
 
+    def query_pairs(self, *args, **kwargs):
+        out = super().query_pairs(*args, **kwargs)
+        _CountingTree.found += len(out)
+        return out
+
 
 @pytest.mark.parametrize("spike_mm", [3.0, 60.0])
 def test_spiked_phantom_broad_phase_stays_local(default_phantom, monkeypatch, spike_mm):
