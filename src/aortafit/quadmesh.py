@@ -30,9 +30,12 @@ File format (legacy VTK-style ASCII polydata)
     <name> <ncomp> <nf> double
     <values> ...
 
-Numbers may be split across lines arbitrarily. The reader parses each
-numeric section as one array; on a file it cannot vouch for, a token walker
-parses again and reports the line of the offending token on error.
+Numbers may be split across lines arbitrarily; a number is what Python's
+``float()`` (``int()`` for counts, polygons and labels) accepts. One reader
+walks the file: it parses each numeric section with one ``np.fromstring``
+call and checks it as a whole, and re-reads a section token by token only to
+read forms that call does not take or to name the line of the first bad
+token.
 """
 
 from __future__ import annotations
@@ -278,320 +281,217 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
     return path
 
 
-class _Tokens:
-    """Whitespace token stream with line numbers for error context."""
+_NUMERIC_RUN = re.compile(r"[\s0-9eE.+-]*")
+_TOKEN = re.compile(r"\S+")
 
-    def __init__(self, path):
+
+class _Cursor:
+    """Position in a mesh file's text; reads tokens, counts and numeric blocks.
+
+    Every error names the file and, except at the end of the file, the line
+    of the offending token.
+    """
+
+    def __init__(self, path, text, pos):
         self.path = path
-        self.toks = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                for tok in line.split():
-                    self.toks.append((tok, lineno))
-        self.pos = 0
-        self.last_line = 0
+        self.text = text
+        self.pos = pos
 
-    def peek(self):
-        if self.pos >= len(self.toks):
-            return None
-        return self.toks[self.pos][0]
+    def error(self, msg, at=None):
+        """Raise MeshFileError on the line of offset ``at``, by default of the last token read."""
+        if at is None:
+            at = self.pos
+            while self.text[at - 1].isspace():  # a block's run may end in blank lines
+                at -= 1
+        line = self.text.count("\n", 0, at) + 1
+        raise MeshFileError(f"{self.path}:{line}: {msg}")
 
-    def next(self, what="token"):
-        if self.pos >= len(self.toks):
+    def more(self):
+        return _TOKEN.search(self.text, self.pos) is not None
+
+    def next(self, what):
+        m = _TOKEN.search(self.text, self.pos)
+        if m is None:
             raise MeshFileError(f"{self.path}: unexpected end of file, expected {what}")
-        tok, line = self.toks[self.pos]
-        self.pos += 1
-        self.last_line = line
-        return tok
-
-    def error(self, msg):
-        raise MeshFileError(f"{self.path}:{self.last_line}: {msg}")
+        self.pos = m.end()
+        return m.group()
 
     def expect(self, literal):
         tok = self.next(literal)
         if tok != literal:
             self.error(f"expected {literal!r}, got {tok!r}")
 
-    def next_int(self, what="integer"):
+    def number(self, what, least=None):
+        """The next token as an integer, at least ``least`` when given."""
         tok = self.next(what)
         try:
-            return int(tok)
+            value = int(tok)
+            if least is None or value >= least:
+                return value
         except ValueError:
-            self.error(f"expected {what}, got {tok!r}")
+            pass
+        self.error(f"expected {what}, got {tok!r}")
 
-    def next_float(self, what="number"):
-        tok = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            self.error(f"expected {what}, got {tok!r}")
+    def block(self, count, kind, whats, check=None):
+        """The next ``count`` numbers as one array of ``kind`` (``int`` or ``float``).
+
+        A number is what ``kind(token)`` accepts. The value at position ``p``
+        is named ``whats[p % len(whats)]``. ``check(values)`` returns None or
+        the first bad position and its message. One ``np.fromstring`` call
+        reads the run of digits, signs, points, ``e`` and ``E`` from the
+        cursor. When that run stops inside a token, does not hold exactly
+        ``count`` values, fails ``check``, or holds a sign in an integer
+        section (``np.fromstring`` reads a lone sign there as part of the next
+        integer, or as 0 at the end), the tokens are read again one by one,
+        and the first bad one in file order is reported on its line.
+        """
+        if count <= 0:
+            return np.zeros(0, dtype=kind)
+        text, start = self.text, self.pos
+        end = _NUMERIC_RUN.match(text, start).end()
+        span = text[start:end]
+        if ((end == len(text) or text[end - 1].isspace()) and not span.isspace()
+                and not (kind is int and ("-" in span or "+" in span))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns on a partial parse
+                try:
+                    values = np.fromstring(span, dtype=kind, sep=" ")
+                except (ValueError, DeprecationWarning):
+                    values = None
+            if values is not None and values.size == count and (check is None or check(values) is None):
+                self.pos = end
+                return values
+        values, starts, fault = [], [], None
+        for m in _TOKEN.finditer(text, start):
+            try:
+                values.append(kind(m.group()))
+            except ValueError:
+                fault = m.start(), f"expected {whats[len(values) % len(whats)]}, got {m.group()!r}"
+                break
+            starts.append(m.start())
+            self.pos = m.end()
+            if len(values) == count:
+                break
+        bad = check(np.array(values, dtype=object)) if check else None
+        if bad is not None:
+            self.error(bad[1], starts[bad[0]])
+        if fault is not None:
+            self.error(fault[1], fault[0])
+        if len(values) < count:
+            raise MeshFileError(f"{self.path}: unexpected end of file, "
+                                f"expected {whats[len(values) % len(whats)]}")
+        return np.array(values, dtype=kind)
 
 
-def _walk_tokens(path):
-    """Parse a mesh file token by token: the reference grammar and the error path.
+def _first_bad(bad, message):
+    """``(p, message(p))`` for the first true ``p`` in ``bad``, or None."""
+    hits = np.flatnonzero(bad)
+    return (int(hits[0]), message(int(hits[0]))) if hits.size else None
 
-    Returns (vertices, faces, regions, ring_layout, cell_data). Raises
-    MeshFileError naming the file and the line of the first bad token.
-    """
-    # The two header lines are free text; skip them by raw line count.
-    with open(path) as fh:
-        header = [fh.readline() for _ in range(4)]
-    if not header[0].startswith("# vtk DataFile"):
+
+def _parse(path, text):
+    """Parse a mesh file's text into (vertices, faces, regions, ring_layout, cell_data)."""
+    # The title line is free text, so the header is four raw lines.
+    lines, pos = [], 0
+    for _ in range(4):
+        stop = text.find("\n", pos) + 1 or len(text)
+        lines.append(text[pos:stop])
+        pos = stop
+    if not lines[0].startswith("# vtk DataFile"):
         raise MeshFileError(f"{path}:1: not a VTK-style mesh file")
-    if header[2].strip() != "ASCII":
+    if lines[2].strip() != "ASCII":
         raise MeshFileError(f"{path}:3: only ASCII files are supported")
-    if header[3].strip() != "DATASET POLYDATA":
+    if lines[3].strip() != "DATASET POLYDATA":
         raise MeshFileError(f"{path}:4: expected DATASET POLYDATA")
+    cur = _Cursor(path, text, pos)
 
-    toks = _Tokens(path)
-    # Skip tokens belonging to the 4 header lines.
-    while toks.pos < len(toks.toks) and toks.toks[toks.pos][1] <= 4:
-        toks.pos += 1
+    cur.expect("POINTS")
+    nv = cur.number("vertex count", least=0)
+    cur.next("point dtype")
+    verts = cur.block(3 * nv, float, ("coordinate",)).reshape(nv, 3)
 
-    toks.expect("POINTS")
-    nv = toks.next_int("vertex count")
-    toks.next("point dtype")
-    verts = np.empty((nv, 3), dtype=np.float64)
-    for i in range(nv):
-        for k in range(3):
-            verts[i, k] = toks.next_float("coordinate")
+    def check_cells(v):
+        bad = (v < 0) | (v >= nv)
+        bad[::5] = v[::5] != 4
 
-    toks.expect("POLYGONS")
-    nf = toks.next_int("face count")
-    total = toks.next_int("polygon size total")
-    faces = np.empty((nf, 4), dtype=np.int64)
-    for i in range(nf):
-        sz = toks.next_int("cell size")
-        if sz != 4:
-            toks.error(f"non-quad cell of size {sz} at face {i}")
-        for k in range(4):
-            idx = toks.next_int("vertex index")
-            if not 0 <= idx < nv:
-                toks.error(f"vertex index {idx} out of range 0..{nv - 1} in face {i}")
-            faces[i, k] = idx
+        def message(p):
+            if p % 5 == 0:
+                return f"non-quad cell of size {v[p]} at face {p // 5}"
+            return f"vertex index {v[p]} out of range 0..{nv - 1} in face {p // 5}"
+        return _first_bad(bad, message)
+
+    cur.expect("POLYGONS")
+    nf = cur.number("face count", least=0)
+    total = cur.number("polygon size total")
+    cells = cur.block(5 * nf, int, ("cell size",) + ("vertex index",) * 4, check_cells)
+    faces = np.ascontiguousarray(cells.reshape(nf, 5)[:, 1:])
     if total != 5 * nf:
         raise MeshFileError(f"{path}: POLYGONS size total {total} != {5 * nf}")
 
-    regions = np.zeros(nv, dtype=np.int8)
-    ring_layout = None
-    cell_data = {}
-    while toks.peek() is not None:
-        section = toks.next("section")
-        if section == "POINT_DATA":
-            count = toks.next_int("point data count")
-            if count != nv:
-                toks.error(f"POINT_DATA count {count} != {nv} vertices")
-            toks.expect("SCALARS")
-            name = toks.next("scalar name")
-            if name != "region":
-                toks.error(f"expected point scalars 'region', got {name!r}")
-            toks.next("scalar dtype")
-            toks.next("scalar ncomp")
-            toks.expect("LOOKUP_TABLE")
-            toks.next("lookup table name")
-            for i in range(nv):
-                label = toks.next_int("region label")
-                if not 0 <= label < len(REGIONS):
-                    toks.error(f"region label {label} out of range 0..{len(REGIONS) - 1}")
-                regions[i] = label
-        elif section == "FIELD":
-            toks.next("field name")
-            narr = toks.next_int("field array count")
-            for _ in range(narr):
-                aname = toks.next("array name")
-                ncomp = toks.next_int("array ncomp")
-                ntup = toks.next_int("array ntuples")
-                toks.next("array dtype")
-                vals = [toks.next_float("field value") for _ in range(ncomp * ntup)]
-                if aname == "ring_layout":
-                    if len(vals) != 2 or not all(x.is_integer() and 0 < x <= nv for x in vals):
-                        toks.error(f"ring_layout must hold 2 integers in 1..{nv}, got {vals}")
-                    ring_layout = (int(vals[0]), int(vals[1]))
-        elif section == "CELL_DATA":
-            count = toks.next_int("cell data count")
-            if count != nf:
-                toks.error(f"CELL_DATA count {count} != {nf} faces")
-            toks.expect("FIELD")
-            toks.next("field name")
-            narr = toks.next_int("field array count")
-            for _ in range(narr):
-                aname = toks.next("array name")
-                ncomp = toks.next_int("array ncomp")
-                ntup = toks.next_int("array ntuples")
-                if ntup != nf:
-                    toks.error(f"cell array {aname!r} has {ntup} tuples, mesh has {nf} faces")
-                toks.next("array dtype")
-                arr = np.empty(ncomp * ntup, dtype=np.float64)
-                for i in range(arr.size):
-                    arr[i] = toks.next_float("cell value")
-                cell_data[aname] = arr.reshape(ntup, ncomp) if ncomp > 1 else arr.reshape(ntup)
-        else:
-            toks.error(f"unknown section {section!r}")
-
-    return verts, faces, regions, ring_layout, cell_data
-
-
-_NUMERIC_RUN = re.compile(r"[\s0-9eE.+-]*")
-_TOKEN = re.compile(r"\S+")
-
-
-class _Reject(Exception):
-    """The block reader cannot vouch for a file; the token walker decides."""
-
-
-class _Blocks:
-    """Cursor over a mesh file's text that reads each numeric run as one array.
-
-    Any token or value the walker might read differently raises _Reject.
-    """
-
-    def __init__(self, text, pos):
-        self.text = text
-        self.pos = pos
-
-    def more(self):
-        return _TOKEN.search(self.text, self.pos) is not None
-
-    def next(self):
-        m = _TOKEN.search(self.text, self.pos)
-        if m is None:
-            raise _Reject
-        self.pos = m.end()
-        return m.group()
-
-    def expect(self, literal):
-        if self.next() != literal:
-            raise _Reject
-
-    def count(self):
-        """The next token as a nonnegative integer."""
-        try:
-            n = int(self.next())
-        except ValueError:
-            raise _Reject from None
-        if n < 0:
-            raise _Reject
-        return n
-
-    def block(self, count, dtype):
-        """The next ``count`` tokens as one array, from one ``np.fromstring`` call.
-
-        The span is the run of digits, signs, points, ``e`` and ``E`` from the
-        cursor. It must end at a token boundary and hold exactly ``count``
-        values. Files outside that (``nan``, ``inf``, ``1_0``, non-ASCII
-        digits, a numeric-looking array name right after a block) go to the
-        walker.
-        """
-        if count == 0:
-            return np.zeros(0, dtype=dtype)
-        text, start = self.text, self.pos
-        end = _NUMERIC_RUN.match(text, start).end()
-        if end < len(text) and not text[end - 1].isspace():
-            raise _Reject  # the run stops inside a token
-        span = text[start:end]
-        if not span or span.isspace():  # fromstring(" ") would give one value
-            raise _Reject
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns on a partial parse
-            try:
-                values = np.fromstring(span, dtype=dtype, sep=" ")
-            except (ValueError, DeprecationWarning):
-                raise _Reject from None
-        if values.size != count:
-            raise _Reject
-        self.pos = end
-        return values
-
-
-def _read_blocks(text):
-    """Parse a mesh file's text with the walker's grammar, one array per section.
-
-    Returns what :func:`_walk_tokens` returns for the same file, with equal
-    arrays of equal dtypes, or raises _Reject. Counts and ranges are checked
-    on whole arrays: cell size 4, vertex indices in 0..nv-1, region labels in
-    0..3, and ring_layout as 2 integers in 1..nv.
-    """
-    pos = -1
-    for _ in range(4):
-        pos = text.find("\n", pos + 1)
-        if pos < 0:
-            raise _Reject
-    header = text[:pos].split("\n")
-    if (not header[0].startswith("# vtk DataFile") or header[2].strip() != "ASCII"
-            or header[3].strip() != "DATASET POLYDATA"):
-        raise _Reject
-    cur = _Blocks(text, pos + 1)
-
-    cur.expect("POINTS")
-    nv = cur.count()
-    cur.next()
-    verts = cur.block(3 * nv, np.float64).reshape(nv, 3)
-
-    cur.expect("POLYGONS")
-    nf = cur.count()
-    if cur.count() != 5 * nf:
-        raise _Reject
-    cells = cur.block(5 * nf, np.int64).reshape(nf, 5)
-    faces = np.ascontiguousarray(cells[:, 1:])
-    if nf and ((cells[:, 0] != 4).any() or faces.min() < 0 or faces.max() >= nv):
-        raise _Reject
+    def check_labels(v):
+        return _first_bad((v < 0) | (v >= len(REGIONS)),
+                          lambda p: f"region label {v[p]} out of range 0..{len(REGIONS) - 1}")
 
     regions = np.zeros(nv, dtype=np.int8)
     ring_layout = None
     cell_data = {}
     while cur.more():
-        section = cur.next()
+        section = cur.next("section")
         if section == "POINT_DATA":
-            if cur.count() != nv:
-                raise _Reject
+            count = cur.number("point data count")
+            if count != nv:
+                cur.error(f"POINT_DATA count {count} != {nv} vertices")
             cur.expect("SCALARS")
-            cur.expect("region")
-            cur.next()
-            cur.next()
+            name = cur.next("scalar name")
+            if name != "region":
+                cur.error(f"expected point scalars 'region', got {name!r}")
+            cur.next("scalar dtype")
+            cur.next("scalar ncomp")
             cur.expect("LOOKUP_TABLE")
-            cur.next()
-            labels = cur.block(nv, np.int64)
-            if nv and (labels.min() < 0 or labels.max() >= len(REGIONS)):
-                raise _Reject
-            regions = labels.astype(np.int8)
+            cur.next("lookup table name")
+            regions = cur.block(nv, int, ("region label",), check_labels).astype(np.int8)
         elif section == "FIELD":
-            cur.next()
-            for _ in range(cur.count()):
-                aname = cur.next()
-                ncomp = cur.count()
-                ntup = cur.count()
-                cur.next()
-                vals = cur.block(ncomp * ntup, np.float64)
+            cur.next("field name")
+            for _ in range(cur.number("field array count")):
+                aname = cur.next("array name")
+                ncomp = cur.number("array ncomp")
+                ntup = cur.number("array ntuples")
+                cur.next("array dtype")
+                vals = cur.block(ncomp * ntup, float, ("field value",))
                 if aname == "ring_layout":
                     if vals.size != 2 or not np.all((vals == np.floor(vals)) & (vals > 0) & (vals <= nv)):
-                        raise _Reject
+                        cur.error(f"ring_layout must hold 2 integers in 1..{nv}, got {vals.tolist()}")
                     ring_layout = (int(vals[0]), int(vals[1]))
         elif section == "CELL_DATA":
-            if cur.count() != nf:
-                raise _Reject
+            count = cur.number("cell data count")
+            if count != nf:
+                cur.error(f"CELL_DATA count {count} != {nf} faces")
             cur.expect("FIELD")
-            cur.next()
-            for _ in range(cur.count()):
-                aname = cur.next()
-                ncomp = cur.count()
-                if ncomp == 0 or cur.count() != nf:
-                    raise _Reject
-                cur.next()
-                vals = cur.block(ncomp * nf, np.float64)
+            cur.next("field name")
+            for _ in range(cur.number("field array count")):
+                aname = cur.next("array name")
+                ncomp = cur.number("array ncomp", least=1)
+                ntup = cur.number("array ntuples")
+                if ntup != nf:
+                    cur.error(f"cell array {aname!r} has {ntup} tuples, mesh has {nf} faces")
+                cur.next("array dtype")
+                vals = cur.block(ncomp * nf, float, ("cell value",))
                 cell_data[aname] = vals.reshape(nf, ncomp) if ncomp > 1 else vals
         else:
-            raise _Reject
+            cur.error(f"unknown section {section!r}")
     return verts, faces, regions, ring_layout, cell_data
 
 
 def load_mesh(path, return_cell_data=False):
     """Read a mesh file written by :func:`save_mesh`.
 
-    The file is read once, and each numeric section (coordinates, polygons,
+    The file is read once. Each numeric section (coordinates, polygons,
     region labels, each field and cell-data array) is parsed as one array
-    and checked as a whole. A file that this block reader cannot vouch for
-    is parsed again by the token walker, which accepts the same files with
-    the same values and reports the file and line of the first bad token.
+    and checked as a whole: cell size 4, vertex indices in 0..nv-1, region
+    labels in 0..3, ring_layout as 2 integers in 1..nv. A number is what
+    Python's ``float()`` (``int()`` for polygons and labels) accepts. On a
+    bad or missing token the error names the file and the line of the first
+    bad token; a file that is not text names the file.
 
     With ``return_cell_data`` the result is ``(mesh, dict)`` where the dict
     holds any per-face arrays stored in the file.
@@ -599,12 +499,9 @@ def load_mesh(path, return_cell_data=False):
     with open(path) as fh:
         try:
             text = fh.read()
-        except UnicodeDecodeError:
-            text = ""  # the walker reports it
-    try:
-        verts, faces, regions, ring_layout, cell_data = _read_blocks(text)
-    except _Reject:
-        verts, faces, regions, ring_layout, cell_data = _walk_tokens(path)
+        except UnicodeDecodeError as exc:
+            raise MeshFileError(f"{path}: not a text file: {exc}") from None
+    verts, faces, regions, ring_layout, cell_data = _parse(path, text)
     try:
         mesh = QuadMesh(verts, faces, regions, ring_layout)
     except ValueError as exc:

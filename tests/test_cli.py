@@ -1,10 +1,15 @@
 """Command-line interface: config handling, subcommands, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bulged_cylinder, straight_cylinder
 
@@ -386,6 +391,72 @@ def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command
     assert message in err
     if section != "POINTS":
         assert f"bad.vtk:{first + 1}:" in err  # file and line of the bad value
+
+
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("POINTS 6", "POINTS 100000000000", "bad.vtk:12: expected coordinate, got 'POLYGONS'",
+                 id="points_huge"),
+    pytest.param("POLYGONS 3 15", "POLYGONS 100000000000 500000000000",
+                 "bad.vtk:16: expected cell size, got 'POINT_DATA'", id="polygons_huge"),
+    pytest.param("s 1 3", "s 100000000000 3", "bad.vtk: unexpected end of file, expected cell value",
+                 id="ncomp_huge"),
+    pytest.param("POINTS 6", "POINTS -1", "bad.vtk:5: expected vertex count, got '-1'", id="points_negative"),
+    pytest.param("POLYGONS 3 15", "POLYGONS -1 -5", "bad.vtk:12: expected face count, got '-1'",
+                 id="polygons_negative"),
+    pytest.param("s 1 3", "s 0 3", "bad.vtk:30: expected array ncomp, got '0'", id="ncomp_zero"),
+    pytest.param("s 1 3", "s -2 3", "bad.vtk:30: expected array ncomp, got '-2'", id="ncomp_negative"),
+])
+def test_exit_code_2_bad_mesh_count(tmp_path, capsys, old, new, message):
+    # A count the file does not back with numbers is an input error naming
+    # the file, not a MemoryError or a bare numpy message: nothing is
+    # allocated before its values are parsed.
+    bad = tmp_path / "bad.vtk"
+    save_mesh(straight_cylinder(circumferential=3, axial=2, length=5.0), str(bad),
+              cell_data={"s": np.arange(3.0)})
+    bad.write_text(bad.read_text().replace(old, new, 1))
+    assert main(["quality", "--mesh", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edits=st.lists(st.sampled_from(["count", "truncate", "swap"]),
+                                                      min_size=1, max_size=3))
+def test_quality_exit_code_under_mesh_fuzz(seed, edits):
+    # Header counts set to 0, negative or 10^11, truncated files and swapped
+    # tokens: quality exits 0 or 2, with one stderr line on 2, and nothing
+    # escapes main.
+    rng = np.random.default_rng(seed)
+    mesh = straight_cylinder(circumferential=4, axial=3, length=10.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.vtk")
+        save_mesh(mesh, path, cell_data={"s": rng.standard_normal((mesh.n_faces, 2))})
+        lines = open(path).read().split("\n")
+        tokens = " ".join(lines[4:]).split()
+        for edit in edits:
+            if edit == "count":
+                # the one or two counts after a section keyword, field name or array name
+                counts = [i + 1 for i, tok in enumerate(tokens[:-2]) if tok in (
+                    "POINTS", "POLYGONS", "POINT_DATA", "CELL_DATA", "meta", "celldata", "ring_layout", "s")]
+                counts += [i + 2 for i, tok in enumerate(tokens[:-2]) if tok in ("POLYGONS", "ring_layout", "s")]
+                tokens[rng.choice(counts)] = str(rng.choice(["0", "-1", "-7", "100000000000"]))
+            elif edit == "swap":
+                i, j = rng.integers(len(tokens), size=2)
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+        text = "\n".join(lines[:4] + tokens) + "\n"
+        if "truncate" in edits:
+            text = text[:rng.integers(len(text))]
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["quality", "--mesh", path])
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert "m.vtk" in err.getvalue()
 
 
 @pytest.mark.parametrize("command, setting", [

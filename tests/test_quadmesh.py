@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import cube_sphere, straight_cylinder
 
-from aortafit import quadmesh
 from aortafit.quadmesh import (
     REGIONS,
     MeshFileError,
@@ -294,6 +293,10 @@ def test_load_rejects_bad_header(tmp_path):
     p.write_text("this is not a mesh\n")
     with pytest.raises(MeshFileError):
         load_mesh(str(p))
+    # A binary file is a mesh file error that names the file, not a codec error.
+    p.write_bytes(b"# vtk DataFile Version 3.0\n\xff\xfe\x00\x01binary\n")
+    with pytest.raises(MeshFileError, match="junk.vtk: not a text file"):
+        load_mesh(str(p))
 
 
 def test_load_rejects_truncated_file(tmp_path):
@@ -328,7 +331,7 @@ def test_load_mesh_allocation_stays_near_file_size(tmp_path, default_phantom):
 
 
 # ---------------------------------------------------------------------------
-# Block reader against the token walker
+# Reader: layouts, number forms and error messages
 # ---------------------------------------------------------------------------
 
 def _save_per_element(mesh, path, cell_data=None, title="aortafit mesh"):
@@ -385,31 +388,17 @@ def _outcome(path):
     """load_mesh's result as (mesh, cell_data), or its exception's type and text."""
     try:
         return load_mesh(path, return_cell_data=True)
-    except Exception as exc:  # any failure must be the walker's, word for word
+    except Exception as exc:  # any failure must be a MeshFileError naming the file
         return type(exc).__name__, str(exc)
-
-
-def _walked_outcome(path):
-    with mock.patch.object(quadmesh, "_read_blocks", side_effect=quadmesh._Reject):
-        return _outcome(path)
 
 
 def _same_arrays(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _same_outcome(a, b):
-    if isinstance(a[0], str) or isinstance(b[0], str):
-        return a == b
-    (ma, ca), (mb, cb) = a, b
-    return (_same_arrays(ma.vertices, mb.vertices) and _same_arrays(ma.faces, mb.faces)
-            and _same_arrays(ma.regions, mb.regions) and ma.ring_layout == mb.ring_layout
-            and list(ca) == list(cb) and all(_same_arrays(ca[k], cb[k]) for k in ca))
-
-
 _TRICKY = ["1_0", "\uff11\uff12", "\u0663", "0x10", "0x1p3", "1.5d0", "1,5", "nan", "nan(12)",
            "-Infinity", "inf", "+1.5", ".5", "-0", "5.", "007", "+3", "1e500", "1e-500", "1e",
-           "-", "+-1", "2.0", "99999999999999999999", "e5", "abc", "4 4", ""]
+           "-", "+", "+-1", "2.0", "99999999999999999999", "e5", "abc", "4 4", ""]
 _ASCII_SEPARATORS = [" ", "   ", "\t", "\x0b", "\x0c"]
 _OTHER_SEPARATORS = ["\x1c", "\x85", "\xa0", "\u3000"]
 
@@ -424,49 +413,88 @@ _OTHER_SEPARATORS = ["\x1c", "\x85", "\xa0", "\u3000"]
     per_line=st.integers(1, 7),
     tricky=st.one_of(st.none(), st.sampled_from(_TRICKY)),
 )
-def test_block_reader_matches_token_walker(seed, structured, ncomp, newline, sep, per_line, tricky):
-    # Rewrapped lines, other line endings and separators, and one token
-    # swapped for a form that float() or int() and np.fromstring may read
-    # differently: whatever the block reader accepts, the walker accepts with
-    # the same arrays, and load_mesh gives exactly what the walker alone gives
-    # (arrays, or the same exception text).
+def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
+        seed, structured, ncomp, newline, sep, per_line, tricky):
+    # Rewrapped lines, other line endings and other separators load the saved
+    # arrays bit for bit. One number swapped for a form that float() or int()
+    # and np.fromstring may read differently loads as float(tok) or int(tok)
+    # at that place, or raises MeshFileError naming that token's line (or the
+    # file, when the mesh itself is invalid). Zero or two tokens in place of
+    # one shift every later token, which no file layout absorbs.
     rng = np.random.default_rng(seed)
     base = straight_cylinder(circumferential=4, axial=3, length=10.0) if structured else _patch_mesh()
     scale = rng.choice([1.0, 1.0 / 3.0, 1e-7, 12345.6789])
     mesh = QuadMesh(base.vertices * scale + rng.standard_normal(base.vertices.shape),
                     base.faces, rng.integers(0, len(REGIONS), base.n_vertices), base.ring_layout)
-    cell_data = {"s": rng.standard_normal((mesh.n_faces, ncomp)).squeeze(-1) if ncomp == 1
-                 else rng.standard_normal((mesh.n_faces, ncomp))} if ncomp else None
+    values = rng.standard_normal((mesh.n_faces, ncomp))
+    cell_data = {"s": values.squeeze(-1) if ncomp == 1 else values} if ncomp else None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.vtk")
         save_mesh(mesh, path, cell_data=cell_data)
         lines = open(path).read().split("\n")
         tokens = " ".join(lines[4:]).split()
+        # Where each saved array's numbers start among the body tokens.
+        arrays = {"POINTS": mesh.vertices.copy(), "POLYGONS": np.hstack([np.full((mesh.n_faces, 1), 4), mesh.faces]),
+                  "LOOKUP_TABLE": mesh.regions.astype(np.int64)}
+        if mesh.ring_layout is not None:
+            arrays["ring_layout"] = np.array(mesh.ring_layout, dtype=np.float64)
+        if cell_data:
+            arrays["s"] = values.copy()
+        first = {"POINTS": 3, "POLYGONS": 3, "LOOKUP_TABLE": 2, "ring_layout": 4, "s": 4}
+        slots = [(name, i, tokens.index(name) + first[name] + i)
+                 for name, arr in arrays.items() for i in range(arr.size)]
         if tricky is not None:
-            tokens[rng.integers(len(tokens))] = tricky
-        body = []
-        while tokens:
+            name, i, at = slots[rng.integers(len(slots))]
+            tokens[at] = tricky
+        body, line_of = [], []
+        while len(line_of) < len(tokens):
             take = int(rng.integers(1, per_line + 1))
-            body.append(rng.choice(["", sep]) + sep.join(tokens[:take]))
-            tokens = tokens[take:]
+            row = tokens[len(line_of):len(line_of) + take]
+            body.append(rng.choice(["", sep]) + sep.join(row))
+            line_of += [5 + len(body) - 1] * len(row)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(newline.join(lines[:4] + body) + newline)
+        got = _outcome(path)
 
-        with open(path) as fh:
-            text = fh.read()
+        if tricky is not None and len(tricky.split()) != 1:
+            assert got[0] == "MeshFileError"
+            return
+        if tricky is not None:
+            kind = int if name in ("POLYGONS", "LOOKUP_TABLE") else float
+            nv = mesh.n_vertices
+            try:
+                value = kind(tricky)
+            except ValueError:
+                assert got[0] == "MeshFileError" and f"m.vtk:{line_of[at]}: expected " in got[1]
+                assert got[1].endswith(f", got {tricky!r}")
+                return
+            if name == "POLYGONS":
+                in_range = value == 4 if i % 5 == 0 else 0 <= value < nv
+            elif name == "LOOKUP_TABLE":
+                in_range = 0 <= value < len(REGIONS)
+            elif name == "ring_layout":
+                in_range = value.is_integer() and 0 < value <= nv
+            else:
+                in_range = True
+            if not in_range:
+                assert got[0] == "MeshFileError" and f"m.vtk:{line_of[at]}: " in got[1]
+                return
+            arrays[name].flat[i] = value
+        ring = arrays.get("ring_layout")
         try:
-            fast = quadmesh._read_blocks(text)
-        except quadmesh._Reject:
-            fast = None
-        if fast is not None:
-            walked = quadmesh._walk_tokens(path)
-            assert all(_same_arrays(a, b) for a, b in zip(fast[:3], walked[:3]))
-            assert fast[3] == walked[3]
-            assert list(fast[4]) == list(walked[4])
-            assert all(_same_arrays(fast[4][k], walked[4][k]) for k in fast[4])
-        elif tricky is None and sep in _ASCII_SEPARATORS:
-            pytest.fail("block reader rejected a valid file")
-        assert _same_outcome(_outcome(path), _walked_outcome(path))
+            want = QuadMesh(arrays["POINTS"], arrays["POLYGONS"][:, 1:], arrays["LOOKUP_TABLE"],
+                            None if ring is None else tuple(int(x) for x in ring))
+        except ValueError as exc:
+            assert got == ("MeshFileError", f"{path}: {exc}")
+            return
+        assert not isinstance(got[0], str), got
+        back, back_cd = got
+        assert all(_same_arrays(getattr(back, a), getattr(want, a)) for a in ("vertices", "faces", "regions"))
+        assert back.ring_layout == want.ring_layout
+        assert list(back_cd) == (["s"] if cell_data else [])
+        if cell_data:
+            want_cd = arrays["s"].squeeze(-1) if ncomp == 1 else arrays["s"]
+            assert _same_arrays(back_cd["s"], want_cd)
 
 
 @pytest.mark.parametrize("line, text, message", [
@@ -484,13 +512,19 @@ def test_block_reader_matches_token_walker(seed, structured, ncomp, newline, sep
     (30, "s 1 2 double", "m.vtk:30: cell array 's' has 2 tuples, mesh has 3 faces"),
     (34, "FIELD extra 1\nx 1 1 double\n", "unexpected end of file, expected field value"),
     (34, "FIELD extra 2\nx 1 1 double\n5.0y 1 1 double 6.0", "m.vtk:36: expected field value, got '5.0y'"),
+    (13, "4 0 1 99 x", "m.vtk:13: vertex index 99 out of range 0..5 in face 0"),
+    (13, "4 0 1 x 99", "m.vtk:13: expected vertex index, got 'x'"),
+    (15, "4 2 0 3 -", "m.vtk:15: expected vertex index, got '-'"),
+    (24, "-", "m.vtk:24: expected region label, got '-'"),
+    (13, "4 0 + 1 4 3", "m.vtk:13: expected vertex index, got '+'"),
 ])
 def test_block_reader_failures_give_walker_message(tmp_path, line, text, message):
-    # Every whole-array check of the block reader rejects, and the walker
-    # then reports the first bad token with its line, as it always has. The
-    # last two cases are a one-value block with nothing left in the file but
-    # whitespace, which np.fromstring would read as one value, and a number
-    # run that stops inside a token.
+    # Each whole-array check fails, and the error names the first bad token
+    # in file order with its line. Two cases are a one-value block with
+    # nothing left in the file but whitespace, which np.fromstring would read
+    # as one value, and a number run that stops inside a token. A lone sign
+    # in an integer section, which np.fromstring reads as 0 at the end or as
+    # the sign of the next integer, is a bad token too.
     path = str(tmp_path / "m.vtk")
     mesh = straight_cylinder(circumferential=3, axial=2, length=5.0)
     save_mesh(mesh, path, cell_data={"s": np.arange(3.0)})
@@ -498,10 +532,7 @@ def test_block_reader_failures_give_walker_message(tmp_path, line, text, message
     lines[line - 1] = text
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
-    with pytest.raises(quadmesh._Reject):
-        quadmesh._read_blocks(open(path).read())
     got = _outcome(path)
-    assert got == _walked_outcome(path)
     assert got[0] == "MeshFileError" and message in got[1]
 
 
@@ -511,26 +542,33 @@ def test_block_reader_failures_give_walker_message(tmp_path, line, text, message
     ("0x10", False), ("0x1p3", False), ("1.5d0", False), ("1,5", False), ("nan(12)", False),
 ])
 def test_block_reader_token_forms(tmp_path, token, fast):
-    # A coordinate the block reader takes is read bit for bit as float() reads
-    # it; every other form goes to the walker, which accepts 1_0 and
-    # full-width digits (as float() does) and names the line of the rest.
+    # A coordinate loads bit for bit as float() reads it: from the one
+    # np.fromstring call over the section when that call takes the form
+    # (``fast``), else from float() itself, which accepts 1_0 and full-width
+    # digits. A form float() rejects is named with its line.
     path = str(tmp_path / "m.vtk")
     save_mesh(_patch_mesh(), path)
     lines = open(path).read().split("\n")
     lines[5] = " ".join([token] + lines[5].split()[1:])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if fast:
-        verts = quadmesh._read_blocks(text)[0]
-        assert np.float64(float(token)).tobytes() == verts[0, 0].tobytes()
-    else:
-        with pytest.raises(quadmesh._Reject):
-            quadmesh._read_blocks(text)
-    assert _same_outcome(_outcome(path), _walked_outcome(path))
+    fromstring, whole = np.fromstring, []
+
+    def spy(*args, **kwargs):
+        values = fromstring(*args, **kwargs)
+        whole.append(values.dtype == np.float64 and values.size == 27)
+        return values
+
+    with mock.patch.object(np, "fromstring", spy):
+        got = _outcome(path)
+    assert any(whole) == fast
     try:
-        float(token)
+        want = float(token)
     except ValueError:
-        with pytest.raises(MeshFileError, match=r"m\.vtk:6: expected coordinate"):
-            load_mesh(path)
+        assert got[0] == "MeshFileError" and "m.vtk:6: expected coordinate, got " in got[1]
+        return
+    if not np.isfinite(want):
+        assert got[0] == "MeshFileError" and "vertex coordinates must be finite" in got[1]
+        return
+    assert np.float64(want).tobytes() == got[0].vertices[0, 0].tobytes()
+
