@@ -422,11 +422,11 @@ def _parse(path, text):
 
     cur.expect("POLYGONS")
     nf = cur.number("face count", least=0)
-    total = cur.number("polygon size total")
+    total, total_at = cur.number("polygon size total"), cur.pos
     cells = cur.block(5 * nf, int, ("cell size",) + ("vertex index",) * 4, check_cells)
     faces = np.ascontiguousarray(cells.reshape(nf, 5)[:, 1:])
     if total != 5 * nf:
-        raise MeshFileError(f"{path}: POLYGONS size total {total} != {5 * nf}")
+        cur.error(f"POLYGONS size total {total} != {5 * nf}", total_at)
 
     def check_labels(v):
         return _first_bad((v < 0) | (v >= len(REGIONS)),
@@ -452,10 +452,10 @@ def _parse(path, text):
             regions = cur.block(nv, int, ("region label",), check_labels).astype(np.int8)
         elif section == "FIELD":
             cur.next("field name")
-            for _ in range(cur.number("field array count")):
+            for _ in range(cur.number("field array count", least=0)):
                 aname = cur.next("array name")
-                ncomp = cur.number("array ncomp")
-                ntup = cur.number("array ntuples")
+                ncomp = cur.number("array ncomp", least=0)
+                ntup = cur.number("array ntuples", least=0)
                 cur.next("array dtype")
                 vals = cur.block(ncomp * ntup, float, ("field value",))
                 if aname == "ring_layout":
@@ -468,7 +468,7 @@ def _parse(path, text):
                 cur.error(f"CELL_DATA count {count} != {nf} faces")
             cur.expect("FIELD")
             cur.next("field name")
-            for _ in range(cur.number("field array count")):
+            for _ in range(cur.number("field array count", least=0)):
                 aname = cur.next("array name")
                 ncomp = cur.number("array ncomp", least=1)
                 ntup = cur.number("array ntuples")

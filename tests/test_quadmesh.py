@@ -454,7 +454,20 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
             line_of += [5 + len(body) - 1] * len(row)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(newline.join(lines[:4] + body) + newline)
-        got = _outcome(path)
+        fromstring, parsed = np.fromstring, []
+
+        def spy(*args, **kwargs):
+            values = fromstring(*args, **kwargs)
+            parsed.append((values.dtype, values.size))
+            return values
+
+        with mock.patch.object(np, "fromstring", spy):
+            got = _outcome(path)
+        if tricky is None and sep in _ASCII_SEPARATORS:
+            # A valid file with ASCII separators is read with one np.fromstring
+            # call per section, of the section's dtype and size, and no section
+            # is read again token by token.
+            assert parsed == [(arr.dtype, arr.size) for arr in arrays.values()]
 
         if tricky is not None and len(tricky.split()) != 1:
             assert got[0] == "MeshFileError"
@@ -499,6 +512,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
 
 @pytest.mark.parametrize("line, text, message", [
     (12, "POLYGONS 3 14", "POLYGONS size total 14 != 15"),
+    (12, "POLYGONS 3 -15", "m.vtk:12: POLYGONS size total -15 != 15"),
     (13, "4 0 1 99 3", "m.vtk:13: vertex index 99 out of range 0..5 in face 0"),
     (13, "4 0 -1 4 3", "m.vtk:13: vertex index -1 out of range 0..5 in face 0"),
     (14, "3 1 2 5 4", "m.vtk:14: non-quad cell of size 3 at face 1"),
@@ -517,6 +531,10 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
     (15, "4 2 0 3 -", "m.vtk:15: expected vertex index, got '-'"),
     (24, "-", "m.vtk:24: expected region label, got '-'"),
     (13, "4 0 + 1 4 3", "m.vtk:13: expected vertex index, got '+'"),
+    (25, "FIELD meta -1", "m.vtk:25: expected field array count, got '-1'"),
+    (26, "ring_layout -2 -1 int", "m.vtk:26: expected array ncomp, got '-2'"),
+    (26, "ring_layout 2 -1 int", "m.vtk:26: expected array ntuples, got '-1'"),
+    (29, "FIELD celldata -1", "m.vtk:29: expected field array count, got '-1'"),
 ])
 def test_block_reader_failures_give_walker_message(tmp_path, line, text, message):
     # Each whole-array check fails, and the error names the first bad token
