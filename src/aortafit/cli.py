@@ -1,16 +1,19 @@
 """Command-line front end: phantom generation through clinical reporting.
 
 Subcommands: phantom, template, fit, warp, quality, chamfer, stress, report,
-pipeline. Settings come from a JSON config file with sections (grid, phantom,
-fit, weights, diffeo, membrane, report); any value can be overridden on the
-command line with ``--set section.key=value``. Unknown sections or keys, and
-values whose JSON type differs from the default's, are rejected. The
-effective config (defaults merged with file and overrides) is echoed into
-every output next to its sha256 hash, so runs are reproducible: identical
+pipeline. Those taking a config (phantom, fit, warp, stress, report, pipeline)
+read an optional JSON file whose sections are the dataclasses of ``SECTIONS``:
+their fields are the keys, defaults and checks. Any value can be overridden
+with ``--set section.key=value``. Unknown keys, values of another JSON type
+than the default's, and non-finite numbers are rejected, and every section is
+built before any work, so all these subcommands accept the same configs. The
+effective config (defaults merged with file and overrides, as given) is echoed
+into every output next to its sha256 hash, so runs are reproducible: identical
 config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
-missing input), 3 numerical failure (divergence, solver residual).
+missing input, an allocation too large), 3 numerical failure (divergence,
+solver residual, non-finite stresses).
 """
 
 from __future__ import annotations
@@ -30,37 +33,37 @@ if os.environ.get("AORTAFIT_THREADS"):
         os.environ.setdefault(_var, os.environ["AORTAFIT_THREADS"])
 
 from . import __version__
-from .clinical import build_report, regional_stress_stats, validate_report
+from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
 from .fea import MembraneModel, SolverError, solve_membrane_stress
-from .fitter import FitConfig, FitDivergence, bounding_grid, fit_svf
+from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, fit_svf
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
 from .quadmesh import MeshFileError, REGIONS, average_template, load_mesh, save_mesh
 from .quality import quality_report
 from .volgrid import load_volume, save_volume
 
-__all__ = ["main", "default_config", "load_config"]
+__all__ = ["main", "SECTIONS", "default_config", "load_config", "build_sections"]
+
+# Config section -> the dataclass that defines its keys, defaults and ranges.
+# A field named after another section (FitConfig.weights, FitConfig.diffeo)
+# is no key: it takes that section's object, built first in this order.
+SECTIONS = {
+    "grid": GridConfig,
+    "phantom": PhantomSpec,
+    "weights": LossWeights,
+    "diffeo": DiffeoConfig,
+    "fit": FitConfig,
+    "membrane": MembraneModel,
+    "report": ReportConfig,
+}
 
 
 def default_config():
-    """Full config with every documented default."""
-    phantom = dataclasses.asdict(PhantomSpec())
-    phantom.pop("radius_profile")  # callable; not expressible in config files
-    fit = dataclasses.asdict(FitConfig())
-    for nested in ("weights", "diffeo"):
-        fit.pop(nested)
-    weights = dataclasses.asdict(LossWeights())
-    diffeo = dataclasses.asdict(DiffeoConfig())
-    membrane = dataclasses.asdict(MembraneModel())
+    """Full config: every section's dataclass fields at their defaults."""
     return {
-        "grid": {"spacing": 1.0, "margin": 5.0},
-        "phantom": phantom,
-        "fit": fit,
-        "weights": weights,
-        "diffeo": diffeo,
-        "membrane": membrane,
-        "report": {"diameter_method": "equivalent", "peak_rule": "max", "percentile": 99.0},
+        name: {key: value for key, value in dataclasses.asdict(cls()).items() if key not in SECTIONS}
+        for name, cls in SECTIONS.items()
     }
 
 
@@ -70,12 +73,23 @@ def _json_kind(value):
     return next((kind for kind, types in kinds if isinstance(value, types)), "null")
 
 
+def _finite(value):
+    """Whether every number in a JSON value, at any depth, fits a finite float."""
+    if isinstance(value, (dict, list)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    try:
+        return not isinstance(value, (int, float)) or abs(float(value)) < float("inf")
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _set(node, default, key, value, path):
     """Set ``node[key] = value`` where ``default`` holds the key's default.
 
     A section takes an object, merged key by key. Any other key takes a value
-    of its default's JSON type (a float key also takes an integer); keys whose
-    default is null are left to their dataclass to check.
+    of its default's JSON type (a float key also takes an integer) holding no
+    NaN, infinity or overflowing number; keys whose default is null are left
+    to their dataclass to check.
     """
     if key not in default:
         raise ValueError(f"unknown config key '{path}{key}'")
@@ -89,6 +103,8 @@ def _set(node, default, key, value, path):
     kind, got = _json_kind(want), _json_kind(value)
     if want is not None and got != kind and (kind, got) != ("number", "integer"):
         raise ValueError(f"config key '{path}{key}' needs a JSON {kind}, got {json.dumps(value)}")
+    if not _finite(value):
+        raise ValueError(f"config key '{path}{key}' needs finite numbers, got {json.dumps(value)}")
     node[key] = value
 
 
@@ -124,6 +140,33 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
+def build_sections(cfg):
+    """Every section object of a merged config, by name; every config-taking
+    subcommand calls this first. An error names the keys that the dataclass
+    rejects on their own, else the section.
+    """
+    built = {}
+    for name, cls in SECTIONS.items():
+        nested = {f.name: built[f.name] for f in dataclasses.fields(cls) if f.name in SECTIONS}
+        try:
+            built[name] = cls(**cfg[name], **nested)
+        except (TypeError, ValueError) as exc:
+            culprits = []
+            for key, value in cfg[name].items():
+                try:
+                    cls(**{key: value})
+                except (TypeError, ValueError):
+                    culprits.append(f"'{name}.{key}'")
+            raise ValueError(f"config {', '.join(culprits) or repr(name)}: {exc}") from None
+    return built
+
+
+def _configure(args):
+    """The merged config of a subcommand's --config and --set, and its section objects."""
+    cfg = load_config(args.config, args.set or ())
+    return cfg, build_sections(cfg)
+
+
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -133,9 +176,9 @@ def config_hash(cfg):
 
 
 def _write_json(path, obj):
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -145,18 +188,6 @@ def _hash_file(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _phantom_spec(cfg):
-    return PhantomSpec(**cfg["phantom"])
-
-
-def _fit_config(cfg):
-    return FitConfig(weights=LossWeights(**cfg["weights"]), diffeo=DiffeoConfig(**cfg["diffeo"]), **cfg["fit"])
-
-
-def _membrane_model(cfg):
-    return MembraneModel(**cfg["membrane"])
 
 
 def _provenance(cfg, **extra):
@@ -179,8 +210,7 @@ def _table(headers, rows):
 def _quality_table(rep):
     rows = []
     for name in ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle"):
-        mean, std = getattr(rep, name)
-        rows.append([name, f"{mean:.4f}", f"{std:.4f}"])
+        rows.append([name] + ["n/a" if x is None else f"{x:.4f}" for x in getattr(rep, name)])
     rows.append(["self_intersections", str(rep.self_intersection_count), ""])
     return _table(["metric", "mean", "std"], rows)
 
@@ -212,9 +242,8 @@ def _report_table(report):
 
 
 def cmd_phantom(args):
-    cfg = load_config(args.config, args.set or ())
-    spec = _phantom_spec(cfg)
-    mesh = make_phantom(spec)
+    cfg, sections = _configure(args)
+    mesh = make_phantom(sections["phantom"])
     save_mesh(mesh, args.out, title=f"aortafit phantom (config {config_hash(cfg)[:12]})")
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
     return 0
@@ -228,11 +257,11 @@ def cmd_template(args):
     return 0
 
 
-def _run_fit(template_path, target_path, cfg):
+def _run_fit(template_path, target_path, sections):
     template = load_mesh(template_path)
     target = load_mesh(target_path)
-    grid = bounding_grid([template, target], spacing=cfg["grid"]["spacing"], margin=cfg["grid"]["margin"])
-    result = fit_svf(template, target, grid, _fit_config(cfg))
+    grid = bounding_grid([template, target], spacing=sections["grid"].spacing, margin=sections["grid"].margin)
+    result = fit_svf(template, target, grid, sections["fit"])
     return template, target, result
 
 
@@ -262,8 +291,8 @@ def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
 
 
 def cmd_fit(args):
-    cfg = load_config(args.config, args.set or ())
-    _, _, result = _run_fit(args.template, args.target, cfg)
+    cfg, sections = _configure(args)
+    _, _, result = _run_fit(args.template, args.target, sections)
     _write_fit_outputs(args.out, cfg, args.seed, result, args.target)
     print(
         f"fit done: chamfer {result.final_chamfer:.4f} mm, "
@@ -273,12 +302,12 @@ def cmd_fit(args):
 
 
 def cmd_warp(args):
-    cfg = load_config(args.config, args.set or ())
+    _, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     svf = load_volume(args.svf)
     if svf.data.ndim != 4:
         raise ValueError(f"{args.svf}: expected a 3-component field")
-    disp = exponentiate(svf, DiffeoConfig(**cfg["diffeo"]))
+    disp = exponentiate(svf, sections["diffeo"])
     warped = warp_vertices(mesh, disp, svf.geom)
     save_mesh(warped, args.out, title="aortafit warped mesh")
     print(f"wrote {args.out}")
@@ -316,13 +345,12 @@ def _stress_cell_data(field):
 
 
 def cmd_stress(args):
-    cfg = load_config(args.config, args.set or ())
+    cfg, sections = _configure(args)
     mesh = load_mesh(args.mesh)
-    field = solve_membrane_stress(mesh, _membrane_model(cfg))
+    field = solve_membrane_stress(mesh, sections["membrane"])
     save_mesh(mesh, args.out, cell_data=_stress_cell_data(field), title="aortafit stressed mesh")
-    stats = regional_stress_stats(
-        mesh, field, peak_rule=cfg["report"]["peak_rule"], percentile=cfg["report"]["percentile"]
-    )
+    report_cfg = sections["report"]
+    stats = regional_stress_stats(mesh, field, peak_rule=report_cfg.peak_rule, percentile=report_cfg.percentile)
     summary = {
         "pressure_kpa": field.pressure,
         "thickness_mm": field.thickness,
@@ -337,13 +365,12 @@ def cmd_stress(args):
 
 
 def cmd_report(args):
-    cfg = load_config(args.config, args.set or ())
+    cfg, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     reference = load_mesh(args.reference) if args.reference else None
-    field = solve_membrane_stress(mesh, _membrane_model(cfg))
-    rep_cfg = dict(cfg["report"])
-    rep_cfg.update(_provenance(cfg, mesh=os.path.basename(args.mesh)))
-    report = build_report(mesh, field, rep_cfg, reference_mesh=reference)
+    field = solve_membrane_stress(mesh, sections["membrane"])
+    provenance = _provenance(cfg, mesh=os.path.basename(args.mesh))
+    report = build_report(mesh, field, sections["report"], provenance, reference_mesh=reference)
     payload = report.as_dict()
     validate_report(payload)
     if args.out:
@@ -356,9 +383,9 @@ def cmd_report(args):
     return 0
 
 
-def _run_case(template_path, target_path, case_dir, cfg, seed):
+def _run_case(template_path, target_path, case_dir, cfg, sections, seed):
     """One pipeline case: fit, quality, chamfer, stress, report, manifest."""
-    template, target, result = _run_fit(template_path, target_path, cfg)
+    template, target, result = _run_fit(template_path, target_path, sections)
     files = _write_fit_outputs(case_dir, cfg, seed, result, target_path)
 
     qrep = quality_report(result.fitted)
@@ -367,7 +394,7 @@ def _run_case(template_path, target_path, case_dir, cfg, seed):
         dict(qrep.as_dict(), provenance=_provenance(cfg)),
     )
 
-    field = solve_membrane_stress(result.fitted, _membrane_model(cfg))
+    field = solve_membrane_stress(result.fitted, sections["membrane"])
     files["stressed.vtk"] = save_mesh(
         result.fitted,
         os.path.join(case_dir, "stressed.vtk"),
@@ -375,9 +402,8 @@ def _run_case(template_path, target_path, case_dir, cfg, seed):
         title="aortafit stressed mesh",
     )
 
-    rep_cfg = dict(cfg["report"])
-    rep_cfg.update(_provenance(cfg, mesh="fitted.vtk"))
-    report = build_report(result.fitted, field, rep_cfg, reference_mesh=target)
+    report = build_report(result.fitted, field, sections["report"], _provenance(cfg, mesh="fitted.vtk"),
+                          reference_mesh=target)
     payload = report.as_dict()
     validate_report(payload)
     files["report.json"] = _write_json(os.path.join(case_dir, "report.json"), payload)
@@ -400,7 +426,7 @@ def _run_case(template_path, target_path, case_dir, cfg, seed):
 
 
 def cmd_pipeline(args):
-    cfg = load_config(args.config, args.set or ())
+    cfg, sections = _configure(args)
     os.makedirs(args.out, exist_ok=True)
     if len(args.targets) == 1:
         cases = [(args.targets[0], args.out)]
@@ -413,11 +439,11 @@ def cmd_pipeline(args):
     results = []
     if args.jobs > 1 and len(cases) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [pool.submit(_run_case, args.template, t, d, cfg, args.seed) for t, d in cases]
+            futs = [pool.submit(_run_case, args.template, t, d, cfg, sections, args.seed) for t, d in cases]
             results = [f.result() for f in futs]
     else:
         for t, d in cases:
-            results.append(_run_case(args.template, t, d, cfg, args.seed))
+            results.append(_run_case(args.template, t, d, cfg, sections, args.seed))
 
     for line, tables in results:
         print(line)
@@ -515,6 +541,9 @@ def main(argv=None):
         return 3
     except (MeshFileError, ValueError, OSError) as exc:
         print(f"aortafit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"aortafit: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,7 @@ from .quadmesh import REGIONS, face_regions, majority_region, rings
 __all__ = [
     "SCHEMA_VERSION",
     "ClinicalReport",
+    "ReportConfig",
     "all_ring_diameters",
     "ring_region_codes",
     "max_diameter_per_region",
@@ -98,6 +99,24 @@ def regional_stress_stats(mesh, field, peak_rule="max", percentile=99.0):
 
 
 @dataclass(frozen=True)
+class ReportConfig:
+    """Report settings: ring ``diameter_method`` and regional ``peak_rule``
+    (``percentile`` applies to the "percentile" rule, but is always checked)."""
+
+    diameter_method: str = "equivalent"
+    peak_rule: str = "max"
+    percentile: float = 99.0
+
+    def __post_init__(self):
+        if self.diameter_method not in ("equivalent", "chord"):
+            raise ValueError(f"diameter_method must be 'equivalent' or 'chord', got {self.diameter_method!r}")
+        if self.peak_rule not in ("max", "percentile"):
+            raise ValueError(f"peak_rule must be 'max' or 'percentile', got {self.peak_rule!r}")
+        if not 0 <= self.percentile <= 100:
+            raise ValueError(f"percentile must be in [0, 100], got {self.percentile}")
+
+
+@dataclass(frozen=True)
 class ClinicalReport:
     """Per-region diameters and stress statistics plus provenance."""
 
@@ -117,22 +136,17 @@ class ClinicalReport:
         }
 
 
-def build_report(mesh, stress, config=None, reference_mesh=None):
+def build_report(mesh, stress, config=ReportConfig(), provenance=None, reference_mesh=None):
     """Assemble the clinical report for one mesh and its stress field.
 
-    ``config`` may carry ``diameter_method``, ``peak_rule``, ``percentile``,
-    and provenance entries (``mesh``, ``config_hash``, ``tool_version``).
+    ``config`` is a :class:`ReportConfig`; ``provenance`` (such as ``mesh``,
+    ``config_hash`` and ``tool_version``) is copied into the report as given.
     With ``reference_mesh`` given (a corresponded ground-truth mesh), each
     region also reports the absolute diameter error against it.
     """
-    cfg = dict(config or {})
-    method = cfg.pop("diameter_method", "equivalent")
-    peak_rule = cfg.pop("peak_rule", "max")
-    percentile = cfg.pop("percentile", 99.0)
-    provenance = {k: cfg[k] for k in ("mesh", "config_hash", "tool_version") if k in cfg}
-
+    method = config.diameter_method
     diam = max_diameter_per_region(mesh, method=method)
-    stats = regional_stress_stats(mesh, stress, peak_rule=peak_rule, percentile=percentile)
+    stats = regional_stress_stats(mesh, stress, peak_rule=config.peak_rule, percentile=config.percentile)
     ref_diam = max_diameter_per_region(reference_mesh, method=method) if reference_mesh is not None else None
 
     regions = {}
@@ -142,7 +156,7 @@ def build_report(mesh, stress, config=None, reference_mesh=None):
         if not d > 0:
             raise ValueError(f"region {name!r} has nonpositive diameter")
         if peak_s < mean_s:
-            raise ValueError(f"region {name!r} peak stress below mean (peak rule {peak_rule!r})")
+            raise ValueError(f"region {name!r} peak stress below mean (peak rule {config.peak_rule!r})")
         entry = {
             "max_diameter_mm": d,
             "ring_index": ring_idx,
@@ -157,7 +171,7 @@ def build_report(mesh, stress, config=None, reference_mesh=None):
         regions=regions,
         pressure_kpa=float(stress.pressure),
         thickness_mm=float(stress.thickness),
-        provenance=provenance,
+        provenance=dict(provenance or {}),
     )
 
 
@@ -183,5 +197,9 @@ def validate_report(data):
             raise ValueError(f"region {name!r} diameter must be positive")
         if entry["peak_sigma1_kpa"] < entry["mean_sigma1_kpa"]:
             raise ValueError(f"region {name!r} peak below mean")
+    numbers = [data["pressure_kpa"], data["thickness_mm"]]
+    numbers += [value for entry in data["regions"].values() for value in entry.values()]
+    if not np.isfinite(numbers).all():
+        raise ValueError("report numbers must be finite")
     if not isinstance(data["provenance"], dict):
         raise ValueError("provenance must be a dict")

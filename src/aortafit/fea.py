@@ -127,25 +127,23 @@ def principal_stresses(field):
     return center + radius, center - radius, angle
 
 
-def pressure_nodal_forces(mesh, p, return_skipped=False):
+def pressure_nodal_forces(mesh, p):
     """Lump pressure load onto vertices: p * area * outward normal / 3 per triangle.
 
     ``p`` is in force per squared mesh length unit (N/mm^2 for mm meshes and
     newton forces). Quads split along the v0-v2 diagonal; zero-area triangles
-    contribute nothing and are tallied when ``return_skipped`` is set.
+    contribute nothing.
     """
     v = mesh.vertices
     f = mesh.faces
     forces = np.zeros_like(v)
-    skipped = 0
     for tri in (f[:, [0, 1, 2]], f[:, [0, 2, 3]]):
         p0, p1, p2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
         an = 0.5 * np.cross(p1 - p0, p2 - p0)  # area * outward normal
-        skipped += int((np.linalg.norm(an, axis=1) == 0).sum())
         contrib = (p / 3.0) * an
         for k in range(3):
             np.add.at(forces, tri[:, k], contrib)
-    return (forces, skipped) if return_skipped else forces
+    return forces
 
 
 def _element_frames(mesh):
@@ -285,12 +283,15 @@ def _fixed_vertices(mesh, model, report):
     return np.unique(np.concatenate([loops[0], loops[-1]]))
 
 
+# Overflow from an extreme load or wall shows up as a non-finite residual or
+# stress, which raises SolverError below instead of warning.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_membrane_stress(mesh, model=MembraneModel()):
     """Solve nodal equilibrium for per-element membrane resultants.
 
     Raises SolverError when the relative equilibrium residual at free vertices
-    stays above max(10 * solver_tol, 1e-6), and ValueError on meshes that are
-    not consistently oriented.
+    is not below max(10 * solver_tol, 1e-6) or the principal stresses
+    overflow, and ValueError on meshes that are not consistently oriented.
     """
     report = validate_topology(mesh)
     if not report.ok:
@@ -348,18 +349,23 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
             residual = min(residual, improved)
             break  # stagnated at the attainable floor
         residual = improved
-    if residual > limit:
+    if not residual <= limit:  # a NaN residual fails too
         raise SolverError(
             f"equilibrium residual {residual:.3g} above limit {limit:.3g} after {itn} refinement rounds",
             residual=residual,
             iterations=itn,
         )
 
-    return StressField(
+    field = StressField(
         frames=frames,
         resultants=_collapse_resultants(x, frames, tri_frames, tri_areas),
         thickness=model.thickness,
         pressure=model.pressure,
         residual=residual,
     )
+    # A finite sum of |stress| keeps each stress and every regional sum finite.
+    if not np.isfinite(np.abs(field.principal).sum()):
+        raise SolverError(f"principal stresses overflow at pressure {model.pressure:g} kPa and thickness "
+                          f"{model.thickness:g} mm", residual=residual, iterations=itn)
+    return field
 

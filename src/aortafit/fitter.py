@@ -39,6 +39,7 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "FitDivergence",
+    "GridConfig",
     "fit_svf",
     "upsample_svf",
     "control_grid",
@@ -111,7 +112,21 @@ class FitResult:
     min_jacobian: float
 
 
-def bounding_grid(meshes, spacing=1.0, margin=5.0):
+@dataclass(frozen=True)
+class GridConfig:
+    """Image grid settings for :func:`bounding_grid`: voxel ``spacing`` and ``margin`` in mm."""
+
+    spacing: float = 1.0
+    margin: float = 5.0
+
+    def __post_init__(self):
+        if not self.spacing > 0:
+            raise ValueError(f"grid spacing must be > 0 mm, got {self.spacing}")
+        if not self.margin >= 0:
+            raise ValueError(f"grid margin must be >= 0 mm, got {self.margin}")
+
+
+def bounding_grid(meshes, spacing=GridConfig.spacing, margin=GridConfig.margin):
     """Isotropic grid (mm spacing) containing all meshes plus a mm margin."""
     lo = np.min([m.vertices.min(axis=0) for m in meshes], axis=0) - margin
     hi = np.max([m.vertices.max(axis=0) for m in meshes], axis=0) + margin

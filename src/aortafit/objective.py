@@ -47,9 +47,10 @@ class LossWeights:
             raise ValueError(f"omega needs {len(REGIONS)} entries, got {om.shape}")
         if np.any(om < 0):
             raise ValueError("region weights must be nonnegative")
-        total = om.sum()
-        if total <= 0:
-            raise ValueError("region weights must not all be zero")
+        with np.errstate(over="ignore"):  # an overflowing sum fails the check below
+            total = om.sum()
+        if not 0 < total < np.inf:
+            raise ValueError("region weights must not all be zero, and their sum must be finite")
         object.__setattr__(self, "omega", tuple(om / total))
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")

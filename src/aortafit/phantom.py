@@ -14,7 +14,7 @@ standing in for an aneurysm of known size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class PhantomSpec:
     ascending_length: float = 60.0
     arch_radius: float = 30.0
     descending_length: float = 100.0
-    radius_profile: Optional[Callable] = None
     aneurysm: Optional[tuple] = None
     region_fractions: tuple = (0.125, 0.4375, 0.625)
     seed: Optional[int] = None
@@ -59,16 +58,21 @@ class PhantomSpec:
         if self.ascending_length + self.arch_radius + self.descending_length <= 0:
             raise ValueError("centerline has zero length")
         if self.aneurysm is not None:
-            c, amp, w = self.aneurysm
+            try:
+                c, amp, w = (float(x) for x in self.aneurysm)
+            except (TypeError, ValueError):
+                raise ValueError(f"aneurysm must be [center, amplitude, width] in mm, got {self.aneurysm!r}") from None
             if w <= 0:
                 raise ValueError("aneurysm width must be positive")
-            object.__setattr__(self, "aneurysm", (float(c), float(amp), float(w)))
+            object.__setattr__(self, "aneurysm", (c, amp, w))
         fr = tuple(float(f) for f in self.region_fractions)
         if len(fr) != 3 or not (0.0 <= fr[0] <= fr[1] <= fr[2] <= 1.0):
             raise ValueError("region_fractions must be 3 nondecreasing values in [0, 1]")
         object.__setattr__(self, "region_fractions", fr)
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
+        if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be null or an integer >= 0, got {self.seed!r}")
 
 
 def centerline_length(spec):
@@ -130,12 +134,9 @@ def _rotation_minimizing_normals(pts, tan):
 
 
 def ring_radii(spec, s):
-    """Ring radius at arc lengths ``s`` (base or profile, plus any bulge)."""
+    """Ring radius at arc lengths ``s`` (base radius plus any bulge)."""
     s = np.asarray(s, dtype=np.float64)
-    if spec.radius_profile is not None:
-        r = np.asarray(spec.radius_profile(s), dtype=np.float64) * np.ones_like(s)
-    else:
-        r = np.full_like(s, spec.base_radius)
+    r = np.full_like(s, spec.base_radius)
     if spec.aneurysm is not None:
         c, amp, w = spec.aneurysm
         r = r + amp * np.exp(-((s - c) ** 2) / (2.0 * w * w))

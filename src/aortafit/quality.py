@@ -298,7 +298,8 @@ def self_intersections(mesh, method="bvh"):
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Mean and population std per metric, plus the intersection count."""
+    """Mean and population std per metric (None when every element is
+    degenerate), plus the intersection count."""
 
     n_elements: int
     n_degenerate: int
@@ -349,7 +350,7 @@ def quality_report(mesh):
 
     def agg(x):
         if x.size == 0:
-            return (float("nan"), float("nan"))
+            return (None, None)  # no element to average: null in JSON, not NaN
         return (float(x.mean()), float(x.std()))
 
     count, pairs = self_intersections(mesh)

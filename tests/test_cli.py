@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import bulged_cylinder, straight_cylinder
 
-from aortafit import __version__, fitter
-from aortafit.cli import config_hash, default_config, load_config, main
+from aortafit import __version__, cli, fitter
+from aortafit.cli import build_sections, config_hash, default_config, load_config, main
 from aortafit.quadmesh import load_mesh, save_mesh
 from aortafit.volgrid import GridGeom, VectorField3D, Volume3D, save_volume
 
@@ -35,9 +35,10 @@ def mesh_files(tmp_path_factory):
     bulged = bulged_cylinder(circumferential=8, axial=10, length=30.0, radius=5.0,
                              amplitude=1.5, width=4.0, center=12.0)
     tube = straight_cylinder()  # 24 x 60 for the stress oracle
+    tube8 = straight_cylinder(circumferential=8, axial=12, length=30.0, radius=5.0)
     paths = {}
     for name, mesh in (("template", template), ("shifted", shifted),
-                       ("bulged", bulged), ("tube", tube)):
+                       ("bulged", bulged), ("tube", tube), ("tube8", tube8)):
         paths[name] = str(root / f"{name}.vtk")
         save_mesh(mesh, paths[name])
     return paths
@@ -81,6 +82,7 @@ def test_load_config_merges_file_and_overrides(tmp_path):
 def test_load_config_typed_overrides():
     cfg = load_config(overrides=(
         "fit.levels=[[4,4,4],[8,8,8]]",
+        "fit.svf_dims=[8,8,8]",
         "membrane.fixed_rings=[]",
         "fit.iters_per_level=5",
         "diffeo.auto_steps=false",
@@ -89,6 +91,9 @@ def test_load_config_typed_overrides():
     assert cfg["membrane"]["fixed_rings"] == []
     assert cfg["fit"]["iters_per_level"] == 5
     assert cfg["diffeo"]["auto_steps"] is False
+    sections = build_sections(cfg)
+    assert sections["fit"].levels == ((4, 4, 4), (8, 8, 8))
+    assert sections["fit"].diffeo is sections["diffeo"] and not sections["diffeo"].auto_steps
     # a float key takes an integer, stored as given; a section object merges
     cfg = load_config(overrides=("grid.spacing=2", 'grid={"margin": 3.5}'))
     assert cfg["grid"] == {"spacing": 2, "margin": 3.5}
@@ -120,6 +125,16 @@ def test_load_config_rejections(tmp_path):
     typo.write_text(json.dumps({"membrane": {"pressure": "16"}}))
     with pytest.raises(ValueError, match="'membrane.pressure' needs a JSON number"):
         load_config(str(typo))
+    # NaN, infinities and overflowing literals, at any depth, from a file or --set
+    for section, key, literal in [("membrane", "pressure", "NaN"), ("membrane", "thickness", "-Infinity"),
+                                  ("membrane", "fixed_rings", "[[0, 1e999]]"),
+                                  ("phantom", "aneurysm", "[36, 8, NaN]"), ("grid", "margin", "1" + "0" * 400)]:
+        non_finite = tmp_path / "non_finite.json"
+        non_finite.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+        with pytest.raises(ValueError, match=f"'{section}.{key}' needs finite numbers"):
+            load_config(str(non_finite))
+        with pytest.raises(ValueError, match=f"'{section}.{key}' needs finite numbers"):
+            load_config(overrides=(f"{section}.{key}={literal}",))
     with pytest.raises(ValueError, match="--set needs"):
         load_config(overrides=("grid.spacing",))
     with pytest.raises(ValueError, match="unknown config key"):
@@ -192,6 +207,21 @@ def test_quality_command_json_and_table(tmp_path, mesh_files, capsys):
         main(["quality", "--mesh", mesh_files["template"], "--brute"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --brute" in capsys.readouterr().err
+
+
+def test_quality_all_degenerate_writes_null(tmp_path, capsys):
+    # With no element left to average, the means are JSON null (not NaN,
+    # which is no JSON) and the table reads n/a.
+    tube = straight_cylinder(circumferential=4, axial=3, length=10.0)
+    flat = str(tmp_path / "flat.vtk")
+    save_mesh(tube.with_vertices(np.zeros_like(tube.vertices)), flat)
+    out = str(tmp_path / "quality.json")
+    assert main(["quality", "--mesh", flat, "--out", out, "--summary-table"]) == 0
+    table = capsys.readouterr().out
+    data = json.loads(open(out).read(), parse_constant=pytest.fail)
+    assert data["n_degenerate"] == data["n_elements"] == 8
+    assert data["scaled_jacobian"] == {"mean": None, "std": None}
+    assert any(line.split() == ["scaled_jacobian", "n/a", "n/a"] for line in table.splitlines())
 
 
 def test_stress_command_free_end_cylinder(tmp_path, mesh_files, capsys):
@@ -474,10 +504,15 @@ def test_quality_exit_code_under_mesh_fuzz(seed, edits):
     ("fit", "grid.spacing=abc"),
     ("fit", "diffeo.auto_steps=1"),
     ("report", "membrane.thickness=abc"),
+    ("report", "membrane.pressure=NaN"),
+    ("report", "membrane.thickness=Infinity"),
+    ("report", "membrane.pressure=1e999"),
+    ("phantom", "phantom.aneurysm=[36,8,NaN]"),
+    ("fit", "fit.levels=[[4,4,-Infinity]]"),
 ])
 def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting):
-    # A value of the wrong JSON type, or a section replaced by a non-object,
-    # is a validation error (2) with one stderr line.
+    # A value of the wrong JSON type, a NaN or infinite number, or a section
+    # replaced by a non-object, is a validation error (2) with one stderr line.
     argv = {
         "phantom": ["phantom", "--out", str(tmp_path / "p.vtk")],
         "report": ["report", "--mesh", mesh_files["tube"]],
@@ -500,20 +535,103 @@ def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting)
     ("stress", "membrane.fixed_rings=[[1e30]]", "fixed_rings must be a list"),
     ("stress", "membrane.fixed_rings=[[99999]]", "out of range 0..79"),
     ("stress", "membrane.fixed_rings=[[-1]]", "out of range 0..79"),
+    # Every config-taking subcommand builds every section before any work,
+    # and names the rejected key.
+    ("report", "weights.omega=[1,2,3,4,5]", "config 'weights.omega': omega needs 4 entries"),
+    ("report", "fit.levels=[[8,8,8],[4,4,4]]", "config 'fit.levels': levels must be nondecreasing"),
+    ("report", "grid.margin=-100", "config 'grid.margin': grid margin must be >= 0"),
+    ("report", "weights.omega=[1e308,1e308,0,0]", "config 'weights.omega': region weights must not all be zero, and"),
+    pytest.param("report", ("report.peak_rule=percentile", "report.percentile=150"),
+                 "config 'report.percentile': percentile must be in [0, 100], got 150", id="report-percentile_150"),
+    ("phantom", 'report.peak_rule="x"', "config 'report.peak_rule': peak_rule must be 'max' or 'percentile'"),
+    ("phantom", "phantom.aneurysm=[1,2]", "config 'phantom.aneurysm': aneurysm must be [center, amplitude, width]"),
+    pytest.param("phantom", ("phantom.seed=-1", "phantom.jitter=0.1"),
+                 "config 'phantom.seed': seed must be null or an integer >= 0", id="phantom-seed_negative"),
+    ("warp", "grid.margin=-100", "config 'grid.margin'"),
+    ("stress", "fit.svf_dims=[16,16,16]", "config 'fit.svf_dims': last level must equal svf_dims"),
+    ("fit", "report.diameter_method=\"area\"", "config 'report.diameter_method'"),
+    ("pipeline", "weights.omega=[1,2,3,4,5]", "config 'weights.omega'"),
+    pytest.param("report", ("phantom.ascending_length=0", "phantom.arch_radius=0", "phantom.descending_length=0"),
+                 "config 'phantom': centerline has zero length", id="report-zero_centerline"),
 ])
 def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting, message):
     # A value of the right JSON type that its dataclass or the mesh cannot
     # take is a validation error (2) with one stderr line, not a crash.
+    template, shifted = mesh_files["template"], mesh_files["shifted"]
     argv = {
-        "stress": ["stress", "--mesh", mesh_files["template"], "--out", str(tmp_path / "s.vtk")],
-        "fit": ["fit", "--template", mesh_files["template"], "--target", mesh_files["shifted"],
-                "--out", str(tmp_path / "f"), "--seed", "0"],
+        "phantom": ["phantom", "--out", str(tmp_path / "p.vtk")],
+        "fit": ["fit", "--template", template, "--target", shifted, "--out", str(tmp_path / "f"), "--seed", "0"],
+        "warp": ["warp", "--mesh", template, "--svf", str(tmp_path / "svf.hdr"), "--out", str(tmp_path / "w.vtk")],
+        "stress": ["stress", "--mesh", template, "--out", str(tmp_path / "s.vtk")],
+        "report": ["report", "--mesh", template],
+        "pipeline": ["pipeline", "--template", template, "--target", shifted, "--out", str(tmp_path / "b"),
+                     "--seed", "0"],
     }[command]
-    assert main(argv + ["--set", setting]) == 2
+    for item in [setting] if isinstance(setting, str) else setting:
+        argv += ["--set", item]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("stress", "membrane.pressure=1e308"),
+    ("report", "membrane.pressure=1e308"),
+    ("report", "membrane.thickness=1e-320"),
+    ("report", "membrane.thickness=1e-305"),  # finite stresses whose regional mean overflows
+])
+def test_exit_code_3_non_finite_stress(tmp_path, mesh_files, capsys, command, setting):
+    # A load or wall so extreme that the residual or the stresses overflow is
+    # a numerical failure (3) with one stderr line, and writes no NaN or
+    # Infinity anywhere.
+    out = str(tmp_path / "out")
+    assert main([command, "--mesh", mesh_files["tube8"], "--out", out, "--set", setting]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "numerical failure" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_exit_code_2_out_of_memory(tmp_path, capsys, monkeypatch):
+    # An allocation the machine cannot make is one line and exit 2, not a
+    # traceback. Nothing is allocated: the phantom builder is replaced.
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 232. GiB for an array")
+
+    monkeypatch.setattr(cli, "make_phantom", no_memory)
+    assert main(["phantom", "--out", str(tmp_path / "p.vtk"), "--set", "phantom.circumferential=100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["aortafit: out of memory: Unable to allocate 232. GiB for an array"]
+
+
+_FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in default_config().items() for key in keys)
+
+
+def _json_containers(children):
+    return st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=3), children, max_size=3)
+
+
+_FUZZ_NUMBER = st.integers(-3, 100) | st.integers() | st.floats()
+_FUZZ_LEAF = (st.none() | st.booleans() | _FUZZ_NUMBER | st.text(max_size=6)
+              | st.sampled_from(["max", "percentile", "equivalent", "chord"]))
+# Numbers and short number lists, which most keys take, besides any JSON and bare words.
+_FUZZ_RAW = (_FUZZ_NUMBER.map(json.dumps) | st.lists(_FUZZ_NUMBER, max_size=4).map(json.dumps)
+             | st.recursive(_FUZZ_LEAF, _json_containers, max_leaves=12).map(json.dumps) | st.text(max_size=8))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(key=st.sampled_from(_FUZZ_KEYS), raw=_FUZZ_RAW)
+def test_report_exit_code_under_config_fuzz(mesh_files, key, raw):
+    # report builds every section but allocates nothing sized by phantom, fit
+    # or grid values: any --set value exits 0, 2 or 3, with at most one
+    # stderr line, and nothing escapes main.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--mesh", mesh_files["tube8"], "--set", f"{key}={raw}"])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().strip().splitlines()) <= 1
 
 
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):

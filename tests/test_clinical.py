@@ -8,6 +8,7 @@ from conftest import bulged_cylinder, random_rotation, straight_cylinder
 
 from aortafit.clinical import (
     SCHEMA_VERSION,
+    ReportConfig,
     all_ring_diameters,
     build_report,
     max_diameter_per_region,
@@ -132,10 +133,17 @@ def test_diameters_rigid_invariant_and_scale_linear(bulge_mesh):
 
 
 def test_monotone_radius_profile_gives_monotone_diameters():
-    spec = PhantomSpec(arch_radius=0.0, descending_length=0.0,
-                       ascending_length=100.0, circumferential=16, axial=25,
-                       radius_profile=lambda s: 15.0 + 3.0 * s / 100.0)
-    diams = all_ring_diameters(make_phantom(spec))
+    # A cone: each ring of a straight 15 mm tube scaled about its centroid to
+    # the radius 15 + 3 s / 100 at its arc length s.
+    tube = make_phantom(PhantomSpec(arch_radius=0.0, descending_length=0.0,
+                                    ascending_length=100.0, circumferential=16, axial=25))
+    idx = rings(tube)
+    ring_verts = tube.vertices[idx]
+    center = ring_verts.mean(axis=1, keepdims=True)
+    scale = (15.0 + 3.0 * np.linspace(0.0, 100.0, 25) / 100.0) / 15.0
+    verts = tube.vertices.copy()
+    verts[idx] = center + scale[:, None, None] * (ring_verts - center)
+    diams = all_ring_diameters(tube.with_vertices(verts))
     assert np.all(np.diff(diams) > 0)
     assert diams[0] == pytest.approx(30.0, abs=1e-9)
     assert diams[-1] == pytest.approx(36.0, abs=1e-9)
@@ -238,9 +246,9 @@ def test_stress_stats_rejects_mismatched_field(tube24, tube_stress):
 
 def test_build_report_schema_and_provenance(bulge_mesh):
     stress = solve_membrane_stress(bulge_mesh, MembraneModel())
-    report = build_report(bulge_mesh, stress,
-                          config={"mesh": "bulge.vtk", "config_hash": "ab12",
-                                  "tool_version": "0.1.0", "peak_rule": "max"})
+    report = build_report(bulge_mesh, stress, ReportConfig(peak_rule="max"),
+                          provenance={"mesh": "bulge.vtk", "config_hash": "ab12",
+                                      "tool_version": "0.1.0"})
     data = report.as_dict()
     validate_report(data)
     assert data["schema_version"] == SCHEMA_VERSION
@@ -268,8 +276,7 @@ def test_build_report_rejects_peak_below_mean(tube24, tube_stress):
     # percentile 0 turns the peak into the regional minimum, which the
     # report refuses to publish.
     with pytest.raises(ValueError, match="peak stress below mean"):
-        build_report(tube24, tube_stress,
-                     config={"peak_rule": "percentile", "percentile": 0.0})
+        build_report(tube24, tube_stress, ReportConfig(peak_rule="percentile", percentile=0.0))
 
 
 def test_validate_report_failure_modes(tube24, tube_stress):
@@ -310,6 +317,17 @@ def test_validate_report_failure_modes(tube24, tube_stress):
     broken["regions"]["root"]["peak_sigma1_kpa"] = (
         broken["regions"]["root"]["mean_sigma1_kpa"] - 1.0)
     with pytest.raises(ValueError, match="peak below mean"):
+        validate_report(broken)
+
+    for key in ("peak_sigma1_kpa", "diameter_error_mm"):
+        broken = copy.deepcopy(good)
+        broken["regions"]["root"][key] = float("inf")
+        with pytest.raises(ValueError, match="finite"):
+            validate_report(broken)
+
+    broken = copy.deepcopy(good)
+    broken["thickness_mm"] = float("nan")
+    with pytest.raises(ValueError, match="finite"):
         validate_report(broken)
 
     broken = copy.deepcopy(good)

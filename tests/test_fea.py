@@ -121,9 +121,11 @@ def test_nodal_forces_half_shell_projected_area():
 def test_nodal_forces_skip_degenerate_triangles():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
     mesh = QuadMesh(verts, np.array([[0, 1, 2, 3]]), np.zeros(4, dtype=np.int8))
-    forces, skipped = pressure_nodal_forces(mesh, 1.0, return_skipped=True)
-    assert skipped == 1  # triangle (v0, v1, v2) is collinear
-    assert np.isfinite(forces).all()
+    forces = pressure_nodal_forces(mesh, 1.0)
+    # Triangle (v0, v1, v2) is collinear and adds no force: only (v0, v2, v3) loads.
+    expect = np.zeros_like(verts)
+    expect[[0, 2, 3]] = (1.0 / 3.0) * (0.5 * np.cross(verts[2] - verts[0], verts[3] - verts[0]))
+    assert np.array_equal(forces, expect)
 
 
 # ---------------------------------------------------------------------------

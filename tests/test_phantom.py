@@ -102,17 +102,6 @@ def test_bulge_radius_amplitude():
     assert means[-1] == pytest.approx(15.0, abs=1e-6)
 
 
-def test_radius_profile_followed():
-    L = 100.0
-    spec = PhantomSpec(circumferential=12, axial=26, ascending_length=L,
-                       arch_radius=0.0, descending_length=0.0,
-                       radius_profile=lambda s: 15.0 + 3.0 * s / L)
-    mesh = make_phantom(spec)
-    means, _ = _ring_radii_of(mesh)
-    s = np.linspace(0.0, L, 26)
-    assert np.allclose(means, 15.0 + 3.0 * s / L, rtol=0.0, atol=1e-9)
-
-
 def test_jitter_reproducible_with_seed():
     a = make_phantom(PhantomSpec(circumferential=8, axial=10, jitter=0.2, seed=5))
     b = make_phantom(PhantomSpec(circumferential=8, axial=10, jitter=0.2, seed=5))
