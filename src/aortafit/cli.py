@@ -275,7 +275,8 @@ def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
     files["svf.raw"] = os.path.join(out_dir, "svf.raw")
     files["history.json"] = _write_json(
         os.path.join(out_dir, "history.json"),
-        {"loss": [float(x) for x in result.history], "level_starts": list(result.level_starts)},
+        {"loss": [float(x) for x in result.history], "level_starts": list(result.level_starts),
+         "levels": list(result.levels)},
     )
     summary = {
         "final": result.final.as_dict(),

@@ -7,12 +7,14 @@ S times, u <- u + u(x + u), using clamped trilinear sampling. The result is a
 displacement field u = phi - id in voxel units on the same grid.
 
 Each squaring step samples u at the points x + u, and that sample is one
-sparse linear operator W (:class:`~aortafit.volgrid.TrilinearSampler`).
-``exp_vjp`` is the exact reverse-mode derivative of the composite map
-tau -> warped mesh vertices: the forward pass keeps every intermediate field
-and its step's operator, and the backward pass applies W.T for the field
-values and W's derivative matrices for the sample positions. The warp of mesh
-vertices is one more such operator, fixed as long as the vertices are.
+sparse linear operator W (:class:`~aortafit.volgrid.TrilinearSampler`). The
+composite map tau -> warped mesh vertices is linearized exactly at one field
+by :class:`Linearization`: step k's derivative is du <- du + W_k du + M_k du,
+where M_k holds the 3x3 derivative of the sampled value in each sample
+point. Its ``jvp`` pushes a field perturbation forward to vertex motion, and
+its ``vjp`` is the transpose: ``exp_vjp`` pulls a vertex gradient back to a
+gradient in tau. The warp of mesh vertices is one more sampling operator,
+fixed as long as the vertices are.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "warp_vertices",
     "vertex_sampler",
     "jacobian_determinant",
+    "Linearization",
     "exp_vjp",
 ]
 
@@ -78,8 +81,8 @@ def _forward(svf, cfg):
     """All intermediate fields u_0 .. u_S (u_0 = tau / 2^S) plus step samplers.
 
     Step k computes u_k + u_k(x + u_k) with the sampler at the points
-    x + u_k; the samplers are kept so a following backward pass applies their
-    adjoints instead of rebuilding them.
+    x + u_k; the samplers are kept so a :class:`Linearization` of the same
+    field reuses them instead of rebuilding them.
     """
     steps = cfg.resolve_steps(svf)
     dims = svf.geom.dims
@@ -145,31 +148,54 @@ def jacobian_determinant(disp):
     return Volume3D(disp.geom, np.linalg.det(jac))
 
 
-def exp_vjp(svf, cfg, vertex_grad, mesh, grid, states=None, sampler=None):
+class Linearization:
+    """The map tau -> warped mesh vertices (mm), linearized at one field.
+
+    Built from ``_forward``'s ``(us, samplers)`` for the field, the vertex
+    sampler of the mesh on the field's grid, and that grid's mm spacing.
+    Squaring step k, u_{k+1} = u_k + W_k u_k with W_k sampling at x + u_k, has
+    the derivative du_{k+1} = du_k + W_k du_k + M_k du_k, where the 3x3 block
+    M_k[i] = d(W_k u_k)[i] / d(sample point i) is zero along clamped axes.
+    Only W_k and M_k are kept: the fields u_k and the slope matrices are
+    dropped once M_k is built.
+    """
+
+    def __init__(self, states, sampler, spacing):
+        us, samplers = states
+        self.steps = []
+        for u, step in zip(us, samplers):
+            flat = u.reshape(-1, 3)
+            # [i, c, a]: d(sampled component c) / d(point coordinate a)
+            block = np.stack([s @ flat for s in step.slopes()], axis=2) * step.interior[:, None, :]
+            self.steps.append((step.weights, block))
+        self.shape = us[0].shape
+        self.sampler = sampler
+        self.spacing = np.asarray(spacing, dtype=np.float64)
+
+    def jvp(self, d_tau):
+        """(N, 3) motion of the warped vertices, in mm, for the field perturbation ``d_tau``."""
+        du = d_tau.reshape(-1, 3) / (2.0 ** len(self.steps))
+        for w, m in self.steps:
+            du = du + w @ du + np.einsum("ica,ia->ic", m, du)
+        return self.sampler.sample(du.reshape(self.shape)) * self.spacing
+
+    def vjp(self, cot):
+        """Transpose of :meth:`jvp`: the tau-shaped pullback of (N, 3) vertex cotangents."""
+        grad = self.sampler.adjoint(cot * self.spacing).reshape(-1, 3)
+        for w, m in reversed(self.steps):
+            grad = grad + w.T @ grad + np.einsum("ica,ic->ia", m, grad)
+        return grad.reshape(self.shape) / (2.0 ** len(self.steps))
+
+
+def exp_vjp(svf, lin, vertex_grad):
     """Gradient of a vertex loss with respect to the SVF values.
 
-    Given d(loss)/d(warped vertex) for every vertex of ``mesh``, pulls the
-    gradient back through warp_vertices and every squaring step of
-    exponentiate, returning d(loss)/d(tau) as a field on svf's grid.
-
-    ``states`` may pass the ``(us, samplers)`` pair from a prior internal
-    forward pass of the same field: the intermediate fields u_0 .. u_S and the
-    sampler of each squaring step. Omitted, the forward pass is recomputed.
-    ``sampler`` may pass ``vertex_sampler(mesh, grid)``, as for warp_vertices.
+    ``lin`` is the :class:`Linearization` at ``svf``. Given d(loss)/d(warped
+    vertex) for every vertex of its mesh, pulls the gradient back through
+    warp_vertices and every squaring step of exponentiate, returning
+    d(loss)/d(tau) as a field on svf's grid.
     """
     g = np.asarray(vertex_grad, dtype=np.float64)
-    if g.shape != mesh.vertices.shape:
-        raise ValueError(f"vertex_grad shape {g.shape} does not match vertices {mesh.vertices.shape}")
-    us, samplers = _forward(svf, cfg) if states is None else states
-    if sampler is None:
-        sampler = vertex_sampler(mesh, grid)
-
-    # Through warp: v' = v + spacing * sample(u_S, p), p fixed.
-    grad_u = sampler.adjoint(g * np.asarray(grid.spacing))
-
-    # Through each squaring step, finest last: u_{k+1} = u_k + u_k(x + u_k).
-    for u, step in zip(reversed(us[:-1]), reversed(samplers)):
-        cot = grad_u.reshape(-1, 3)
-        grad_u = grad_u + step.adjoint(cot) + step.point_grad(u, cot).reshape(grad_u.shape)
-
-    return VectorField3D(svf.geom, grad_u / (2.0 ** len(samplers)))
+    if g.shape != (lin.sampler.weights.shape[0], 3):
+        raise ValueError(f"vertex_grad shape {g.shape} does not match the {lin.sampler.weights.shape[0]} vertices")
+    return VectorField3D(svf.geom, lin.vjp(g))

@@ -7,14 +7,21 @@ level of a multiresolution ladder, trilinearly upsampled to the next, and the
 best-loss iterate of the final level is returned. Gradients flow analytically
 from the loss through warp and exponentiation (exp_vjp).
 
-The update is an adaptive first-order rule with fixed settings: a
-bias-corrected first moment divided by a running field-wide infinity-norm of
-the gradient (the Adamax update with the max taken over the whole field
-rather than per coordinate, so unconstrained control nodes stay put instead
-of taking normalized full-size steps). A level ends after ``iters_per_level``
-iterations, or earlier once its best loss has improved by less than a relative
-1e-6 over 25 iterations. The whole procedure is deterministic: a zero initial
-field, no stochastic sampling, and reduction orders fixed by the array layout.
+Each level runs a Levenberg-Marquardt Gauss-Newton fit through the exact
+linearization J of tau -> warped vertices (:class:`~aortafit.diffeo.Linearization`).
+The model Hessian is H = 2 J^T D J, with D the geometric term's per-vertex
+weight omega_r / n_r; the smoothness term enters the gradient only. Truncated
+conjugate gradients solve (H + lambda I) d = -g, for at most 10 iterations
+or until ||r|| < 0.01 ||g||; a level's first lambda is 1e-3 g^T H g / g^T g.
+A trial field is accepted only if the total loss falls, and lambda is then
+divided by 3; otherwise, or when the trial outgrows the squaring-step guard
+or turns non-finite, lambda is multiplied by 4. A level stops once an
+accepted step lowers the loss by less than a relative ``_TOL``, when the
+gradient is zero, or when its budget is spent: ``iters_per_level`` caps the
+forward passes plus Hessian-vector products of each level. The whole
+procedure is deterministic: a zero initial field, no stochastic sampling, and
+reduction orders fixed by the array layout (inner products are numpy sums,
+whose order does not depend on the BLAS thread count).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 
 from .diffeo import (
     DiffeoConfig,
+    Linearization,
     _forward,
     exp_vjp,
     exponentiate,
@@ -32,7 +40,7 @@ from .diffeo import (
     vertex_sampler,
     warp_vertices,
 )
-from .objective import LossBreakdown, LossWeights, chamfer, loss_grad, total_loss
+from .objective import LossBreakdown, LossWeights, chamfer, loss_grad, total_loss, vertex_weights
 from .volgrid import GridGeom, VectorField3D, trilinear_sample
 
 __all__ = [
@@ -46,20 +54,20 @@ __all__ = [
     "bounding_grid",
 ]
 
-_STEP = 0.25
-_DECAYS = (0.9, 0.999)  # first-moment and infinity-norm decay rates
-# A level stops once its best loss gained less than _PLATEAU_TOL, relative,
-# over the last _PLATEAU_ITERS iterations.
-_PLATEAU_TOL = 1e-6
-_PLATEAU_ITERS = 25
-_DIVERGE_WINDOW = 50
+# A level stops once an accepted step lowers the loss by less than this, relative.
+_TOL = 3e-3
+_CG_ITERS = 10
+_CG_RTOL = 0.01  # CG stops once ||r|| < _CG_RTOL ||g||
+_LAMBDA_INIT = 1e-3  # first lambda, relative to the Rayleigh quotient g^T H g / g^T g
+_LAMBDA_DOWN = 3.0  # lambda is divided by this on an accepted step
+_LAMBDA_UP = 4.0  # and multiplied by this on a rejected one
 
 
 class FitDivergence(RuntimeError):
     """The fit blew up; the loss history up to that point is attached.
 
-    Raised when the loss stays above 10x its initial value for too long, or
-    when the field outgrows the squaring-step guard of scaling and squaring.
+    Raised when a level's first field, upsampled from the level before,
+    outgrows the squaring-step guard of scaling and squaring.
     """
 
     def __init__(self, message, history):
@@ -107,6 +115,7 @@ class FitResult:
     fitted: object
     history: np.ndarray
     level_starts: tuple
+    levels: tuple
     final: LossBreakdown
     final_chamfer: float
     min_jacobian: float
@@ -163,93 +172,125 @@ def upsample_svf(svf, new_dims):
     return VectorField3D(GridGeom(new_dims, spacing, svf.geom.origin), vals)
 
 
-def _adam_state(shape):
-    return {"m": np.zeros(shape), "u": 0.0, "t": 0}
+def _dot(a, b):
+    # A numpy sum, not BLAS dot: its order does not depend on the thread count.
+    return float(np.sum(a * b))
 
 
-def _update(tau, grad, state):
-    b1, b2 = _DECAYS
-    state["t"] += 1
-    state["m"] = b1 * state["m"] + (1.0 - b1) * grad
-    # Field-wide infinity-norm scale (Adamax-style), not per coordinate:
-    # normalizing each control node separately turns the negligible gradients
-    # at barely-constrained nodes into full-size steps and shreds the field's
-    # smoothness; one shared scale preserves the gradient's spatial profile.
-    state["u"] = max(b2 * state["u"], float(np.max(np.abs(grad))))
-    mhat = state["m"] / (1.0 - b1 ** state["t"])
-    return tau - _STEP * mhat / (state["u"] + 1e-12)
+def _solve(hess, g, lam, maxiter):
+    """Truncated CG for (H + lam I) d = -g from d = 0.
+
+    ``hess(p)`` returns H p. With ``lam`` None, lam is set from the first
+    product, which is along g. Returns the step, lam and the number of
+    products taken.
+    """
+    step = np.zeros_like(g)
+    r = -g
+    p = r
+    rr = _dot(r, r)
+    enough = _CG_RTOL**2 * rr
+    for n in range(1, maxiter + 1):
+        hp = hess(p)
+        if lam is None:
+            lam = _LAMBDA_INIT * _dot(p, hp) / rr
+        hp += lam * p
+        curvature = _dot(p, hp)
+        if not curvature > 0:
+            break
+        alpha = rr / curvature
+        step = step + alpha * p
+        r = r - alpha * hp
+        rr_next = _dot(r, r)
+        if rr_next < enough:
+            break
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return step, lam, n
+
+
+def _fit_level(template, target, geom, tau, cfg, history):
+    """One level's LM Gauss-Newton fit from ``tau``; returns the accepted field and the level's record.
+
+    Every forward pass that yields a loss appends it to ``history``.
+    """
+    # The template does not move within a level: one sampler at its vertices
+    # serves every warp and every linearization.
+    sampler = vertex_sampler(template, geom)
+
+    def forward(tau):
+        fld = VectorField3D(geom, tau)
+        states = _forward(fld, cfg.diffeo)
+        warped = warp_vertices(template, VectorField3D(geom, states[0][-1]), geom, sampler=sampler)
+        loss = total_loss(warped, target, cfg.weights).total
+        history.append(loss)
+        return fld, states, warped, loss
+
+    try:
+        fld, states, warped, loss = forward(tau)
+    except ValueError as exc:  # a valid field raises it only from the squaring-step guard
+        raise FitDivergence(str(exc), history) from None
+    diag = 2.0 * vertex_weights(template, target, cfg.weights)[:, None]  # H = J^T diag J
+    passes, products, accepted, lam = 1, 0, 0, None
+    stop = "budget"
+    while True:
+        if states is not None:  # a newly accepted field: linearize it
+            lin = Linearization(states, sampler, geom.spacing)
+            states = None
+            grad = exp_vjp(fld, lin, loss_grad(warped, target, cfg.weights)).data
+            if not np.any(grad):
+                stop = "zero_gradient"
+                break
+        room = cfg.iters_per_level - passes - products - 1  # products, leaving one forward pass
+        if room < 1:
+            break
+        step, lam, n = _solve(lambda p: lin.vjp(diag * lin.jvp(p)), grad, lam, min(_CG_ITERS, room))
+        products += n
+        passes += 1
+        try:
+            trial = forward(tau + step)
+        except (ValueError, FloatingPointError):  # past the squaring-step guard, or non-finite
+            trial = None
+        if trial is None or not trial[3] < loss:
+            trial = None  # a rejected forward pass is dropped before the next one runs
+            lam *= _LAMBDA_UP
+            continue
+        lam /= _LAMBDA_DOWN
+        accepted += 1
+        tau = tau + step
+        relative = (loss - trial[3]) / loss
+        fld, states, warped, loss = trial
+        lin = trial = None
+        if relative < _TOL:
+            stop = "tolerance"
+            break
+    record = {"stop": stop, "forward_passes": passes, "hessian_products": products,
+              "accepted_steps": accepted, "lambda": lam, "grad_inf_norm": float(np.max(np.abs(grad)))}
+    return tau, sampler, record
 
 
 def fit_svf(template, target, grid, cfg=FitConfig()):
     """Fit an SVF deforming ``template`` toward ``target`` over ``grid``.
 
     Both meshes need identical connectivity and regions and must lie inside
-    the grid extent. Returns the best-loss iterate of the final level; the
-    reported ``min_jacobian`` is the minimum interior Jacobian determinant of
-    the final displacement (the diffeomorphism certificate).
+    the grid extent. Returns the last accepted field of the final level, its
+    lowest-loss iterate; the reported ``min_jacobian`` is the minimum interior
+    Jacobian determinant of the final displacement (the diffeomorphism
+    certificate). ``levels`` holds one record per level: why it stopped
+    (``tolerance``, ``budget`` or ``zero_gradient``), its forward passes,
+    Hessian-vector products and accepted steps, the final lambda (None if no
+    step was solved for) and the inf-norm of its last gradient.
     """
     history = []
     level_starts = []
-    initial_loss = None
-    bad_streak = 0
+    levels = []
     tau = np.zeros(cfg.levels[0] + (3,))
-
     for level, dims in enumerate(cfg.levels):
         geom = control_grid(grid, dims)
         if level > 0:
-            up = upsample_svf(VectorField3D(prev_geom, tau), dims)
-            tau = up.data
+            tau = upsample_svf(VectorField3D(prev_geom, tau), dims).data
         level_starts.append(len(history))
-        # The template does not move within a level: one sampler at its
-        # vertices serves every warp and the first step of every adjoint.
-        sampler = vertex_sampler(template, geom)
-        state = _adam_state(tau.shape)
-        best_tau = tau.copy()
-        best_loss = np.inf
-        best_track = []
-
-        for _ in range(cfg.iters_per_level):
-            fld = VectorField3D(geom, tau)
-            # One forward pass per iteration; its states feed both the loss
-            # evaluation and the backward pass below. A valid field raises
-            # ValueError here only from the squaring-step guard.
-            try:
-                states = _forward(fld, cfg.diffeo)
-            except ValueError as exc:
-                raise FitDivergence(str(exc), history) from None
-            disp = VectorField3D(geom, states[0][-1])
-            warped = warp_vertices(template, disp, geom, sampler=sampler)
-            breakdown = total_loss(warped, target, cfg.weights)
-            loss = breakdown.total
-            history.append(loss)
-            if initial_loss is None:
-                initial_loss = loss
-            if loss < best_loss:
-                best_loss = loss
-                best_tau = tau.copy()
-            best_track.append(best_loss)
-
-            if initial_loss > 0 and loss > 10.0 * initial_loss:
-                bad_streak += 1
-                if bad_streak >= _DIVERGE_WINDOW:
-                    raise FitDivergence(
-                        f"loss {loss:.3g} stayed above 10x initial {initial_loss:.3g} "
-                        f"for {bad_streak} iterations",
-                        history,
-                    )
-            else:
-                bad_streak = 0
-
-            if len(best_track) > _PLATEAU_ITERS:
-                prev = best_track[-_PLATEAU_ITERS - 1]
-                if prev - best_loss < _PLATEAU_TOL * max(prev, 1e-300):
-                    break
-
-            g_v = loss_grad(warped, target, cfg.weights)
-            g_tau = exp_vjp(fld, cfg.diffeo, g_v, template, geom, states=states, sampler=sampler)
-            tau = _update(tau, g_tau.data, state)
-
-        tau = best_tau
+        tau, sampler, record = _fit_level(template, target, geom, tau, cfg, history)
+        levels.append(record)
         prev_geom = geom
 
     svf = VectorField3D(prev_geom, tau)
@@ -263,6 +304,7 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         fitted=fitted,
         history=np.asarray(history),
         level_starts=tuple(level_starts),
+        levels=tuple(levels),
         final=final,
         final_chamfer=chamfer(fitted, target),
         min_jacobian=min_jac,

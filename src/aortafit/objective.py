@@ -30,6 +30,7 @@ __all__ = [
     "smoothness",
     "total_loss",
     "loss_grad",
+    "vertex_weights",
     "chamfer",
 ]
 
@@ -188,12 +189,16 @@ def _smoothness_grad(mesh):
     return grad.reshape(-1, 3) / (int(circ[4].sum()) + int(axial[4].sum()))
 
 
+def vertex_weights(pred, gt, weights):
+    """(n,) weight omega_r / n_r of each vertex's squared distance in the geometric term."""
+    counts = _check_correspondence(pred, gt)
+    return (np.asarray(weights.omega) / counts)[pred.regions.astype(np.intp)]
+
+
 def loss_grad(pred, gt, weights):
     """Analytic d(total_loss)/d(pred vertex positions), shape (n, 3)."""
-    counts = _check_correspondence(pred, gt)
     grad = np.zeros_like(pred.vertices)
-    scale = 2.0 * np.asarray(weights.omega) / counts
-    grad += scale[pred.regions.astype(np.intp), None] * (pred.vertices - gt.vertices)
+    grad += 2.0 * vertex_weights(pred, gt, weights)[:, None] * (pred.vertices - gt.vertices)
     if weights.alpha > 0:
         grad += weights.alpha * _smoothness_grad(pred)
     return grad

@@ -183,11 +183,13 @@ def _coplanar_overlap(A, B, normal, scale):
     k = len(A)
     if k == 0:
         return np.zeros(0, dtype=bool)
-    # In-plane orthonormal basis per pair.
-    n = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-    ref = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    u = np.cross(n, ref)
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    # In-plane orthonormal basis per pair. A zero-area triangle has a zero
+    # normal and so a NaN basis; only numpy's warnings about it are silenced.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+        ref = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        u = np.cross(n, ref)
+        u = u / np.linalg.norm(u, axis=1, keepdims=True)
     v = np.cross(n, u)
     a2 = np.stack([np.einsum("kpd,kd->kp", A, u), np.einsum("kpd,kd->kp", A, v)], axis=-1)
     b2 = np.stack([np.einsum("kpd,kd->kp", B, u), np.einsum("kpd,kd->kp", B, v)], axis=-1)

@@ -14,9 +14,9 @@ Conventions
   every sample is total.
 * Sampling at fixed points is one sparse linear operator W
   (:class:`TrilinearSampler`, int32 indices): values are ``W @ field``, the
-  adjoint in the field values is ``W.T @ cot``, and the position gradient
-  comes from the derivative matrices of W, zero along clamped axes and built
-  only when a position gradient is first asked for.
+  adjoint in the field values is ``W.T @ cot``, and the derivatives in the
+  point positions come from W's slope matrices, built only when asked for
+  and zero along clamped axes (``interior``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,11 +119,11 @@ class TrilinearSampler:
     ``weights`` is the CSR matrix W (N points x voxels, 8 nonzeros per row,
     int32 indices) holding each point's cell-corner weights, so sampling a
     field is ``W @ field`` and the adjoint in the field values is
-    ``W.T @ cot``. ``slopes`` holds the three matrices dW / d(point coordinate
-    along axis a), built on the first ``point_grad`` (forward-only sampling
-    never pays for them); they share W's ``indices`` and ``indptr``.
-    ``interior`` (N, 3) is False where a coordinate was clamped, which zeroes
-    that axis of the position gradient.
+    ``W.T @ cot``. ``slopes()`` builds the three matrices dW / d(point
+    coordinate along axis a) on each call (forward-only sampling never pays
+    for them); they share W's ``indices`` and ``indptr``. ``interior`` (N, 3)
+    is False where a coordinate was clamped: the sampled values do not move
+    with that coordinate, whatever its slope matrix holds.
     """
 
     def __init__(self, dims, points):
@@ -156,11 +155,9 @@ class TrilinearSampler:
         self.weights = sp.csr_array(((wxy * wz).ravel(), cols.ravel(), ptr), shape=(len(pts), nvox))
         self._pairs = (px, py, pz)
 
-    @cached_property
     def slopes(self):
-        """dW / d(point coordinate along axis a) for a = 0, 1, 2, built on first use."""
+        """dW / d(point coordinate along axis a) for a = 0, 1, 2, built anew on each call."""
         px, py, pz = self._pairs
-        del self._pairs
         wz = pz @ _SELECT[2]
         # W's products with one factor replaced by its +-1 slope (0 comes out +0.0).
         data = ((py @ (_SELECT[1] * _SIGN[0])) * wz, (px @ (_SELECT[0] * _SIGN[1])) * wz,
@@ -175,12 +172,6 @@ class TrilinearSampler:
     def adjoint(self, cot):
         """``W.T @ cot``: d(loss)/d(stored values), shaped like the sampled grid."""
         return (self.weights.T @ cot).reshape(self.dims + cot.shape[1:])
-
-    def point_grad(self, data, cot):
-        """(N, 3) d(loss)/d(points) given the cotangent of the sampled values."""
-        flat = data.reshape((-1,) + data.shape[3:])
-        ds = [(s @ flat) * cot for s in self.slopes]
-        return np.stack([d if d.ndim == 1 else d[:, 0] + d[:, 1] + d[:, 2] for d in ds], axis=1) * self.interior
 
 
 def trilinear_sample(fld, points):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from aortafit.diffeo import Linearization, _forward, vertex_sampler
 from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh
 from aortafit.volgrid import GridGeom, VectorField3D
@@ -112,6 +113,26 @@ def smooth_svf(dims, max_abs, seed, sigma=2.5):
     peak = np.abs(data).max()
     data *= max_abs / peak
     return VectorField3D(GridGeom(dims), data)
+
+
+def linearize(svf, cfg, mesh, grid):
+    """The linearization of tau -> warped ``mesh`` vertices at ``svf``, as the fitter builds it."""
+    return Linearization(_forward(svf, cfg), vertex_sampler(mesh, grid), grid.spacing)
+
+
+@pytest.fixture
+def blown_up_upsample(monkeypatch):
+    """``fitter.upsample_svf`` returning fields 1e7 times too large, so a
+    fit's second level trips the squaring-step guard at once."""
+    from aortafit import fitter
+
+    real = fitter.upsample_svf
+
+    def upsample(svf, dims):
+        up = real(svf, dims)
+        return VectorField3D(up.geom, up.data * 1e7)
+
+    monkeypatch.setattr(fitter, "upsample_svf", upsample)
 
 
 def random_rotation(rng):

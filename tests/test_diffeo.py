@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_svf, straight_cylinder
+from conftest import linearize, smooth_svf, straight_cylinder
 
 from aortafit import diffeo, volgrid
 from aortafit.diffeo import (
     DiffeoConfig,
+    _forward,
     exp_vjp,
     exponentiate,
     jacobian_determinant,
+    vertex_sampler,
     warp_vertices,
 )
 from aortafit.volgrid import GridGeom, TrilinearSampler, VectorField3D, trilinear_sample
@@ -115,15 +117,19 @@ def test_exp_rejects_nonfinite_growth():
 
 
 def test_forward_only_sampling_builds_no_slopes(monkeypatch):
-    # exponentiate and trilinear_sample only sample, so the slope matrices
-    # are never built; a point_grad after other calls builds them and gives
-    # what building them first gives.
-    made = []
+    # exponentiate and trilinear_sample only sample, so they never build the
+    # slope matrices; slopes() called after other calls gives what it gives
+    # called first.
+    made, sloped = [], []
 
     class Recording(TrilinearSampler):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
+
+        def slopes(self):
+            sloped.append(self)
+            return super().slopes()
 
     monkeypatch.setattr(diffeo, "TrilinearSampler", Recording)
     monkeypatch.setattr(volgrid, "TrilinearSampler", Recording)
@@ -131,16 +137,17 @@ def test_forward_only_sampling_builds_no_slopes(monkeypatch):
     exponentiate(svf)
     pts = np.random.default_rng(32).uniform(-1.0, 9.0, size=(50, 3))
     trilinear_sample(svf, pts)
-    assert len(made) > 1 and not any("slopes" in vars(s) for s in made)
+    assert len(made) > 1 and not sloped
 
     cot = np.random.default_rng(33).standard_normal((50, 3))
-    eager = TrilinearSampler(svf.geom.dims, pts)
-    eager.slopes
+    eager = TrilinearSampler(svf.geom.dims, pts).slopes()
     late = TrilinearSampler(svf.geom.dims, pts)
     late.sample(svf.data)
     late.adjoint(cot)
-    assert np.array_equal(late.point_grad(svf.data, cot), eager.point_grad(svf.data, cot))
-    assert late.slopes is late.slopes
+    for got, ref in zip(late.slopes(), eager):
+        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got.indices, ref.indices)
+
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +247,7 @@ def test_jacobian_requires_three_voxels_per_axis():
 
 
 # ---------------------------------------------------------------------------
-# Adjoint (exp_vjp)
+# Linearization and adjoint (exp_vjp)
 # ---------------------------------------------------------------------------
 
 def _mesh_in_grid():
@@ -253,7 +260,7 @@ def test_exp_vjp_zero_cotangent_gives_zero_field():
     mesh, grid = _mesh_in_grid()
     svf = smooth_svf(grid.dims, max_abs=0.4, seed=50)
     svf = VectorField3D(grid, svf.data)
-    out = exp_vjp(svf, DiffeoConfig(), np.zeros_like(mesh.vertices), mesh, grid)
+    out = exp_vjp(svf, linearize(svf, DiffeoConfig(), mesh, grid), np.zeros_like(mesh.vertices))
     assert np.all(out.data == 0.0)
 
 
@@ -265,7 +272,7 @@ def test_exp_vjp_zero_steps_matches_hand_built_scatter():
     svf = VectorField3D(grid, np.zeros(grid.dims + (3,)))
     g = rng.standard_normal(mesh.vertices.shape)
     cfg = DiffeoConfig(squaring_steps=0, auto_steps=False)
-    out = exp_vjp(svf, cfg, g, mesh, grid)
+    out = exp_vjp(svf, linearize(svf, cfg, mesh, grid), g)
 
     expect = np.zeros(grid.dims + (3,))
     pts = grid.world_to_voxel(mesh.vertices)
@@ -297,7 +304,7 @@ def test_exp_vjp_matches_directional_finite_differences():
             warped = warp_vertices(mesh, exponentiate(fld, cfg), grid)
             return float(np.sum(a * warped.vertices))
 
-        g = exp_vjp(svf, cfg, a, mesh, grid).data
+        g = exp_vjp(svf, linearize(svf, cfg, mesh, grid), a).data
         d = rng.standard_normal(svf.data.shape)
         d /= np.linalg.norm(d.ravel())
         h = 1e-5
@@ -309,23 +316,62 @@ def test_exp_vjp_matches_directional_finite_differences():
         assert abs(fd - analytic) / denom < 1e-4, f"trial {trial}"
 
 
-def test_exp_vjp_accepts_precomputed_forward_states():
-    from aortafit.diffeo import _forward
+def _reference_vjp(svf, cfg, g, mesh, grid):
+    """The adjoint loop written out step by step: W_k.T for the field values,
+    the slope matrices for the sample points, with clamped axes zeroed."""
+    us, samplers = _forward(svf, cfg)
+    grad_u = vertex_sampler(mesh, grid).adjoint(g * np.asarray(grid.spacing))
+    for u, step in zip(reversed(us[:-1]), reversed(samplers)):
+        cot = grad_u.reshape(-1, 3)
+        flat = u.reshape(-1, 3)
+        ds = [(s @ flat) * cot for s in step.slopes()]
+        point_grad = np.stack([d[:, 0] + d[:, 1] + d[:, 2] for d in ds], axis=1) * step.interior
+        grad_u = grad_u + step.adjoint(cot) + point_grad.reshape(grad_u.shape)
+    return grad_u / (2.0 ** len(samplers))
 
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (11, 9, 10)], ids=["grid8", "grid11x9x10"])
+def test_linearization_vjp_matches_reference_adjoint_loop(dims):
     mesh, grid = _mesh_in_grid()
-    svf = smooth_svf(grid.dims, max_abs=0.4, seed=70)
-    svf = VectorField3D(grid, svf.data)
-    rng = np.random.default_rng(71)
-    g = rng.standard_normal(mesh.vertices.shape)
+    grid = GridGeom(dims, tuple(35.0 / (n - 1) for n in dims), grid.origin)
+    svf = VectorField3D(grid, smooth_svf(dims, max_abs=3.0, seed=70).data)
+    g = np.random.default_rng(71).standard_normal(mesh.vertices.shape)
     cfg = DiffeoConfig()
-    states = _forward(svf, cfg)
-    with_states = exp_vjp(svf, cfg, g, mesh, grid, states=states)
-    without = exp_vjp(svf, cfg, g, mesh, grid)
-    assert np.array_equal(with_states.data, without.data)
+    got = exp_vjp(svf, linearize(svf, cfg, mesh, grid), g)
+    assert np.array_equal(got.data, _reference_vjp(svf, cfg, g, mesh, grid))
+
+
+def test_linearization_jvp_matches_central_differences():
+    mesh, grid = _mesh_in_grid()
+    cfg = DiffeoConfig()
+    rng = np.random.default_rng(72)
+    for trial in range(5):
+        svf = VectorField3D(grid, smooth_svf(grid.dims, max_abs=1.5, seed=80 + trial).data)
+        d = smooth_svf(grid.dims, max_abs=1.0, seed=90 + trial).data * rng.standard_normal(3)
+        h = 1e-6
+
+        def warped(data):
+            return warp_vertices(mesh, exponentiate(VectorField3D(grid, data), cfg), grid).vertices
+
+        fd = (warped(svf.data + h * d) - warped(svf.data - h * d)) / (2.0 * h)
+        jvp = linearize(svf, cfg, mesh, grid).jvp(d)
+        assert np.linalg.norm(jvp - fd) <= 1e-8 * np.linalg.norm(jvp), f"trial {trial}"
+
+
+def test_linearization_jvp_and_vjp_are_transposes():
+    mesh, grid = _mesh_in_grid()
+    rng = np.random.default_rng(73)
+    svf = VectorField3D(grid, smooth_svf(grid.dims, max_abs=2.0, seed=74).data)
+    lin = linearize(svf, DiffeoConfig(), mesh, grid)
+    for _ in range(5):
+        d = rng.standard_normal(svf.data.shape)
+        c = rng.standard_normal(mesh.vertices.shape)
+        lhs, rhs = np.sum(lin.jvp(d) * c), np.sum(d * lin.vjp(c))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 def test_exp_vjp_rejects_mismatched_gradient_shape():
     mesh, grid = _mesh_in_grid()
     svf = VectorField3D(grid, np.zeros(grid.dims + (3,)))
     with pytest.raises(ValueError, match="vertex_grad"):
-        exp_vjp(svf, DiffeoConfig(), np.zeros((3, 3)), mesh, grid)
+        exp_vjp(svf, linearize(svf, DiffeoConfig(), mesh, grid), np.zeros((3, 3)))

@@ -1,23 +1,21 @@
-"""SVF fitting: config, control grids, upsampling, optimizer, end-to-end fits."""
+"""SVF fitting: config, control grids, upsampling, end-to-end fits and their step control."""
 
 import numpy as np
 import pytest
 
 from conftest import straight_cylinder
 
-from aortafit import fitter
-from aortafit.diffeo import DiffeoConfig, exp_vjp, exponentiate, warp_vertices
+from aortafit import diffeo, fitter
+from aortafit.diffeo import exponentiate, warp_vertices
 from aortafit.fitter import (
     FitConfig,
     FitDivergence,
-    _adam_state,
-    _update,
     bounding_grid,
     control_grid,
     fit_svf,
     upsample_svf,
 )
-from aortafit.objective import LossWeights, loss_grad, total_loss
+from aortafit.objective import LossWeights, total_loss
 from aortafit.volgrid import GridGeom, VectorField3D
 
 
@@ -133,41 +131,6 @@ def test_upsample_refuses_to_shrink():
 
 
 # ---------------------------------------------------------------------------
-# Optimizer update rule
-# ---------------------------------------------------------------------------
-
-def _gd(step):
-    """Plain gradient descent in place of ``fitter._update``, for the failure tests."""
-    return lambda tau, grad, state: tau - step * grad
-
-
-def test_adam_first_step_formula():
-    rng = np.random.default_rng(4)
-    tau = rng.normal(size=(3, 3, 3, 3))
-    grad = rng.normal(size=(3, 3, 3, 3))
-    state = _adam_state(tau.shape)
-    out = _update(tau, grad, state)
-    # After one step the bias correction cancels: mhat == grad and the scale
-    # is the field-wide max |grad|.
-    gmax = np.abs(grad).max()
-    assert np.allclose(out, tau - 0.25 * grad / (gmax + 1e-12), rtol=1e-12)
-    assert state["u"] == gmax
-    assert state["t"] == 1
-
-
-def test_adam_zero_gradient_keeps_field():
-    tau = np.full((3, 3, 3, 3), 0.7)
-    state = _adam_state(tau.shape)
-    out = _update(tau, np.zeros_like(tau), state)
-    assert np.array_equal(out, tau)
-    # The infinity-norm scale decays once gradients arrive and vanish again.
-    _update(tau, np.full_like(tau, 2.0), state)
-    u_after = state["u"]
-    _update(tau, np.zeros_like(tau), state)
-    assert state["u"] == pytest.approx(0.999 * u_after, rel=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # End-to-end fits
 # ---------------------------------------------------------------------------
 
@@ -180,7 +143,8 @@ def test_fit_identical_meshes_is_fixed_point(translation_pair):
     assert res.final_chamfer == 0.0
     assert res.final.total == 0.0
     assert res.min_jacobian == 1.0
-    assert len(res.history) <= 30  # plateau tolerance stops it early
+    assert len(res.history) == 1  # the zero gradient stops it at once
+    assert res.levels[0]["stop"] == "zero_gradient"
 
 
 def test_fit_recovers_translation(translation_pair):
@@ -191,7 +155,7 @@ def test_fit_recovers_translation(translation_pair):
     assert res.final_chamfer < 0.1
     assert np.abs(res.fitted.vertices - target.vertices).max() < 0.25
     assert res.min_jacobian > 0.5
-    assert res.level_starts == (0, 60)
+    assert res.level_starts == (0, res.levels[0]["forward_passes"])
     assert res.svf.geom == control_grid(grid, (6, 6, 6))
     # best-of-final-level is what gets returned
     assert res.final.total <= res.history[res.level_starts[-1]:].min() + 1e-15
@@ -209,63 +173,77 @@ def test_fit_deterministic_rerun(translation_pair):
     assert a.final_chamfer == b.final_chamfer
 
 
-def test_fit_divergence_raises_with_history(translation_pair, monkeypatch):
-    # Oversized gradient-descent steps, with the plateau stop off so that the
-    # 10x-initial window is what ends the fit.
-    monkeypatch.setattr(fitter, "_update", _gd(2.0))
-    monkeypatch.setattr(fitter, "_PLATEAU_TOL", 0.0)
+def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair, blown_up_upsample):
+    # A level's first field past the squaring-step guard is a numerical
+    # failure of the fit, not an invalid input; the history so far rides along.
+    # A one-level fit never upsamples: it is the first level as it ran.
     template, target, grid = translation_pair
-    cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=80,
-                    weights=LossWeights(alpha=0.0))
-    with pytest.raises(FitDivergence, match="10x initial") as exc:
-        fit_svf(template, target, grid, cfg)
-    h = exc.value.history
-    assert len(h) == 51  # first iterate plus the 50-iteration bad streak
-    assert h[-1] > 10.0 * h[0]
-
-
-def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair, monkeypatch):
-    # A huge gradient step drives the field past the squaring-step guard:
-    # that is a numerical failure of the fit, not an invalid input.
-    monkeypatch.setattr(fitter, "_update", _gd(1e9))
-    template, target, grid = translation_pair
-    cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=5,
-                    diffeo=DiffeoConfig())
+    first = fit_svf(template, target, grid, FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=5))
+    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=5)
     with pytest.raises(FitDivergence, match="squaring steps") as exc:
         fit_svf(template, target, grid, cfg)
-    assert len(exc.value.history) == 1  # the zero field's loss, before the step
+    assert np.array_equal(exc.value.history, first.history)  # all of the first level, nothing after
 
 
-def test_fit_reused_operators_match_reference_loop(translation_pair, monkeypatch):
-    # fit_svf builds one vertex sampler per level and hands each forward pass
-    # to its adjoint. A loop of public calls that shares nothing between them
-    # must give the same losses; a stale or mis-scaled operator would not.
-    step = 0.05
-    monkeypatch.setattr(fitter, "_update", _gd(step))
+def test_fit_reused_operators_match_reference_loop(translation_pair):
+    # fit_svf builds one vertex sampler per level and linearizes each
+    # accepted forward pass. Public calls that share nothing with the fit
+    # must give the returned field the loss that the fit recorded as its
+    # last level's minimum; a stale or mis-scaled operator would not.
     template, target, grid = translation_pair
-    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)),
-                    iters_per_level=3)
+    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=12)
     res = fit_svf(template, target, grid, cfg)
+    warped = warp_vertices(template, exponentiate(res.svf, cfg.diffeo), res.svf.geom)
+    loss = total_loss(warped, target, cfg.weights).total
+    assert loss == res.history[res.level_starts[-1]:].min() == res.final.total
+    assert res.history[res.level_starts[-1]:].min() < res.history[res.level_starts[-1]]
 
-    history = []
-    tau = np.zeros(cfg.levels[0] + (3,))
-    prev = None
-    for dims in cfg.levels:
-        geom = control_grid(grid, dims)
-        if prev is not None:
-            tau = upsample_svf(VectorField3D(prev, tau), dims).data
-        best_loss, best_tau = np.inf, tau
-        for _ in range(cfg.iters_per_level):
-            fld = VectorField3D(geom, tau)
-            warped = warp_vertices(template, exponentiate(fld, cfg.diffeo), geom)
-            loss = total_loss(warped, target, cfg.weights).total
-            history.append(loss)
-            if loss < best_loss:
-                best_loss, best_tau = loss, tau
-            g_v = loss_grad(warped, target, cfg.weights)
-            tau = tau - step * exp_vjp(fld, cfg.diffeo, g_v, template, geom).data
-        tau, prev = best_tau, geom
 
-    assert res.level_starts == (0, 3)
-    assert history[2] < history[0] and history[5] < history[3]  # both levels descend
-    np.testing.assert_allclose(res.history, history, rtol=1e-12, atol=0.0)
+def test_fit_budget_caps_forward_passes_plus_hessian_products(translation_pair, monkeypatch):
+    # Each Hessian-vector product is one jvp; the gradient takes none.
+    counts = {}
+
+    def spy(owner, name, dims_of):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            key = dims_of(*args)
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(fitter, "_forward", lambda svf, cfg: svf.geom.dims)
+    spy(diffeo.Linearization, "jvp", lambda lin, d: lin.shape[:3])
+    template, target, grid = translation_pair
+    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=17)
+    res = fit_svf(template, target, grid, cfg)
+    for dims, record in zip(cfg.levels, res.levels):
+        assert counts[dims] <= cfg.iters_per_level
+        assert record["forward_passes"] + record["hessian_products"] == counts[dims]
+    assert any(r["stop"] == "budget" for r in res.levels)
+
+
+def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
+    # The gradient is taken once per accepted field: the losses seen there
+    # fall strictly within a level, and the returned field's is lower still.
+    seen = []
+    real_sampler, real_grad = fitter.vertex_sampler, fitter.loss_grad
+
+    def level_start(mesh, geom):
+        seen.append([])
+        return real_sampler(mesh, geom)
+
+    def grad(warped, target, weights):
+        seen[-1].append(total_loss(warped, target, weights).total)
+        return real_grad(warped, target, weights)
+
+    monkeypatch.setattr(fitter, "vertex_sampler", level_start)
+    monkeypatch.setattr(fitter, "loss_grad", grad)
+    template, target, grid = translation_pair
+    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=60)
+    res = fit_svf(template, target, grid, cfg)
+    assert [len(level) for level in seen] == [r["accepted_steps"] + (r["stop"] != "tolerance") for r in res.levels]
+    for level in seen:
+        assert len(level) > 2 and np.all(np.diff(level) < 0.0)
+    assert res.final.total <= seen[-1][-1]
