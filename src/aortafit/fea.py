@@ -14,6 +14,17 @@ damped second-kind normal equations with iterative refinement, and the
 minimum-norm solution reproduces the thin-wall textbook values (hoop pR/t on
 a cylinder, pR/2t on a sphere).
 
+The damped Gram matrix of those normal equations couples only vertices that
+share a triangle, so on a structured tube it is a band: a quad's diagonal
+joins vertices one ring plus one slot apart. It is factored by LAPACK's banded
+Cholesky in mesh order, or in reverse Cuthill-McKee order where that band is
+narrower (closed surfaces such as a cube sphere), with OpenBLAS held at one
+thread so the factor's bytes do not depend on the thread count. Where the
+Gram matrix is only semidefinite to working precision (open tubes with free
+ends keep mechanism modes that the 1e-8 damping barely lifts), or where
+scipy's OpenBLAS thread control is not available, SuperLU factors it
+instead.
+
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
 kPa.
@@ -21,11 +32,17 @@ kPa.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import coo_matrix, identity
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .quadmesh import rings, validate_topology
@@ -283,6 +300,85 @@ def _fixed_vertices(mesh, model, report):
     return np.unique(np.concatenate([loops[0], loops[-1]]))
 
 
+def _norm(v):
+    # A numpy sum, not BLAS dot: its order does not depend on the thread count.
+    return float(np.sqrt(np.sum(v * v)))
+
+
+@functools.cache
+def _blas_threads():
+    """scipy's OpenBLAS thread-count (get, set) pair, or None where it exports none."""
+    try:
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS at one thread; yields False where it cannot."""
+    control = _blas_threads()
+    if control is None:
+        yield False
+        return
+    get, set_ = control
+    old = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(old)
+
+
+def _band_cholesky(gram, shift):
+    """Solver of (gram + shift I) y = r by banded Cholesky; None if not positive definite.
+
+    ``gram`` is symmetric CSR. Its lower triangle goes straight into LAPACK's
+    band storage, in mesh order or, where that band is narrower, in reverse
+    Cuthill-McKee order.
+    """
+    n = gram.shape[0]
+    if gram.nnz == 0:
+        return None
+    rows = np.repeat(np.arange(n, dtype=gram.indices.dtype), np.diff(gram.indptr))
+    cols = gram.indices
+    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(n, dtype=perm.dtype)
+    if np.abs(rank[rows] - rank[cols]).max() < np.abs(rows - cols).max():
+        rows, cols = rank[rows], rank[cols]
+    else:
+        perm = rank = np.arange(n, dtype=perm.dtype)
+    offset = rows - cols
+    lower = offset >= 0
+    ab = np.zeros((offset.max() + 1, n), order="F")
+    ab[offset[lower], cols[lower]] = gram.data[lower]
+    ab[0] += shift
+    try:
+        cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return lambda r: cho_solve_banded((cb, True), r[perm], check_finite=False)[rank]
+
+
+def _superlu(gram, shift):
+    """Solver of (gram + shift I) y = r by SuperLU in symmetric mode."""
+    gram = gram.tocsc()
+    if shift > 0.0:
+        gram = (gram + shift * identity(gram.shape[0], format="csc")).tocsc()
+    try:
+        factor = splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(
+            f"normal-equations factorization failed: {exc}",
+            residual=float("inf"),
+            iterations=0,
+        ) from exc
+    return factor.solve
+
+
 # Overflow from an extreme load or wall shows up as a non-finite residual or
 # stress, which raises SolverError below instead of warning.
 @np.errstate(over="ignore", invalid="ignore")
@@ -312,43 +408,40 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # The system is always underdetermined (six unknowns per quad); the
     # minimum-norm solution x = A^T y comes from the damped second-kind normal
     # equations (A A^T + damp^2 I) y = b, factored once.  That Gram matrix is
-    # symmetric positive definite (semidefinite without damping), so SuperLU
-    # runs in symmetric mode: a minimum-degree ordering of its symmetric
-    # pattern, kept intact by diagonal pivots, leaves less than half the fill
-    # of the default column ordering with partial pivoting.  Refining y
-    # against the true residual recovers the digits a single solve loses to
-    # roundoff on near-mechanism modes and removes the Tikhonov bias where the
-    # damping barely matters, while keeping x free of null-space components.
+    # symmetric positive definite (semidefinite without damping) and, on a
+    # structured tube in mesh order, a band of half-width 3 (C + 1) + 2 for C
+    # vertices per ring, so LAPACK's banded Cholesky factors it with no fill
+    # outside the band and no index bookkeeping.  OpenBLAS threads the
+    # updates inside that factor, and a different split of its sums gives
+    # different bytes, so the factor and its solves run on one BLAS thread.
+    # Where the damping is too small to keep the factor positive definite (free
+    # tube ends), SuperLU's symmetric-mode LU takes over; raising the damping
+    # instead would move the resultants of every mesh.  Refining y against the
+    # true residual recovers the digits a single solve loses to roundoff on
+    # near-mechanism modes and removes the Tikhonov bias where the damping
+    # barely matters, while keeping x free of null-space components.
     col_rms = np.sqrt((A_free.data**2).sum() / A_free.shape[1])
     damp = _DAMPING * col_rms
-    gram = (A_free @ A_free.T).tocsc()
-    if damp > 0.0:
-        gram = (gram + damp**2 * identity(gram.shape[0], format="csc")).tocsc()
-    try:
-        factor = splu(gram, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(
-            f"normal-equations factorization failed: {exc}",
-            residual=float("inf"),
-            iterations=0,
-        ) from exc
+    gram = (A_free @ A_free.T).tocsr()
+    with _one_blas_thread() as pinned:
+        solve = (pinned and _band_cholesky(gram, damp**2)) or _superlu(gram, damp**2)
+        del gram
 
-    b_norm = np.linalg.norm(b_free)
-    limit = max(10.0 * model.solver_tol, 1e-6)
-    y = np.zeros(A_free.shape[0])
-    x = np.zeros(A_free.shape[1])
-    residual = 1.0 if b_norm > 0.0 else 0.0
-    itn = 0
-    while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
-        y = y + factor.solve(b_free - A_free @ x)
-        x = A_free.T @ y
-        itn += 1
-        improved = float(np.linalg.norm(A_free @ x - b_free) / b_norm)
-        if improved >= 0.9 * residual and itn > 1:
-            residual = min(residual, improved)
-            break  # stagnated at the attainable floor
-        residual = improved
+        b_norm = _norm(b_free)
+        limit = max(10.0 * model.solver_tol, 1e-6)
+        y = np.zeros(A_free.shape[0])
+        x = np.zeros(A_free.shape[1])
+        residual = 1.0 if b_norm > 0.0 else 0.0
+        itn = 0
+        while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
+            y = y + solve(b_free - A_free @ x)
+            x = A_free.T @ y
+            itn += 1
+            improved = _norm(A_free @ x - b_free) / b_norm
+            if improved >= 0.9 * residual and itn > 1:
+                residual = min(residual, improved)
+                break  # stagnated at the attainable floor
+            residual = improved
     if not residual <= limit:  # a NaN residual fails too
         raise SolverError(
             f"equilibrium residual {residual:.3g} above limit {limit:.3g} after {itn} refinement rounds",

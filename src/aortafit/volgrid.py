@@ -55,8 +55,10 @@ class GridGeom:
             raise ValueError("dims, spacing, origin must each have 3 entries")
         if any(d < 2 for d in dims):
             raise ValueError(f"grid dims must be >= 2 per axis, got {dims}")
-        if any(s <= 0 for s in spacing):
-            raise ValueError(f"grid spacing must be > 0 per axis, got {spacing}")
+        if not all(0 < s < math.inf for s in spacing):
+            raise ValueError(f"grid spacing must be finite and > 0 per axis, got {spacing}")
+        if not all(math.isfinite(o) for o in origin):
+            raise ValueError(f"grid origin must be finite, got {origin}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -64,7 +66,10 @@ class GridGeom:
     def world_to_voxel(self, points_mm):
         """Map mm positions to continuous voxel coordinates."""
         pts = np.asarray(points_mm, dtype=float)
-        return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
+        # A point too far out for the spacing overflows to inf, which lies
+        # outside every grid.
+        with np.errstate(over="ignore"):
+            return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
 
 def _check_data(geom, data, ncomp):

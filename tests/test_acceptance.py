@@ -9,6 +9,7 @@ the contract values, not what the implementation happens to achieve.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,10 +358,10 @@ def test_criterion_7_pipeline_determinism(capsys, tmp_path, tube24):
     assert main(args + ["--out", out_a]) == 0
     assert main(args + ["--out", out_b]) == 0
 
-    report = json.loads(open(os.path.join(out_a, "report.json")).read())
+    report = json.loads(Path(out_a, "report.json").read_text())
     validate_report(report)
-    manifest_a = json.loads(open(os.path.join(out_a, "manifest.json")).read())
-    manifest_b = json.loads(open(os.path.join(out_b, "manifest.json")).read())
+    manifest_a = json.loads(Path(out_a, "manifest.json").read_text())
+    manifest_b = json.loads(Path(out_b, "manifest.json").read_text())
     expected = {"fitted.vtk", "svf.hdr", "svf.raw", "history.json", "summary.json",
                 "quality.json", "stressed.vtk", "report.json"}
     assert set(manifest_a["files"]) == expected

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import bulged_cylinder, straight_cylinder
 
 from aortafit import __version__, cli
 from aortafit.cli import build_sections, config_hash, default_config, load_config, main
+from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import load_mesh, save_mesh
 from aortafit.volgrid import GridGeom, VectorField3D, Volume3D, save_volume
 
@@ -200,7 +202,7 @@ def test_quality_command_json_and_table(tmp_path, mesh_files, capsys):
                  "--summary-table"])
     assert code == 0
     assert "equiangle_skew" in capsys.readouterr().out
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert data["n_elements"] == 8 * 9
     assert data["n_degenerate"] == 0
     assert data["self_intersection_count"] == 0
@@ -224,7 +226,7 @@ def test_quality_all_degenerate_writes_null(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     table = captured.out
-    data = json.loads(open(out).read(), parse_constant=pytest.fail)
+    data = json.loads(Path(out).read_text(), parse_constant=pytest.fail)
     assert data["n_degenerate"] == data["n_elements"] == 8
     assert data["scaled_jacobian"] == {"mean": None, "std": None}
     assert any(line.split() == ["scaled_jacobian", "n/a", "n/a"] for line in table.splitlines())
@@ -236,7 +238,7 @@ def test_stress_command_free_end_cylinder(tmp_path, mesh_files, capsys):
     code = main(["stress", "--mesh", mesh_files["tube"], "--out", out,
                  "--summary", summary, "--set", "membrane.fixed_rings=[]"])
     assert code == 0
-    data = json.loads(open(summary).read())
+    data = json.loads(Path(summary).read_text())
     assert data["pressure_kpa"] == 16.0
     assert data["residual"] <= 1e-6
     for name, entry in data["regional"].items():
@@ -254,7 +256,7 @@ def test_report_command_with_reference(tmp_path, mesh_files, capsys):
                  "--set", "membrane.fixed_rings=[]"])
     assert code == 0
     assert "max_diameter_mm" in capsys.readouterr().out
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     from aortafit.clinical import validate_report
 
     validate_report(data)
@@ -276,10 +278,10 @@ def test_fit_and_warp_round_trip(tmp_path, mesh_files, capsys):
     assert code == 0
     assert "fit done" in capsys.readouterr().out
 
-    summary = json.loads(open(os.path.join(fit_dir, "summary.json")).read())
+    summary = json.loads(Path(fit_dir, "summary.json").read_text())
     assert summary["final_chamfer_mm"] < 0.1
     assert summary["min_jacobian"] > 0.5
-    history = json.loads(open(os.path.join(fit_dir, "history.json")).read())
+    history = json.loads(Path(fit_dir, "history.json").read_text())
     passes = [level["forward_passes"] for level in history["levels"]]
     assert history["level_starts"] == [0, passes[0]]
     assert len(history["loss"]) == sum(passes)
@@ -326,6 +328,60 @@ def test_warp_rejects_two_axis_header(tmp_path, mesh_files, capsys):
     assert "svf.hdr: dims, spacing, origin must each have 3 entries" in err
 
 
+# Replacement values per SVF header field: valid (the first), malformed, out
+# of range, non-finite and extreme.
+_SVF_HEADER_FUZZ = {
+    "dims": ["4 4 4", "4 4", "4 4 4 4", "1 4 4", "0 0 0", "-4 4 4", "5 4 4", "4.5 4 4", "100000 100000 100000", "x"],
+    "spacing": ["11 12 13", "1e-320 1e-320 1e-320", "1e-300 12 12", "0 12 12", "-12 12 12", "nan 12 12",
+                "inf 12 12", "1e308 1e308 1e308", "12 12", "x"],
+    "origin": ["-16 -15 -5", "nan 0 0", "inf -15 -5", "-1e308 -1e308 -1e308", "1e308 0 0", "-15 -15", "x"],
+    "dtype": ["float64", "float32", "int8", ""],
+    "byteorder": ["little", "big", ""],
+    "components": ["3", "1", "0", "2", "-3", "x"],
+    "data": ["svf.raw", "missing.raw", "", "svf.hdr"],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.sampled_from([*_SVF_HEADER_FUZZ, "drop", "raw_size"]), st.integers(0, 9)),
+                      min_size=1, max_size=3))
+def test_warp_exit_code_under_svf_fuzz(mesh_files, seed, edits):
+    # Header fields replaced or dropped, raw payloads cut short or padded:
+    # warp exits 0, 2 or 3, with at most one stderr line, no numpy warning
+    # and no traceback.
+    svf = VectorField3D(GridGeom((4, 4, 4), (12.0, 12.0, 12.0), (-15.0, -15.0, -5.0)),
+                        np.random.default_rng(seed).normal(0.0, 0.3, (4, 4, 4, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        hdr = save_volume(svf, os.path.join(tmp, "svf.hdr"))
+        raw = os.path.join(tmp, "svf.raw")
+        with open(hdr) as fh:
+            lines = fh.read().splitlines()
+        with open(raw, "rb") as fh:
+            payload = fh.read()
+        for edit, pick in edits:
+            if edit == "drop":
+                del lines[1 + pick % (len(lines) - 1)]
+            elif edit == "raw_size":
+                sizes = [0, 1, 8, len(payload) - 8, len(payload) - 1, len(payload), len(payload) + 8]
+                payload = (payload + bytes(8))[:sizes[pick % len(sizes)]]
+            else:
+                values = _SVF_HEADER_FUZZ[edit]
+                lines = [f"{edit}: {values[pick % len(values)]}" if ln.startswith(f"{edit}:") else ln for ln in lines]
+        with open(hdr, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(raw, "wb") as fh:
+            fh.write(payload)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["warp", "--mesh", mesh_files["template"], "--svf", hdr,
+                         "--out", os.path.join(tmp, "w.vtk")])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().strip().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Pipeline bundles
 # ---------------------------------------------------------------------------
@@ -335,8 +391,19 @@ def _manifest_hashes(bundle_dir):
     for case in sorted(os.listdir(bundle_dir)):
         mpath = os.path.join(bundle_dir, case, "manifest.json")
         if os.path.isdir(os.path.join(bundle_dir, case)) and os.path.exists(mpath):
-            out[case] = json.loads(open(mpath).read())["files"]
+            out[case] = json.loads(Path(mpath).read_text())["files"]
     return out
+
+
+def _run_with_blas_threads(args, threads):
+    """Run ``python -m aortafit.cli`` in a fresh process capped at ``threads`` BLAS threads."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in caps}
+    env.update(AORTAFIT_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "aortafit.cli", *args],
+                         capture_output=True, text=True, env=env, timeout=600)
+    assert run.returncode == 0, run.stderr
 
 
 def test_pipeline_bundle_independent_of_blas_threads(tmp_path, tube24):
@@ -361,6 +428,22 @@ def test_pipeline_bundle_independent_of_blas_threads(tmp_path, tube24):
         with open(os.path.join(out, "manifest.json")) as fh:
             manifests.append(json.load(fh))
     assert manifests[0] == manifests[1]
+
+
+def test_stress_independent_of_blas_threads(tmp_path):
+    # The README's bulged 78 x 320 phantom, whose Gram matrix is large enough
+    # for OpenBLAS to split the factor's updates and the residual's sums
+    # across threads: the stressed mesh and the stress summary must not
+    # change by a byte.
+    mesh = str(tmp_path / "bulge.vtk")
+    save_mesh(make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0))), mesh)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        _run_with_blas_threads(["stress", "--mesh", mesh, "--out", str(out / "stressed.vtk")], threads)
+        outputs.append([(out / name).read_bytes() for name in ("stressed.vtk", "stressed.stress.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_pipeline_two_targets_deterministic(tmp_path, mesh_files, capsys):
@@ -403,7 +486,7 @@ def test_pipeline_single_target_writes_flat(tmp_path, mesh_files, capsys):
                  *FIT_OVERRIDES])
     assert code == 0
     assert os.path.exists(os.path.join(out, "manifest.json"))
-    report = json.loads(open(os.path.join(out, "report.json")).read())
+    report = json.loads(Path(out, "report.json").read_text())
     from aortafit.clinical import validate_report
 
     validate_report(report)
@@ -442,7 +525,7 @@ def test_exit_code_2_non_finite_coordinate(tmp_path, mesh_files, capsys, command
     # A bad number in a mesh file (a NaN coordinate, a region label or ring
     # count out of range) is an input error (2), not a numerical failure (3)
     # or a crash. The first number after the section header is replaced.
-    lines = open(mesh_files["tube"]).read().splitlines()
+    lines = Path(mesh_files["tube"]).read_text().splitlines()
     first = lines.index(next(l for l in lines if l.startswith(section))) + 1
     lines[first] = " ".join([token] + lines[first].split()[1:])
     bad = tmp_path / "bad.vtk"
@@ -499,7 +582,7 @@ def test_quality_exit_code_under_mesh_fuzz(seed, edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.vtk")
         save_mesh(mesh, path, cell_data={"s": rng.standard_normal((mesh.n_faces, 2))})
-        lines = open(path).read().split("\n")
+        lines = Path(path).read_text().split("\n")
         tokens = " ".join(lines[4:]).split()
         for edit in edits:
             if edit == "count":
@@ -673,8 +756,6 @@ def test_report_exit_code_under_config_fuzz(mesh_files, key, raw):
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):
     # curved tube with free ends: no membrane equilibrium exists
     arch = str(tmp_path / "arch.vtk")
-    from aortafit.phantom import PhantomSpec, make_phantom
-
     save_mesh(make_phantom(PhantomSpec(circumferential=10, axial=16)), arch)
     code = main(["stress", "--mesh", arch, "--out", str(tmp_path / "s.vtk"),
                  "--set", "membrane.fixed_rings=[]"])

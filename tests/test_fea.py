@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from conftest import cube_sphere, random_rotation, straight_cylinder
@@ -16,7 +16,7 @@ from aortafit.fea import (
     principal_stresses,
     solve_membrane_stress,
 )
-from aortafit.quadmesh import QuadMesh, rings
+from aortafit.quadmesh import QuadMesh, rings, validate_topology
 
 HOOP = 120.0  # kPa: p R / t for p = 16 kPa, R = 15 mm, t = 2 mm
 
@@ -231,14 +231,88 @@ def test_diagonal_shear_proportional_to_band_height():
         0.5 * coarse.cauchy[:, 2].mean(), rel=1e-9)
 
 
-def test_symmetric_mode_factor_matches_default_splu(tube24, monkeypatch):
-    # Oracle: the same solve with SuperLU's default ordering and pivoting.
-    fast = solve_membrane_stress(tube24, MembraneModel())
-    monkeypatch.setattr(fea, "splu", lambda gram, **options: splu(gram))
-    ref = solve_membrane_stress(tube24, MembraneModel())
-    scale = np.abs(ref.resultants).max()
-    assert np.abs(fast.resultants - ref.resultants).max() <= 1e-8 * scale
-    assert fast.residual <= 1e-8
+def _default_splu_resultants(mesh, model):
+    """Oracle: the damped minimum-norm solve through scipy's default splu.
+
+    Same operator, load, supports and damping as the solver, but SuperLU's
+    default column ordering and partial pivoting, refined for a fixed number
+    of rounds.
+    """
+    frames = fea._element_frames(mesh)
+    A, tri_frames, tri_areas = fea._assemble(mesh, frames[0])
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[fea._fixed_vertices(mesh, model, validate_topology(mesh))] = False
+    rows = np.repeat(free, 3)
+    A = A[rows].tocsr()
+    b = pressure_nodal_forces(mesh, model.pressure * fea.KPA_TO_N_PER_MM2).ravel()[rows]
+    damp = fea._DAMPING * np.sqrt((A.data**2).sum() / A.shape[1])
+    lu = splu((A @ A.T + damp**2 * identity(A.shape[0])).tocsc())
+    y = np.zeros(A.shape[0])
+    for _ in range(4):
+        y += lu.solve(b - A @ (A.T @ y))
+    return fea._collapse_resultants(A.T @ y, frames, tri_frames, tri_areas)
+
+
+@pytest.mark.parametrize("which", ["tube24", "sphere32"])
+def test_factor_matches_default_splu(which, tube24, sphere32):
+    mesh = {"tube24": tube24, "sphere32": sphere32}[which]
+    field = solve_membrane_stress(mesh, MembraneModel())
+    ref = _default_splu_resultants(mesh, MembraneModel())
+    scale = np.abs(ref).max()
+    assert np.abs(field.resultants - ref).max() <= 1e-8 * scale
+    assert field.residual <= 1e-8
+
+
+def _factor_spies(monkeypatch):
+    calls = {"cholesky": 0, "splu": 0}
+
+    def spy(name, func):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fea, "cholesky_banded", spy("cholesky", fea.cholesky_banded))
+    monkeypatch.setattr(fea, "splu", spy("splu", fea.splu))
+    return calls
+
+
+def test_positive_definite_gram_takes_banded_cholesky(tube24, default_phantom, monkeypatch):
+    # Supported tube ends leave no mechanism: the damped Gram is positive
+    # definite and SuperLU is never called.
+    calls = _factor_spies(monkeypatch)
+    solve_membrane_stress(tube24, MembraneModel())
+    solve_membrane_stress(default_phantom[0], MembraneModel())
+    assert calls == {"cholesky": 2, "splu": 0}
+
+
+def test_free_ends_fall_back_to_superlu(tube24, monkeypatch):
+    # Free tube ends keep mechanism modes the damping barely lifts: the
+    # banded factor breaks down and SuperLU solves. The failed attempt leaves
+    # no trace: the result equals a solve that never tries Cholesky.
+    calls = _factor_spies(monkeypatch)
+    field = solve_membrane_stress(tube24, MembraneModel(fixed_rings=()))
+    assert calls == {"cholesky": 1, "splu": 1}
+    monkeypatch.setattr(fea, "_blas_threads", lambda: None)
+    ref = solve_membrane_stress(tube24, MembraneModel(fixed_rings=()))
+    assert calls == {"cholesky": 1, "splu": 2}
+    assert np.array_equal(field.resultants, ref.resultants)
+    assert field.residual == ref.residual
+
+
+def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
+    # A tube in mesh order is a band of half-width 3 (C + 1) + 2, narrower
+    # than reverse Cuthill-McKee makes it; the cube sphere's panels lie far
+    # apart in mesh order, and reverse Cuthill-McKee narrows its band.
+    widths = []
+    cholesky = fea.cholesky_banded
+    monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: widths.append(len(ab) - 1) or cholesky(ab, **kw))
+    solve_membrane_stress(tube24, MembraneModel())
+    solve_membrane_stress(sphere32, MembraneModel())
+    A, _, _ = fea._assemble(sphere32, fea._element_frames(sphere32)[0])
+    gram = (A @ A.T).tocoo()
+    assert widths[0] == 3 * (24 + 1) + 2
+    assert widths[1] < np.abs(gram.row - gram.col).max()
 
 
 def test_explicit_end_rings_match_default(tube24):

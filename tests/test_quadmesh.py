@@ -3,6 +3,7 @@
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -377,11 +378,11 @@ def test_save_mesh_bytes_match_per_element_writer(tmp_path, tube24):
         new, old = str(tmp_path / "new.vtk"), str(tmp_path / "old.vtk")
         save_mesh(mesh, new, cell_data=cd)
         _save_per_element(mesh, old, cell_data=cd)
-        assert open(new, "rb").read() == open(old, "rb").read()
+        assert Path(new).read_bytes() == Path(old).read_bytes()
     # and without a ring layout
     save_mesh(_patch_mesh(), new)
     _save_per_element(_patch_mesh(), old)
-    assert open(new, "rb").read() == open(old, "rb").read()
+    assert Path(new).read_bytes() == Path(old).read_bytes()
 
 
 def _outcome(path):
@@ -431,7 +432,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.vtk")
         save_mesh(mesh, path, cell_data=cell_data)
-        lines = open(path).read().split("\n")
+        lines = Path(path).read_text().split("\n")
         tokens = " ".join(lines[4:]).split()
         # Where each saved array's numbers start among the body tokens.
         arrays = {"POINTS": mesh.vertices.copy(), "POLYGONS": np.hstack([np.full((mesh.n_faces, 1), 4), mesh.faces]),
@@ -546,7 +547,7 @@ def test_block_reader_failures_give_walker_message(tmp_path, line, text, message
     path = str(tmp_path / "m.vtk")
     mesh = straight_cylinder(circumferential=3, axial=2, length=5.0)
     save_mesh(mesh, path, cell_data={"s": np.arange(3.0)})
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     lines[line - 1] = text
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
@@ -566,7 +567,7 @@ def test_block_reader_token_forms(tmp_path, token, fast):
     # digits. A form float() rejects is named with its line.
     path = str(tmp_path / "m.vtk")
     save_mesh(_patch_mesh(), path)
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     lines[5] = " ".join([token] + lines[5].split()[1:])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

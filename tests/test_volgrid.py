@@ -1,5 +1,7 @@
 """Volume grid: geometry, trilinear sampling and its adjoint, I/O."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,11 @@ def test_geom_validation():
         GridGeom((1, 4, 4))
     with pytest.raises(ValueError):
         GridGeom((4, 4, 4), spacing=(1.0, 0.0, 1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            GridGeom((4, 4, 4), spacing=(1.0, bad, 1.0))
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridGeom((4, 4, 4), origin=(0.0, 0.0, bad))
     with pytest.raises(ValueError):
         GridGeom((4, 4))
     geom = GridGeom((4, 5, 6), spacing=(0.5, 1.0, 2.0), origin=(-1.0, 2.0, 3.0))
@@ -302,7 +309,7 @@ def test_load_rejects_truncated_payload(tmp_path):
 def test_load_reports_missing_field(tmp_path):
     geom = GridGeom((2, 2, 2))
     hdr = save_volume(Volume3D(geom, np.zeros((2, 2, 2))), str(tmp_path / "m"))
-    lines = [ln for ln in open(hdr).read().splitlines() if not ln.startswith("components")]
+    lines = [ln for ln in Path(hdr).read_text().splitlines() if not ln.startswith("components")]
     (tmp_path / "m.hdr").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="missing header field"):
         load_volume(hdr)
