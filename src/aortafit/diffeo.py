@@ -15,6 +15,13 @@ point. Its ``jvp`` pushes a field perturbation forward to vertex motion, and
 its ``vjp`` is the transpose: ``exp_vjp`` pulls a vertex gradient back to a
 gradient in tau. The warp of mesh vertices is one more sampling operator,
 fixed as long as the vertices are.
+
+The vertices read only part of the grid, and each squaring step, counted
+back from the last, widens that part by the cells its sample points fall in:
+the dependency cones. The linearization keeps each step on its cone alone,
+numbered so that every cone is a prefix of the next, so its products touch a
+fraction of a fine grid's nodes in the last steps and stay bitwise equal to
+the full grid's.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .volgrid import TrilinearSampler, VectorField3D, Volume3D
 
@@ -156,35 +164,79 @@ class Linearization:
     Squaring step k, u_{k+1} = u_k + W_k u_k with W_k sampling at x + u_k, has
     the derivative du_{k+1} = du_k + W_k du_k + M_k du_k, where the 3x3 block
     M_k[i] = d(W_k u_k)[i] / d(sample point i) is zero along clamped axes.
-    Only W_k and M_k are kept: the fields u_k and the slope matrices are
-    dropped once M_k is built.
+
+    Only the nodes the vertices depend on are kept. The dependency cone
+    ``cone[S]`` is the set of nodes the vertex sampler reads, and ``cone[k]``
+    is ``cone[k+1]`` plus the nodes that W_k's rows in ``cone[k+1]`` read.
+    ``nodes`` numbers them so that every cone is a prefix: ``cone[S]`` first,
+    then each step's new nodes, ascending within each batch. :meth:`jvp` and
+    :meth:`vjp` run on (|cone_k|, 3) arrays in that numbering and take each
+    step's rows as a slice. Step k keeps M_k on the rows of ``cone[k+1]``, and
+    W_k's rows there, with columns in that numbering, once: in ascending node
+    order, so that its transpose sums each node's terms in the order the
+    full grid's ``W_k.T @ g`` does. :meth:`vjp` gathers its cotangent into
+    that order, and :meth:`jvp` gathers W_k's product back out of it. Every
+    row does the arithmetic the full grid does, in the same order, so the
+    products are bitwise equal to the full grid's: its other rows never reach
+    the vertices, and its pullback is exactly +0.0 outside ``cone[0]``.
     """
 
     def __init__(self, states, sampler, spacing):
         us, samplers = states
+        self.shape = us[0].shape
+        self.spacing = np.asarray(spacing, dtype=np.float64)
+        rank = np.full(len(us[0].reshape(-1, 3)), -1, dtype=np.int32)  # node -> place in ``nodes``, -1 outside
+        weights = sampler.weights
+        nodes, cols = _grow(rank, np.zeros(0, dtype=np.intp), weights.indices)
+        self.vertices = sp.csr_array((weights.data, cols, weights.indptr), shape=(weights.shape[0], len(nodes)))
         self.steps = []
-        for u, step in zip(us, samplers):
+        for u, step in zip(reversed(us[:-1]), reversed(samplers)):
+            rows = nodes
+            ascending = np.flatnonzero(rank >= 0)  # the same nodes in ascending order
+            order = rank[ascending].astype(np.intp)  # their places in ``nodes``
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+            nodes, cols = _grow(rank, rows, np.take(step.weights.indices.reshape(-1, 8), ascending, axis=0))
+            data = np.take(step.weights.data.reshape(-1, 8), ascending, axis=0)
+            ptr = np.arange(0, cols.size + 1, 8, dtype=np.int32)
+            w = sp.csr_array((data.ravel(), cols.ravel(), ptr), shape=(len(rows), len(nodes)))
             flat = u.reshape(-1, 3)
             # [i, c, a]: d(sampled component c) / d(point coordinate a)
-            block = np.stack([s @ flat for s in step.slopes()], axis=2) * step.interior[:, None, :]
-            self.steps.append((step.weights, block))
-        self.shape = us[0].shape
-        self.sampler = sampler
-        self.spacing = np.asarray(spacing, dtype=np.float64)
+            block = np.stack([s @ flat for s in step.slopes(rows)], axis=2)
+            block *= np.take(step.interior, rows, axis=0)[:, None, :]
+            self.steps.append((w, w.T, order, inverse, block))
+        self.steps.reverse()
+        self.nodes = nodes
 
     def jvp(self, d_tau):
         """(N, 3) motion of the warped vertices, in mm, for the field perturbation ``d_tau``."""
-        du = d_tau.reshape(-1, 3) / (2.0 ** len(self.steps))
-        for w, m in self.steps:
-            du = du + w @ du + np.einsum("ica,ia->ic", m, du)
-        return self.sampler.sample(du.reshape(self.shape)) * self.spacing
+        du = np.take(d_tau.reshape(-1, 3), self.nodes, axis=0) / (2.0 ** len(self.steps))
+        for w, _, _, inverse, m in self.steps:
+            head = du[: w.shape[0]]
+            du = head + np.take(w @ du, inverse, axis=0) + np.einsum("ica,ia->ic", m, head)
+        return (self.vertices @ du) * self.spacing
 
     def vjp(self, cot):
         """Transpose of :meth:`jvp`: the tau-shaped pullback of (N, 3) vertex cotangents."""
-        grad = self.sampler.adjoint(cot * self.spacing).reshape(-1, 3)
-        for w, m in reversed(self.steps):
-            grad = grad + w.T @ grad + np.einsum("ica,ic->ia", m, grad)
-        return grad.reshape(self.shape) / (2.0 ** len(self.steps))
+        grad = self.vertices.T @ (cot * self.spacing)
+        for _, wt, order, _, m in reversed(self.steps):
+            head = grad
+            grad = wt @ np.take(head, order, axis=0)
+            grad[: len(head)] = head + grad[: len(head)] + np.einsum("ica,ic->ia", m, head)
+        out = np.zeros(self.shape)
+        out.reshape(-1, 3)[self.nodes] = grad / (2.0 ** len(self.steps))
+        return out
+
+
+def _grow(rank, nodes, cols):
+    """Extend the cone ``nodes`` by the nodes of ``cols`` outside it, ascending.
+
+    ``rank`` maps nodes to their place in the cone (-1 outside it) and is
+    updated in place. Returns the grown cone and ``cols`` mapped to places in it.
+    """
+    new = np.flatnonzero((np.bincount(cols.ravel(), minlength=len(rank)) > 0) & (rank < 0))
+    rank[new] = np.arange(len(nodes), len(nodes) + len(new), dtype=np.int32)
+    return np.concatenate([nodes, new]), np.take(rank, cols)
 
 
 def exp_vjp(svf, lin, vertex_grad):
@@ -196,6 +248,7 @@ def exp_vjp(svf, lin, vertex_grad):
     d(loss)/d(tau) as a field on svf's grid.
     """
     g = np.asarray(vertex_grad, dtype=np.float64)
-    if g.shape != (lin.sampler.weights.shape[0], 3):
-        raise ValueError(f"vertex_grad shape {g.shape} does not match the {lin.sampler.weights.shape[0]} vertices")
+    n = lin.vertices.shape[0]
+    if g.shape != (n, 3):
+        raise ValueError(f"vertex_grad shape {g.shape} does not match the {n} vertices")
     return VectorField3D(svf.geom, lin.vjp(g))

@@ -21,9 +21,9 @@ Cholesky in mesh order, or in reverse Cuthill-McKee order where that band is
 narrower (closed surfaces such as a cube sphere), with OpenBLAS held at one
 thread so the factor's bytes do not depend on the thread count. Where the
 Gram matrix is only semidefinite to working precision (open tubes with free
-ends keep mechanism modes that the 1e-8 damping barely lifts), or where
-scipy's OpenBLAS thread control is not available, SuperLU factors it
-instead.
+ends keep mechanism modes that the 1e-8 damping barely lifts; an open mesh
+with no fixed vertex skips the banded attempt), or where scipy's OpenBLAS
+thread control is not available, SuperLU factors it instead.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -414,9 +414,11 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # outside the band and no index bookkeeping.  OpenBLAS threads the
     # updates inside that factor, and a different split of its sums gives
     # different bytes, so the factor and its solves run on one BLAS thread.
-    # Where the damping is too small to keep the factor positive definite (free
-    # tube ends), SuperLU's symmetric-mode LU takes over; raising the damping
-    # instead would move the resultants of every mesh.  Refining y against the
+    # Where the damping is too small to keep the factor positive definite,
+    # SuperLU's symmetric-mode LU takes over; raising the damping instead
+    # would move the resultants of every mesh.  An open mesh with no fixed
+    # vertex (free tube ends) keeps such mechanism modes, so it goes to
+    # SuperLU without trying the banded factor.  Refining y against the
     # true residual recovers the digits a single solve loses to roundoff on
     # near-mechanism modes and removes the Tikhonov bias where the damping
     # barely matters, while keeping x free of null-space components.
@@ -424,7 +426,8 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     damp = _DAMPING * col_rms
     gram = (A_free @ A_free.T).tocsr()
     with _one_blas_thread() as pinned:
-        solve = (pinned and _band_cholesky(gram, damp**2)) or _superlu(gram, damp**2)
+        banded = pinned and (fixed.size > 0 or report.boundary_edge_count == 0)
+        solve = (banded and _band_cholesky(gram, damp**2)) or _superlu(gram, damp**2)
         del gram
 
         b_norm = _norm(b_free)

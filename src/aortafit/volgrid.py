@@ -15,8 +15,8 @@ Conventions
 * Sampling at fixed points is one sparse linear operator W
   (:class:`TrilinearSampler`, int32 indices): values are ``W @ field``, the
   adjoint in the field values is ``W.T @ cot``, and the derivatives in the
-  point positions come from W's slope matrices, built only when asked for
-  and zero along clamped axes (``interior``).
+  point positions come from W's slope matrices, built only when asked for,
+  on the rows asked for, and zero along clamped axes (``interior``).
 """
 
 from __future__ import annotations
@@ -124,9 +124,10 @@ class TrilinearSampler:
     ``weights`` is the CSR matrix W (N points x voxels, 8 nonzeros per row,
     int32 indices) holding each point's cell-corner weights, so sampling a
     field is ``W @ field`` and the adjoint in the field values is
-    ``W.T @ cot``. ``slopes()`` builds the three matrices dW / d(point
-    coordinate along axis a) on each call (forward-only sampling never pays
-    for them); they share W's ``indices`` and ``indptr``. ``interior`` (N, 3)
+    ``W.T @ cot``. ``slopes(rows)`` builds the three matrices dW / d(point
+    coordinate along axis a) for a subset of the points on each call
+    (forward-only sampling never pays for them); they hold W's columns of
+    those rows, in W's order. ``interior`` (N, 3)
     is False where a coordinate was clamped: the sampled values do not move
     with that coordinate, whatever its slope matrix holds.
     """
@@ -160,23 +161,20 @@ class TrilinearSampler:
         self.weights = sp.csr_array(((wxy * wz).ravel(), cols.ravel(), ptr), shape=(len(pts), nvox))
         self._pairs = (px, py, pz)
 
-    def slopes(self):
-        """dW / d(point coordinate along axis a) for a = 0, 1, 2, built anew on each call."""
-        px, py, pz = self._pairs
+    def slopes(self, rows):
+        """dW / d(point coordinate along axis a) for a = 0, 1, 2, on the points ``rows``, built anew on each call."""
+        px, py, pz = (np.take(p, rows, axis=0) for p in self._pairs)
         wz = pz @ _SELECT[2]
         # W's products with one factor replaced by its +-1 slope (0 comes out +0.0).
         data = ((py @ (_SELECT[1] * _SIGN[0])) * wz, (px @ (_SELECT[0] * _SIGN[1])) * wz,
                 ((px @ _SELECT[0]) * (py @ _SELECT[1])) * _SIGN[2])
-        w = self.weights
-        return tuple(sp.csr_array((d.ravel(), w.indices, w.indptr), shape=w.shape) for d in data)
+        cols = np.take(self.weights.indices.reshape(-1, 8), rows, axis=0).ravel()
+        ptr = np.arange(0, len(cols) + 1, 8, dtype=np.int32)
+        return tuple(sp.csr_array((d.ravel(), cols, ptr), shape=(len(px), self.weights.shape[1])) for d in data)
 
     def sample(self, data):
         """Values at the points: (N,) for a scalar grid, (N, 3) for a vector grid."""
         return self.weights @ data.reshape((-1,) + data.shape[3:])
-
-    def adjoint(self, cot):
-        """``W.T @ cot``: d(loss)/d(stored values), shaped like the sampled grid."""
-        return (self.weights.T @ cot).reshape(self.dims + cot.shape[1:])
 
 
 def trilinear_sample(fld, points):

@@ -753,6 +753,48 @@ def test_report_exit_code_under_config_fuzz(mesh_files, key, raw):
     assert len(err.getvalue().strip().splitlines()) <= 1
 
 
+_FUZZ_JSON = st.recursive(_FUZZ_LEAF, _json_containers, max_leaves=12)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["set", "drop", "add", "section", "top"]),
+                                st.sampled_from(_FUZZ_KEYS), _FUZZ_JSON), max_size=4),
+       cut=st.none() | st.integers(0, 2**16), junk=st.binary(max_size=4))
+def test_report_exit_code_under_config_file_fuzz(mesh_files, edits, cut, junk):
+    # Whole config files: the defaults with keys set to any JSON, dropped or
+    # added, sections or the whole document replaced, then the text cut short
+    # and arbitrary bytes appended. report exits 0, 2 or 3, with at most one
+    # stderr line, and nothing escapes main.
+    doc = default_config()
+    for edit, dotted, value in edits:
+        section, key = dotted.split(".")
+        if edit == "top":
+            doc = value
+        elif not isinstance(doc, dict):
+            continue
+        elif edit == "section":
+            doc[section] = value
+        elif isinstance(doc.get(section), dict):
+            if edit == "set":
+                doc[section][key] = value
+            elif edit == "add":
+                doc[section][key + "_x"] = value
+            else:
+                doc[section].pop(key, None)
+    text = json.dumps(doc).encode()
+    if cut is not None:
+        text = text[: cut % (len(text) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(text + junk)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", "--mesh", mesh_files["tube8"], "--config", path])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().strip().splitlines()) <= 1
+
+
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):
     # curved tube with free ends: no membrane equilibrium exists
     arch = str(tmp_path / "arch.vtk")

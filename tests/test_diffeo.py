@@ -127,9 +127,9 @@ def test_forward_only_sampling_builds_no_slopes(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-        def slopes(self):
+        def slopes(self, rows):
             sloped.append(self)
-            return super().slopes()
+            return super().slopes(rows)
 
     monkeypatch.setattr(diffeo, "TrilinearSampler", Recording)
     monkeypatch.setattr(volgrid, "TrilinearSampler", Recording)
@@ -139,12 +139,11 @@ def test_forward_only_sampling_builds_no_slopes(monkeypatch):
     trilinear_sample(svf, pts)
     assert len(made) > 1 and not sloped
 
-    cot = np.random.default_rng(33).standard_normal((50, 3))
-    eager = TrilinearSampler(svf.geom.dims, pts).slopes()
+    every = np.arange(50)
+    eager = TrilinearSampler(svf.geom.dims, pts).slopes(every)
     late = TrilinearSampler(svf.geom.dims, pts)
     late.sample(svf.data)
-    late.adjoint(cot)
-    for got, ref in zip(late.slopes(), eager):
+    for got, ref in zip(late.slopes(every), eager):
         assert np.array_equal(got.data, ref.data)
         assert np.array_equal(got.indices, ref.indices)
 
@@ -320,14 +319,13 @@ def _reference_vjp(svf, cfg, g, mesh, grid):
     """The adjoint loop written out step by step: W_k.T for the field values,
     the slope matrices for the sample points, with clamped axes zeroed."""
     us, samplers = _forward(svf, cfg)
-    grad_u = vertex_sampler(mesh, grid).adjoint(g * np.asarray(grid.spacing))
+    grad_u = vertex_sampler(mesh, grid).weights.T @ (g * np.asarray(grid.spacing))
     for u, step in zip(reversed(us[:-1]), reversed(samplers)):
-        cot = grad_u.reshape(-1, 3)
         flat = u.reshape(-1, 3)
-        ds = [(s @ flat) * cot for s in step.slopes()]
+        ds = [(s @ flat) * grad_u for s in step.slopes(np.arange(len(flat)))]
         point_grad = np.stack([d[:, 0] + d[:, 1] + d[:, 2] for d in ds], axis=1) * step.interior
-        grad_u = grad_u + step.adjoint(cot) + point_grad.reshape(grad_u.shape)
-    return grad_u / (2.0 ** len(samplers))
+        grad_u = grad_u + step.weights.T @ grad_u + point_grad
+    return grad_u.reshape(svf.data.shape) / (2.0 ** len(samplers))
 
 
 @pytest.mark.parametrize("dims", [(8, 8, 8), (11, 9, 10)], ids=["grid8", "grid11x9x10"])
@@ -368,6 +366,100 @@ def test_linearization_jvp_and_vjp_are_transposes():
         c = rng.standard_normal(mesh.vertices.shape)
         lhs, rhs = np.sum(lin.jvp(d) * c), np.sum(d * lin.vjp(c))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+class _FullGridLinearization:
+    """The linearization on every node of the grid, as it was before the cone:
+    each step keeps W_k and M_k over the whole grid."""
+
+    def __init__(self, states, sampler, spacing):
+        us, samplers = states
+        self.steps = []
+        for u, step in zip(us, samplers):
+            flat = u.reshape(-1, 3)
+            block = np.stack([s @ flat for s in step.slopes(np.arange(len(flat)))], axis=2) * step.interior[:, None, :]
+            self.steps.append((step.weights, block))
+        self.shape = us[0].shape
+        self.sampler = sampler
+        self.spacing = np.asarray(spacing, dtype=np.float64)
+
+    def jvp(self, d_tau):
+        du = d_tau.reshape(-1, 3) / (2.0 ** len(self.steps))
+        for w, m in self.steps:
+            du = du + w @ du + np.einsum("ica,ia->ic", m, du)
+        return self.sampler.sample(du.reshape(self.shape)) * self.spacing
+
+    def vjp(self, cot):
+        grad = self.sampler.weights.T @ (cot * self.spacing)
+        for w, m in reversed(self.steps):
+            grad = grad + w.T @ grad + np.einsum("ica,ic->ia", m, grad)
+        return grad.reshape(self.shape) / (2.0 ** len(self.steps))
+
+
+def _cone_cases():
+    mesh, grid = _mesh_in_grid()
+    # A grid twice as wide as the tube: the cone is a strict subset of it.
+    wide = GridGeom((16, 16, 14), (5.0, 5.0, 5.0), (-37.5, -37.5, -32.5))
+    # The mesh's own bounding box: its extreme vertices lie on grid faces.
+    lo, hi = mesh.bounds()
+    tight = GridGeom((7, 7, 6), tuple((hi - lo) / [6, 6, 5]), tuple(lo))
+    return {
+        "strict_subset": (mesh, wide, DiffeoConfig(), 2.0),
+        "zero_steps": (mesh, grid, DiffeoConfig(squaring_steps=0, auto_steps=False), 0.4),
+        "vertices_on_faces": (mesh, tight, DiffeoConfig(squaring_steps=3), 1.5),
+    }
+
+
+@pytest.mark.parametrize("case", ["strict_subset", "zero_steps", "vertices_on_faces"])
+def test_cone_products_equal_full_grid_bitwise(case):
+    # Restricting the products to the vertices' dependency cone drops only
+    # rows that never reach the vertices and terms that are exactly +0.0,
+    # and keeps every sum's order: jvp, vjp and a Hessian-vector product are
+    # byte-for-byte those of the full grid.
+    mesh, grid, cfg, amp = _cone_cases()[case]
+    svf = VectorField3D(grid, smooth_svf(grid.dims, max_abs=amp, seed=75).data)
+    states = _forward(svf, cfg)
+    sampler = vertex_sampler(mesh, grid)
+    lin = diffeo.Linearization(states, sampler, grid.spacing)
+    ref = _FullGridLinearization(states, sampler, grid.spacing)
+    rng = np.random.default_rng(76)
+    d = rng.standard_normal(svf.data.shape)
+    c = rng.standard_normal(mesh.vertices.shape)
+    diag = rng.uniform(0.5, 2.0, (len(c), 1))
+    assert lin.jvp(d).tobytes() == ref.jvp(d).tobytes()
+    assert lin.vjp(c).tobytes() == ref.vjp(c).tobytes()
+    assert lin.vjp(diag * lin.jvp(d)).tobytes() == ref.vjp(diag * ref.jvp(d)).tobytes()
+    n = np.prod(grid.dims)
+    if case == "strict_subset":
+        assert lin.vertices.shape[1] < len(lin.nodes) < n
+    if case == "vertices_on_faces":
+        pts = grid.world_to_voxel(mesh.vertices)
+        assert np.any(pts == 0.0) and np.any(pts == np.asarray(grid.dims) - 1.0)
+
+
+@pytest.mark.parametrize("case", ["strict_subset", "zero_steps", "vertices_on_faces"])
+def test_cones_are_prefixes_of_the_node_numbering(case):
+    # cone[S] is what the vertex sampler reads; cone[k] adds what W_k's rows
+    # in cone[k+1] read. Each is a prefix of ``nodes``, each step's new nodes
+    # ascending.
+    mesh, grid, cfg, amp = _cone_cases()[case]
+    svf = VectorField3D(grid, smooth_svf(grid.dims, max_abs=amp, seed=75).data)
+    _, samplers = states = _forward(svf, cfg)
+    sampler = vertex_sampler(mesh, grid)
+    lin = diffeo.Linearization(states, sampler, grid.spacing)
+    nodes = lin.nodes
+    assert len(np.unique(nodes)) == len(nodes)
+    widths = [w.shape[1] for w, *_ in lin.steps] + [lin.vertices.shape[1]]
+    cone = np.unique(sampler.weights.indices)
+    assert np.array_equal(nodes[: widths[-1]], cone)
+    for k in reversed(range(len(samplers))):
+        rows = nodes[: widths[k + 1]]
+        assert lin.steps[k][0].shape == (len(rows), widths[k])
+        reads = samplers[k].weights.indices.reshape(-1, 8)[rows]
+        new = np.setdiff1d(reads, cone)
+        assert np.array_equal(nodes[widths[k + 1]: widths[k]], new)
+        cone = np.union1d(cone, new)
+    assert len(nodes) == widths[0]
 
 
 def test_exp_vjp_rejects_mismatched_gradient_shape():

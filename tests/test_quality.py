@@ -290,6 +290,52 @@ def test_spiked_phantom_broad_phase_stays_local(default_phantom, monkeypatch, sp
     assert away(pairs) == away(clean)
 
 
+def _triangle_level_candidates(mesh):
+    """The broad phase on triangles that the face-level one replaced: the
+    overlapping triangle boxes, less pairs within a face or sharing a vertex."""
+    cand = _box_overlap_pairs(mesh.vertices[_mesh_triangles(mesh)])
+    cand = cand[cand[:, 0] // 2 != cand[:, 1] // 2]
+    fa, fb = mesh.faces[cand[:, 0] // 2], mesh.faces[cand[:, 1] // 2]
+    return cand[~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))]
+
+
+def _broad_phase_meshes(mesh):
+    rng = np.random.default_rng(86)
+    ring_of = rings(mesh)
+    verts = mesh.vertices.copy()
+    for first in (12, 150, 230):  # 8 x 8 vertex patches jittered by sigma 0.4 mm, clipped at 2 sigma
+        for slot in (5, 44):
+            idx = np.concatenate([ring_of[r][slot: slot + 8] for r in range(first, first + 8)])
+            verts[idx] += np.clip(rng.normal(0.0, 0.4, (len(idx), 3)), -0.8, 0.8)
+    yield "jittered", mesh.with_vertices(verts)
+    spiked = mesh.vertices.copy()
+    spiked[int(ring_of[160][0]), 0] += 20.0
+    yield "spiked", mesh.with_vertices(spiked)
+    for k in range(4):
+        m = int(rng.integers(20, 200))
+        centers = rng.uniform(-4, 4, (m, 3))
+        e1 = rng.uniform(-2, 2, (m, 3))
+        e2 = rng.uniform(-2, 2, (m, 3))
+        yield f"soup{k}", _quad_soup(np.stack([centers, centers + e1, centers + e1 + e2, centers + e2], axis=1))
+
+
+def test_face_broad_phase_equals_triangle_broad_phase(default_phantom):
+    # A padded quad box holds both of its padded triangle boxes, so the face
+    # pairs expanded to their overlapping triangle pairs are exactly the
+    # triangle-level candidates, and the narrow phase sees the same pairs.
+    for name, mesh in _broad_phase_meshes(default_phantom[0]):
+        pts = mesh.vertices[_mesh_triangles(mesh)]
+        got = quality._candidate_pairs(mesh, pts, "bvh")
+        ref = _triangle_level_candidates(mesh)
+        assert np.all(got[:, 0] < got[:, 1]), name
+        assert len(got) == len(ref) and {tuple(p) for p in got} == {tuple(p) for p in ref}, name
+        hit = quality._tri_pairs_intersect(pts[ref[:, 0]], pts[ref[:, 1]])
+        expect = sorted({(int(a) // 2, int(b) // 2) for a, b in ref[hit]})
+        assert self_intersections(mesh) == (len(expect), expect), name
+        if name == "jittered":
+            assert expect  # the narrow phase has hits to agree on
+
+
 def test_unknown_method_rejected(tube24):
     with pytest.raises(ValueError):
         self_intersections(tube24, method="grid")

@@ -142,8 +142,7 @@ def test_sample_vjp_is_exact_adjoint_in_data(kind, comps):
         fld = kind(geom, data)
         pts = rng.uniform(-1.0, 6.0, size=(25, 3))
         cot = rng.standard_normal((25,) + comps)
-        grad_data = TrilinearSampler(geom.dims, pts).adjoint(cot)
-        assert grad_data.shape == data.shape
+        grad_data = (TrilinearSampler(geom.dims, pts).weights.T @ cot).reshape(data.shape)
         delta = rng.standard_normal(data.shape)
         lhs = np.sum(cot * (trilinear_sample(kind(geom, data + delta), pts)
                             - trilinear_sample(fld, pts)))
@@ -159,7 +158,7 @@ def test_sample_vjp_position_gradient_matches_fd():
     pts = rng.uniform(1.3, 5.7, size=(12, 3))
     cot = rng.standard_normal((12, 3))
     sampler = TrilinearSampler(geom.dims, pts)
-    grad_pts = _reference_point_grad(sampler.slopes(), sampler.interior, data, cot)
+    grad_pts = _reference_point_grad(sampler.slopes(np.arange(12)), sampler.interior, data, cot)
     h = 1e-6
     for a in range(3):
         shift = np.zeros(3)
@@ -177,7 +176,7 @@ def test_sample_vjp_clamped_axes_have_zero_position_gradient():
     vol = Volume3D(geom, rng.standard_normal((4, 4, 4)))
     pts = np.array([[-3.0, 1.2, 1.7], [1.0, 1.0, 1.0], [1.3, 8.0, 0.6]])
     sampler = TrilinearSampler(geom.dims, pts)
-    grad_pts = _reference_point_grad(sampler.slopes(), sampler.interior, vol.data, np.ones(3))
+    grad_pts = _reference_point_grad(sampler.slopes(np.arange(3)), sampler.interior, vol.data, np.ones(3))
     assert grad_pts[0, 0] == 0.0
     assert grad_pts[2, 1] == 0.0
     # Unclamped axes of the same points keep their slopes.
@@ -249,14 +248,21 @@ def test_sampler_matches_reference_arithmetic(comps):
     ref_w, ref_slopes, ref_interior = _reference_sampler(dims, pts)
     sampler = TrilinearSampler(dims, pts)
     assert sampler.weights.indices.dtype == np.int32 and sampler.weights.indptr.dtype == np.int32
-    for got, ref in zip((sampler.weights,) + sampler.slopes(), (ref_w,) + tuple(ref_slopes)):
+    every = np.arange(len(pts))
+    for got, ref in zip((sampler.weights,) + sampler.slopes(every), (ref_w,) + tuple(ref_slopes)):
         assert np.array_equal(got.data, ref.data)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.indptr, ref.indptr)
+    # Slopes on a subset of the points, in any order, are those points' rows.
+    rows = rng.permutation(len(pts))[: len(pts) // 2]
+    for got, ref in zip(sampler.slopes(rows), ref_slopes):
+        assert got.shape == (len(rows), ref.shape[1])
+        assert np.array_equal(got.toarray(), ref.toarray()[rows])
+        assert np.array_equal(got.indices, ref.indices.reshape(-1, 8)[rows].ravel())
     assert np.array_equal(sampler.interior, ref_interior)
     flat = data.reshape((-1,) + comps)
     assert np.array_equal(sampler.sample(data), ref_w @ flat)
-    assert np.array_equal(sampler.adjoint(cot), (ref_w.T @ cot).reshape(dims + comps))
+    assert np.array_equal(sampler.weights.T @ cot, ref_w.T @ cot)
 
 
 def test_sampler_rejects_grids_beyond_int32_indices():
