@@ -39,7 +39,7 @@ from .fea import MembraneModel, SolverError, solve_membrane_stress
 from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, fit_svf
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
-from .quadmesh import MeshFileError, REGIONS, average_template, load_mesh, save_mesh
+from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, save_mesh
 from .quality import quality_report
 from .volgrid import load_volume, save_volume
 
@@ -265,12 +265,14 @@ def _run_fit(template_path, target_path, sections):
     return template, target, result
 
 
+def _save_fitted(result, out_dir, body=None):
+    return save_mesh(result.fitted, os.path.join(out_dir, "fitted.vtk"), title="aortafit fitted mesh", body=body)
+
+
 def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
+    """Every fit output but ``fitted.vtk``, which the caller writes."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
-    files["fitted.vtk"] = save_mesh(
-        result.fitted, os.path.join(out_dir, "fitted.vtk"), title="aortafit fitted mesh"
-    )
     files["svf.hdr"] = save_volume(result.svf, os.path.join(out_dir, "svf.hdr"))
     files["svf.raw"] = os.path.join(out_dir, "svf.raw")
     files["history.json"] = _write_json(
@@ -295,6 +297,7 @@ def cmd_fit(args):
     cfg, sections = _configure(args)
     _, _, result = _run_fit(args.template, args.target, sections)
     _write_fit_outputs(args.out, cfg, args.seed, result, args.target)
+    _save_fitted(result, args.out)
     print(
         f"fit done: chamfer {result.final_chamfer:.4f} mm, "
         f"min Jacobian {result.min_jacobian:.4f}, outputs in {args.out}"
@@ -396,11 +399,16 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed):
     )
 
     field = solve_membrane_stress(result.fitted, sections["membrane"])
+    # Both files hold the fitted mesh: its rows are formatted once, after the
+    # solve, so that the text does not add to the solve's peak memory.
+    body = _render_body(result.fitted)
+    files["fitted.vtk"] = _save_fitted(result, case_dir, body)
     files["stressed.vtk"] = save_mesh(
         result.fitted,
         os.path.join(case_dir, "stressed.vtk"),
         cell_data=_stress_cell_data(field),
         title="aortafit stressed mesh",
+        body=body,
     )
 
     report = build_report(result.fitted, field, sections["report"], _provenance(cfg, mesh="fitted.vtk"),

@@ -18,10 +18,14 @@ divided by 3; otherwise, or when the trial outgrows the squaring-step guard
 or turns non-finite, lambda is multiplied by 4. A level stops once an
 accepted step lowers the loss by less than a relative ``_TOL``, when the
 gradient is zero, or when its budget is spent: ``iters_per_level`` caps the
-forward passes plus Hessian-vector products of each level. The whole
-procedure is deterministic: a zero initial field, no stochastic sampling, and
-reduction orders fixed by the array layout (inner products are numpy sums,
-whose order does not depend on the BLAS thread count).
+forward passes plus Hessian-vector products of each level. A level's first
+field is always linearized; an accepted field only while the budget leaves
+room for a product and the forward pass after it. So a level that spends its
+budget right after an accepted step reports the gradient it last stepped
+from, and stops on ``budget`` even if its final field's gradient is zero.
+The whole procedure is deterministic: a zero initial field, no stochastic
+sampling, and reduction orders fixed by the array layout (inner products are
+numpy sums, whose order does not depend on the BLAS thread count).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .diffeo import (
     Linearization,
     _forward,
     exp_vjp,
-    exponentiate,
+    exponentiate,  # not called here; perfbench/layers.py wraps fitter.exponentiate
     jacobian_determinant,
     vertex_sampler,
     warp_vertices,
@@ -101,6 +105,8 @@ class FitConfig:
                 raise ValueError("levels must be nondecreasing per axis")
         if dims[-1] != svf_dims:
             raise ValueError("last level must equal svf_dims")
+        if any(d < 3 for d in svf_dims):  # the certificate's central differences
+            raise ValueError(f"svf_dims, the last level, needs >= 3 nodes per axis, got {svf_dims}")
         if self.iters_per_level < 1:
             raise ValueError("iters_per_level must be >= 1")
         object.__setattr__(self, "levels", dims)
@@ -209,9 +215,11 @@ def _solve(hess, g, lam, maxiter):
 
 
 def _fit_level(template, target, geom, tau, cfg, history):
-    """One level's LM Gauss-Newton fit from ``tau``; returns the accepted field and the level's record.
+    """One level's LM Gauss-Newton fit from ``tau``.
 
-    Every forward pass that yields a loss appends it to ``history``.
+    Returns the accepted field, its forward pass (displacement, warped
+    template and loss breakdown) and the level's record. Every forward pass
+    that yields a loss appends it to ``history``.
     """
     # The template does not move within a level: one sampler at its vertices
     # serves every warp and every linearization.
@@ -220,27 +228,29 @@ def _fit_level(template, target, geom, tau, cfg, history):
     def forward(tau):
         fld = VectorField3D(geom, tau)
         states = _forward(fld, cfg.diffeo)
-        warped = warp_vertices(template, VectorField3D(geom, states[0][-1]), geom, sampler=sampler)
-        loss = total_loss(warped, target, cfg.weights).total
-        history.append(loss)
-        return fld, states, warped, loss
+        disp = VectorField3D(geom, states[0][-1])
+        warped = warp_vertices(template, disp, geom, sampler=sampler)
+        loss = total_loss(warped, target, cfg.weights)
+        history.append(loss.total)
+        return fld, states, disp, warped, loss
 
     try:
-        fld, states, warped, loss = forward(tau)
+        fld, states, disp, warped, loss = forward(tau)
     except ValueError as exc:  # a valid field raises it only from the squaring-step guard
         raise FitDivergence(str(exc), history) from None
     diag = 2.0 * vertex_weights(template, target, cfg.weights)[:, None]  # H = J^T diag J
     passes, products, accepted, lam = 1, 0, 0, None
     stop = "budget"
     while True:
-        if states is not None:  # a newly accepted field: linearize it
+        room = cfg.iters_per_level - passes - products - 1  # products, leaving one forward pass
+        # The first field, or a newly accepted one that the budget leaves room to step from.
+        if states is not None and (room >= 1 or not accepted):
             lin = Linearization(states, sampler, geom.spacing)
             states = None
             grad = exp_vjp(fld, lin, loss_grad(warped, target, cfg.weights)).data
             if not np.any(grad):
                 stop = "zero_gradient"
                 break
-        room = cfg.iters_per_level - passes - products - 1  # products, leaving one forward pass
         if room < 1:
             break
         step, lam, n = _solve(lambda p: lin.vjp(diag * lin.jvp(p)), grad, lam, min(_CG_ITERS, room))
@@ -250,22 +260,22 @@ def _fit_level(template, target, geom, tau, cfg, history):
             trial = forward(tau + step)
         except (ValueError, FloatingPointError):  # past the squaring-step guard, or non-finite
             trial = None
-        if trial is None or not trial[3] < loss:
+        if trial is None or not trial[-1].total < loss.total:
             trial = None  # a rejected forward pass is dropped before the next one runs
             lam *= _LAMBDA_UP
             continue
         lam /= _LAMBDA_DOWN
         accepted += 1
         tau = tau + step
-        relative = (loss - trial[3]) / loss
-        fld, states, warped, loss = trial
+        relative = (loss.total - trial[-1].total) / loss.total
+        fld, states, disp, warped, loss = trial
         lin = trial = None
         if relative < _TOL:
             stop = "tolerance"
             break
     record = {"stop": stop, "forward_passes": passes, "hessian_products": products,
               "accepted_steps": accepted, "lambda": lam, "grad_inf_norm": float(np.max(np.abs(grad)))}
-    return tau, sampler, record
+    return tau, (disp, warped, loss), record
 
 
 def fit_svf(template, target, grid, cfg=FitConfig()):
@@ -275,10 +285,15 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
     the grid extent. Returns the last accepted field of the final level, its
     lowest-loss iterate; the reported ``min_jacobian`` is the minimum interior
     Jacobian determinant of the final displacement (the diffeomorphism
-    certificate). ``levels`` holds one record per level: why it stopped
+    certificate). The fitted mesh, loss breakdown and certificate come from
+    the final level's last accepted forward pass, not from a second
+    exponentiation. ``levels`` holds one record per level: why it stopped
     (``tolerance``, ``budget`` or ``zero_gradient``), its forward passes,
     Hessian-vector products and accepted steps, the final lambda (None if no
-    step was solved for) and the inf-norm of its last gradient.
+    step was solved for) and the inf-norm of the gradient of the last field
+    it linearized. An accepted field that leaves no budget for a product is
+    not linearized: a level that stops on ``budget`` right after an accepted
+    step reports the gradient it took that step from.
     """
     history = []
     level_starts = []
@@ -289,23 +304,18 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         if level > 0:
             tau = upsample_svf(VectorField3D(prev_geom, tau), dims).data
         level_starts.append(len(history))
-        tau, sampler, record = _fit_level(template, target, geom, tau, cfg, history)
+        tau, (disp, fitted, final), record = _fit_level(template, target, geom, tau, cfg, history)
         levels.append(record)
         prev_geom = geom
 
-    svf = VectorField3D(prev_geom, tau)
-    disp = exponentiate(svf, cfg.diffeo)
-    fitted = warp_vertices(template, disp, prev_geom, sampler=sampler)
-    final = total_loss(fitted, target, cfg.weights)
     det = jacobian_determinant(disp).data
-    min_jac = float(det[1:-1, 1:-1, 1:-1].min())
     return FitResult(
-        svf=svf,
+        svf=VectorField3D(prev_geom, tau),
         fitted=fitted,
         history=np.asarray(history),
         level_starts=tuple(level_starts),
         levels=tuple(levels),
         final=final,
         final_chamfer=chamfer(fitted, target),
-        min_jacobian=min_jac,
+        min_jacobian=float(det[1:-1, 1:-1, 1:-1].min()),
     )

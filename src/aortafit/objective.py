@@ -94,6 +94,12 @@ def _check_correspondence(pred, gt):
     return counts
 
 
+def _norm(e):
+    """``np.linalg.norm(e, axis=-1)`` of (..., 3) vectors, bitwise: the same sum in the same
+    order, taken elementwise, which is faster than a reduction over a length-3 axis."""
+    return np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1] + e[..., 2] * e[..., 2])
+
+
 def _edge_pairs(mesh):
     """Edge pairs of both structured directions, from one pass over the edges.
 
@@ -107,9 +113,9 @@ def _edge_pairs(mesh):
     c, a = mesh.ring_layout
     v = mesh.vertices.reshape(a, c, 3)
     circ = v - np.roll(v, 1, axis=1)
-    circ_n = np.linalg.norm(circ, axis=-1)
+    circ_n = _norm(circ)
     ax = v[1:] - v[:-1]
-    ax_n = np.linalg.norm(ax, axis=-1)
+    ax_n = _norm(ax)
     pairs = []
     for e1, e2, n1, n2 in (
         (circ, np.roll(circ, -1, axis=1), circ_n, np.roll(circ_n, -1, axis=1)),

@@ -236,21 +236,13 @@ class MeshFileError(ValueError):
     """Malformed mesh file; message carries file and line context."""
 
 
-def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
-    """Write a mesh (plus optional per-face cell data arrays) to ``path``.
+def _render_body(mesh):
+    """The POINTS through FIELD sections of ``mesh``'s file, as :func:`save_mesh` writes them.
 
-    ``cell_data`` maps array names to (n_faces,) or (n_faces, k) float arrays.
-    Vertex coordinates round-trip bitwise (shortest-roundtrip decimals). Rows
-    are formatted from ``tolist()`` values, one f-string per row and one
-    ``repr`` per value of a 1-component array.
+    Rows are formatted from ``tolist()`` values, one f-string per row.
+    Vertex coordinates round-trip bitwise (shortest-roundtrip decimals).
     """
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {mesh.n_vertices} double",
-    ]
+    lines = [f"POINTS {mesh.n_vertices} double"]
     lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     lines.append(f"POLYGONS {mesh.n_faces} {5 * mesh.n_faces}")
     lines += [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.faces.tolist()]
@@ -262,6 +254,19 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
         lines.append("FIELD meta 1")
         lines.append("ring_layout 2 1 int")
         lines.append(f"{mesh.ring_layout[0]} {mesh.ring_layout[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def save_mesh(mesh, path, cell_data=None, title="aortafit mesh", body=None):
+    """Write a mesh (plus optional per-face cell data arrays) to ``path``.
+
+    ``cell_data`` maps array names to (n_faces,) or (n_faces, k) float arrays,
+    written one ``repr`` per value. Vertex coordinates round-trip bitwise
+    (shortest-roundtrip decimals). ``body`` may pass ``_render_body(mesh)``
+    rendered earlier, to write one mesh to several files without formatting
+    its rows again.
+    """
+    lines = []
     if cell_data:
         lines.append(f"CELL_DATA {mesh.n_faces}")
         lines.append(f"FIELD celldata {len(cell_data)}")
@@ -276,8 +281,13 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh"):
                 lines += map(repr, flat[:, 0].tolist())
             else:
                 lines += [" ".join(map(repr, row)) for row in flat.tolist()]
+    if body is None:
+        body = _render_body(mesh)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n")
+        fh.write(body)
+        if lines:
+            fh.write("\n".join(lines) + "\n")
     return path
 
 

@@ -490,6 +490,11 @@ def test_pipeline_single_target_writes_flat(tmp_path, mesh_files, capsys):
     from aortafit.clinical import validate_report
 
     validate_report(report)
+    # The bundle renders the fitted mesh once for fitted.vtk and stressed.vtk:
+    # the stress command on fitted.vtk must write the same stressed.vtk.
+    stressed = str(tmp_path / "stressed.vtk")
+    assert main(["stress", "--mesh", os.path.join(out, "fitted.vtk"), "--out", stressed]) == 0
+    assert Path(stressed).read_bytes() == Path(out, "stressed.vtk").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +655,9 @@ def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting)
     ("fit", "fit.levels=[8]", "lists of grid dims"),
     ("fit", "grid.spacing=0", "grid spacing must be > 0"),
     ("fit", "grid.spacing=1e-320", "under 2^31 voxels"),
+    pytest.param("fit", ("fit.levels=[[2,3,3]]", "fit.svf_dims=[2,3,3]"),
+                 "config 'fit.svf_dims', 'fit.levels': svf_dims, the last level, needs >= 3 nodes per axis",
+                 id="fit-final_grid_2"),
     ("stress", "membrane.fixed_rings=5", "fixed_rings must be a list"),
     ("stress", "membrane.fixed_rings=[[1e30]]", "fixed_rings must be a list"),
     ("stress", "membrane.fixed_rings=[[99999]]", "out of range 0..79"),

@@ -6,7 +6,7 @@ import pytest
 from conftest import straight_cylinder
 
 from aortafit import diffeo, fitter
-from aortafit.diffeo import exponentiate, warp_vertices
+from aortafit.diffeo import exponentiate, jacobian_determinant, warp_vertices
 from aortafit.fitter import (
     FitConfig,
     FitDivergence,
@@ -186,16 +186,20 @@ def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair
 
 
 def test_fit_reused_operators_match_reference_loop(translation_pair):
-    # fit_svf builds one vertex sampler per level and linearizes each
-    # accepted forward pass. Public calls that share nothing with the fit
-    # must give the returned field the loss that the fit recorded as its
-    # last level's minimum; a stale or mis-scaled operator would not.
+    # fit_svf builds one vertex sampler per level, linearizes accepted forward
+    # passes and returns the last one's warped mesh, loss and certificate.
+    # Public calls that share nothing with the fit must give the returned
+    # field exactly those, and the loss the fit recorded as its last level's
+    # minimum; a stale or mis-scaled operator, or a stale pass, would not.
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=12)
     res = fit_svf(template, target, grid, cfg)
-    warped = warp_vertices(template, exponentiate(res.svf, cfg.diffeo), res.svf.geom)
-    loss = total_loss(warped, target, cfg.weights).total
-    assert loss == res.history[res.level_starts[-1]:].min() == res.final.total
+    disp = exponentiate(res.svf, cfg.diffeo)
+    warped = warp_vertices(template, disp, res.svf.geom)
+    assert np.array_equal(res.fitted.vertices, warped.vertices)
+    assert res.final == total_loss(warped, target, cfg.weights)
+    assert res.min_jacobian == jacobian_determinant(disp).data[1:-1, 1:-1, 1:-1].min()
+    assert res.final.total == res.history[res.level_starts[-1]:].min()
     assert res.history[res.level_starts[-1]:].min() < res.history[res.level_starts[-1]]
 
 
@@ -225,25 +229,45 @@ def test_fit_budget_caps_forward_passes_plus_hessian_products(translation_pair, 
 
 
 def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
-    # The gradient is taken once per accepted field: the losses seen there
-    # fall strictly within a level, and the returned field's is lower still.
-    seen = []
-    real_sampler, real_grad = fitter.vertex_sampler, fitter.loss_grad
+    # The gradient is taken once per linearized field: the level's first and
+    # every accepted one that leaves budget for a product. The losses seen
+    # there fall strictly within a level, and the returned field's is lower
+    # still. With 60 passes plus products the first level stops on its budget
+    # right after an accepted step and the second on the tolerance; with 29
+    # both stop on their budget right after an accepted step. Such a level
+    # reports the gradient it last stepped from.
+    seen, norms = [], []
+    real_sampler, real_grad, real_vjp = fitter.vertex_sampler, fitter.loss_grad, fitter.exp_vjp
 
     def level_start(mesh, geom):
         seen.append([])
+        norms.append([])
         return real_sampler(mesh, geom)
 
     def grad(warped, target, weights):
         seen[-1].append(total_loss(warped, target, weights).total)
         return real_grad(warped, target, weights)
 
+    def vjp(svf, lin, vertex_grad):
+        out = real_vjp(svf, lin, vertex_grad)
+        norms[-1].append(float(np.max(np.abs(out.data))))
+        return out
+
     monkeypatch.setattr(fitter, "vertex_sampler", level_start)
     monkeypatch.setattr(fitter, "loss_grad", grad)
+    monkeypatch.setattr(fitter, "exp_vjp", vjp)
     template, target, grid = translation_pair
-    cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=60)
-    res = fit_svf(template, target, grid, cfg)
-    assert [len(level) for level in seen] == [r["accepted_steps"] + (r["stop"] != "tolerance") for r in res.levels]
-    for level in seen:
-        assert len(level) > 2 and np.all(np.diff(level) < 0.0)
-    assert res.final.total <= seen[-1][-1]
+    for iters, stops in ((60, ["budget", "tolerance"]), (29, ["budget", "budget"])):
+        seen.clear()
+        norms.clear()
+        cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=iters)
+        res = fit_svf(template, target, grid, cfg)
+        assert [r["stop"] for r in res.levels] == stops
+        ends = res.level_starts[1:] + (len(res.history),)
+        for record, start, end, level, level_norms in zip(res.levels, res.level_starts, ends, seen, norms):
+            losses = res.history[start:end]
+            stepped_last = len(losses) > 1 and losses[-1] < losses[:-1].min()  # the last pass was accepted
+            assert len(level) == 1 + record["accepted_steps"] - (stepped_last and record["stop"] != "zero_gradient")
+            assert len(level) > 2 and np.all(np.diff(level) < 0.0)
+            assert record["grad_inf_norm"] == level_norms[-1]
+        assert res.final.total <= seen[-1][-1]

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import straight_cylinder, random_rotation
 
+from aortafit import objective
 from aortafit.objective import LossWeights, chamfer, loss_grad, smoothness, total_loss
 from aortafit.quadmesh import REGIONS, QuadMesh
 
@@ -309,6 +310,22 @@ def test_loss_and_grad_match_reference_arithmetic(tube24):
     assert bd.skipped_pairs > 0
     assert (bd.region, bd.weighted_geo, bd.smoothness, bd.alpha, bd.total, bd.skipped_pairs) == fields
     assert np.array_equal(loss_grad(pred, gt, w), grad)
+
+
+def test_edge_norms_equal_linalg_norm(default_phantom):
+    # The edge pass takes each norm as an elementwise sum of squares; it must
+    # equal np.linalg.norm bit for bit, zero-length edges included.
+    mesh = default_phantom[0]
+    jittered = _jittered(mesh, 0.4, 73)
+    v = jittered.vertices.copy()
+    c = mesh.ring_layout[0]
+    v[c * 10 + 5] = v[c * 10 + 6]  # a zero-length circumferential edge
+    v[c * 20 + 3] = v[c * 21 + 3]  # a zero-length axial edge
+    for m, zero_edges in ((mesh, False), (jittered, False), (jittered.with_vertices(v), True)):
+        for e1, e2, n1, n2, valid, *_ in objective._edge_pairs(m):
+            assert np.array_equal(n1, np.linalg.norm(e1, axis=-1))
+            assert np.array_equal(n2, np.linalg.norm(e2, axis=-1))
+            assert valid.all() != zero_edges
 
 
 def test_smoothness_terms_require_ring_layout(sphere16):

@@ -10,6 +10,8 @@ import sys
 
 import aortafit
 
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(aortafit.__file__)))
+
 
 def test_every_module_exports_resolve():
     names = [m.name for m in pkgutil.iter_modules(aortafit.__path__)]
@@ -65,10 +67,9 @@ DEAD_API_ALLOWED = {}
 def test_no_unreferenced_api():
     # Every function, class and method of the package is reached from src/
     # or perfbench/; one reached only from tests or nowhere is dead API.
-    root = os.path.dirname(os.path.dirname(os.path.dirname(aortafit.__file__)))
     trees = {}
     for top in ("src", "perfbench"):
-        for dirpath, _, files in os.walk(os.path.join(root, top)):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
             for name in files:
                 if name.endswith(".py"):
                     path = os.path.join(dirpath, name)
@@ -81,3 +82,21 @@ def test_no_unreferenced_api():
     assert {"fit_svf", "TrilinearSampler", "slopes"} <= defined  # the scan sees the package
     dead = sorted(defined - used - set(DEAD_API_ALLOWED))
     assert not dead, f"defined in src/aortafit but referenced nowhere in src/ or perfbench/: {dead}"
+
+
+def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):
+    # perfbench/layers.py wraps each name by reading owner.__dict__[attr]. A
+    # module that stops defining or importing one (say fitter.exponentiate,
+    # which fitter no longer calls) would fail only in a traced benchmark run.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    layers = importlib.import_module("layers")
+    wrapped = []
+
+    class Recorder:
+        def patch(self, owner, attr, *args, **kwargs):
+            wrapped.append((owner, attr))
+
+    layers.install(Recorder())
+    assert len(wrapped) > 20
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in wrapped if attr not in owner.__dict__]
+    assert not missing, f"perfbench/layers.py wraps names its owners do not define: {missing}"
