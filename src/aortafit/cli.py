@@ -12,8 +12,9 @@ into every output next to its sha256 hash, so runs are reproducible: identical
 config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
-missing input, an allocation too large), 3 numerical failure (divergence,
-solver residual, non-finite stresses).
+missing input, an allocation too large, ``--jobs`` below 1, a pipeline worker
+process that died), 3 numerical failure (divergence, solver residual,
+non-finite stresses).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, fit_svf
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
 from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, save_mesh
-from .quality import quality_report
+from .quality import METRICS, quality_report
 from .volgrid import load_volume, save_volume
 
 __all__ = ["main", "SECTIONS", "default_config", "load_config", "build_sections"]
@@ -209,7 +210,7 @@ def _table(headers, rows):
 
 def _quality_table(rep):
     rows = []
-    for name in ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle"):
+    for name in METRICS:
         rows.append([name] + ["n/a" if x is None else f"{x:.4f}" for x in getattr(rep, name)])
     rows.append(["self_intersections", str(rep.self_intersection_count), ""])
     return _table(["metric", "mean", "std"], rows)
@@ -435,6 +436,8 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed):
 
 
 def cmd_pipeline(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, sections = _configure(args)
     os.makedirs(args.out, exist_ok=True)
     if len(args.targets) == 1:
@@ -446,8 +449,11 @@ def cmd_pipeline(args):
         ]
 
     results = []
-    if args.jobs > 1 and len(cases) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A process pool may start all its workers at the first submit, so it
+    # gets no more than there are cases.
+    workers = min(args.jobs, len(cases))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_run_case, args.template, t, d, cfg, sections, args.seed) for t, d in cases]
             results = [f.result() for f in futs]
     else:
@@ -533,7 +539,7 @@ def build_parser():
     p.add_argument("--target", dest="targets", action="append", required=True, help="repeatable")
     p.add_argument("--out", required=True, help="bundle directory")
     p.add_argument("--seed", type=int, required=True, help="recorded in the outputs; the fit is deterministic")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent cases")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent cases (>= 1; at most one process per case)")
     p.add_argument("--summary-table", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
@@ -553,6 +559,9 @@ def main(argv=None):
         return 2
     except MemoryError as exc:
         print(f"aortafit: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
+    except concurrent.futures.BrokenExecutor as exc:  # a pipeline worker died, say killed for memory
+        print(f"aortafit: a pipeline worker process died: {exc}", file=sys.stderr)
         return 2
 
 

@@ -108,12 +108,11 @@ class MembraneModel:
 class StressField:
     """Per-element membrane state.
 
-    ``frames`` is (t1, t2, normal), each (m, 3); ``resultants`` holds
-    (N11, N22, N12) in N/mm in that frame. Cauchy stresses (kPa) divide by the
+    ``resultants`` holds (N11, N22, N12) in N/mm in each element's local frame
+    (t1, t2) of ``_element_frames``. Cauchy stresses (kPa) divide by the
     thickness; ``principal`` is (sigma1, sigma2) with sigma1 >= sigma2.
     """
 
-    frames: tuple
     resultants: np.ndarray
     thickness: float
     pressure: float
@@ -453,7 +452,6 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
         )
 
     field = StressField(
-        frames=frames,
         resultants=_collapse_resultants(x, frames, tri_frames, tri_areas),
         thickness=model.thickness,
         pressure=model.pressure,

@@ -30,6 +30,7 @@ numpy sums, whose order does not depend on the BLAS thread count).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,13 @@ class FitDivergence(RuntimeError):
         self.history = np.asarray(history)
 
 
+def _grid_dim(d):
+    """One grid axis as an int; a fraction, a boolean or a string raises TypeError."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) or int(d) != d:
+        raise TypeError(f"not a whole number: {d!r}")
+    return int(d)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimization settings for :func:`fit_svf`."""
@@ -91,10 +99,11 @@ class FitConfig:
 
     def __post_init__(self):
         try:
-            dims = tuple(tuple(int(d) for d in lv) for lv in self.levels)
-            svf_dims = tuple(int(d) for d in self.svf_dims)
-        except (TypeError, OverflowError):
-            raise ValueError(f"levels and svf_dims must be lists of grid dims, got {self.levels!r}") from None
+            dims = tuple(tuple(_grid_dim(d) for d in lv) for lv in self.levels)
+            svf_dims = tuple(_grid_dim(d) for d in self.svf_dims)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"levels and svf_dims must be lists of grid dims (whole numbers), "
+                             f"got {self.levels!r} and {self.svf_dims!r}") from None
         if not dims:
             raise ValueError("levels must list at least one grid")
         for lv in dims + (svf_dims,):

@@ -13,6 +13,7 @@ standing in for an aneurysm of known size.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +26,11 @@ __all__ = [
     "make_phantom",
     "centerline_length",
 ]
+
+
+def _numbers(values):
+    """Whether ``values`` are all real numbers and none a boolean, which float() would take."""
+    return all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values)
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,8 @@ class PhantomSpec:
             raise ValueError("centerline has zero length")
         if self.aneurysm is not None:
             try:
+                if not _numbers(self.aneurysm):
+                    raise TypeError
                 c, amp, w = (float(x) for x in self.aneurysm)
             except (TypeError, ValueError):
                 raise ValueError(f"aneurysm must be [center, amplitude, width] in mm, got {self.aneurysm!r}") from None
@@ -66,12 +74,13 @@ class PhantomSpec:
                 raise ValueError("aneurysm width must be positive")
             object.__setattr__(self, "aneurysm", (c, amp, w))
         fr = tuple(float(f) for f in self.region_fractions)
-        if len(fr) != 3 or not (0.0 <= fr[0] <= fr[1] <= fr[2] <= 1.0):
+        if len(fr) != 3 or not _numbers(self.region_fractions) or not (0.0 <= fr[0] <= fr[1] <= fr[2] <= 1.0):
             raise ValueError("region_fractions must be 3 nondecreasing values in [0, 1]")
         object.__setattr__(self, "region_fractions", fr)
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
-        if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
+        seed_ok = isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0
+        if self.seed is not None and not seed_ok:
             raise ValueError(f"seed must be null or an integer >= 0, got {self.seed!r}")
 
 

@@ -11,6 +11,12 @@ Metrics follow the standard verification definitions, computed directly in 3D
 * scaled Jacobian: min over corners of the normalized corner cross product
   against the element normal (normalized cross of the diagonals).
 
+``element_metrics`` computes all of them, and the per-corner angles, in one
+pass over (m, 4, 3) quads that shares the edge vectors, the corner cross
+products and the element normal. It rejects a zero-length edge or collinear
+diagonals; ``quality_report`` counts such elements as degenerate and leaves
+them out of its means and standard deviations.
+
 Self-intersection splits quads into triangles and runs an exact
 segment-triangle narrow phase (with a coplanar overlap fallback) on candidate
 triangle pairs. The broad phase works on faces: it finds the face pairs whose
@@ -31,85 +37,56 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = [
-    "QualityReport",
-    "quad_angles",
-    "equiangle_skew",
-    "aspect_ratio",
-    "scaled_jacobian",
-    "self_intersections",
-    "quality_report",
-]
+__all__ = ["METRICS", "QualityReport", "element_metrics", "self_intersections", "quality_report"]
+
+# The per-element metrics that QualityReport aggregates, in report order.
+METRICS = ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle")
 
 
-def _as_quads(face):
-    q = np.asarray(face, dtype=np.float64)
-    single = q.ndim == 2
-    if single:
-        q = q[None]
-    if q.ndim != 3 or q.shape[1:] != (4, 3):
-        raise ValueError(f"expected (4, 3) or (m, 4, 3) quad vertices, got {q.shape}")
-    return q, single
+def element_metrics(quads):
+    """Corner angles and per-element metrics of (m, 4, 3) quads, from one pass.
 
-
-def quad_angles(face):
-    """Interior angles in degrees at the 4 corners, computed in 3D."""
-    q, single = _as_quads(face)
-    prev = np.roll(q, 1, axis=1) - q
-    nxt = np.roll(q, -1, axis=1) - q
-    np_n = np.linalg.norm(prev, axis=2)
-    nx_n = np.linalg.norm(nxt, axis=2)
-    if np.any(np_n == 0) or np.any(nx_n == 0):
-        raise ValueError("quad has a zero-length edge")
-    cross = np.linalg.norm(np.cross(prev, nxt), axis=2)
-    dot = np.einsum("mkd,mkd->mk", prev, nxt)
-    ang = np.degrees(np.arctan2(cross, dot))
-    return ang[0] if single else ang
-
-
-def equiangle_skew(face):
-    """Worst normalized angle deviation from 90 degrees, in [0, 1] for convex quads."""
-    q, single = _as_quads(face)
-    ang = quad_angles(q)
-    skew = np.maximum((ang.max(axis=1) - 90.0) / 90.0, (90.0 - ang.min(axis=1)) / 90.0)
-    return float(skew[0]) if single else skew
-
-
-def aspect_ratio(face):
-    """L_max * perimeter / (4 * area); 1 for a square, +inf for zero area."""
-    q, single = _as_quads(face)
-    edges = np.roll(q, -1, axis=1) - q
-    lengths = np.linalg.norm(edges, axis=2)
-    area = 0.5 * (
-        np.linalg.norm(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1)
-        + np.linalg.norm(np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 0]), axis=1)
-    )
-    with np.errstate(divide="ignore"):
-        ratio = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
-    return float(ratio[0]) if single else ratio
-
-
-def scaled_jacobian(face):
-    """Min over corners of the corner cross product projected on the element normal.
-
-    1 for a square, sin(theta) at a planar corner of angle theta, negative at
-    inverted (concave) corners.
+    Returns a dict: ``"angles"`` holds the (m, 4) interior corner angles in
+    degrees, and each name in ``METRICS`` an (m,) array. Edge vectors, their
+    lengths, the corner cross products and the element normal are computed
+    once and shared. Raises ValueError on a zero-length edge or collinear
+    diagonals (no element normal).
     """
-    q, single = _as_quads(face)
-    normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
+    q = np.asarray(quads, dtype=np.float64)
+    if q.ndim != 3 or q.shape[1:] != (4, 3):
+        raise ValueError(f"expected (m, 4, 3) quad vertices, got {q.shape}")
+    nxt = np.roll(q, -1, axis=1) - q  # corner k to corner k + 1: the edges
+    prev = np.roll(q, 1, axis=1) - q  # corner k to corner k - 1
+    lengths = np.linalg.norm(nxt, axis=2)
+    if np.any(lengths == 0):
+        raise ValueError("quad has a zero-length edge")
+    diag = q[:, 2] - q[:, 0]
+    normal = np.cross(diag, q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
     if np.any(n_len == 0):
         raise ValueError("element normal undefined (collinear diagonals)")
-    normal = normal / n_len
-    nxt = np.roll(q, -1, axis=1) - q
-    prev = np.roll(q, 1, axis=1) - q
+
+    # One corner cross product serves both: its length gives the corner angle,
+    # and its projection on the unit normal over the two edge lengths the
+    # corner's scaled Jacobian (1 for a square, sin(theta) at a planar corner
+    # of angle theta, negative at an inverted, concave corner).
     corner = np.cross(nxt, prev)
-    denom = np.linalg.norm(nxt, axis=2) * np.linalg.norm(prev, axis=2)
-    if np.any(denom == 0):
-        raise ValueError("quad has a zero-length edge")
-    j = np.einsum("mkd,md->mk", corner, normal) / denom
-    out = j.min(axis=1)
-    return float(out[0]) if single else out
+    ang = np.degrees(np.arctan2(np.linalg.norm(corner, axis=2), np.einsum("mkd,mkd->mk", prev, nxt)))
+    min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
+    jac = np.einsum("mkd,md->mk", corner, normal / n_len) / (lengths * np.linalg.norm(prev, axis=2))
+    area = 0.5 * (
+        np.linalg.norm(np.cross(nxt[:, 0], diag), axis=1) + np.linalg.norm(np.cross(diag, prev[:, 0]), axis=1)
+    )
+    with np.errstate(divide="ignore"):
+        aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
+    return {
+        "angles": ang,
+        "equiangle_skew": np.maximum((max_angle - 90.0) / 90.0, (90.0 - min_angle) / 90.0),
+        "aspect_ratio": aspect,
+        "scaled_jacobian": jac.min(axis=1),
+        "min_angle": min_angle,
+        "max_angle": max_angle,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +302,6 @@ class QualityReport:
     min_angle: tuple
     max_angle: tuple
     self_intersection_count: int
-    intersecting_pairs: tuple = ()
 
     def as_dict(self):
         d = {
@@ -333,10 +309,16 @@ class QualityReport:
             "n_degenerate": self.n_degenerate,
             "self_intersection_count": self.self_intersection_count,
         }
-        for name in ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle"):
+        for name in METRICS:
             mean, std = getattr(self, name)
             d[name] = {"mean": mean, "std": std}
         return d
+
+
+def _mean_std(x):
+    if x.size == 0:
+        return (None, None)  # no element to average: null in JSON, not NaN
+    return (float(x.mean()), float(x.std()))
 
 
 def quality_report(mesh):
@@ -346,38 +328,13 @@ def quality_report(mesh):
     aggregates and counted in ``n_degenerate``.
     """
     quads = mesh.vertices[mesh.faces]
-    edges = np.roll(quads, -1, axis=1) - quads
-    lengths = np.linalg.norm(edges, axis=2)
+    lengths = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=2)
     diag_n = np.linalg.norm(np.cross(quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1]), axis=1)
     valid = np.all(lengths > 0, axis=1) & (diag_n > 0)
-    good = quads[valid]
-
-    if len(good):
-        ang = quad_angles(good)
-        metrics = {
-            "equiangle_skew": equiangle_skew(good),
-            "aspect_ratio": aspect_ratio(good),
-            "scaled_jacobian": scaled_jacobian(good),
-            "min_angle": ang.min(axis=1),
-            "max_angle": ang.max(axis=1),
-        }
-    else:
-        metrics = {k: np.array([]) for k in ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle")}
-
-    def agg(x):
-        if x.size == 0:
-            return (None, None)  # no element to average: null in JSON, not NaN
-        return (float(x.mean()), float(x.std()))
-
-    count, pairs = self_intersections(mesh)
+    metrics = element_metrics(quads[valid])
     return QualityReport(
         n_elements=len(mesh.faces),
         n_degenerate=int((~valid).sum()),
-        equiangle_skew=agg(metrics["equiangle_skew"]),
-        aspect_ratio=agg(metrics["aspect_ratio"]),
-        scaled_jacobian=agg(metrics["scaled_jacobian"]),
-        min_angle=agg(metrics["min_angle"]),
-        max_angle=agg(metrics["max_angle"]),
-        self_intersection_count=count,
-        intersecting_pairs=tuple(pairs),
+        **{name: _mean_std(metrics[name]) for name in METRICS},
+        self_intersection_count=self_intersections(mesh)[0],
     )

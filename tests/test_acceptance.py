@@ -33,14 +33,7 @@ from aortafit.fea import MembraneModel, solve_membrane_stress
 from aortafit.fitter import FitConfig, bounding_grid, fit_svf
 from aortafit.objective import LossWeights, loss_grad, total_loss
 from aortafit.quadmesh import QuadMesh, face_regions, save_mesh
-from aortafit.quality import (
-    aspect_ratio,
-    equiangle_skew,
-    quad_angles,
-    quality_report,
-    scaled_jacobian,
-    self_intersections,
-)
+from aortafit.quality import element_metrics, quality_report, self_intersections
 from aortafit.volgrid import GridGeom, VectorField3D, trilinear_sample
 
 
@@ -213,23 +206,23 @@ def test_criterion_3_fitter_recovery(capsys, tube24):
 
 def test_criterion_4_quality_suite(capsys, arch_small, default_phantom, tube24):
     # unit square: exact scores
-    square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    assert equiangle_skew(square) == 0.0
-    assert aspect_ratio(square) == 1.0
-    assert scaled_jacobian(square) == 1.0
-    assert np.all(quad_angles(square) == 90.0)
+    square = element_metrics([[[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]])
+    assert square["equiangle_skew"][0] == 0.0
+    assert square["aspect_ratio"][0] == 1.0
+    assert square["scaled_jacobian"][0] == 1.0
+    assert np.all(square["angles"][0] == 90.0)
 
     # 60 degree rhombus to 1e-12
-    rhomb = np.array([[0.0, 0, 0], [1, 0, 0],
-                      [1 + np.cos(np.pi / 3), np.sin(np.pi / 3), 0],
-                      [np.cos(np.pi / 3), np.sin(np.pi / 3), 0]])
-    assert equiangle_skew(rhomb) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert scaled_jacobian(rhomb) == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
-    assert sorted(quad_angles(rhomb)) == pytest.approx([60, 60, 120, 120], abs=1e-12)
+    rhomb = element_metrics([[[0.0, 0, 0], [1, 0, 0],
+                              [1 + np.cos(np.pi / 3), np.sin(np.pi / 3), 0],
+                              [np.cos(np.pi / 3), np.sin(np.pi / 3), 0]]])
+    assert rhomb["equiangle_skew"][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert rhomb["scaled_jacobian"][0] == pytest.approx(np.sin(np.pi / 3), abs=1e-12)
+    assert sorted(rhomb["angles"][0]) == pytest.approx([60, 60, 120, 120], abs=1e-12)
 
     # 2 x 1 rectangle aspect
-    rect = np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]])
-    assert aspect_ratio(rect) == pytest.approx(1.5, abs=1e-12)
+    rect = element_metrics([[[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]]])
+    assert rect["aspect_ratio"][0] == pytest.approx(1.5, abs=1e-12)
 
     # BVH intersection search equals brute force on every mesh <= 500 faces
     rng = np.random.default_rng(33)

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, subcommands, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +481,77 @@ def test_pipeline_parallel_matches_serial(tmp_path, mesh_files, capsys):
     assert _manifest_hashes(serial) == _manifest_hashes(parallel)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, starts no
+    process, and runs each case in the calling one (or fails it as broken)."""
+
+    sizes = []
+    broken = False
+
+    def __init__(self, max_workers):
+        _InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        if _InlinePool.broken:
+            fut.set_exception(BrokenProcessPool("A process in the process pool was terminated abruptly"))
+        else:
+            fut.set_result(fn(*args))
+        return fut
+
+
+def _pipeline_argv(tmp_path, n_targets, jobs):
+    argv = ["pipeline", "--template", "t.vtk", "--out", str(tmp_path / "b"), "--seed", "0", "--jobs", jobs]
+    for i in range(n_targets):
+        argv += ["--target", f"target{i}.vtk"]
+    return argv
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pipeline cases that only record their target, run through _InlinePool."""
+    ran = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "_run_case", lambda template, target, *rest: (ran.append(target) or target, ""))
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "broken", False)
+    return ran
+
+
+@pytest.mark.parametrize("n_targets, jobs, sizes", [(2, "64", [2]), (3, "2", [2]), (1, "8", []), (3, "1", [])])
+def test_pipeline_workers_capped_at_cases(tmp_path, capsys, inline_pool, n_targets, jobs, sizes):
+    # A pool starts every worker it is given at the first submit: it gets one
+    # per case at most, and none for a single case or --jobs 1.
+    assert main(_pipeline_argv(tmp_path, n_targets, jobs)) == 0
+    assert _InlinePool.sizes == sizes
+    assert inline_pool == [f"target{i}.vtk" for i in range(n_targets)]
+    assert capsys.readouterr().out.split() == inline_pool
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_pipeline_jobs_below_one_exit_2(tmp_path, capsys, inline_pool, jobs):
+    assert main(_pipeline_argv(tmp_path, 2, jobs)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"aortafit: --jobs must be >= 1, got {jobs}"]
+    assert inline_pool == [] and _InlinePool.sizes == []
+    assert not (tmp_path / "b").exists()
+
+
+def test_pipeline_broken_pool_exit_2(tmp_path, capsys, inline_pool):
+    # A worker that dies (say, killed for memory) breaks the pool: one error
+    # line and exit 2, not a traceback.
+    _InlinePool.broken = True
+    assert main(_pipeline_argv(tmp_path, 2, "2")) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["aortafit: a pipeline worker process died: "
+                                "A process in the process pool was terminated abruptly"]
+
+
 def test_pipeline_single_target_writes_flat(tmp_path, mesh_files, capsys):
     out = str(tmp_path / "single")
     code = main(["pipeline", "--template", mesh_files["template"],
@@ -680,6 +753,20 @@ def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting)
     ("pipeline", "weights.omega=[1,2,3,4,5]", "config 'weights.omega'"),
     pytest.param("report", ("phantom.ascending_length=0", "phantom.arch_radius=0", "phantom.descending_length=0"),
                  "config 'phantom': centerline has zero length", id="report-zero_centerline"),
+    # Grid dims must be whole numbers and other numbers not booleans: none is
+    # truncated or read as 0 or 1.
+    pytest.param("fit", ("fit.levels=[[8,8,8],[16.9,16,16]]", "fit.svf_dims=[16.9,16,16]"),
+                 "config 'fit.svf_dims', 'fit.levels': levels and svf_dims must be lists of grid dims",
+                 id="fit-fractional_dims"),
+    pytest.param("fit", "fit.levels=[[8,8,8],[16,16,16],[32,32,true]]",
+                 "config 'fit.levels': levels and svf_dims must be lists of grid dims", id="fit-boolean_dim"),
+    pytest.param("phantom", "phantom.seed=true", "config 'phantom.seed': seed must be null or an integer >= 0",
+                 id="phantom-seed_true"),
+    pytest.param("phantom", "phantom.aneurysm=[true,8,8]",
+                 "config 'phantom.aneurysm': aneurysm must be [center, amplitude, width]", id="phantom-aneurysm_true"),
+    pytest.param("phantom", "phantom.region_fractions=[false,0.5,0.6]",
+                 "config 'phantom.region_fractions': region_fractions must be 3 nondecreasing values",
+                 id="phantom-fraction_false"),
 ])
 def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting, message):
     # A value of the right JSON type that its dataclass or the mesh cannot

@@ -213,7 +213,7 @@ def test_stress_stats_peak_rules(tube24, tube_stress):
     arch_faces = np.nonzero(fr == 2)[0]
     spiked_res = tube_stress.resultants.copy()
     spiked_res[arch_faces[3]] *= 3.0
-    spiked = StressField(frames=tube_stress.frames, resultants=spiked_res,
+    spiked = StressField(resultants=spiked_res,
                          thickness=tube_stress.thickness,
                          pressure=tube_stress.pressure,
                          residual=tube_stress.residual)

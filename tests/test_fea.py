@@ -23,11 +23,8 @@ HOOP = 120.0  # kPa: p R / t for p = 16 kPa, R = 15 mm, t = 2 mm
 
 def _uniform_field(n, cauchy_kpa, thickness=2.0):
     """StressField with the same Cauchy state (kPa) on every element."""
-    frames = (np.tile([1.0, 0, 0], (n, 1)), np.tile([0.0, 1, 0], (n, 1)),
-              np.tile([0.0, 0, 1], (n, 1)))
     resultants = np.tile(np.asarray(cauchy_kpa, dtype=float) * thickness / 1e3, (n, 1))
-    return StressField(frames=frames, resultants=resultants, thickness=thickness,
-                       pressure=16.0, residual=0.0)
+    return StressField(resultants=resultants, thickness=thickness, pressure=16.0, residual=0.0)
 
 
 def _mid_band_faces(mesh, skip_rings):
@@ -70,9 +67,7 @@ def test_principal_matches_eigenvalue_oracle():
 def test_stress_field_cauchy_units():
     # Resultants are N/mm; dividing by thickness (mm) gives N/mm^2 = MPa,
     # reported as kPa: 0.24 N/mm over 2 mm is 120 kPa.
-    f = StressField(frames=(np.eye(3)[None, 0], np.eye(3)[None, 1], np.eye(3)[None, 2]),
-                    resultants=np.array([[0.24, 0.0, 0.0]]), thickness=2.0,
-                    pressure=16.0, residual=0.0)
+    f = StressField(resultants=np.array([[0.24, 0.0, 0.0]]), thickness=2.0, pressure=16.0, residual=0.0)
     assert f.cauchy[0, 0] == pytest.approx(120.0, rel=1e-15)
     assert np.allclose(f.principal[0], [120.0, 0.0], atol=1e-12)
 

@@ -64,9 +64,8 @@ def _references(tree):
 DEAD_API_ALLOWED = {}
 
 
-def test_no_unreferenced_api():
-    # Every function, class and method of the package is reached from src/
-    # or perfbench/; one reached only from tests or nowhere is dead API.
+def _program_trees():
+    """The parsed source of every Python file under src/ and perfbench/, by path."""
     trees = {}
     for top in ("src", "perfbench"):
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
@@ -75,6 +74,13 @@ def test_no_unreferenced_api():
                     path = os.path.join(dirpath, name)
                     with open(path) as fh:
                         trees[path] = ast.parse(fh.read(), path)
+    return trees
+
+
+def test_no_unreferenced_api():
+    # Every function, class and method of the package is reached from src/
+    # or perfbench/; one reached only from tests or nowhere is dead API.
+    trees = _program_trees()
     used = {ref for tree in trees.values() for ref in _references(tree)}
     package = os.path.dirname(aortafit.__file__)
     defined = {name for path, tree in trees.items() if path.startswith(package)
@@ -82,6 +88,37 @@ def test_no_unreferenced_api():
     assert {"fit_svf", "TrilinearSampler", "slopes"} <= defined  # the scan sees the package
     dead = sorted(defined - used - set(DEAD_API_ALLOWED))
     assert not dead, f"defined in src/aortafit but referenced nowhere in src/ or perfbench/: {dead}"
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every field of each top-level dataclass of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def _field_reads(tree):
+    """Every attribute a module reads, and every string constant it spells."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_dataclass_field_is_read():
+    # A field that src/ and perfbench/ only ever construct is state that
+    # nothing uses: it costs memory and keeps dead computations alive.
+    trees = _program_trees()
+    read = {name for tree in trees.values() for name in _field_reads(tree)}
+    package = os.path.dirname(aortafit.__file__)
+    fields = [(cls, name) for path, tree in trees.items() if path.startswith(package)
+              for cls, name in _dataclass_fields(tree)]
+    assert ("FitConfig", "levels") in fields and ("QualityReport", "n_degenerate") in fields
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, f"dataclass fields in src/aortafit that src/ and perfbench/ never read: {unread}"
 
 
 def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):

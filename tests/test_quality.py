@@ -10,17 +10,17 @@ from aortafit import quality
 from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh, rings
 from aortafit.quality import (
+    METRICS,
     _box_overlap_pairs,
     _mesh_triangles,
-    aspect_ratio,
-    equiangle_skew,
-    quad_angles,
+    element_metrics,
     quality_report,
-    scaled_jacobian,
     self_intersections,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+COLLAPSED = np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]])  # a zero-length edge
+LINE = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])  # zero area, collinear diagonals
 
 
 def _quad_soup(quads):
@@ -31,51 +31,65 @@ def _quad_soup(quads):
     return QuadMesh(verts, faces, np.zeros(len(verts), dtype=np.int8))
 
 
+def _one(quad):
+    """element_metrics of one (4, 3) quad: the first row of every array."""
+    return {name: value[0] for name, value in element_metrics(np.asarray(quad)[None]).items()}
+
+
 # ---------------------------------------------------------------------------
 # Closed-form elements
 # ---------------------------------------------------------------------------
 
 def test_unit_square_is_perfect():
-    assert equiangle_skew(UNIT_SQUARE) == 0.0
-    assert aspect_ratio(UNIT_SQUARE) == 1.0
-    assert scaled_jacobian(UNIT_SQUARE) == 1.0
-    assert np.array_equal(quad_angles(UNIT_SQUARE), [90.0, 90.0, 90.0, 90.0])
+    m = _one(UNIT_SQUARE)
+    assert m["equiangle_skew"] == 0.0
+    assert m["aspect_ratio"] == 1.0
+    assert m["scaled_jacobian"] == 1.0
+    assert np.array_equal(m["angles"], [90.0, 90.0, 90.0, 90.0])
 
 
 def test_rhombus_60_degrees():
     c, s = np.cos(np.pi / 3.0), np.sin(np.pi / 3.0)
     rhombus = np.array([[0.0, 0, 0], [1, 0, 0], [1 + c, s, 0], [c, s, 0]])
-    ang = quad_angles(rhombus)
+    m = _one(rhombus)
+    ang = m["angles"]
     assert np.allclose(np.sort(ang), [60.0, 60.0, 120.0, 120.0], atol=1e-12)
-    assert equiangle_skew(rhombus) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert scaled_jacobian(rhombus) == pytest.approx(np.sin(np.pi / 3.0), abs=1e-12)
+    assert m["equiangle_skew"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert m["scaled_jacobian"] == pytest.approx(np.sin(np.pi / 3.0), abs=1e-12)
     # Unit edges, perimeter 4, area sin(60): L_max * P / (4 A) = 1 / sin(60).
-    assert aspect_ratio(rhombus) == pytest.approx(1.0 / np.sin(np.pi / 3.0), abs=1e-12)
+    assert m["aspect_ratio"] == pytest.approx(1.0 / np.sin(np.pi / 3.0), abs=1e-12)
 
 
 def test_rectangle_2x1_aspect():
-    rect = np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]])
-    assert aspect_ratio(rect) == pytest.approx(1.5, abs=1e-15)
-    assert equiangle_skew(rect) == 0.0
-    assert scaled_jacobian(rect) == pytest.approx(1.0, abs=1e-15)
+    m = _one(np.array([[0.0, 0, 0], [2, 0, 0], [2, 1, 0], [0, 1, 0]]))
+    assert m["aspect_ratio"] == pytest.approx(1.5, abs=1e-15)
+    assert m["equiangle_skew"] == 0.0
+    assert m["scaled_jacobian"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_concave_dart_has_negative_jacobian():
     dart = np.array([[0.0, 0, 0], [2, 0, 0], [0.3, 0.3, 0], [0, 2, 0]])
-    assert scaled_jacobian(dart) < 0.0
+    assert _one(dart)["scaled_jacobian"] < 0.0
 
 
-def test_zero_area_quad_aspect_is_inf():
-    line = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-    assert aspect_ratio(line) == np.inf
+def test_zero_area_line_quad_raises():
+    # A quad collapsed onto a line has no element normal; quality_report
+    # counts it as degenerate (test_report_excludes_degenerate_elements).
+    with pytest.raises(ValueError, match="collinear diagonals"):
+        element_metrics(LINE[None])
 
 
 def test_zero_length_edge_raises():
-    bad = np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]])
     with pytest.raises(ValueError, match="zero-length edge"):
-        quad_angles(bad)
+        element_metrics(COLLAPSED[None])
+    # One bad quad among good ones still raises.
     with pytest.raises(ValueError, match="zero-length edge"):
-        scaled_jacobian(bad)
+        element_metrics(np.stack([UNIT_SQUARE, COLLAPSED]))
+
+
+def test_single_quad_shape_rejected():
+    with pytest.raises(ValueError, match=r"\(m, 4, 3\)"):
+        element_metrics(UNIT_SQUARE)
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +132,21 @@ def _random_planar_quads(rng, n):
 def test_angles_match_planar_oracle():
     rng = np.random.default_rng(81)
     quads, oracle = _random_planar_quads(rng, 40)
-    got = quad_angles(quads)
+    got = element_metrics(quads)["angles"]
     assert np.allclose(got, oracle, rtol=0.0, atol=1e-9)
 
 
 def test_skew_derives_from_angles():
     rng = np.random.default_rng(82)
     quads, _ = _random_planar_quads(rng, 30)
-    ang = quad_angles(quads)
+    m = element_metrics(quads)
+    ang = m["angles"]
     expect = np.maximum((ang.max(axis=1) - 90.0) / 90.0, (90.0 - ang.min(axis=1)) / 90.0)
-    assert np.allclose(equiangle_skew(quads), expect, rtol=0.0, atol=1e-12)
+    assert np.allclose(m["equiangle_skew"], expect, rtol=0.0, atol=1e-12)
+    assert np.array_equal(m["min_angle"], ang.min(axis=1))
+    assert np.array_equal(m["max_angle"], ang.max(axis=1))
     # Zero skew happens exactly when all angles are 90 degrees.
-    sq = equiangle_skew(UNIT_SQUARE)
+    sq = _one(UNIT_SQUARE)["equiangle_skew"]
     assert sq == 0.0
 
 
@@ -139,8 +156,9 @@ def test_scaled_jacobian_is_worst_corner_sine():
     # degrees, and sin(min angle) is always an upper bound.
     rng = np.random.default_rng(83)
     quads, _ = _random_planar_quads(rng, 30)
-    ang = np.radians(quad_angles(quads))
-    sj = scaled_jacobian(quads)
+    m = element_metrics(quads)
+    ang = np.radians(m["angles"])
+    sj = m["scaled_jacobian"]
     assert np.all(sj <= np.sin(ang.min(axis=1)) + 1e-12)
     assert np.allclose(sj, np.sin(ang).min(axis=1), atol=1e-9)
 
@@ -148,18 +166,15 @@ def test_scaled_jacobian_is_worst_corner_sine():
 def test_metrics_rigid_and_scale_invariant():
     rng = np.random.default_rng(84)
     quads, _ = _random_planar_quads(rng, 20)
-    base_ang = quad_angles(quads)
-    base_sk = equiangle_skew(quads)
-    base_ar = aspect_ratio(quads)
-    base_sj = scaled_jacobian(quads)
+    base = element_metrics(quads)
     q = random_rotation(rng)
     t = rng.uniform(-20, 20, 3)
     for scale in (1.0, 7.5):
-        moved = quads * scale @ q.T + t
-        assert np.allclose(quad_angles(moved), base_ang, atol=1e-9)
-        assert np.allclose(equiangle_skew(moved), base_sk, atol=1e-10)
-        assert np.allclose(aspect_ratio(moved), base_ar, atol=1e-9)
-        assert np.allclose(scaled_jacobian(moved), base_sj, atol=1e-10)
+        moved = element_metrics(quads * scale @ q.T + t)
+        assert np.allclose(moved["angles"], base["angles"], atol=1e-9)
+        assert np.allclose(moved["equiangle_skew"], base["equiangle_skew"], atol=1e-10)
+        assert np.allclose(moved["aspect_ratio"], base["aspect_ratio"], atol=1e-9)
+        assert np.allclose(moved["scaled_jacobian"], base["scaled_jacobian"], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +375,11 @@ def test_report_on_translated_unit_squares():
 
 
 def test_report_excludes_degenerate_elements():
-    collapsed = np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]])
-    quads = [UNIT_SQUARE, collapsed, UNIT_SQUARE + np.array([0.0, 0.0, 5.0])]
+    quads = [UNIT_SQUARE, COLLAPSED, UNIT_SQUARE + np.array([0.0, 0.0, 5.0]),
+             LINE + np.array([0.0, 0.0, 15.0])]
     rep = quality_report(_quad_soup(quads))
-    assert rep.n_elements == 3
-    assert rep.n_degenerate == 1
+    assert rep.n_elements == 4
+    assert rep.n_degenerate == 2
     # Aggregates come from the two clean squares only.
     assert rep.equiangle_skew == (0.0, 0.0)
     assert np.isfinite(rep.aspect_ratio[0])
@@ -377,3 +392,65 @@ def test_report_on_smooth_tube_metrics(tube24):
     assert rep.scaled_jacobian[0] > 0.95
     assert 80.0 < rep.min_angle[0] <= 90.0
     assert 90.0 <= rep.max_angle[0] < 100.0
+
+
+def _reference_metrics(q):
+    """Per-element metrics of (m, 4, 3) quads computed the way the four separate
+    metric functions did before element_metrics, each on its own pass."""
+    prev = np.roll(q, 1, axis=1) - q
+    nxt = np.roll(q, -1, axis=1) - q
+    ang = np.degrees(np.arctan2(np.linalg.norm(np.cross(prev, nxt), axis=2), np.einsum("mkd,mkd->mk", prev, nxt)))
+    skew = np.maximum((ang.max(axis=1) - 90.0) / 90.0, (90.0 - ang.min(axis=1)) / 90.0)
+
+    lengths = np.linalg.norm(np.roll(q, -1, axis=1) - q, axis=2)
+    area = 0.5 * (
+        np.linalg.norm(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]), axis=1)
+        + np.linalg.norm(np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 0]), axis=1)
+    )
+    with np.errstate(divide="ignore"):
+        aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
+
+    normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
+    normal = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+    nxt = np.roll(q, -1, axis=1) - q
+    prev = np.roll(q, 1, axis=1) - q
+    denom = np.linalg.norm(nxt, axis=2) * np.linalg.norm(prev, axis=2)
+    jac = (np.einsum("mkd,md->mk", np.cross(nxt, prev), normal) / denom).min(axis=1)
+    return {"equiangle_skew": skew, "aspect_ratio": aspect, "scaled_jacobian": jac,
+            "min_angle": ang.min(axis=1), "max_angle": ang.max(axis=1)}
+
+
+def _reference_report(mesh):
+    quads = mesh.vertices[mesh.faces]
+    lengths = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=2)
+    diag_n = np.linalg.norm(np.cross(quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1]), axis=1)
+    valid = np.all(lengths > 0, axis=1) & (diag_n > 0)
+    ref = _reference_metrics(quads[valid])
+    out = {"n_elements": len(mesh.faces), "n_degenerate": int((~valid).sum()),
+           "self_intersection_count": self_intersections(mesh)[0]}
+    for name, x in ref.items():
+        out[name] = (None, None) if x.size == 0 else (float(x.mean()), float(x.std()))
+    return out
+
+
+def _report_meshes(mesh):
+    yield "default", mesh
+    rng = np.random.default_rng(87)
+    yield "jittered", mesh.with_vertices(mesh.vertices + rng.normal(0.0, 0.3, mesh.vertices.shape))
+    rhombus = np.array([[0.0, 0, 0], [1, 0, 0], [1.5, 0.8, 0], [0.5, 0.8, 0]])
+    dart = np.array([[0.0, 0, 0], [2, 0, 0], [0.3, 0.3, 0], [0, 2, 0]])
+    quads = [UNIT_SQUARE, COLLAPSED, rhombus, LINE, dart, UNIT_SQUARE * [2.0, 1.0, 1.0]]
+    yield "degenerate_soup", _quad_soup([x + np.array([0.0, 0.0, 4.0 * k]) for k, x in enumerate(quads)])
+
+
+def test_report_equals_separate_metric_arithmetic(default_phantom):
+    # element_metrics shares its intermediate arrays, but each value keeps the
+    # operations of the separate per-metric passes it replaced, so every
+    # aggregate, and so every quality.json, is bitwise what they gave.
+    for name, mesh in _report_meshes(default_phantom[0]):
+        rep = quality_report(mesh)
+        ref = _reference_report(mesh)
+        for field in ("n_elements", "n_degenerate", "self_intersection_count", *METRICS):
+            assert getattr(rep, field) == ref[field], (name, field)
+        if name == "degenerate_soup":
+            assert rep.n_degenerate == 2 and rep.scaled_jacobian[0] < 1.0
