@@ -28,11 +28,6 @@ import json
 import os
 import sys
 
-# Best-effort thread cap; BLAS pools read these at first use.
-if os.environ.get("AORTAFIT_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["AORTAFIT_THREADS"])
-
 from . import __version__
 from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices

@@ -9,6 +9,8 @@ endpoints) must balance the outward pressure load. Internally each quad's two
 flat triangles carry their own resultant tensor (closed quad surfaces are
 otherwise overdetermined and the load sits outside the column space by the
 discretization error); the reported per-element resultants average the pair.
+One pass over those triangles builds the free vertices' equations and lumps
+the pressure onto them, a third of each triangle's load per corner.
 The underdetermined system is solved to minimum norm through its Tikhonov-
 damped second-kind normal equations with iterative refinement, and the
 minimum-norm solution reproduces the thin-wall textbook values (hoop pR/t on
@@ -51,9 +53,7 @@ __all__ = [
     "MembraneModel",
     "StressField",
     "SolverError",
-    "pressure_nodal_forces",
     "solve_membrane_stress",
-    "principal_stresses",
 ]
 
 KPA_TO_N_PER_MM2 = 1e-3
@@ -125,41 +125,14 @@ class StressField:
 
     @property
     def principal(self):
-        """(m, 2) principal Cauchy stresses, sigma1 >= sigma2, in kPa."""
-        s1, s2, _ = principal_stresses(self)
-        return np.stack([s1, s2], axis=1)
+        """(m, 2) principal Cauchy stresses, sigma1 >= sigma2, in kPa.
 
-
-def principal_stresses(field):
-    """Closed-form eigenvalues (sigma1, sigma2, angle) of each 2x2 stress tensor.
-
-    ``angle`` is the rotation (radians) from the element's first frame axis to
-    the sigma1 direction.
-    """
-    s = field.cauchy
-    center = 0.5 * (s[:, 0] + s[:, 1])
-    radius = np.hypot(0.5 * (s[:, 0] - s[:, 1]), s[:, 2])
-    angle = 0.5 * np.arctan2(2.0 * s[:, 2], s[:, 0] - s[:, 1])
-    return center + radius, center - radius, angle
-
-
-def pressure_nodal_forces(mesh, p):
-    """Lump pressure load onto vertices: p * area * outward normal / 3 per triangle.
-
-    ``p`` is in force per squared mesh length unit (N/mm^2 for mm meshes and
-    newton forces). Quads split along the v0-v2 diagonal; zero-area triangles
-    contribute nothing.
-    """
-    v = mesh.vertices
-    f = mesh.faces
-    forces = np.zeros_like(v)
-    for tri in (f[:, [0, 1, 2]], f[:, [0, 2, 3]]):
-        p0, p1, p2 = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
-        an = 0.5 * np.cross(p1 - p0, p2 - p0)  # area * outward normal
-        contrib = (p / 3.0) * an
-        for k in range(3):
-            np.add.at(forces, tri[:, k], contrib)
-    return forces
+        The closed-form eigenvalues of each element's 2x2 stress tensor.
+        """
+        s = self.cauchy
+        center = 0.5 * (s[:, 0] + s[:, 1])
+        radius = np.hypot(0.5 * (s[:, 0] - s[:, 1]), s[:, 2])
+        return np.stack([center + radius, center - radius], axis=1)
 
 
 def _element_frames(mesh):
@@ -180,13 +153,13 @@ def _element_frames(mesh):
     return t1, t2, n
 
 
-def _assemble(mesh, t1):
-    """Equilibrium operator A (3|V| x 6|F|): A @ resultants = nodal loads.
+def _assemble(mesh, t1, free, p):
+    """Free vertices' equilibrium rows A (3|free| x 6|F|) and pressure load b: A @ resultants = b.
 
-    Each element is integrated as its two flat triangles (the same v0-v2 split
-    used for the pressure load), each carrying its own constant (N11, N22, N12)
-    in the element frame projected into the triangle plane.  Every triangle
-    edge applies half its length times the resultant traction to each endpoint.
+    Each element is integrated as its two flat triangles (split along the
+    v0-v2 diagonal), each carrying its own constant (N11, N22, N12) in the
+    element frame projected into the triangle plane.  Every triangle edge
+    applies half its length times the resultant traction to each endpoint.
     Constant stress on a flat facet is exactly self-equilibrated (zero net
     force and torque), so the pressure load stays reachable even for warped
     quads; with a single tensor per quad, closed surfaces are overdetermined
@@ -199,9 +172,12 @@ def _assemble(mesh, t1):
     start of edge c and the end of edge c - 1, so one 3x3 block per corner,
     the sum of those two edges' blocks, fills the corner's (vertex row,
     triangle column) entries. Each entry has exactly these two addends, so
-    A does not depend on the order they are summed in.
+    A does not depend on the order they are summed in. ``free`` masks the
+    vertices whose rows are kept, in vertex order; the supported vertices'
+    corners are dropped before the sparse build. ``p`` (N/mm^2 for mm meshes)
+    lumps p * area * outward normal / 3 onto each triangle corner.
 
-    Returns (A, frames, areas): per split s in (0, 1), ``frames[s]`` is the
+    Returns (A, b, frames, areas): per split s in (0, 1), ``frames[s]`` is the
     (t1, t2) in-plane basis pair and ``areas[s]`` the triangle areas.
     """
     f = mesh.faces
@@ -209,16 +185,20 @@ def _assemble(mesh, t1):
     v = mesh.vertices
     splits = ((0, 1, 2), (0, 2, 3))
     blocks = np.empty((m, 2, 3, 3, 3))  # (element, split, corner, unknown, force comp)
+    load = np.zeros_like(v)
     frames = []
     areas = []
     for split, corner_ids in enumerate(splits):
         tri = f[:, corner_ids]
-        p = v[tri]  # (m, 3, 3)
-        n_tri = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        q = v[tri]  # (m, 3, 3)
+        n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
         n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
         if np.any(n_len == 0):
             raise ValueError("degenerate element: zero-area triangle")
         areas.append(0.5 * n_len[:, 0])
+        contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
+        for k in range(3):
+            np.add.at(load, tri[:, k], contrib)
         n_tri = n_tri / n_len
         t1p = t1 - np.einsum("md,md->m", t1, n_tri)[:, None] * n_tri
         t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
@@ -229,7 +209,7 @@ def _assemble(mesh, t1):
         frames.append((t1p, t2p))
         edge_blocks = []
         for k in range(3):
-            edge = p[:, (k + 1) % 3] - p[:, k]  # lies in the triangle plane
+            edge = q[:, (k + 1) % 3] - q[:, k]  # lies in the triangle plane
             length = np.linalg.norm(edge, axis=1)
             if np.any(length == 0):
                 raise ValueError("degenerate element edge (zero length)")
@@ -246,20 +226,19 @@ def _assemble(mesh, t1):
         for c in range(3):
             np.add(edge_blocks[c], edge_blocks[c - 1], out=blocks[:, split, c])
 
-    nrows = 3 * len(mesh.vertices)
+    nrows = 3 * int(free.sum())
     ncols = 6 * m
     index = np.int32 if max(nrows, ncols) < 2**31 else np.int64
-    corner_vertex = f[:, np.array(splits)].astype(index)  # (m, 2, 3)
-    rows = 3 * corner_vertex[:, :, :, None, None] + np.arange(3, dtype=index)
-    cols = (6 * np.arange(m, dtype=index)[:, None, None, None, None]
-            + 3 * np.arange(2, dtype=index)[:, None, None, None]
-            + np.arange(3, dtype=index)[:, None])
-    shape = blocks.shape
-    A = coo_matrix(
-        (blocks.ravel(), (np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel())),
-        shape=(nrows, ncols),
-    )
-    return A.tocsr(), frames, areas
+    row_of = (np.cumsum(free) - 1).astype(index)  # free vertex -> its row block
+    corner_vertex = f[:, np.array(splits)]  # (m, 2, 3)
+    keep = free[corner_vertex]
+    blocks = blocks[keep]  # (kept corner, unknown, force comp)
+    first_col = 6 * np.arange(m, dtype=index)[:, None, None] + 3 * np.arange(2, dtype=index)[:, None]
+    rows = 3 * row_of[corner_vertex[keep]][:, None, None] + np.arange(3, dtype=index)
+    cols = np.broadcast_to(first_col, keep.shape)[keep][:, None, None] + np.arange(3, dtype=index)[:, None]
+    rows, cols = (np.broadcast_to(ix, blocks.shape).ravel() for ix in (rows, cols))
+    A = coo_matrix((blocks.ravel(), (rows, cols)), shape=(nrows, ncols))
+    return A.tocsr(), load[free].ravel(), frames, areas
 
 
 def _collapse_resultants(x, frames, tri_frames, areas):
@@ -386,23 +365,20 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
 
     Raises SolverError when the relative equilibrium residual at free vertices
     is not below max(10 * solver_tol, 1e-6) or the principal stresses
-    overflow, and ValueError on meshes that are not consistently oriented.
+    overflow, and ValueError on meshes with no face or that are not
+    consistently oriented.
     """
+    if mesh.n_faces == 0:
+        raise ValueError("membrane solve needs a mesh with at least one face")
     report = validate_topology(mesh)
     if not report.ok:
         raise ValueError("membrane solve needs a manifold, consistently oriented mesh")
 
     frames = _element_frames(mesh)
-    A, tri_frames, tri_areas = _assemble(mesh, frames[0])
-    p_internal = model.pressure * KPA_TO_N_PER_MM2
-    b = pressure_nodal_forces(mesh, p_internal).ravel()
-
     fixed = _fixed_vertices(mesh, model, report)
-    row_mask = np.ones(len(mesh.vertices), dtype=bool)
-    row_mask[fixed] = False
-    row_mask = np.repeat(row_mask, 3)
-    A_free = A[row_mask].tocsr()
-    b_free = b[row_mask]
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[fixed] = False
+    A, b, tri_frames, tri_areas = _assemble(mesh, frames[0], free, model.pressure * KPA_TO_N_PER_MM2)
 
     # The system is always underdetermined (six unknowns per quad); the
     # minimum-norm solution x = A^T y comes from the damped second-kind normal
@@ -421,25 +397,25 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # true residual recovers the digits a single solve loses to roundoff on
     # near-mechanism modes and removes the Tikhonov bias where the damping
     # barely matters, while keeping x free of null-space components.
-    col_rms = np.sqrt((A_free.data**2).sum() / A_free.shape[1])
+    col_rms = np.sqrt((A.data**2).sum() / A.shape[1])
     damp = _DAMPING * col_rms
-    gram = (A_free @ A_free.T).tocsr()
+    gram = (A @ A.T).tocsr()
     with _one_blas_thread() as pinned:
         banded = pinned and (fixed.size > 0 or report.boundary_edge_count == 0)
         solve = (banded and _band_cholesky(gram, damp**2)) or _superlu(gram, damp**2)
         del gram
 
-        b_norm = _norm(b_free)
+        b_norm = _norm(b)
         limit = max(10.0 * model.solver_tol, 1e-6)
-        y = np.zeros(A_free.shape[0])
-        x = np.zeros(A_free.shape[1])
+        y = np.zeros(A.shape[0])
+        x = np.zeros(A.shape[1])
         residual = 1.0 if b_norm > 0.0 else 0.0
         itn = 0
         while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
-            y = y + solve(b_free - A_free @ x)
-            x = A_free.T @ y
+            y = y + solve(b - A @ x)
+            x = A.T @ y
             itn += 1
-            improved = _norm(A_free @ x - b_free) / b_norm
+            improved = _norm(A @ x - b) / b_norm
             if improved >= 0.9 * residual and itn > 1:
                 residual = min(residual, improved)
                 break  # stagnated at the attainable floor

@@ -113,10 +113,6 @@ class QuadMesh:
         """Same connectivity and labels, new vertex positions."""
         return QuadMesh(vertices, self.faces, self.regions, self.ring_layout)
 
-    def bounds(self):
-        """Axis-aligned (min_corner, max_corner) in mm."""
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
 
 def majority_region(labels):
     """Majority region code along the last axis of ``labels``, ties to the lowest code."""

@@ -171,13 +171,11 @@ def _coplanar_overlap(A, B, normal, scale):
     k = len(A)
     if k == 0:
         return np.zeros(0, dtype=bool)
-    # In-plane orthonormal basis per pair. A zero-area triangle has a zero
-    # normal and so a NaN basis; only numpy's warnings about it are silenced.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n = normal / np.linalg.norm(normal, axis=1, keepdims=True)
-        ref = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-        u = np.cross(n, ref)
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    # In-plane orthonormal basis per pair (the normals are nonzero).
+    n = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+    ref = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    u = np.cross(n, ref)
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
     v = np.cross(n, u)
     a2 = np.stack([np.einsum("kpd,kd->kp", A, u), np.einsum("kpd,kd->kp", A, v)], axis=-1)
     b2 = np.stack([np.einsum("kpd,kd->kp", B, u), np.einsum("kpd,kd->kp", B, v)], axis=-1)
@@ -216,10 +214,15 @@ def _tri_pairs_intersect(A, B):
     nB = np.cross(B[:, 1] - B[:, 0], B[:, 2] - B[:, 0])
     dB = np.einsum("kpd,kd->kp", B - A[:, :1], nA)
     dA = np.einsum("kpd,kd->kp", A - B[:, :1], nB)
-    eps_a = 1e-12 * np.linalg.norm(nA, axis=1) * scale
-    eps_b = 1e-12 * np.linalg.norm(nB, axis=1) * scale
+    len_a = np.linalg.norm(nA, axis=1)
+    len_b = np.linalg.norm(nB, axis=1)
+    eps_a = 1e-12 * len_a * scale
+    eps_b = 1e-12 * len_b * scale
+    # A zero-area triangle has no plane to cross: it never intersects.
     sep = (
-        np.all(dB > eps_a[:, None], axis=1)
+        (len_a == 0)
+        | (len_b == 0)
+        | np.all(dB > eps_a[:, None], axis=1)
         | np.all(dB < -eps_a[:, None], axis=1)
         | np.all(dA > eps_b[:, None], axis=1)
         | np.all(dA < -eps_b[:, None], axis=1)

@@ -21,7 +21,7 @@ from conftest import bulged_cylinder, straight_cylinder
 from aortafit import __version__, cli
 from aortafit.cli import build_sections, config_hash, default_config, load_config, main
 from aortafit.phantom import PhantomSpec, make_phantom
-from aortafit.quadmesh import load_mesh, save_mesh
+from aortafit.quadmesh import QuadMesh, load_mesh, save_mesh
 from aortafit.volgrid import GridGeom, VectorField3D, Volume3D, save_volume
 
 FIT_OVERRIDES = [
@@ -397,12 +397,14 @@ def _manifest_hashes(bundle_dir):
     return out
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run_with_blas_threads(args, threads):
     """Run ``python -m aortafit.cli`` in a fresh process capped at ``threads`` BLAS threads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in caps}
-    env.update(AORTAFIT_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
     run = subprocess.run([sys.executable, "-m", "aortafit.cli", *args],
                          capture_output=True, text=True, env=env, timeout=600)
     assert run.returncode == 0, run.stderr
@@ -415,11 +417,10 @@ def test_pipeline_bundle_independent_of_blas_threads(tmp_path, tube24):
     save_mesh(tube24, template)
     save_mesh(bulged_cylinder(amplitude=8.0, width=8.0), target)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     manifests = []
     for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k not in caps}
-        env.update(AORTAFIT_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
         out = str(tmp_path / f"threads{threads}")
         run = subprocess.run(
             [sys.executable, "-m", "aortafit.cli", "pipeline", "--template", template, "--target", target,
@@ -591,6 +592,25 @@ def test_exit_code_2_malformed_mesh(tmp_path, capsys):
     bad.write_text("# vtk DataFile Version 3.0\nnot a mesh\n")
     code = main(["quality", "--mesh", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, code", [("quality", 0), ("stress", 2), ("report", 2)])
+def test_mesh_without_faces(tmp_path, capsys, command, code):
+    # A valid file with vertices and no face: quality has nothing to average
+    # (null aggregates), and a membrane solve has nothing to solve, which is
+    # an input error (2) with one stderr line, not a failed factorization (3).
+    tube = straight_cylinder(circumferential=4, axial=3, length=10.0)
+    path = str(tmp_path / "bare.vtk")
+    save_mesh(QuadMesh(tube.vertices, np.zeros((0, 4), dtype=np.int64), tube.regions), path)
+    out = str(tmp_path / ("s.vtk" if command == "stress" else "out.json"))
+    assert main([command, "--mesh", path, "--out", out]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1
+        assert "at least one face" in err
+    else:
+        data = json.loads(Path(out).read_text())
+        assert data["n_elements"] == 0 and data["scaled_jacobian"] == {"mean": None, "std": None}
 
 
 @pytest.mark.parametrize("command, section, token, message", [

@@ -154,7 +154,7 @@ def test_forward_only_sampling_builds_no_slopes(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _grid_around(mesh, spacing=1.0, margin=5.0):
-    lo, hi = mesh.bounds()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     origin = lo - margin
     dims = tuple(int(np.ceil((h - l + 2 * margin) / spacing)) + 1 for l, h in zip(lo, hi))
     return GridGeom(dims, (spacing,) * 3, tuple(origin))
@@ -401,7 +401,7 @@ def _cone_cases():
     # A grid twice as wide as the tube: the cone is a strict subset of it.
     wide = GridGeom((16, 16, 14), (5.0, 5.0, 5.0), (-37.5, -37.5, -32.5))
     # The mesh's own bounding box: its extreme vertices lie on grid faces.
-    lo, hi = mesh.bounds()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     tight = GridGeom((7, 7, 6), tuple((hi - lo) / [6, 6, 5]), tuple(lo))
     return {
         "strict_subset": (mesh, wide, DiffeoConfig(), 2.0),

@@ -1,4 +1,4 @@
-"""Membrane equilibrium: pressure loads, resultant solve, principal stresses."""
+"""Membrane equilibrium: operator and pressure load, resultant solve, principal stresses."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from aortafit.fea import (
     MembraneModel,
     SolverError,
     StressField,
-    pressure_nodal_forces,
-    principal_stresses,
     solve_membrane_stress,
 )
 from aortafit.quadmesh import QuadMesh, rings, validate_topology
@@ -40,17 +38,16 @@ def _mid_band_faces(mesh, skip_rings):
 
 def test_principal_isotropic():
     f = _uniform_field(5, (80.0, 80.0, 0.0))
-    s1, s2, _ = principal_stresses(f)
+    s1, s2 = f.principal.T
     assert np.allclose(s1, 80.0, atol=1e-12)
     assert np.allclose(s2, 80.0, atol=1e-12)
 
 
 def test_principal_pure_shear():
     f = _uniform_field(3, (0.0, 0.0, 25.0))
-    s1, s2, angle = principal_stresses(f)
+    s1, s2 = f.principal.T
     assert np.allclose(s1, 25.0, atol=1e-12)
     assert np.allclose(s2, -25.0, atol=1e-12)
-    assert np.allclose(angle, np.pi / 4.0, atol=1e-12)
 
 
 def test_principal_matches_eigenvalue_oracle():
@@ -58,7 +55,7 @@ def test_principal_matches_eigenvalue_oracle():
     for _ in range(20):
         s11, s22, s12 = rng.uniform(-150, 150, 3)
         f = _uniform_field(1, (s11, s22, s12))
-        s1, s2, _ = principal_stresses(f)
+        s1, s2 = f.principal.T
         w = np.linalg.eigvalsh(np.array([[s11, s12], [s12, s22]]))
         assert s1[0] == pytest.approx(w[1], rel=1e-12, abs=1e-9)
         assert s2[0] == pytest.approx(w[0], rel=1e-12, abs=1e-9)
@@ -76,10 +73,17 @@ def test_stress_field_cauchy_units():
 # Pressure load lumping
 # ---------------------------------------------------------------------------
 
+def _nodal_load(mesh, p):
+    """``_assemble``'s lumped pressure load with every vertex free, per vertex."""
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    _, b, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, p)
+    return b.reshape(-1, 3)
+
+
 def test_nodal_forces_unit_quad():
     mesh = QuadMesh(np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
                     np.array([[0, 1, 2, 3]]), np.zeros(4, dtype=np.int8))
-    forces = pressure_nodal_forces(mesh, 1.0)
+    forces = _nodal_load(mesh, 1.0)
     # Total load is pressure * area along +z; the v0-v2 diagonal split gives
     # the diagonal corners a share from both triangles.
     assert np.allclose(forces.sum(axis=0), [0.0, 0.0, 1.0], atol=1e-15)
@@ -88,7 +92,7 @@ def test_nodal_forces_unit_quad():
 
 
 def test_nodal_forces_closed_surface_sum_to_zero(sphere16):
-    forces = pressure_nodal_forces(sphere16, 0.016)
+    forces = _nodal_load(sphere16, 0.016)
     net = np.linalg.norm(forces.sum(axis=0))
     total = np.linalg.norm(forces, axis=1).sum()
     assert net / total < 1e-9
@@ -108,19 +112,9 @@ def test_nodal_forces_half_shell_projected_area():
     half = QuadMesh(mesh.vertices[used], remap[faces],
                     mesh.regions[used])
     p = 0.016
-    total = pressure_nodal_forces(half, p).sum(axis=0)
+    total = _nodal_load(half, p).sum(axis=0)
     expect = np.array([0.0, p * 2.0 * radius * length, 0.0])
     assert np.allclose(total, expect, rtol=1e-12, atol=1e-12)
-
-
-def test_nodal_forces_skip_degenerate_triangles():
-    verts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
-    mesh = QuadMesh(verts, np.array([[0, 1, 2, 3]]), np.zeros(4, dtype=np.int8))
-    forces = pressure_nodal_forces(mesh, 1.0)
-    # Triangle (v0, v1, v2) is collinear and adds no force: only (v0, v2, v3) loads.
-    expect = np.zeros_like(verts)
-    expect[[0, 2, 3]] = (1.0 / 3.0) * (0.5 * np.cross(verts[2] - verts[0], verts[3] - verts[0]))
-    assert np.array_equal(forces, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +228,9 @@ def _default_splu_resultants(mesh, model):
     of rounds.
     """
     frames = fea._element_frames(mesh)
-    A, tri_frames, tri_areas = fea._assemble(mesh, frames[0])
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, model, validate_topology(mesh))] = False
-    rows = np.repeat(free, 3)
-    A = A[rows].tocsr()
-    b = pressure_nodal_forces(mesh, model.pressure * fea.KPA_TO_N_PER_MM2).ravel()[rows]
+    A, b, tri_frames, tri_areas = fea._assemble(mesh, frames[0], free, model.pressure * fea.KPA_TO_N_PER_MM2)
     damp = fea._DAMPING * np.sqrt((A.data**2).sum() / A.shape[1])
     lu = splu((A @ A.T + damp**2 * identity(A.shape[0])).tocsc())
     y = np.zeros(A.shape[0])
@@ -305,7 +296,7 @@ def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
     monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: widths.append(len(ab) - 1) or cholesky(ab, **kw))
     solve_membrane_stress(tube24, MembraneModel())
     solve_membrane_stress(sphere32, MembraneModel())
-    A, _, _ = fea._assemble(sphere32, fea._element_frames(sphere32)[0])
+    A, _, _, _ = fea._assemble(sphere32, fea._element_frames(sphere32)[0], np.ones(sphere32.n_vertices, bool), 0.0)
     gram = (A @ A.T).tocoo()
     assert widths[0] == 3 * (24 + 1) + 2
     assert widths[1] < np.abs(gram.row - gram.col).max()
@@ -366,12 +357,31 @@ def test_corner_assembly_bitwise_equals_per_edge(which, tube24, sphere16, defaul
         mesh = QuadMesh(verts, faces, mesh.regions[lo:hi], (c, 21))
     else:
         mesh = {"tube24": tube24, "sphere16": sphere16}[which]
-    got, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0])
-    ref = _assemble_per_edge(mesh)
+    got, _, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], np.ones(mesh.n_vertices, bool), 0.0)
+    _assert_csr_bitwise_equal(got, _assemble_per_edge(mesh))
+
+
+def _assert_csr_bitwise_equal(got, ref):
     assert got.shape == ref.shape
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, part), getattr(ref, part))
         assert getattr(got, part).dtype == getattr(ref, part).dtype
+
+
+@pytest.mark.parametrize("which", ["default", "one_ring", "free_ends", "all_fixed", "sphere32"])
+def test_assembly_is_the_free_rows_of_per_edge(which, tube24, sphere32):
+    # _assemble builds only the free vertices' rows: bitwise the rows of the
+    # full per-edge operator that the supports leave, in vertex order.
+    mesh = sphere32 if which == "sphere32" else tube24
+    fixed_rings = {"one_ring": (rings(tube24)[0],), "free_ends": (),
+                   "all_fixed": (np.arange(tube24.n_vertices),)}.get(which)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[fea._fixed_vertices(mesh, MembraneModel(fixed_rings=fixed_rings), validate_topology(mesh))] = False
+    got, b, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, 0.016)
+    assert got.shape[0] == b.size == 3 * free.sum()
+    assert got.shape[0] == {"default": 3 * 24 * 58, "one_ring": 3 * 24 * 59, "all_fixed": 0}.get(
+        which, 3 * mesh.n_vertices)
+    _assert_csr_bitwise_equal(got, _assemble_per_edge(mesh)[np.repeat(free, 3)].tocsr())
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def test_with_vertices_and_bounds(tube24):
     shifted = tube24.with_vertices(tube24.vertices + 2.0)
     assert np.array_equal(shifted.faces, tube24.faces)
     assert shifted.ring_layout == tube24.ring_layout
-    lo0, hi0 = tube24.bounds()
-    lo1, hi1 = shifted.bounds()
+    lo0, hi0 = tube24.vertices.min(axis=0), tube24.vertices.max(axis=0)
+    lo1, hi1 = shifted.vertices.min(axis=0), shifted.vertices.max(axis=0)
     assert np.allclose(lo1 - lo0, 2.0) and np.allclose(hi1 - hi0, 2.0)
 
 

@@ -261,6 +261,18 @@ def test_far_pulled_vertex_bvh_matches_brute():
     assert sorted(pb) == sorted(pr)
 
 
+@pytest.mark.parametrize("line", [
+    LINE + [0.0, 0.0, 50.0],  # 50 mm away: the boxes miss
+    np.array([[0.5, 0.1, 0.0], [0.6, 0.2, 0.0], [0.7, 0.3, 0.0], [0.8, 0.4, 0.0]]),  # in the plane, boxes overlap
+], ids=["far", "in_plane"])
+def test_zero_area_triangles_never_intersect(line):
+    # COLLAPSED's v0-v1-v2 triangle and both of the line quad's triangles have
+    # zero area, so no plane: a pair of them is no crossing, wherever it lies.
+    mesh = _quad_soup([COLLAPSED, line])
+    assert self_intersections(mesh, method="brute") == (0, [])
+    assert self_intersections(mesh, method="bvh") == (0, [])
+
+
 class _CountingTree(cKDTree):
     """k-d tree that tallies the candidate pairs its queries return."""
 
