@@ -12,9 +12,10 @@ into every output next to its sha256 hash, so runs are reproducible: identical
 config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
-missing input, an allocation too large, ``--jobs`` below 1, a pipeline worker
-process that died), 3 numerical failure (divergence, solver residual,
-non-finite stresses).
+missing input, template and target meshes that do not correspond, an
+allocation too large, ``--jobs`` below 1, a pipeline worker process that
+died), 3 numerical failure (divergence, solver residual, non-finite
+stresses).
 """
 
 from __future__ import annotations

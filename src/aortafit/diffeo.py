@@ -53,10 +53,17 @@ class DiffeoConfig:
     ``squaring_steps`` is the number of compositions S. With ``auto_steps``
     set, S is raised (never lowered) until the scaled field satisfies
     max |tau| / 2^S <= 0.5 voxel, keeping each composition step well inside
-    the contraction regime.
+    the contraction regime; more than 20 steps is refused.
+
+    The floor of 5 is where more steps stop paying: past it, exp's error at
+    the vertices is set by the trilinear interpolation inside each
+    composition, not by the first-order start tau / 2^S. On fitted README
+    fields every S from 5 to 8 is 0.48-0.49 mm off a 4096-step Euler flow at
+    the worst vertex, while each step costs a forward pass, a linearization
+    and every product in proportion.
     """
 
-    squaring_steps: int = 8
+    squaring_steps: int = 5
     auto_steps: bool = True
 
     def __post_init__(self):

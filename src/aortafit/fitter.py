@@ -45,7 +45,16 @@ from .diffeo import (
     vertex_sampler,
     warp_vertices,
 )
-from .objective import LossBreakdown, LossWeights, chamfer, loss_grad, total_loss, vertex_weights
+from .objective import (
+    LossBreakdown,
+    LossWeights,
+    _check_correspondence,
+    chamfer,
+    loss_grad,
+    smoothness,
+    total_loss,
+    vertex_weights,
+)
 from .volgrid import GridGeom, VectorField3D, trilinear_sample
 
 __all__ = [
@@ -241,11 +250,11 @@ def _fit_level(template, target, geom, tau, cfg, history):
         warped = warp_vertices(template, disp, geom, sampler=sampler)
         loss = total_loss(warped, target, cfg.weights)
         history.append(loss.total)
-        return fld, states, disp, warped, loss
+        return fld, states, len(states[1]), disp, warped, loss
 
     try:
-        fld, states, disp, warped, loss = forward(tau)
-    except ValueError as exc:  # a valid field raises it only from the squaring-step guard
+        fld, states, steps, disp, warped, loss = forward(tau)
+    except ValueError as exc:  # fit_svf checked the meshes, so only the squaring-step guard raises it
         raise FitDivergence(str(exc), history) from None
     diag = 2.0 * vertex_weights(template, target, cfg.weights)[:, None]  # H = J^T diag J
     passes, products, accepted, lam = 1, 0, 0, None
@@ -277,33 +286,41 @@ def _fit_level(template, target, geom, tau, cfg, history):
         accepted += 1
         tau = tau + step
         relative = (loss.total - trial[-1].total) / loss.total
-        fld, states, disp, warped, loss = trial
+        fld, states, steps, disp, warped, loss = trial
         lin = trial = None
         if relative < _TOL:
             stop = "tolerance"
             break
     record = {"stop": stop, "forward_passes": passes, "hessian_products": products,
-              "accepted_steps": accepted, "lambda": lam, "grad_inf_norm": float(np.max(np.abs(grad)))}
+              "accepted_steps": accepted, "lambda": lam, "grad_inf_norm": float(np.max(np.abs(grad))),
+              "squaring_steps": steps}
     return tau, (disp, warped, loss), record
 
 
 def fit_svf(template, target, grid, cfg=FitConfig()):
     """Fit an SVF deforming ``template`` toward ``target`` over ``grid``.
 
-    Both meshes need identical connectivity and regions and must lie inside
-    the grid extent. Returns the last accepted field of the final level, its
-    lowest-loss iterate; the reported ``min_jacobian`` is the minimum interior
-    Jacobian determinant of the final displacement (the diffeomorphism
-    certificate). The fitted mesh, loss breakdown and certificate come from
-    the final level's last accepted forward pass, not from a second
-    exponentiation. ``levels`` holds one record per level: why it stopped
-    (``tolerance``, ``budget`` or ``zero_gradient``), its forward passes,
-    Hessian-vector products and accepted steps, the final lambda (None if no
-    step was solved for) and the inf-norm of the gradient of the last field
-    it linearized. An accepted field that leaves no budget for a product is
-    not linearized: a level that stops on ``budget`` right after an accepted
-    step reports the gradient it took that step from.
+    Both meshes need identical vertex counts, connectivity and region
+    labels, with every region populated, and must lie inside the grid
+    extent; with a smoothness weight the template needs a ring layout.
+    Meshes that fail this raise ValueError before any fit work. Returns the
+    last accepted field of the final level, its lowest-loss iterate; the
+    reported ``min_jacobian`` is the minimum interior Jacobian determinant of
+    the final displacement (the diffeomorphism certificate). The fitted mesh,
+    loss breakdown and certificate come from the final level's last accepted
+    forward pass, not from a second exponentiation. ``levels`` holds one
+    record per level: why it stopped (``tolerance``, ``budget`` or
+    ``zero_gradient``), its forward passes, Hessian-vector products and
+    accepted steps, the final lambda (None if no step was solved for), the
+    inf-norm of the gradient of the last field it linearized, and the
+    squaring steps of the field it returned. An accepted field that leaves
+    no budget for a product is not linearized: a level that stops on
+    ``budget`` right after an accepted step reports the gradient it took
+    that step from.
     """
+    _check_correspondence(template, target)
+    if cfg.weights.alpha > 0:
+        smoothness(template)  # raises, as every loss would, on a mesh without ring layout
     history = []
     level_starts = []
     levels = []

@@ -292,6 +292,7 @@ def test_fit_and_warp_round_trip(tmp_path, mesh_files, capsys):
         assert level["forward_passes"] + level["hessian_products"] <= 40
         assert 0 < level["accepted_steps"] < level["forward_passes"]
         assert level["lambda"] > 0 and level["grad_inf_norm"] > 0
+        assert level["squaring_steps"] == 5
 
     # Warping the template through the stored SVF reproduces fitted.vtk
     # bit for bit: same exponentiation settings, lossless mesh round trip.
@@ -931,3 +932,53 @@ def test_exit_code_3_squaring_step_guard_in_fit(tmp_path, mesh_files, capsys, bl
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert "numerical failure" in err and "squaring steps" in err
+
+
+def _mismatched(template, kind):
+    """(template, target) meshes that fail the fit's correspondence check as ``kind`` says."""
+    regions = template.regions.copy()
+    if kind == "vertex_count":
+        return template, straight_cylinder(circumferential=6, axial=10, length=30.0, radius=5.0)
+    if kind == "connectivity":
+        return template, QuadMesh(template.vertices, template.faces[:, ::-1].copy(), regions, template.ring_layout)
+    if kind == "region_labels":
+        regions[0] = (regions[0] + 1) % 4
+        return template, QuadMesh(template.vertices, template.faces, regions, template.ring_layout)
+    if kind == "empty_region":
+        regions[regions == 3] = 2
+        both = QuadMesh(template.vertices, template.faces, regions, template.ring_layout)
+        return both, both.with_vertices(both.vertices + 0.3)
+    if kind == "no_ring_layout":
+        bare = QuadMesh(template.vertices, template.faces, regions)
+        return bare, bare.with_vertices(bare.vertices + 0.3)
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+@pytest.mark.parametrize("kind, message", [
+    ("vertex_count", "meshes must have identical vertex counts"),
+    ("connectivity", "meshes must share connectivity"),
+    ("region_labels", "meshes must share region labels"),
+    ("empty_region", "region 'descending' has no vertices"),
+    ("no_ring_layout", "smoothness needs a structured mesh"),
+])
+def test_exit_code_2_template_target_mismatch(tmp_path, mesh_files, capsys, monkeypatch, command, kind, message):
+    # Meshes the fit cannot compare are a validation error (2) with one
+    # stderr line, found before any level runs: not a numerical failure (3).
+    from aortafit import fitter
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit level ran on meshes that do not correspond")
+
+    monkeypatch.setattr(fitter, "_fit_level", no_fit)
+    template, target = _mismatched(load_mesh(mesh_files["template"]), kind)
+    paths = [str(tmp_path / "template.vtk"), str(tmp_path / "target.vtk")]
+    save_mesh(template, paths[0])
+    save_mesh(target, paths[1])
+    code = main([command, "--template", paths[0], "--target", paths[1], "--out", str(tmp_path / "out"),
+                 "--seed", "0", *FIT_OVERRIDES])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert message in err

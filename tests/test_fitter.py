@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import straight_cylinder
+from conftest import bulged_cylinder, straight_cylinder
 
 from aortafit import diffeo, fitter
-from aortafit.diffeo import exponentiate, jacobian_determinant, warp_vertices
+from aortafit.diffeo import DiffeoConfig, exponentiate, jacobian_determinant, warp_vertices
 from aortafit.fitter import (
     FitConfig,
     FitDivergence,
@@ -271,3 +271,35 @@ def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
             assert len(level) > 2 and np.all(np.diff(level) < 0.0)
             assert record["grad_inf_norm"] == level_norms[-1]
         assert res.final.total <= seen[-1][-1]
+
+
+def test_fit_records_raised_squaring_steps(translation_pair):
+    # Each level records the squaring steps of the field it returns: the
+    # floor of 5 for a small motion, more once max |tau| passes 16 voxels.
+    template, _, _ = translation_pair
+    far = template.with_vertices(template.vertices + np.array([50.0, 0.0, 0.0]))
+    grid = bounding_grid([template, far], spacing=2.0, margin=6.0)
+    cfg = FitConfig(svf_dims=(24, 6, 6), levels=((24, 6, 6),), iters_per_level=60)
+    res = fit_svf(template, far, grid, cfg)
+    assert np.abs(res.svf.data).max() > 16.0
+    assert res.levels[0]["squaring_steps"] == DiffeoConfig().resolve_steps(res.svf) > 5
+
+
+# Acceptance criterion 7's small configuration, at the default diffeo section.
+SMALL = FitConfig(svf_dims=(16, 16, 16), levels=((8, 8, 8), (16, 16, 16)), iters_per_level=80)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_small_config_fits_bulged_shifted_tubes(tube24, seed):
+    # A 24 x 60 tube fitted to a seeded bulged (2-12 mm) and shifted (+-3 mm)
+    # tube on 8^3 and 16^3 grids of a 2 mm image grid: the fit must land
+    # within criterion 3's chamfer bound with a positive Jacobian, and every
+    # level keeps the floor of 5 squaring steps.
+    rng = np.random.default_rng(seed)
+    amplitude, center, width = rng.uniform(2, 12), rng.uniform(20, 100), rng.uniform(6, 10)
+    target = bulged_cylinder(amplitude=amplitude, width=width, center=center)
+    target = target.with_vertices(target.vertices + rng.uniform(-3, 3, size=3))
+    res = fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), SMALL)
+    assert res.final_chamfer <= 0.5
+    assert res.min_jacobian > 0.0
+    assert [level["squaring_steps"] for level in res.levels] == [5, 5]

@@ -5,10 +5,12 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
 import aortafit
+from aortafit.cli import default_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(aortafit.__file__)))
 
@@ -144,3 +146,15 @@ def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):
     assert len(wrapped) > 20
     missing = [f"{owner.__name__}.{attr}" for owner, attr in wrapped if attr not in owner.__dict__]
     assert not missing, f"perfbench/layers.py wraps names its owners do not define: {missing}"
+
+
+def test_every_config_key_is_documented():
+    # README's "Command line" section names every key a config takes, as
+    # `key` or `section.key`, in running text: code blocks do not count.
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    spans = set(re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", section, flags=re.S)))
+    missing = [f"{name}.{key}" for name, keys in default_config().items() for key in keys
+               if key not in spans and f"{name}.{key}" not in spans]
+    assert not missing, f"config keys missing from README's Command line section: {missing}"
