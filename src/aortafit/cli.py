@@ -12,7 +12,8 @@ into every output next to its sha256 hash, so runs are reproducible: identical
 config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
-missing input, template and target meshes that do not correspond, an
+missing input, template and target meshes that do not correspond, a mesh
+the report must measure ring by ring that has no ring layout, an
 allocation too large, ``--jobs`` below 1, a pipeline worker process that
 died), 3 numerical failure (divergence, solver residual, non-finite
 stresses).
@@ -33,10 +34,10 @@ from . import __version__
 from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
 from .fea import MembraneModel, SolverError, solve_membrane_stress
-from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, fit_svf
+from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, check_meshes, fit_svf
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
-from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, save_mesh
+from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, rings, save_mesh
 from .quality import METRICS, quality_report
 from .volgrid import load_volume, save_volume
 
@@ -254,12 +255,9 @@ def cmd_template(args):
     return 0
 
 
-def _run_fit(template_path, target_path, sections):
-    template = load_mesh(template_path)
-    target = load_mesh(target_path)
+def _run_fit(template, target, sections):
     grid = bounding_grid([template, target], spacing=sections["grid"].spacing, margin=sections["grid"].margin)
-    result = fit_svf(template, target, grid, sections["fit"])
-    return template, target, result
+    return fit_svf(template, target, grid, sections["fit"])
 
 
 def _save_fitted(result, out_dir, body=None):
@@ -292,7 +290,7 @@ def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
 
 def cmd_fit(args):
     cfg, sections = _configure(args)
-    _, _, result = _run_fit(args.template, args.target, sections)
+    result = _run_fit(load_mesh(args.template), load_mesh(args.target), sections)
     _write_fit_outputs(args.out, cfg, args.seed, result, args.target)
     _save_fitted(result, args.out)
     print(
@@ -369,6 +367,13 @@ def cmd_report(args):
     cfg, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     reference = load_mesh(args.reference) if args.reference else None
+    # The report measures diameters ring by ring: a mesh without rings is
+    # rejected before the solve, except one with no face, which the solve
+    # rejects first.
+    if mesh.n_faces:
+        rings(mesh)
+    if reference is not None:
+        rings(reference)
     field = solve_membrane_stress(mesh, sections["membrane"])
     provenance = _provenance(cfg, mesh=os.path.basename(args.mesh))
     report = build_report(mesh, field, sections["report"], provenance, reference_mesh=reference)
@@ -384,9 +389,26 @@ def cmd_report(args):
     return 0
 
 
-def _run_case(template_path, target_path, case_dir, cfg, sections, seed):
-    """One pipeline case: fit, quality, chamfer, stress, report, manifest."""
-    template, target, result = _run_fit(template_path, target_path, sections)
+def _pipeline_meshes(template_path, target_paths, fit_cfg):
+    """The template and target meshes, checked before any case runs: each pair
+    as the fit checks it, and each mesh for a ring layout, by which the report
+    measures the fitted mesh (it has the template's) and the target.
+    """
+    template = load_mesh(template_path)
+    targets = [load_mesh(path) for path in target_paths]
+    for target in targets:
+        check_meshes(template, target, fit_cfg)
+    for mesh in (template, *targets):
+        rings(mesh)
+    return template, targets
+
+
+def _run_case(template_path, target_path, case_dir, cfg, sections, seed, template, target):
+    """One pipeline case: fit, quality, chamfer, stress, report, manifest.
+
+    ``template`` and ``target`` are the meshes loaded from the two paths.
+    """
+    result = _run_fit(template, target, sections)
     files = _write_fit_outputs(case_dir, cfg, seed, result, target_path)
 
     qrep = quality_report(result.fitted)
@@ -435,13 +457,14 @@ def cmd_pipeline(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg, sections = _configure(args)
+    template, targets = _pipeline_meshes(args.template, args.targets, sections["fit"])
     os.makedirs(args.out, exist_ok=True)
     if len(args.targets) == 1:
-        cases = [(args.targets[0], args.out)]
+        cases = [(args.targets[0], args.out, targets[0])]
     else:
         cases = [
-            (t, os.path.join(args.out, f"case_{i:02d}_{os.path.splitext(os.path.basename(t))[0]}"))
-            for i, t in enumerate(args.targets)
+            (t, os.path.join(args.out, f"case_{i:02d}_{os.path.splitext(os.path.basename(t))[0]}"), target)
+            for i, (t, target) in enumerate(zip(args.targets, targets))
         ]
 
     results = []
@@ -450,11 +473,12 @@ def cmd_pipeline(args):
     workers = min(args.jobs, len(cases))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_case, args.template, t, d, cfg, sections, args.seed) for t, d in cases]
+            futs = [pool.submit(_run_case, args.template, t, d, cfg, sections, args.seed, template, target)
+                    for t, d, target in cases]
             results = [f.result() for f in futs]
     else:
-        for t, d in cases:
-            results.append(_run_case(args.template, t, d, cfg, sections, args.seed))
+        for t, d, target in cases:
+            results.append(_run_case(args.template, t, d, cfg, sections, args.seed, template, target))
 
     for line, tables in results:
         print(line)

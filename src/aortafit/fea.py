@@ -18,14 +18,20 @@ a cylinder, pR/2t on a sphere).
 
 The damped Gram matrix of those normal equations couples only vertices that
 share a triangle, so on a structured tube it is a band: a quad's diagonal
-joins vertices one ring plus one slot apart. It is factored by LAPACK's banded
-Cholesky in mesh order, or in reverse Cuthill-McKee order where that band is
-narrower (closed surfaces such as a cube sphere), with OpenBLAS held at one
-thread so the factor's bytes do not depend on the thread count. Where the
-Gram matrix is only semidefinite to working precision (open tubes with free
-ends keep mechanism modes that the 1e-8 damping barely lifts; an open mesh
-with no fixed vertex skips the banded attempt), or where scipy's OpenBLAS
-thread control is not available, SuperLU factors it instead.
+joins vertices one ring plus one slot apart. The order is chosen on that
+triangle graph of the free vertices, not on the Gram matrix: mesh order, or
+reverse Cuthill-McKee where that band is narrower (closed surfaces such as a
+cube sphere); each vertex's three unknowns follow it, so a vertex half-width
+w is a band of half-width 3 w + 2. The Gram matrix is formed a block of rows
+at a time straight into LAPACK's band storage and factored by banded
+Cholesky, with OpenBLAS held at one thread so the factor's bytes do not
+depend on the thread count. While the band fills, A and a transposed copy of
+it are the only other large arrays; during the factor, only the band and A
+are alive. Where the Gram matrix is only semidefinite to working precision
+(open tubes with free ends keep mechanism modes that the 1e-8 damping barely
+lifts; an open mesh with no fixed vertex skips the banded attempt), or where
+scipy's OpenBLAS thread control is not available, SuperLU factors it
+instead, and only that path forms the whole Gram matrix.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -43,7 +49,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -60,6 +66,8 @@ KPA_TO_N_PER_MM2 = 1e-3
 N_PER_MM2_TO_KPA = 1e3
 _DAMPING = 1e-8  # Tikhonov damping, relative to the equilibrium operator's RMS column norm
 _REFINE_ROUNDS = 40  # cap on residual-refinement rounds
+_GRAM_BLOCK = 4096  # Gram matrix rows formed per sparse product on the band path
+_SPLITS = ((0, 1, 2), (0, 2, 3))  # a quad's two triangles, split along its v0-v2 diagonal
 
 
 class SolverError(RuntimeError):
@@ -153,6 +161,36 @@ def _element_frames(mesh):
     return t1, t2, n
 
 
+def _edge_blocks(q, n_tri, t1):
+    """In-plane frames (t1p, t2p) of triangles ``q`` (m, corner, xyz) with unit
+    normals ``n_tri``, and the force each edge puts on either endpoint per unit
+    resultant, (m, edge, unknown, force comp); edge k runs from corner k to k + 1.
+    """
+    t1p = t1 - np.einsum("md,md->m", t1, n_tri)[:, None] * n_tri
+    t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
+    if np.any(t1p_len == 0):
+        raise ValueError("degenerate element: frame perpendicular to triangle")
+    t1p = t1p / t1p_len
+    t2p = np.cross(n_tri, t1p)
+    blocks = np.empty((len(q), 3, 3, 3))
+    for k in range(3):
+        edge = q[:, (k + 1) % 3] - q[:, k]  # lies in the triangle plane
+        length = np.linalg.norm(edge, axis=1)
+        if np.any(length == 0):
+            raise ValueError("degenerate element edge (zero length)")
+        ehat = edge / length[:, None]
+        mhat = np.cross(ehat, n_tri)  # in-plane outward normal of the edge
+        m1 = np.einsum("md,md->m", mhat, t1p)
+        m2 = np.einsum("md,md->m", mhat, t2p)
+        # Traction direction per unit resultant: columns N11, N22, N12.
+        coeff = np.stack(
+            [m1[:, None] * t1p, m2[:, None] * t2p, m2[:, None] * t1p + m1[:, None] * t2p],
+            axis=1,
+        )  # (m, 3 unknowns, 3 force comps)
+        np.multiply(0.5 * length[:, None, None], coeff, out=blocks[:, k])
+    return (t1p, t2p), blocks
+
+
 def _assemble(mesh, t1, free, p):
     """Free vertices' equilibrium rows A (3|free| x 6|F|) and pressure load b: A @ resultants = b.
 
@@ -172,10 +210,11 @@ def _assemble(mesh, t1, free, p):
     start of edge c and the end of edge c - 1, so one 3x3 block per corner,
     the sum of those two edges' blocks, fills the corner's (vertex row,
     triangle column) entries. Each entry has exactly these two addends, so
-    A does not depend on the order they are summed in. ``free`` masks the
-    vertices whose rows are kept, in vertex order; the supported vertices'
-    corners are dropped before the sparse build. ``p`` (N/mm^2 for mm meshes)
-    lumps p * area * outward normal / 3 onto each triangle corner.
+    A does not depend on the order they are summed in, and no entry has a
+    second corner. ``free`` masks the vertices whose rows are kept, in vertex
+    order; the supported vertices' corners are dropped before the sparse
+    build. ``p`` (N/mm^2 for mm meshes) lumps p * area * outward normal / 3
+    onto each triangle corner.
 
     Returns (A, b, frames, areas): per split s in (0, 1), ``frames[s]`` is the
     (t1, t2) in-plane basis pair and ``areas[s]`` the triangle areas.
@@ -183,12 +222,11 @@ def _assemble(mesh, t1, free, p):
     f = mesh.faces
     m = len(f)
     v = mesh.vertices
-    splits = ((0, 1, 2), (0, 2, 3))
-    blocks = np.empty((m, 2, 3, 3, 3))  # (element, split, corner, unknown, force comp)
+    data = np.empty((m, 2, 3, 3, 3))  # (element, split, unknown, corner, force comp)
     load = np.zeros_like(v)
     frames = []
     areas = []
-    for split, corner_ids in enumerate(splits):
+    for split, corner_ids in enumerate(_SPLITS):
         tri = f[:, corner_ids]
         q = v[tri]  # (m, 3, 3)
         n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
@@ -199,45 +237,27 @@ def _assemble(mesh, t1, free, p):
         contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
         for k in range(3):
             np.add.at(load, tri[:, k], contrib)
-        n_tri = n_tri / n_len
-        t1p = t1 - np.einsum("md,md->m", t1, n_tri)[:, None] * n_tri
-        t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
-        if np.any(t1p_len == 0):
-            raise ValueError("degenerate element: frame perpendicular to triangle")
-        t1p = t1p / t1p_len
-        t2p = np.cross(n_tri, t1p)
-        frames.append((t1p, t2p))
-        edge_blocks = []
-        for k in range(3):
-            edge = q[:, (k + 1) % 3] - q[:, k]  # lies in the triangle plane
-            length = np.linalg.norm(edge, axis=1)
-            if np.any(length == 0):
-                raise ValueError("degenerate element edge (zero length)")
-            ehat = edge / length[:, None]
-            mhat = np.cross(ehat, n_tri)  # in-plane outward normal of the edge
-            m1 = np.einsum("md,md->m", mhat, t1p)
-            m2 = np.einsum("md,md->m", mhat, t2p)
-            # Traction direction per unit resultant: columns N11, N22, N12.
-            coeff = np.stack(
-                [m1[:, None] * t1p, m2[:, None] * t2p, m2[:, None] * t1p + m1[:, None] * t2p],
-                axis=1,
-            )  # (m, 3 unknowns, 3 force comps)
-            edge_blocks.append(0.5 * length[:, None, None] * coeff)
-        for c in range(3):
-            np.add(edge_blocks[c], edge_blocks[c - 1], out=blocks[:, split, c])
+        frame, edges = _edge_blocks(q, n_tri / n_len, t1)
+        frames.append(frame)
+        data[:, split] = (edges + edges[:, [2, 0, 1]]).transpose(0, 2, 1, 3)  # corner c: edges c and c - 1
+    del q, edges  # the last split's; only A's arrays are needed past here
 
+    # A column is one unknown of one triangle, its rows the free corners'
+    # force components: A's columns come straight out of the corner blocks,
+    # and scipy's conversion to rows leaves each row's columns ascending.
+    corners = f[:, np.array(_SPLITS)]
     nrows = 3 * int(free.sum())
     ncols = 6 * m
-    index = np.int32 if max(nrows, ncols) < 2**31 else np.int64
+    keep = free[corners]
+    index = np.int32 if max(nrows, ncols, data.size) < 2**31 else np.int64
     row_of = (np.cumsum(free) - 1).astype(index)  # free vertex -> its row block
-    corner_vertex = f[:, np.array(splits)]  # (m, 2, 3)
-    keep = free[corner_vertex]
-    blocks = blocks[keep]  # (kept corner, unknown, force comp)
-    first_col = 6 * np.arange(m, dtype=index)[:, None, None] + 3 * np.arange(2, dtype=index)[:, None]
-    rows = 3 * row_of[corner_vertex[keep]][:, None, None] + np.arange(3, dtype=index)
-    cols = np.broadcast_to(first_col, keep.shape)[keep][:, None, None] + np.arange(3, dtype=index)[:, None]
-    rows, cols = (np.broadcast_to(ix, blocks.shape).ravel() for ix in (rows, cols))
-    A = coo_matrix((blocks.ravel(), (rows, cols)), shape=(nrows, ncols))
+    # Contiguous copies: a mask through a broadcast view indexes far slower.
+    kept = np.broadcast_to(keep[:, :, None, :, None], data.shape).copy()
+    rows = np.broadcast_to(3 * row_of[corners][:, :, None, :, None] + np.arange(3, dtype=index), data.shape).copy()
+    indptr = np.zeros(ncols + 1, dtype=index)
+    np.cumsum(np.repeat(3 * keep.sum(axis=2, dtype=index).ravel(), 3), out=indptr[1:])
+    A = csc_matrix((data[kept], rows[kept], indptr), shape=(nrows, ncols))
+    del data, rows, kept  # before the conversion copies A
     return A.tocsr(), load[free].ravel(), frames, areas
 
 
@@ -309,29 +329,69 @@ def _one_blas_thread():
         set_(old)
 
 
-def _band_cholesky(gram, shift):
-    """Solver of (gram + shift I) y = r by banded Cholesky; None if not positive definite.
+def _band_order(faces, free):
+    """Free vertices in band order, and the band's half-width in vertices.
 
-    ``gram`` is symmetric CSR. Its lower triangle goes straight into LAPACK's
-    band storage, in mesh order or, where that band is narrower, in reverse
-    Cuthill-McKee order.
+    Two free vertices' rows of the Gram matrix meet where the vertices share a
+    triangle, so the band is chosen on that graph (25k vertices for the
+    full-size phantom) rather than on the Gram matrix itself: mesh order, or
+    reverse Cuthill-McKee where that is strictly narrower.
     """
-    n = gram.shape[0]
-    if gram.nnz == 0:
+    row_of = np.cumsum(free) - 1
+    tri = faces[:, np.array(_SPLITS)].reshape(-1, 3)
+    ends = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    both = free[ends[0]] & free[ends[1]]
+    a, b = (row_of[e[both]] for e in ends)
+    n = int(free.sum())
+    graph = csr_matrix((np.ones(2 * a.size, dtype=np.int8), (np.r_[a, b], np.r_[b, a])), shape=(n, n))
+    rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.empty_like(rcm)
+    rank[rcm] = np.arange(n, dtype=rcm.dtype)
+    width = int(np.abs(a - b).max(initial=0))
+    rcm_width = int(np.abs(rank[a] - rank[b]).max(initial=0))
+    return (rcm, rcm_width) if rcm_width < width else (np.arange(n), width)
+
+
+def _gram_band(A, perm, rank, half_width):
+    """The lower band of A Aᵀ with rows and columns in ``perm`` order, in LAPACK's band storage.
+
+    ``rank`` is the inverse of ``perm``. The Gram matrix is formed
+    ``_GRAM_BLOCK`` rows at a time from A and a CSR copy of Aᵀ, which lives
+    only here; each block's entries on or below the diagonal go straight to
+    their band places.
+    """
+    n = A.shape[0]
+    index = np.int32 if (half_width + 1) * n < 2**31 else np.int64  # holds a flat band position
+    rank = rank.astype(index)
+    at = A.T.tocsr()
+    ab = np.zeros((half_width + 1, n), order="F")
+    flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + half_width * col]
+    for lo in range(0, n, _GRAM_BLOCK):
+        block = A[perm[lo:lo + _GRAM_BLOCK]] @ at
+        rows = np.repeat(np.arange(lo, lo + block.shape[0], dtype=index), np.diff(block.indptr))
+        cols = rank[block.indices]
+        lower = rows >= cols
+        cols *= half_width
+        cols += rows
+        flat[cols[lower]] = block.data[lower]
+        del block, rows, cols, lower  # before the next block's product
+    return ab
+
+
+def _band_cholesky(A, faces, free, shift):
+    """Solver of (A Aᵀ + shift I) y = r by banded Cholesky; None if not positive definite.
+
+    Rows of A are the free vertices' force components, three per vertex, so
+    the vertex band order of ``_band_order`` becomes a band of half-width
+    3 w + 2 on the unknowns. Only the band and A are alive during the factor.
+    """
+    if A.shape[0] == 0:  # every vertex is supported
         return None
-    rows = np.repeat(np.arange(n, dtype=gram.indices.dtype), np.diff(gram.indptr))
-    cols = gram.indices
-    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
+    order, width = _band_order(faces, free)
+    perm = (3 * order[:, None] + np.arange(3)).ravel()
     rank = np.empty_like(perm)
-    rank[perm] = np.arange(n, dtype=perm.dtype)
-    if np.abs(rank[rows] - rank[cols]).max() < np.abs(rows - cols).max():
-        rows, cols = rank[rows], rank[cols]
-    else:
-        perm = rank = np.arange(n, dtype=perm.dtype)
-    offset = rows - cols
-    lower = offset >= 0
-    ab = np.zeros((offset.max() + 1, n), order="F")
-    ab[offset[lower], cols[lower]] = gram.data[lower]
+    rank[perm] = np.arange(len(perm), dtype=perm.dtype)
+    ab = _gram_band(A, perm, rank, 3 * width + 2)
     ab[0] += shift
     try:
         cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
@@ -340,9 +400,12 @@ def _band_cholesky(gram, shift):
     return lambda r: cho_solve_banded((cb, True), r[perm], check_finite=False)[rank]
 
 
-def _superlu(gram, shift):
-    """Solver of (gram + shift I) y = r by SuperLU in symmetric mode."""
-    gram = gram.tocsc()
+def _superlu(A, shift):
+    """Solver of (A Aᵀ + shift I) y = r by SuperLU in symmetric mode.
+
+    The only path that forms the whole Gram matrix.
+    """
+    gram = (A @ A.T).tocsc()
     if shift > 0.0:
         gram = (gram + shift * identity(gram.shape[0], format="csc")).tocsc()
     try:
@@ -399,11 +462,9 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # barely matters, while keeping x free of null-space components.
     col_rms = np.sqrt((A.data**2).sum() / A.shape[1])
     damp = _DAMPING * col_rms
-    gram = (A @ A.T).tocsr()
     with _one_blas_thread() as pinned:
         banded = pinned and (fixed.size > 0 or report.boundary_edge_count == 0)
-        solve = (banded and _band_cholesky(gram, damp**2)) or _superlu(gram, damp**2)
-        del gram
+        solve = (banded and _band_cholesky(A, mesh.faces, free, damp**2)) or _superlu(A, damp**2)
 
         b_norm = _norm(b)
         limit = max(10.0 * model.solver_tol, 1e-6)

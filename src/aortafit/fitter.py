@@ -62,6 +62,7 @@ __all__ = [
     "FitResult",
     "FitDivergence",
     "GridConfig",
+    "check_meshes",
     "fit_svf",
     "upsample_svf",
     "control_grid",
@@ -297,6 +298,13 @@ def _fit_level(template, target, geom, tau, cfg, history):
     return tau, (disp, warped, loss), record
 
 
+def check_meshes(template, target, cfg=FitConfig()):
+    """Raise ValueError unless ``fit_svf`` can compare ``template`` with ``target`` under ``cfg``."""
+    _check_correspondence(template, target)
+    if cfg.weights.alpha > 0:
+        smoothness(template)  # raises, as every loss would, on a mesh without ring layout
+
+
 def fit_svf(template, target, grid, cfg=FitConfig()):
     """Fit an SVF deforming ``template`` toward ``target`` over ``grid``.
 
@@ -318,9 +326,7 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
     ``budget`` right after an accepted step reports the gradient it took
     that step from.
     """
-    _check_correspondence(template, target)
-    if cfg.weights.alpha > 0:
-        smoothness(template)  # raises, as every loss would, on a mesh without ring layout
+    check_meshes(template, target, cfg)
     history = []
     level_starts = []
     levels = []

@@ -520,6 +520,7 @@ def inline_pool(monkeypatch):
     """Pipeline cases that only record their target, run through _InlinePool."""
     ran = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "_pipeline_meshes", lambda template, targets, cfg: (None, [None] * len(targets)))
     monkeypatch.setattr(cli, "_run_case", lambda template, target, *rest: (ran.append(target) or target, ""))
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "broken", False)
@@ -982,3 +983,48 @@ def test_exit_code_2_template_target_mismatch(tmp_path, mesh_files, capsys, monk
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and "numerical failure" not in err
     assert message in err
+
+
+def _without_rings(path, tmp_path):
+    """A copy of the mesh file at ``path`` saved with no ring layout."""
+    mesh = load_mesh(path)
+    bare = str(tmp_path / "bare.vtk")
+    save_mesh(QuadMesh(mesh.vertices, mesh.faces, mesh.regions), bare)
+    return bare
+
+
+NO_RINGS = "mesh has no ring_layout; rings are undefined"
+
+
+@pytest.mark.parametrize("good_first", [False, True])
+def test_pipeline_ringless_target_rejected_before_any_work(tmp_path, mesh_files, capsys, monkeypatch, good_first):
+    # The report measures the target ring by ring. A target without a ring
+    # layout, even behind a good one, is a validation error before any fit:
+    # nothing is written under --out.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before every target was checked")
+
+    monkeypatch.setattr(cli, "fit_svf", no_fit)
+    bare = _without_rings(mesh_files["bulged"], tmp_path)
+    targets = ["--target", mesh_files["bulged"]] * good_first + ["--target", bare]
+    out = tmp_path / "out"
+    code = main(["pipeline", "--template", mesh_files["template"], *targets, "--out", str(out),
+                 "--seed", "0", *FIT_OVERRIDES])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"aortafit: {NO_RINGS}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("which", ["mesh", "reference"])
+def test_report_ringless_mesh_rejected_before_solve(tmp_path, mesh_files, capsys, monkeypatch, which):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the membrane solve ran on a mesh the report cannot measure")
+
+    monkeypatch.setattr(cli, "solve_membrane_stress", no_solve)
+    paths = {"mesh": mesh_files["tube8"], "reference": mesh_files["tube8"]}
+    paths[which] = _without_rings(paths[which], tmp_path)
+    code = main(["report", "--mesh", paths["mesh"], "--reference", paths["reference"],
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"aortafit: {NO_RINGS}"]
+    assert not (tmp_path / "report.json").exists()

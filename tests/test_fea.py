@@ -1,5 +1,7 @@
 """Membrane equilibrium: operator and pressure load, resultant solve, principal stresses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix, identity
@@ -14,6 +16,7 @@ from aortafit.fea import (
     StressField,
     solve_membrane_stress,
 )
+from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh, rings, validate_topology
 
 HOOP = 120.0  # kPa: p R / t for p = 16 kPa, R = 15 mm, t = 2 mm
@@ -285,6 +288,68 @@ def test_free_ends_fall_back_to_superlu(tube24, monkeypatch):
     assert calls == {"cholesky": 0, "splu": 2}
     assert np.array_equal(field.resultants, ref.resultants)
     assert field.residual == ref.residual
+
+
+def test_failed_band_factor_falls_back_to_superlu(tube24, monkeypatch):
+    # Where the banded factor breaks down, SuperLU factors the whole Gram
+    # matrix, which only that path forms, and the solve still meets the
+    # default splu oracle.
+    calls = _factor_spies(monkeypatch)
+
+    def not_positive_definite(ab, **kwargs):
+        calls["cholesky"] += 1
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(fea, "cholesky_banded", not_positive_definite)
+    field = solve_membrane_stress(tube24, MembraneModel())
+    assert calls == {"cholesky": 1, "splu": 1}
+    ref = _default_splu_resultants(tube24, MembraneModel())
+    assert np.abs(field.resultants - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert field.residual <= 1e-8
+
+
+@pytest.mark.parametrize("which", ["tube24", "sphere32"])
+def test_gram_blocks_leave_the_solve_bitwise_unchanged(which, tube24, sphere32, monkeypatch):
+    # The Gram matrix goes into the band a block of rows at a time. Blocks
+    # that do not divide the row count, or one block for all rows, give the
+    # same bytes: tube24 is banded in mesh order, sphere32 in reverse
+    # Cuthill-McKee order.
+    mesh = {"tube24": tube24, "sphere32": sphere32}[which]
+    rows = 3 * (mesh.n_vertices - fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh)).size)
+    ref = solve_membrane_stress(mesh, MembraneModel())
+    for size in (11, 1000, rows):
+        assert size == rows or rows % size
+        monkeypatch.setattr(fea, "_GRAM_BLOCK", size)
+        got = solve_membrane_stress(mesh, MembraneModel())
+        assert np.array_equal(got.resultants, ref.resultants), size
+        assert got.residual == ref.residual, size
+
+
+def test_solve_peak_memory_is_the_band_and_two_operators(monkeypatch):
+    # The membrane solve sets the full-size pipeline's peak memory. The band
+    # must live through the factor; beside it only A and, while the band
+    # fills, a transposed copy of A are large: no full Gram matrix, and no
+    # transient of the assembly or the ordering that outgrows them.
+    mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))  # the README target
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh))] = False
+    A, _, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, 0.0)
+    a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    del A
+    band = []
+    cholesky = fea.cholesky_banded
+    monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: band.append(ab.nbytes) or cholesky(ab, **kw))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        solve_membrane_stress(mesh, MembraneModel())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= band[0] + 2 * a_bytes + 16 * 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
 
 
 def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
