@@ -23,15 +23,16 @@ triangle graph of the free vertices, not on the Gram matrix: mesh order, or
 reverse Cuthill-McKee where that band is narrower (closed surfaces such as a
 cube sphere); each vertex's three unknowns follow it, so a vertex half-width
 w is a band of half-width 3 w + 2. The Gram matrix is formed a block of rows
-at a time straight into LAPACK's band storage and factored by banded
-Cholesky, with OpenBLAS held at one thread so the factor's bytes do not
-depend on the thread count. While the band fills, A and a transposed copy of
-it are the only other large arrays; during the factor, only the band and A
-are alive. Where the Gram matrix is only semidefinite to working precision
-(open tubes with free ends keep mechanism modes that the 1e-8 damping barely
-lifts; an open mesh with no fixed vertex skips the banded attempt), or where
-scipy's OpenBLAS thread control is not available, SuperLU factors it
-instead, and only that path forms the whole Gram matrix.
+at a time, against only the rows the band lets a block meet, straight into
+LAPACK's band storage and factored by banded Cholesky, with OpenBLAS held at
+one thread so the factor's bytes do not depend on the thread count. Beside
+the band only A is large: freed heap goes back to the system (glibc's
+malloc_trim) before the band is allocated, and the factor is dropped before
+the collapse. Where the Gram matrix is only semidefinite to working
+precision (open tubes with free ends keep mechanism modes that the 1e-8
+damping barely lifts; an open mesh with no fixed vertex skips the banded
+attempt), or where scipy's OpenBLAS thread control is not available, SuperLU
+factors it instead, and only that path forms the whole Gram matrix.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -214,7 +215,7 @@ def _assemble(mesh, t1, free, p):
     second corner. ``free`` masks the vertices whose rows are kept, in vertex
     order; the supported vertices' corners are dropped before the sparse
     build. ``p`` (N/mm^2 for mm meshes) lumps p * area * outward normal / 3
-    onto each triangle corner.
+    onto each triangle corner, summed one corner slot at a time.
 
     Returns (A, b, frames, areas): per split s in (0, 1), ``frames[s]`` is the
     (t1, t2) in-plane basis pair and ``areas[s]`` the triangle areas.
@@ -235,8 +236,8 @@ def _assemble(mesh, t1, free, p):
             raise ValueError("degenerate element: zero-area triangle")
         areas.append(0.5 * n_len[:, 0])
         contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
-        for k in range(3):
-            np.add.at(load, tri[:, k], contrib)
+        for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
+            load[:, c] += np.bincount(tri[:, k], contrib[:, c], minlength=len(v))
         frame, edges = _edge_blocks(q, n_tri / n_len, t1)
         frames.append(frame)
         data[:, split] = (edges + edges[:, [2, 0, 1]]).transpose(0, 2, 1, 3)  # corner c: edges c and c - 1
@@ -313,6 +314,17 @@ def _blas_threads():
         return None
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, which returns freed heap to the system; None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):  # musl and macOS have none; Windows has no CDLL(None)
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold scipy's OpenBLAS at one thread; yields False where it cannot."""
@@ -352,24 +364,24 @@ def _band_order(faces, free):
     return (rcm, rcm_width) if rcm_width < width else (np.arange(n), width)
 
 
-def _gram_band(A, perm, rank, half_width):
+def _gram_band(A, perm, half_width):
     """The lower band of A Aᵀ with rows and columns in ``perm`` order, in LAPACK's band storage.
 
-    ``rank`` is the inverse of ``perm``. The Gram matrix is formed
-    ``_GRAM_BLOCK`` rows at a time from A and a CSR copy of Aᵀ, which lives
-    only here; each block's entries on or below the diagonal go straight to
-    their band places.
+    The Gram matrix is formed ``_GRAM_BLOCK`` rows at a time, each block
+    against only the rows the band lets it meet: those ``half_width`` before
+    it in band order and its own. Those rows come out in band order, so no
+    copy of Aᵀ and no inverse permutation is needed; each block's entries on
+    or below the diagonal go straight to their band places.
     """
     n = A.shape[0]
     index = np.int32 if (half_width + 1) * n < 2**31 else np.int64  # holds a flat band position
-    rank = rank.astype(index)
-    at = A.T.tocsr()
     ab = np.zeros((half_width + 1, n), order="F")
     flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + half_width * col]
     for lo in range(0, n, _GRAM_BLOCK):
-        block = A[perm[lo:lo + _GRAM_BLOCK]] @ at
+        first = max(0, lo - half_width)  # the block's rows meet none further back
+        block = A[perm[lo:lo + _GRAM_BLOCK]] @ A[perm[first:lo + _GRAM_BLOCK]].T
         rows = np.repeat(np.arange(lo, lo + block.shape[0], dtype=index), np.diff(block.indptr))
-        cols = rank[block.indices]
+        cols = block.indices + index(first)
         lower = rows >= cols
         cols *= half_width
         cols += rows
@@ -391,7 +403,10 @@ def _band_cholesky(A, faces, free, shift):
     perm = (3 * order[:, None] + np.arange(3)).ravel()
     rank = np.empty_like(perm)
     rank[perm] = np.arange(len(perm), dtype=perm.dtype)
-    ab = _gram_band(A, perm, rank, 3 * width + 2)
+    trim = _malloc_trim()
+    if trim is not None:  # the band lands on the heap the assembly and the order have freed
+        trim(0)
+    ab = _gram_band(A, perm, 3 * width + 2)
     ab[0] += shift
     try:
         cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
@@ -481,6 +496,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
                 residual = min(residual, improved)
                 break  # stagnated at the attainable floor
             residual = improved
+    del solve  # the factor, before the collapse allocates its temporaries
     if not residual <= limit:  # a NaN residual fails too
         raise SolverError(
             f"equilibrium residual {residual:.3g} above limit {limit:.3g} after {itn} refinement rounds",

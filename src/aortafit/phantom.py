@@ -154,6 +154,8 @@ def ring_radii(spec, s):
     return r
 
 
+# Overflow from extreme sizes gives non-finite vertices, which QuadMesh rejects.
+@np.errstate(over="ignore", invalid="ignore")
 def make_phantom(spec):
     """Build the phantom tube mesh described by ``spec``.
 

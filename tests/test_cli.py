@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bulged_cylinder, straight_cylinder
@@ -873,16 +874,13 @@ def test_report_exit_code_under_config_fuzz(mesh_files, key, raw):
 _FUZZ_JSON = st.recursive(_FUZZ_LEAF, _json_containers, max_leaves=12)
 
 
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(edits=st.lists(st.tuples(st.sampled_from(["set", "drop", "add", "section", "top"]),
-                                st.sampled_from(_FUZZ_KEYS), _FUZZ_JSON), max_size=4),
-       cut=st.none() | st.integers(0, 2**16), junk=st.binary(max_size=4))
-def test_report_exit_code_under_config_file_fuzz(mesh_files, edits, cut, junk):
-    # Whole config files: the defaults with keys set to any JSON, dropped or
-    # added, sections or the whole document replaced, then the text cut short
-    # and arbitrary bytes appended. report exits 0, 2 or 3, with at most one
-    # stderr line, and nothing escapes main.
-    doc = default_config()
+_FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(["set", "drop", "add", "section", "top"]),
+                                 st.sampled_from(_FUZZ_KEYS), _FUZZ_JSON), max_size=4)
+_FUZZ_CUT = st.none() | st.integers(0, 2**16)
+
+
+def _edit_config(doc, edits):
+    """``doc`` with keys set to any JSON, dropped or added, and sections or the whole document replaced."""
     for edit, dotted, value in edits:
         section, key = dotted.split(".")
         if edit == "top":
@@ -898,6 +896,14 @@ def test_report_exit_code_under_config_file_fuzz(mesh_files, edits, cut, junk):
                 doc[section][key + "_x"] = value
             else:
                 doc[section].pop(key, None)
+    return doc
+
+
+def _main_with_config_file(argv, doc, cut, junk):
+    """Exit code and stderr of ``main(argv)`` given ``doc`` as a config file,
+    its text cut short and arbitrary bytes appended. ``{tmp}`` in ``argv`` is
+    a scratch directory. Each warning adds the line it prints outside pytest.
+    """
     text = json.dumps(doc).encode()
     if cut is not None:
         text = text[: cut % (len(text) + 1)]
@@ -906,10 +912,62 @@ def test_report_exit_code_under_config_file_fuzz(mesh_files, edits, cut, junk):
         with open(path, "wb") as fh:
             fh.write(text + junk)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["report", "--mesh", mesh_files["tube8"], "--config", path])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*[arg.replace("{tmp}", tmp) for arg in argv], "--config", path])
+    return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(edits=_FUZZ_EDITS, cut=_FUZZ_CUT, junk=st.binary(max_size=4))
+def test_report_exit_code_under_config_file_fuzz(mesh_files, edits, cut, junk):
+    # Whole config files: the defaults with keys set to any JSON, dropped or
+    # added, sections or the whole document replaced, then the text cut short
+    # and arbitrary bytes appended. report exits 0, 2 or 3, with at most one
+    # stderr line, and nothing escapes main.
+    code, err = _main_with_config_file(["report", "--mesh", mesh_files["tube8"]], _edit_config(default_config(), edits),
+                                       cut, junk)
     assert code in (0, 2, 3)
-    assert len(err.getvalue().strip().splitlines()) <= 1
+    assert len(err.strip().splitlines()) <= 1
+
+
+_PHANTOM_CAP = 4096  # vertices: the fuzz builds no phantom beyond 64 x 64
+# Mostly sizes a phantom takes, tiny to huge, besides any float or integer.
+_PHANTOM_NUMBER = st.floats(0, 1e3) | st.floats(min_value=0) | st.floats() | st.integers(-3, 100)
+_PHANTOM_VALUES = {
+    "circumferential": st.integers(-3, 70),
+    "axial": st.integers(-3, 70),
+    "aneurysm": st.none() | st.lists(_PHANTOM_NUMBER, min_size=3, max_size=3),
+    "region_fractions": (st.lists(st.floats(0, 1), min_size=3, max_size=3).map(sorted)
+                         | st.lists(_PHANTOM_NUMBER, min_size=3, max_size=3)),
+    "seed": st.none() | st.integers(-3, 2**70),
+}
+_PHANTOM_SPECS = st.fixed_dictionaries({}, optional={key: _PHANTOM_VALUES.get(key, _PHANTOM_NUMBER)
+                                                     for key in default_config()["phantom"]})
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(phantom=_PHANTOM_SPECS, edits=st.just([]) | _FUZZ_EDITS,
+       damage=st.none() | st.tuples(_FUZZ_CUT, st.binary(max_size=4)))
+@example(phantom={"ascending_length": 1e160}, edits=[], damage=None)  # segment length squared overflows
+def test_phantom_exit_code_under_config_file_fuzz(phantom, edits, damage):
+    # Whole config files for phantom, which allocates by its layout: an 8 x 10
+    # tube with phantom keys set to numbers of any size and sign, NaN and
+    # infinity among them, then, in some files, report's edits, a cut and
+    # appended bytes. Layouts above the cap are not built. phantom exits 0, 2
+    # or 3, with at most one stderr line, and nothing escapes main.
+    doc = default_config()
+    doc["phantom"].update({"circumferential": 8, "axial": 10, **phantom})
+    doc = _edit_config(doc, edits)
+    spec = doc.get("phantom") if isinstance(doc, dict) else None
+    if isinstance(spec, dict):
+        layout = [spec.get(key, getattr(PhantomSpec, key)) for key in ("circumferential", "axial")]
+        assume(not all(type(n) is int and n > 0 for n in layout) or layout[0] * layout[1] <= _PHANTOM_CAP)
+    code, err = _main_with_config_file(["phantom", "--out", os.path.join("{tmp}", "p.vtk")], doc,
+                                       *(damage or (None, b"")))
+    assert code in (0, 2, 3)
+    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err
 
 
 def test_exit_code_3_solver_failure(tmp_path, mesh_files, capsys):

@@ -1,6 +1,7 @@
 """Membrane equilibrium: operator and pressure load, resultant solve, principal stresses."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +195,69 @@ def test_principal_stresses_frame_covariant():
     assert np.allclose(a.principal, b.principal, rtol=1e-7, atol=1e-7 * HOOP)
 
 
+# ---------------------------------------------------------------------------
+# Metamorphic relations: the same wall, moved, renumbered or scaled
+# ---------------------------------------------------------------------------
+
+def _band_orders(monkeypatch):
+    """Spy on ``_band_order``: one entry per solve, True where it kept mesh order."""
+    kept = []
+    band_order = fea._band_order
+
+    def spy(faces, free):
+        order, width = band_order(faces, free)
+        kept.append(np.array_equal(order, np.arange(len(order))))
+        return order, width
+
+    monkeypatch.setattr(fea, "_band_order", spy)
+    return kept
+
+
+def test_rigid_motion_leaves_principal_stresses(monkeypatch):
+    # A rotated and translated README phantom carries the same principal
+    # stresses. Both solves fill the band in mesh order. Fifteen motions
+    # measured 6.4e-11 to 2.0e-10 of the largest stress.
+    kept = _band_orders(monkeypatch)
+    mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))
+    rng = np.random.default_rng(2024)
+    moved = mesh.with_vertices(mesh.vertices @ random_rotation(rng).T + np.array([100.25, -37.5, 12.0]))
+    ref = solve_membrane_stress(mesh, MembraneModel()).principal
+    got = solve_membrane_stress(moved, MembraneModel()).principal
+    assert kept == [True, True]
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_renumbering_leaves_resultants(sphere16, monkeypatch):
+    # Random vertex and face permutations of a cube sphere give the same
+    # per-face resultants once the faces are put back. Both solves fill the
+    # band in reverse Cuthill-McKee order, which the renumbering changes.
+    # Five renumberings measured 1.2e-13 to 1.5e-13 of the largest resultant.
+    kept = _band_orders(monkeypatch)
+    rng = np.random.default_rng(16)
+    new_vertex = rng.permutation(sphere16.n_vertices)  # new vertex i is old vertex new_vertex[i]
+    new_face = rng.permutation(sphere16.n_faces)
+    old_to_new = np.argsort(new_vertex)
+    renumbered = QuadMesh(sphere16.vertices[new_vertex], old_to_new[sphere16.faces[new_face]],
+                          sphere16.regions[new_vertex])
+    ref = solve_membrane_stress(sphere16, MembraneModel()).resultants
+    got = np.empty_like(ref)
+    got[new_face] = solve_membrane_stress(renumbered, MembraneModel()).resultants
+    assert kept == [False, False]
+    assert np.abs(got - ref).max() <= 2e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("which", ["tube24", "sphere16"])
+def test_uniform_scaling_scales_resultants(which, tube24, sphere16):
+    # Resultants are force per length: a wall scaled by s under the same
+    # pressure carries s times them, as hoop pR scales with R. Scales 0.37,
+    # 3.7 and 41 measured at most 1.1e-12 of the largest resultant.
+    mesh = {"tube24": tube24, "sphere16": sphere16}[which]
+    scale = 3.7
+    ref = solve_membrane_stress(mesh, MembraneModel()).resultants
+    got = solve_membrane_stress(mesh.with_vertices(scale * mesh.vertices), MembraneModel()).resultants
+    assert np.abs(got - scale * ref).max() <= 1e-11 * scale * np.abs(ref).max()
+
+
 def test_diagonal_shear_decays_with_refinement():
     # The uniform shear mode left by the diagonal split is a first-order
     # discretization artifact: it must shrink monotonically as the tube is
@@ -325,11 +389,11 @@ def test_gram_blocks_leave_the_solve_bitwise_unchanged(which, tube24, sphere32, 
         assert got.residual == ref.residual, size
 
 
-def test_solve_peak_memory_is_the_band_and_two_operators(monkeypatch):
+def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
     # The membrane solve sets the full-size pipeline's peak memory. The band
-    # must live through the factor; beside it only A and, while the band
-    # fills, a transposed copy of A are large: no full Gram matrix, and no
-    # transient of the assembly or the ordering that outgrows them.
+    # must live through the factor; beside it only A is large: no full Gram
+    # matrix, no copy of Aᵀ while the band fills, and no transient of the
+    # assembly or the ordering that outgrows them.
     mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))  # the README target
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh))] = False
@@ -349,7 +413,46 @@ def test_solve_peak_memory_is_the_band_and_two_operators(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= band[0] + 2 * a_bytes + 16 * 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
+    assert peak <= band[0] + a_bytes + 16 * 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
+
+
+def test_band_is_freed_before_the_collapse(tube24, monkeypatch):
+    # The factor is dropped once refinement ends, so the collapse's
+    # temporaries do not land on top of the band.
+    factors = []
+    cholesky = fea.cholesky_banded
+
+    def kept(ab, **kw):
+        cb = cholesky(ab, **kw)
+        factors.extend((weakref.ref(ab), weakref.ref(cb)))
+        return cb
+
+    collapse = fea._collapse_resultants
+
+    def check(*args):
+        assert factors and all(ref() is None for ref in factors)
+        return collapse(*args)
+
+    monkeypatch.setattr(fea, "cholesky_banded", kept)
+    monkeypatch.setattr(fea, "_collapse_resultants", check)
+    solve_membrane_stress(tube24, MembraneModel())
+
+
+@pytest.mark.parametrize("which", ["tube24", "sphere32"])
+def test_resultants_unchanged_without_malloc_trim(which, tube24, sphere32, monkeypatch):
+    # Returning freed heap to the system before the band is allocated changes
+    # where the band lives, not its bytes; C libraries without malloc_trim
+    # skip it.
+    mesh = {"tube24": tube24, "sphere32": sphere32}[which]
+    trim, pads = fea._malloc_trim(), []
+    if trim is not None:
+        monkeypatch.setattr(fea, "_malloc_trim", lambda: lambda pad: pads.append(pad) or trim(pad))
+    ref = solve_membrane_stress(mesh, MembraneModel())
+    assert pads == ([] if trim is None else [0])
+    monkeypatch.setattr(fea, "_malloc_trim", lambda: None)
+    got = solve_membrane_stress(mesh, MembraneModel())
+    assert np.array_equal(got.resultants, ref.resultants)
+    assert got.residual == ref.residual
 
 
 def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
