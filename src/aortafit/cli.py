@@ -114,7 +114,7 @@ def load_config(path=None, overrides=()):
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
@@ -208,19 +208,20 @@ def _table(headers, rows):
 def _quality_table(rep):
     rows = []
     for name in METRICS:
-        rows.append([name] + ["n/a" if x is None else f"{x:.4f}" for x in getattr(rep, name)])
-    rows.append(["self_intersections", str(rep.self_intersection_count), ""])
+        stats = rep[name]
+        rows.append([name] + ["n/a" if x is None else f"{x:.4f}" for x in (stats["mean"], stats["std"])])
+    rows.append(["self_intersections", str(rep["self_intersection_count"]), ""])
     return _table(["metric", "mean", "std"], rows)
 
 
 def _report_table(report):
     headers = ["region", "max_diameter_mm", "ring", "mean_sigma1_kpa", "peak_sigma1_kpa"]
-    has_err = any("diameter_error_mm" in e for e in report.regions.values())
+    has_err = any("diameter_error_mm" in e for e in report["regions"].values())
     if has_err:
         headers.append("diameter_error_mm")
     rows = []
     for name in REGIONS:
-        e = report.regions[name]
+        e = report["regions"][name]
         row = [
             name,
             f"{e['max_diameter_mm']:.3f}",
@@ -276,7 +277,7 @@ def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
          "levels": list(result.levels)},
     )
     summary = {
-        "final": result.final.as_dict(),
+        "final": result.final,
         "final_chamfer_mm": result.final_chamfer,
         "min_jacobian": result.min_jacobian,
         "seed": seed,
@@ -315,7 +316,7 @@ def cmd_warp(args):
 
 def cmd_quality(args):
     rep = quality_report(load_mesh(args.mesh))
-    payload = dict(rep.as_dict(), provenance={"mesh": os.path.basename(args.mesh), "tool_version": __version__})
+    payload = dict(rep, provenance={"mesh": os.path.basename(args.mesh), "tool_version": __version__})
     if args.out:
         _write_json(args.out, payload)
         print(f"wrote {args.out}")
@@ -333,13 +334,13 @@ def cmd_chamfer(args):
 
 
 def _stress_cell_data(field):
-    s1, s2 = field.principal[:, 0], field.principal[:, 1]
+    principal = field.principal
     return {
         "n11": field.resultants[:, 0],
         "n22": field.resultants[:, 1],
         "n12": field.resultants[:, 2],
-        "sigma1": s1,
-        "sigma2": s2,
+        "sigma1": principal[:, 0],
+        "sigma2": principal[:, 1],
     }
 
 
@@ -377,13 +378,12 @@ def cmd_report(args):
     field = solve_membrane_stress(mesh, sections["membrane"])
     provenance = _provenance(cfg, mesh=os.path.basename(args.mesh))
     report = build_report(mesh, field, sections["report"], provenance, reference_mesh=reference)
-    payload = report.as_dict()
-    validate_report(payload)
+    validate_report(report)
     if args.out:
-        _write_json(args.out, payload)
+        _write_json(args.out, report)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2))
     if args.summary_table:
         print(_report_table(report))
     return 0
@@ -414,7 +414,7 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
     qrep = quality_report(result.fitted)
     files["quality.json"] = _write_json(
         os.path.join(case_dir, "quality.json"),
-        dict(qrep.as_dict(), provenance=_provenance(cfg)),
+        dict(qrep, provenance=_provenance(cfg)),
     )
 
     field = solve_membrane_stress(result.fitted, sections["membrane"])
@@ -432,9 +432,8 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
 
     report = build_report(result.fitted, field, sections["report"], _provenance(cfg, mesh="fitted.vtk"),
                           reference_mesh=target)
-    payload = report.as_dict()
-    validate_report(payload)
-    files["report.json"] = _write_json(os.path.join(case_dir, "report.json"), payload)
+    validate_report(report)
+    files["report.json"] = _write_json(os.path.join(case_dir, "report.json"), report)
 
     manifest = {
         "tool_version": __version__,
@@ -492,10 +491,9 @@ def cmd_pipeline(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value")
+def _add_common(p):
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value")
 
 
 def build_parser():

@@ -7,13 +7,14 @@ vertices to the ring centroid (a max-chord variant is available); regional
 maxima are taken over the rings a region owns. Stress statistics aggregate
 the maximum principal Cauchy stress per face region.
 
-The report is a versioned JSON-friendly dict; ``validate_report`` checks the
-schema shape so pipeline outputs can be verified mechanically.
+The report is the versioned dict written as ``report.json``;
+``validate_report`` checks its schema and its positive diameters and peaks
+at or above the means, so pipeline outputs can be verified mechanically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .quadmesh import REGIONS, face_regions, majority_region, rings
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ClinicalReport",
     "ReportConfig",
     "all_ring_diameters",
     "ring_region_codes",
@@ -116,28 +116,9 @@ class ReportConfig:
             raise ValueError(f"percentile must be in [0, 100], got {self.percentile}")
 
 
-@dataclass(frozen=True)
-class ClinicalReport:
-    """Per-region diameters and stress statistics plus provenance."""
-
-    regions: dict
-    pressure_kpa: float
-    thickness_mm: float
-    provenance: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
-
-    def as_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "regions": self.regions,
-            "pressure_kpa": self.pressure_kpa,
-            "thickness_mm": self.thickness_mm,
-            "provenance": self.provenance,
-        }
-
-
 def build_report(mesh, stress, config=ReportConfig(), provenance=None, reference_mesh=None):
-    """Assemble the clinical report for one mesh and its stress field.
+    """The clinical report dict of one mesh and its stress field, as
+    ``report.json`` holds it; ``validate_report`` checks it.
 
     ``config`` is a :class:`ReportConfig`; ``provenance`` (such as ``mesh``,
     ``config_hash`` and ``tool_version``) is copied into the report as given.
@@ -153,10 +134,6 @@ def build_report(mesh, stress, config=ReportConfig(), provenance=None, reference
     for name in REGIONS:
         d, ring_idx = diam[name]
         mean_s, peak_s = stats[name]
-        if not d > 0:
-            raise ValueError(f"region {name!r} has nonpositive diameter")
-        if peak_s < mean_s:
-            raise ValueError(f"region {name!r} peak stress below mean (peak rule {config.peak_rule!r})")
         entry = {
             "max_diameter_mm": d,
             "ring_index": ring_idx,
@@ -167,12 +144,13 @@ def build_report(mesh, stress, config=ReportConfig(), provenance=None, reference
             entry["diameter_error_mm"] = abs(d - ref_diam[name][0])
         regions[name] = entry
 
-    return ClinicalReport(
-        regions=regions,
-        pressure_kpa=float(stress.pressure),
-        thickness_mm=float(stress.thickness),
-        provenance=dict(provenance or {}),
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "regions": regions,
+        "pressure_kpa": float(stress.pressure),
+        "thickness_mm": float(stress.thickness),
+        "provenance": dict(provenance or {}),
+    }
 
 
 _REGION_KEYS = {"max_diameter_mm", "ring_index", "mean_sigma1_kpa", "peak_sigma1_kpa"}

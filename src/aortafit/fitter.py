@@ -46,7 +46,6 @@ from .diffeo import (
     warp_vertices,
 )
 from .objective import (
-    LossBreakdown,
     LossWeights,
     _check_correspondence,
     chamfer,
@@ -141,7 +140,7 @@ class FitResult:
     history: np.ndarray
     level_starts: tuple
     levels: tuple
-    final: LossBreakdown
+    final: dict
     final_chamfer: float
     min_jacobian: float
 
@@ -250,7 +249,7 @@ def _fit_level(template, target, geom, tau, cfg, history):
         disp = VectorField3D(geom, states[0][-1])
         warped = warp_vertices(template, disp, geom, sampler=sampler)
         loss = total_loss(warped, target, cfg.weights)
-        history.append(loss.total)
+        history.append(loss["total"])
         return fld, states, len(states[1]), disp, warped, loss
 
     try:
@@ -279,14 +278,14 @@ def _fit_level(template, target, geom, tau, cfg, history):
             trial = forward(tau + step)
         except (ValueError, FloatingPointError):  # past the squaring-step guard, or non-finite
             trial = None
-        if trial is None or not trial[-1].total < loss.total:
+        if trial is None or not trial[-1]["total"] < loss["total"]:
             trial = None  # a rejected forward pass is dropped before the next one runs
             lam *= _LAMBDA_UP
             continue
         lam /= _LAMBDA_DOWN
         accepted += 1
         tau = tau + step
-        relative = (loss.total - trial[-1].total) / loss.total
+        relative = (loss["total"] - trial[-1]["total"]) / loss["total"]
         fld, states, steps, disp, warped, loss = trial
         lin = trial = None
         if relative < _TOL:

@@ -26,7 +26,6 @@ from .quadmesh import REGIONS
 
 __all__ = [
     "LossWeights",
-    "LossBreakdown",
     "smoothness",
     "total_loss",
     "loss_grad",
@@ -56,28 +55,6 @@ class LossWeights:
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         object.__setattr__(self, "alpha", float(self.alpha))
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Loss components: total = weighted_geo + alpha * smoothness."""
-
-    region: tuple
-    weighted_geo: float
-    smoothness: float
-    alpha: float
-    total: float
-    skipped_pairs: int = 0
-
-    def as_dict(self):
-        return {
-            "region_mse": {name: self.region[i] for i, name in enumerate(REGIONS)},
-            "weighted_geo": self.weighted_geo,
-            "smoothness": self.smoothness,
-            "alpha": self.alpha,
-            "total": self.total,
-            "skipped_pairs": self.skipped_pairs,
-        }
 
 
 def _check_correspondence(pred, gt):
@@ -147,7 +124,9 @@ def smoothness(mesh, return_skipped=False):
 
 
 def total_loss(pred, gt, weights):
-    """Full loss breakdown: region MSEs, weighted sum, smoothness, total."""
+    """The loss as a fit summary records it: ``region_mse`` by region name, their
+    ``weighted_geo`` sum, ``smoothness``, ``alpha``, ``total`` = weighted_geo +
+    alpha * smoothness, and the ``skipped_pairs`` that smoothness left out."""
     _check_correspondence(pred, gt)
     diff = pred.vertices - gt.vertices
     sq = np.einsum("ij,ij->i", diff, diff)
@@ -157,14 +136,14 @@ def total_loss(pred, gt, weights):
         smooth, skipped = smoothness(pred, return_skipped=True)
     else:
         smooth, skipped = 0.0, 0
-    return LossBreakdown(
-        region=tuple(per_region),
-        weighted_geo=geo,
-        smoothness=smooth,
-        alpha=weights.alpha,
-        total=geo + weights.alpha * smooth,
-        skipped_pairs=skipped,
-    )
+    return {
+        "region_mse": dict(zip(REGIONS, per_region)),
+        "weighted_geo": geo,
+        "smoothness": smooth,
+        "alpha": weights.alpha,
+        "total": geo + weights.alpha * smooth,
+        "skipped_pairs": skipped,
+    }
 
 
 def _pair_grads(e1, e2, n1, n2, valid, denom, cos):

@@ -13,9 +13,10 @@ Metrics follow the standard verification definitions, computed directly in 3D
 
 ``element_metrics`` computes all of them, and the per-corner angles, in one
 pass over (m, 4, 3) quads that shares the edge vectors, the corner cross
-products and the element normal. It rejects a zero-length edge or collinear
-diagonals; ``quality_report`` counts such elements as degenerate and leaves
-them out of its means and standard deviations.
+products and the element normal. Its ``valid`` mask marks the elements with
+no zero-length edge and non-collinear diagonals; ``quality_report`` counts
+the others as degenerate and leaves them out of its means and standard
+deviations.
 
 Self-intersection splits quads into triangles and runs an exact
 segment-triangle narrow phase (with a coplanar overlap fallback) on candidate
@@ -32,25 +33,25 @@ shares the narrow phase, so the accelerated result matches it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["METRICS", "QualityReport", "element_metrics", "self_intersections", "quality_report"]
+__all__ = ["METRICS", "element_metrics", "self_intersections", "quality_report"]
 
-# The per-element metrics that QualityReport aggregates, in report order.
+# The per-element metrics that quality_report aggregates, in report order.
 METRICS = ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle")
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def element_metrics(quads):
     """Corner angles and per-element metrics of (m, 4, 3) quads, from one pass.
 
     Returns a dict: ``"angles"`` holds the (m, 4) interior corner angles in
-    degrees, and each name in ``METRICS`` an (m,) array. Edge vectors, their
-    lengths, the corner cross products and the element normal are computed
-    once and shared. Raises ValueError on a zero-length edge or collinear
-    diagonals (no element normal).
+    degrees, each name in ``METRICS`` an (m,) array, and ``"valid"`` the (m,)
+    mask of elements with no zero-length edge and non-collinear diagonals (an
+    element normal); the metrics of the others are meaningless. Edge vectors,
+    their lengths, the corner cross products and the element normal are
+    computed once and shared.
     """
     q = np.asarray(quads, dtype=np.float64)
     if q.ndim != 3 or q.shape[1:] != (4, 3):
@@ -58,13 +59,9 @@ def element_metrics(quads):
     nxt = np.roll(q, -1, axis=1) - q  # corner k to corner k + 1: the edges
     prev = np.roll(q, 1, axis=1) - q  # corner k to corner k - 1
     lengths = np.linalg.norm(nxt, axis=2)
-    if np.any(lengths == 0):
-        raise ValueError("quad has a zero-length edge")
     diag = q[:, 2] - q[:, 0]
     normal = np.cross(diag, q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
-    if np.any(n_len == 0):
-        raise ValueError("element normal undefined (collinear diagonals)")
 
     # One corner cross product serves both: its length gives the corner angle,
     # and its projection on the unit normal over the two edge lengths the
@@ -77,8 +74,7 @@ def element_metrics(quads):
     area = 0.5 * (
         np.linalg.norm(np.cross(nxt[:, 0], diag), axis=1) + np.linalg.norm(np.cross(diag, prev[:, 0]), axis=1)
     )
-    with np.errstate(divide="ignore"):
-        aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
+    aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
     return {
         "angles": ang,
         "equiangle_skew": np.maximum((max_angle - 90.0) / 90.0, (90.0 - min_angle) / 90.0),
@@ -86,6 +82,7 @@ def element_metrics(quads):
         "scaled_jacobian": jac.min(axis=1),
         "min_angle": min_angle,
         "max_angle": max_angle,
+        "valid": np.all(lengths > 0, axis=1) & (n_len[:, 0] > 0),
     }
 
 
@@ -292,52 +289,25 @@ def self_intersections(mesh, method="bvh"):
     return len(pairs), pairs
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    """Mean and population std per metric (None when every element is
-    degenerate), plus the intersection count."""
-
-    n_elements: int
-    n_degenerate: int
-    equiangle_skew: tuple
-    aspect_ratio: tuple
-    scaled_jacobian: tuple
-    min_angle: tuple
-    max_angle: tuple
-    self_intersection_count: int
-
-    def as_dict(self):
-        d = {
-            "n_elements": self.n_elements,
-            "n_degenerate": self.n_degenerate,
-            "self_intersection_count": self.self_intersection_count,
-        }
-        for name in METRICS:
-            mean, std = getattr(self, name)
-            d[name] = {"mean": mean, "std": std}
-        return d
-
-
 def _mean_std(x):
     if x.size == 0:
-        return (None, None)  # no element to average: null in JSON, not NaN
-    return (float(x.mean()), float(x.std()))
+        return {"mean": None, "std": None}  # no element to average: null in JSON, not NaN
+    return {"mean": float(x.mean()), "std": float(x.std())}
 
 
 def quality_report(mesh):
-    """Aggregate element metrics over a mesh.
-
-    Elements with a zero-length edge or undefined normal are excluded from the
-    aggregates and counted in ``n_degenerate``.
+    """The quality JSON of a mesh, without provenance: ``n_elements``, the
+    ``n_degenerate`` elements that ``element_metrics`` marks invalid, the mean
+    and population std of each of ``METRICS`` over the other elements (nulls
+    when there is none), and the ``self_intersection_count``.
     """
-    quads = mesh.vertices[mesh.faces]
-    lengths = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=2)
-    diag_n = np.linalg.norm(np.cross(quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1]), axis=1)
-    valid = np.all(lengths > 0, axis=1) & (diag_n > 0)
-    metrics = element_metrics(quads[valid])
-    return QualityReport(
-        n_elements=len(mesh.faces),
-        n_degenerate=int((~valid).sum()),
-        **{name: _mean_std(metrics[name]) for name in METRICS},
-        self_intersection_count=self_intersections(mesh)[0],
-    )
+    metrics = element_metrics(mesh.vertices[mesh.faces])
+    valid = metrics["valid"]
+    report = {
+        "n_elements": len(mesh.faces),
+        "n_degenerate": int((~valid).sum()),
+        "self_intersection_count": self_intersections(mesh)[0],
+    }
+    for name in METRICS:
+        report[name] = _mean_std(metrics[name][valid])
+    return report

@@ -240,18 +240,21 @@ def load_volume(path):
     """
     hdr = _header_path(path)
     fields = {}
-    with open(hdr) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _MAGIC:
-            raise ValueError(f"{hdr}: not a volume header (bad magic line {first!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ValueError(f"{hdr}:{lineno}: expected 'key: value', got {line!r}")
-            key, val = line.split(":", 1)
-            fields[key.strip()] = val.strip()
+    try:
+        with open(hdr) as fh:
+            first = fh.readline().rstrip("\n")
+            if first != _MAGIC:
+                raise ValueError(f"{hdr}: not a volume header (bad magic line {first!r})")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                if ":" not in line:
+                    raise ValueError(f"{hdr}:{lineno}: expected 'key: value', got {line!r}")
+                key, val = line.split(":", 1)
+                fields[key.strip()] = val.strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{hdr}: not a text header ({exc})") from None
     try:
         dims = tuple(int(x) for x in fields["dims"].split())
         spacing = tuple(float(x) for x in fields["spacing"].split())
@@ -262,6 +265,8 @@ def load_volume(path):
         dataname = fields["data"]
     except KeyError as exc:
         raise ValueError(f"{hdr}: missing header field {exc}") from None
+    except ValueError as exc:  # a field that is not a number
+        raise ValueError(f"{hdr}: {exc}") from None
     if byteorder != "little":
         raise ValueError(f"{hdr}: unsupported byte order {byteorder!r}")
     if dtype not in _DTYPES:

@@ -119,9 +119,9 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
         h = 1e-6
         vp = pred.vertices.copy()
         vp[i, a] += h
-        up = total_loss(pred.with_vertices(vp), base, w).total
+        up = total_loss(pred.with_vertices(vp), base, w)["total"]
         vp[i, a] -= 2 * h
-        dn = total_loss(pred.with_vertices(vp), base, w).total
+        dn = total_loss(pred.with_vertices(vp), base, w)["total"]
         fd = (up - dn) / (2 * h)
         rel = abs(fd - g[i, a]) / max(abs(fd), abs(g[i, a]), 1e-10)
         assert rel < 1e-5, f"loss trial {trial}"
@@ -262,9 +262,9 @@ def test_criterion_4_quality_suite(capsys, arch_small, default_phantom, tube24):
 
     # phantom meshes are intersection-free
     phantom_mesh, phantom_report = default_phantom
-    assert phantom_report.self_intersection_count == 0
-    assert quality_report(arch_small).self_intersection_count == 0
-    assert quality_report(tube24).self_intersection_count == 0
+    assert phantom_report["self_intersection_count"] == 0
+    assert quality_report(arch_small)["self_intersection_count"] == 0
+    assert quality_report(tube24)["self_intersection_count"] == 0
 
     _announce(capsys, f"criterion 4 PASS: unit square exact, rhombus 1e-12, aspect 1.5, "
                       f"bvh == brute on {checked} meshes <= 500 faces, phantom meshes "

@@ -112,6 +112,9 @@ def test_load_config_rejections(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="invalid JSON"):
         load_config(str(bad))
+    bad.write_bytes(b'\xc4{"grid": {}}')  # not UTF-8: the error names the file
+    with pytest.raises(ValueError, match="bad.json: invalid JSON"):
+        load_config(str(bad))
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
@@ -306,6 +309,17 @@ def test_fit_and_warp_round_trip(tmp_path, mesh_files, capsys):
     assert np.array_equal(fitted.vertices, warped.vertices)
 
 
+def test_report_with_peak_below_mean_exits_2(tmp_path, mesh_files, capsys):
+    # percentile 0 reports each region's minimum as its peak; validate_report
+    # refuses it before anything is written.
+    out = tmp_path / "report.json"
+    code = main(["report", "--mesh", mesh_files["tube"], "--out", str(out),
+                 "--set", "report.peak_rule=percentile", "--set", "report.percentile=0"])
+    assert code == 2
+    assert "peak below mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_warp_rejects_scalar_volume(tmp_path, mesh_files, capsys):
     vol = Volume3D(GridGeom((4, 4, 4), (10.0, 10.0, 10.0), (-15.0, -15.0, -5.0)),
                    np.zeros((4, 4, 4)))
@@ -332,6 +346,19 @@ def test_warp_rejects_two_axis_header(tmp_path, mesh_files, capsys):
     assert "svf.hdr: dims, spacing, origin must each have 3 entries" in err
 
 
+def test_warp_names_a_header_that_is_not_text(tmp_path, mesh_files, capsys):
+    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
+    hdr = tmp_path / "svf.hdr"
+    save_volume(fld, str(hdr))
+    hdr.write_bytes(hdr.read_bytes().replace(b"dims: 4 4 4", b"dims: 4 4 \xc4"))
+    code = main(["warp", "--mesh", mesh_files["template"], "--svf", str(hdr),
+                 "--out", str(tmp_path / "w.vtk")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"aortafit: {hdr}: not a text header")
+
+
 # Replacement values per SVF header field: valid (the first), malformed, out
 # of range, non-finite and extreme.
 _SVF_HEADER_FUZZ = {
@@ -354,7 +381,8 @@ _SVF_HEADER_FUZZ = {
 def test_warp_exit_code_under_svf_fuzz(mesh_files, seed, edits):
     # Header fields replaced or dropped, raw payloads cut short or padded:
     # warp exits 0, 2 or 3, with at most one stderr line, no numpy warning
-    # and no traceback.
+    # and no traceback. An input error names the header, or the data file
+    # it points to, unless the mesh is what falls outside the grid.
     svf = VectorField3D(GridGeom((4, 4, 4), (12.0, 12.0, 12.0), (-15.0, -15.0, -5.0)),
                         np.random.default_rng(seed).normal(0.0, 0.3, (4, 4, 4, 3)))
     with tempfile.TemporaryDirectory() as tmp:
@@ -381,9 +409,13 @@ def test_warp_exit_code_under_svf_fuzz(mesh_files, seed, edits):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["warp", "--mesh", mesh_files["template"], "--svf", hdr,
                          "--out", os.path.join(tmp, "w.vtk")])
+        files = [hdr] + [os.path.join(tmp, ln.split(":", 1)[1].strip()) for ln in lines if ln.startswith("data:")]
     assert code in (0, 2, 3)
-    assert len(err.getvalue().strip().splitlines()) <= 1
-    assert "Traceback" not in err.getvalue()
+    line = err.getvalue().strip()
+    assert len(line.splitlines()) <= 1
+    assert "Traceback" not in line
+    if code == 2 and "outside the grid extent" not in line:
+        assert any(path in line for path in files), line
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_fit_identical_meshes_is_fixed_point(translation_pair):
     res = fit_svf(template, template, grid, cfg)
     assert np.all(res.svf.data == 0.0)
     assert res.final_chamfer == 0.0
-    assert res.final.total == 0.0
+    assert res.final["total"] == 0.0
     assert res.min_jacobian == 1.0
     assert len(res.history) == 1  # the zero gradient stops it at once
     assert res.levels[0]["stop"] == "zero_gradient"
@@ -158,7 +158,7 @@ def test_fit_recovers_translation(translation_pair):
     assert res.level_starts == (0, res.levels[0]["forward_passes"])
     assert res.svf.geom == control_grid(grid, (6, 6, 6))
     # best-of-final-level is what gets returned
-    assert res.final.total <= res.history[res.level_starts[-1]:].min() + 1e-15
+    assert res.final["total"] <= res.history[res.level_starts[-1]:].min() + 1e-15
 
 
 def test_fit_deterministic_rerun(translation_pair):
@@ -199,7 +199,7 @@ def test_fit_reused_operators_match_reference_loop(translation_pair):
     assert np.array_equal(res.fitted.vertices, warped.vertices)
     assert res.final == total_loss(warped, target, cfg.weights)
     assert res.min_jacobian == jacobian_determinant(disp).data[1:-1, 1:-1, 1:-1].min()
-    assert res.final.total == res.history[res.level_starts[-1]:].min()
+    assert res.final["total"] == res.history[res.level_starts[-1]:].min()
     assert res.history[res.level_starts[-1]:].min() < res.history[res.level_starts[-1]]
 
 
@@ -245,7 +245,7 @@ def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
         return real_sampler(mesh, geom)
 
     def grad(warped, target, weights):
-        seen[-1].append(total_loss(warped, target, weights).total)
+        seen[-1].append(total_loss(warped, target, weights)["total"])
         return real_grad(warped, target, weights)
 
     def vjp(svf, lin, vertex_grad):
@@ -270,7 +270,7 @@ def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
             assert len(level) == 1 + record["accepted_steps"] - (stepped_last and record["stop"] != "zero_gradient")
             assert len(level) > 2 and np.all(np.diff(level) < 0.0)
             assert record["grad_inf_norm"] == level_norms[-1]
-        assert res.final.total <= seen[-1][-1]
+        assert res.final["total"] <= seen[-1][-1]
 
 
 def test_fit_records_raised_squaring_steps(translation_pair):

@@ -12,7 +12,8 @@ from aortafit.quadmesh import REGIONS, QuadMesh
 
 def _region_mse(pred, gt):
     """Per-region MSEs, in REGIONS order, as total_loss reports them."""
-    return total_loss(pred, gt, LossWeights(alpha=0.0)).region
+    region_mse = total_loss(pred, gt, LossWeights(alpha=0.0))["region_mse"]
+    return tuple(region_mse[name] for name in REGIONS)
 
 
 def _jittered(mesh, scale, seed):
@@ -42,7 +43,7 @@ def test_weights_validation():
 
 
 # ---------------------------------------------------------------------------
-# Region MSEs and their weighted sum (total_loss .region / .weighted_geo)
+# Region MSEs and their weighted sum (total_loss "region_mse" / "weighted_geo")
 # ---------------------------------------------------------------------------
 
 def test_region_mse_zero_on_identical(tube24):
@@ -91,7 +92,7 @@ def test_weighted_geo_identities(tube24):
     per = _region_mse(pred, tube24)
 
     def weighted_geo(w):
-        return total_loss(pred, tube24, w).weighted_geo
+        return total_loss(pred, tube24, w)["weighted_geo"]
 
     # Pure single-region weight picks out that region's MSE.
     for r in range(4):
@@ -173,29 +174,28 @@ def test_smoothness_requires_ring_layout(sphere16):
 
 def test_total_loss_zero_at_ground_truth_without_alpha(tube24):
     bd = total_loss(tube24, tube24, LossWeights(alpha=0.0))
-    assert bd.total == 0.0
-    assert bd.weighted_geo == 0.0
-    assert bd.smoothness == 0.0
+    assert bd["total"] == 0.0
+    assert bd["weighted_geo"] == 0.0
+    assert bd["smoothness"] == 0.0
 
 
 def test_total_loss_composition(tube24):
     pred = _jittered(tube24, 0.5, 67)
     w = LossWeights(omega=(0.4, 0.3, 0.2, 0.1), alpha=0.05)
     bd = total_loss(pred, tube24, w)
-    assert bd.total == pytest.approx(bd.weighted_geo + 0.05 * bd.smoothness, rel=1e-15)
-    assert bd.weighted_geo == pytest.approx(
-        sum(wr * lr for wr, lr in zip(w.omega, bd.region)), rel=1e-12)
-    assert bd.smoothness == pytest.approx(smoothness(pred), rel=1e-15)
-    d = bd.as_dict()
-    assert set(d["region_mse"]) == set(REGIONS)
-    assert d["total"] == bd.total
+    assert bd["total"] == pytest.approx(bd["weighted_geo"] + 0.05 * bd["smoothness"], rel=1e-15)
+    assert bd["weighted_geo"] == pytest.approx(
+        sum(wr * bd["region_mse"][name] for wr, name in zip(w.omega, REGIONS)), rel=1e-12)
+    assert bd["smoothness"] == pytest.approx(smoothness(pred), rel=1e-15)
+    assert set(bd) == {"region_mse", "weighted_geo", "smoothness", "alpha", "total", "skipped_pairs"}
+    assert set(bd["region_mse"]) == set(REGIONS)
 
 
 def test_total_loss_alpha_zero_skips_smoothness(sphere16, tube24):
     # With alpha = 0 the smoothness term is never evaluated, so meshes
     # without a ring layout still get a loss.
     bd = total_loss(sphere16, sphere16, LossWeights(alpha=0.0))
-    assert bd.total == 0.0
+    assert bd["total"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +237,15 @@ def test_loss_grad_matches_finite_differences():
             a = rng.integers(0, 3)
             vp = pred.vertices.copy()
             vp[i, a] += h
-            up = total_loss(pred.with_vertices(vp), base, w).total
+            up = total_loss(pred.with_vertices(vp), base, w)["total"]
             vp[i, a] -= 2 * h
-            dn = total_loss(pred.with_vertices(vp), base, w).total
+            dn = total_loss(pred.with_vertices(vp), base, w)["total"]
             fd = (up - dn) / (2 * h)
             assert fd == pytest.approx(g[i, a], rel=1e-5, abs=1e-10)
 
 
 def _reference_loss(pred, gt, weights):
-    """(LossBreakdown fields, loss_grad) with each edge pair's arithmetic in full.
+    """(total_loss dict, loss_grad) with each edge pair's arithmetic in full.
 
     Every direction forms its own e1 and e2 from the vertices and computes
     their norms; the gradient recomputes the cosines; each region's MSE
@@ -280,13 +280,14 @@ def _reference_loss(pred, gt, weights):
     sgrad[:-2] += -a1
     sgrad[2:] += a2
 
-    region = []
-    for code in range(len(REGIONS)):
+    region = {}
+    for code, name in enumerate(REGIONS):
         mask = pred.regions == code
         diff = pred.vertices[mask] - gt.vertices[mask]
-        region.append(float(np.mean(np.einsum("ij,ij->i", diff, diff))))
-    geo = float(sum(w * l for w, l in zip(weights.omega, region)))
-    fields = (tuple(region), geo, smooth, weights.alpha, geo + weights.alpha * smooth, skipped)
+        region[name] = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+    geo = float(sum(w * region[name] for w, name in zip(weights.omega, REGIONS)))
+    fields = {"region_mse": region, "weighted_geo": geo, "smoothness": smooth, "alpha": weights.alpha,
+              "total": geo + weights.alpha * smooth, "skipped_pairs": skipped}
 
     counts = np.bincount(pred.regions.astype(np.intp), minlength=len(REGIONS))
     grad = np.zeros_like(pred.vertices)
@@ -307,8 +308,8 @@ def test_loss_and_grad_match_reference_arithmetic(tube24):
     w = LossWeights(omega=(0.1, 0.2, 0.3, 0.4), alpha=0.3)
     bd = total_loss(pred, gt, w)
     fields, grad = _reference_loss(pred, gt, w)
-    assert bd.skipped_pairs > 0
-    assert (bd.region, bd.weighted_geo, bd.smoothness, bd.alpha, bd.total, bd.skipped_pairs) == fields
+    assert bd["skipped_pairs"] > 0
+    assert bd == fields
     assert np.array_equal(loss_grad(pred, gt, w), grad)
 
 

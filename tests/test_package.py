@@ -125,9 +125,21 @@ def test_every_dataclass_field_is_read():
     package = os.path.dirname(aortafit.__file__)
     fields = [(cls, name) for path, tree in trees.items() if path.startswith(package)
               for cls, name in _dataclass_fields(tree)]
-    assert ("FitConfig", "levels") in fields and ("QualityReport", "n_degenerate") in fields
+    assert ("FitConfig", "levels") in fields and ("StressField", "residual") in fields
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert not unread, f"dataclass fields in src/aortafit that src/ and perfbench/ never read: {unread}"
+
+
+def test_no_class_defines_as_dict():
+    # A result is built as the dict its JSON file holds; a class whose as_dict
+    # renames its fields into the file's keys keeps a second copy of the schema.
+    package = os.path.dirname(aortafit.__file__)
+    methods = {(node.name, item.name) for path, tree in _program_trees().items() if path.startswith(package)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    assert ("DiffeoConfig", "resolve_steps") in methods  # the scan sees the package's methods
+    offenders = sorted(cls for cls, name in methods if name == "as_dict")
+    assert not offenders, f"classes in src/aortafit that define as_dict: {offenders}"
 
 
 def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):

@@ -123,7 +123,7 @@ def test_topology_and_intersections(arch_small):
 
 def test_default_quality_thresholds(default_phantom):
     mesh, rep = default_phantom
-    assert rep.n_degenerate == 0
-    assert rep.equiangle_skew[0] < 0.1
-    assert rep.scaled_jacobian[0] > 0.95
-    assert rep.self_intersection_count == 0
+    assert rep["n_degenerate"] == 0
+    assert rep["equiangle_skew"]["mean"] < 0.1
+    assert rep["scaled_jacobian"]["mean"] > 0.95
+    assert rep["self_intersection_count"] == 0
