@@ -90,7 +90,7 @@ def _set(node, default, key, value, path):
     to their dataclass to check.
     """
     if key not in default:
-        raise ValueError(f"unknown config key '{path}{key}'")
+        raise ValueError(f"unknown config key {path + key!r}")  # repr: a key may hold a line break
     want = default[key]
     if isinstance(want, dict):
         if not isinstance(value, dict):

@@ -33,6 +33,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# Rings within this relative distance of a region's largest diameter tie for it.
+_PLATEAU_RTOL = 1e-12
+
 
 def all_ring_diameters(mesh, method="equivalent"):
     """Diameter of every ring (mm), shape (A,).
@@ -59,7 +62,12 @@ def ring_region_codes(mesh):
 
 
 def max_diameter_per_region(mesh, method="equivalent"):
-    """Per-region maximum ring diameter: {name: (diameter_mm, ring_index)}."""
+    """Per-region maximum ring diameter: {name: (diameter_mm, ring_index)}.
+
+    The ring is the lowest one within a relative ``_PLATEAU_RTOL`` of the
+    maximum, so a plateau of rings equal up to rounding (a straight or
+    uniform segment) reports its first ring wherever the mesh is moved.
+    """
     diams = all_ring_diameters(mesh, method=method)
     codes = ring_region_codes(mesh)
     out = {}
@@ -68,8 +76,9 @@ def max_diameter_per_region(mesh, method="equivalent"):
         if not mask.any():
             raise ValueError(f"region {name!r} owns no rings")
         idx = np.nonzero(mask)[0]
-        best = idx[np.argmax(diams[idx])]
-        out[name] = (float(diams[best]), int(best))
+        top = diams[idx].max()
+        best = idx[np.argmax(diams[idx] >= top - _PLATEAU_RTOL * top)]
+        out[name] = (float(top), int(best))
     return out
 
 

@@ -55,15 +55,17 @@ class DiffeoConfig:
     max |tau| / 2^S <= 0.5 voxel, keeping each composition step well inside
     the contraction regime; more than 20 steps is refused.
 
-    The floor of 5 is where more steps stop paying: past it, exp's error at
-    the vertices is set by the trilinear interpolation inside each
-    composition, not by the first-order start tau / 2^S. On fitted README
-    fields every S from 5 to 8 is 0.48-0.49 mm off a 4096-step Euler flow at
-    the worst vertex, while each step costs a forward pass, a linearization
-    and every product in proportion.
+    The floor of 3 is where more steps stop paying: from it on, exp's error
+    at the vertices is set by the trilinear interpolation inside each
+    composition, not by the first-order start tau / 2^S, while each step
+    costs a forward pass, a linearization and every product in proportion.
+    The fitted README field is 0.48 mm off a 4096-step Euler flow at the
+    worst vertex at the default, 0.49-0.50 mm at S = 5 to 8; a floor of 2
+    breaks the diffeomorphism suite's 1e-3 Euler bound. At the default the
+    raise starts once max |tau| passes 4 voxels.
     """
 
-    squaring_steps: int = 5
+    squaring_steps: int = 3
     auto_steps: bool = True
 
     def __post_init__(self):
@@ -196,6 +198,7 @@ class Linearization:
         weights = sampler.weights
         nodes, cols = _grow(rank, np.zeros(0, dtype=np.intp), weights.indices)
         self.vertices = sp.csr_array((weights.data, cols, weights.indptr), shape=(weights.shape[0], len(nodes)))
+        self.vertices_t = self.vertices.T  # built once: each transpose is a new CSC object
         self.steps = []
         for u, step in zip(reversed(us[:-1]), reversed(samplers)):
             rows = nodes
@@ -225,7 +228,7 @@ class Linearization:
 
     def vjp(self, cot):
         """Transpose of :meth:`jvp`: the tau-shaped pullback of (N, 3) vertex cotangents."""
-        grad = self.vertices.T @ (cot * self.spacing)
+        grad = self.vertices_t @ (cot * self.spacing)
         for _, wt, order, _, m in reversed(self.steps):
             head = grad
             grad = wt @ np.take(head, order, axis=0)

@@ -163,8 +163,11 @@ def bounding_grid(meshes, spacing=GridConfig.spacing, margin=GridConfig.margin):
     """Isotropic grid (mm spacing) containing all meshes plus a mm margin."""
     lo = np.min([m.vertices.min(axis=0) for m in meshes], axis=0) - margin
     hi = np.max([m.vertices.max(axis=0) for m in meshes], axis=0) + margin
-    if not (spacing > 0 and np.all(hi - lo < spacing * 2**31)):
-        raise ValueError(f"grid spacing must be > 0 mm and leave under 2^31 voxels per axis, got {spacing}")
+    with np.errstate(over="ignore"):  # an extent beyond the float range is infinite, and refused
+        extent = hi - lo
+    if not (spacing > 0 and np.all(extent < spacing * 2**31)):
+        raise ValueError(f"grid spacing must be > 0 mm and leave under 2^31 voxels per axis, "
+                         f"got spacing {spacing} and margin {margin}")
     dims = tuple(int(np.ceil((h - l) / spacing)) + 1 for l, h in zip(lo, hi))
     return GridGeom(dims, (spacing,) * 3, tuple(lo))
 
@@ -304,6 +307,7 @@ def check_meshes(template, target, cfg=FitConfig()):
         smoothness(template)  # raises, as every loss would, on a mesh without ring layout
 
 
+@np.errstate(over="raise", invalid="raise")
 def fit_svf(template, target, grid, cfg=FitConfig()):
     """Fit an SVF deforming ``template`` toward ``target`` over ``grid``.
 
@@ -323,7 +327,9 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
     squaring steps of the field it returned. An accepted field that leaves
     no budget for a product is not linearized: a level that stops on
     ``budget`` right after an accepted step reports the gradient it took
-    that step from.
+    that step from. Arithmetic that overflows or turns invalid raises
+    FloatingPointError: in a trial step it rejects the step, elsewhere it
+    ends the fit.
     """
     check_meshes(template, target, cfg)
     history = []

@@ -267,6 +267,8 @@ def load_volume(path):
         raise ValueError(f"{hdr}: missing header field {exc}") from None
     except ValueError as exc:  # a field that is not a number
         raise ValueError(f"{hdr}: {exc}") from None
+    if not dataname:
+        raise ValueError(f"{hdr}: empty data field")
     if byteorder != "little":
         raise ValueError(f"{hdr}: unsupported byte order {byteorder!r}")
     if dtype not in _DTYPES:

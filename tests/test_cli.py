@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -127,6 +128,10 @@ def test_load_config_rejections(tmp_path):
     nested.write_text(json.dumps({"grid": {"space": 1.0}}))
     with pytest.raises(ValueError, match="grid.*space"):
         load_config(str(nested))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"diffeo": {"\r\n": None}}))  # the message stays one line
+    with pytest.raises(ValueError, match=re.escape("unknown config key 'diffeo.\\r\\n'")):
+        load_config(str(broken))
     sectionless = tmp_path / "sectionless.json"
     sectionless.write_text(json.dumps({"grid": 5}))
     with pytest.raises(ValueError, match="section 'grid' needs an object"):
@@ -296,7 +301,7 @@ def test_fit_and_warp_round_trip(tmp_path, mesh_files, capsys):
         assert level["forward_passes"] + level["hessian_products"] <= 40
         assert 0 < level["accepted_steps"] < level["forward_passes"]
         assert level["lambda"] > 0 and level["grad_inf_norm"] > 0
-        assert level["squaring_steps"] == 5
+        assert level["squaring_steps"] == 3
 
     # Warping the template through the stored SVF reproduces fitted.vtk
     # bit for bit: same exponentiation settings, lossless mesh round trip.
@@ -357,6 +362,17 @@ def test_warp_names_a_header_that_is_not_text(tmp_path, mesh_files, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"aortafit: {hdr}: not a text header")
+
+
+def test_warp_names_an_empty_data_field(tmp_path, mesh_files, capsys):
+    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
+    hdr = tmp_path / "svf.hdr"
+    save_volume(fld, str(hdr))
+    hdr.write_text(hdr.read_text().replace("data: svf.raw", "data:"))
+    code = main(["warp", "--mesh", mesh_files["template"], "--svf", str(hdr),
+                 "--out", str(tmp_path / "w.vtk")])
+    assert code == 2
+    assert capsys.readouterr().err == f"aortafit: {hdr}: empty data field\n"
 
 
 # Replacement values per SVF header field: valid (the first), malformed, out
@@ -931,10 +947,11 @@ def _edit_config(doc, edits):
     return doc
 
 
-def _main_with_config_file(argv, doc, cut, junk):
+def _main_with_config_file(argv, doc, cut, junk, check=None):
     """Exit code and stderr of ``main(argv)`` given ``doc`` as a config file,
     its text cut short and arbitrary bytes appended. ``{tmp}`` in ``argv`` is
-    a scratch directory. Each warning adds the line it prints outside pytest.
+    a scratch directory. ``check``, if given, sees the file's path first.
+    Each warning adds the line it prints outside pytest.
     """
     text = json.dumps(doc).encode()
     if cut is not None:
@@ -943,6 +960,8 @@ def _main_with_config_file(argv, doc, cut, junk):
         path = os.path.join(tmp, "config.json")
         with open(path, "wb") as fh:
             fh.write(text + junk)
+        if check is not None:
+            check(path)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
@@ -998,6 +1017,68 @@ def test_phantom_exit_code_under_config_file_fuzz(phantom, edits, damage):
         assume(not all(type(n) is int and n > 0 for n in layout) or layout[0] * layout[1] <= _PHANTOM_CAP)
     code, err = _main_with_config_file(["phantom", "--out", os.path.join("{tmp}", "p.vtk")], doc,
                                        *(damage or (None, b"")))
+    assert code in (0, 2, 3)
+    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err
+
+
+_FIT_NODES = 216  # the fuzz fits no level beyond 6^3 nodes
+_FIT_BUDGET = 12  # nor runs more than 12 passes and products per level
+_FIT_DIMS = st.lists(st.integers(-1, 7), max_size=4)
+# Valid grid ladders (nondecreasing per axis, svf_dims the last level), or any dims.
+_FIT_LADDERS = st.lists(st.lists(st.integers(3, 6), min_size=3, max_size=3), min_size=1, max_size=3).map(
+    lambda levels: {"levels": np.sort(levels, axis=0).tolist(), "svf_dims": np.sort(levels, axis=0)[-1].tolist()})
+_FIT_SECTION = st.builds(
+    lambda dims, budget: {**dims, **budget},
+    _FIT_LADDERS | st.fixed_dictionaries({}, optional={"svf_dims": _FIT_DIMS | _FUZZ_NUMBER,
+                                                       "levels": st.lists(_FIT_DIMS, max_size=3)}),
+    st.fixed_dictionaries({}, optional={"iters_per_level": st.integers(-3, _FIT_BUDGET + 2)}))
+# The fit section and the sections it and the pipeline read, mostly in range,
+# besides numbers of any size and sign, NaN and infinity among them.
+_FIT_SPECS = st.fixed_dictionaries({
+    "fit": _FIT_SECTION,
+    "grid": st.fixed_dictionaries({}, optional={"spacing": st.floats(0.5, 4) | _PHANTOM_NUMBER,
+                                                "margin": st.floats(0, 8) | _PHANTOM_NUMBER}),
+    "weights": st.fixed_dictionaries({}, optional={
+        "omega": st.lists(st.floats(0, 1), min_size=4, max_size=4) | st.lists(_PHANTOM_NUMBER, max_size=5),
+        "alpha": st.floats(0, 1) | _PHANTOM_NUMBER}),
+    "diffeo": st.fixed_dictionaries({}, optional={"squaring_steps": st.integers(-3, 22),
+                                                  "auto_steps": st.booleans()}),
+    "membrane": st.fixed_dictionaries({}, optional={"pressure": _PHANTOM_NUMBER, "thickness": _PHANTOM_NUMBER,
+                                                    "fixed_rings": st.lists(st.integers(-3, 12), max_size=3)}),
+})
+
+
+def _small_fit_only(path):
+    """Reject a config file whose sections build a fit above the fuzz's size caps."""
+    try:
+        fit = build_sections(load_config(path))["fit"]
+    except ValueError:
+        return  # exits 2 before any work
+    assume(max(np.prod(level) for level in fit.levels) <= _FIT_NODES and fit.iters_per_level <= _FIT_BUDGET)
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(spec=_FIT_SPECS, edits=st.just([]) | _FUZZ_EDITS, damage=st.none() | st.tuples(_FUZZ_CUT, st.binary(max_size=4)))
+@example(spec={"fit": {}, "grid": {"spacing": 1.65e77}}, edits=[], damage=None)  # Hessian products overflow
+@example(spec={"fit": {}, "grid": {"margin": 9e307}}, edits=[], damage=None)  # the grid extent overflows
+@example(spec={"fit": {}}, edits=[("section", "diffeo.auto_steps", {"\r": None})], damage=None)  # a key with a line break
+def test_fit_exit_code_under_config_file_fuzz(mesh_files, command, spec, edits, damage):
+    # Whole config files for fit and pipeline, which allocate by the fit's
+    # grid dims and run for its budget: small fit levels and budgets, any
+    # grid, weights and squaring steps, then, in some files, report's edits,
+    # a cut and appended bytes. Fits above the caps are not run. Each exits
+    # 0, 2 or 3, with at most one stderr line, and nothing escapes main; the
+    # pipeline's single case runs in this process.
+    doc = default_config()
+    doc["fit"].update(levels=[[4, 4, 4], [6, 6, 6]], svf_dims=[6, 6, 6], iters_per_level=_FIT_BUDGET)
+    doc["grid"]["spacing"] = 2.0
+    for section, values in spec.items():
+        doc[section].update(values)
+    argv = [command, "--template", mesh_files["template"], "--target", mesh_files["shifted"],
+            "--out", os.path.join("{tmp}", "out"), "--seed", "0"]
+    code, err = _main_with_config_file(argv, _edit_config(doc, edits), *(damage or (None, b"")),
+                                       check=_small_fit_only)
     assert code in (0, 2, 3)
     assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err
 

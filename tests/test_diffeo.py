@@ -42,9 +42,9 @@ def test_resolve_steps_raises_never_lowers():
         DiffeoConfig().resolve_steps(huge)
     # auto_steps off trusts the configured count.
     assert DiffeoConfig(squaring_steps=1, auto_steps=False).resolve_steps(big) == 1
-    # The default floor is 5 up to max|tau| = 16 voxels, then
-    # ceil(log2(2 max|tau|)): 20 voxels need 6.
-    for peak, steps in ((0.0, 5), (2.0, 5), (16.0, 5), (16.5, 6), (20.0, 6), (32.0, 6), (33.0, 7)):
+    # The default floor is 3 up to max|tau| = 4 voxels, then
+    # ceil(log2(2 max|tau|)): 8.5 voxels need 5.
+    for peak, steps in ((0.0, 3), (2.0, 3), (4.0, 3), (4.5, 4), (8.5, 5), (16.5, 6), (33.0, 7)):
         assert DiffeoConfig().resolve_steps(VectorField3D(geom, np.full((4, 4, 4, 3), peak))) == steps, peak
 
 

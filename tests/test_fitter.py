@@ -16,7 +16,7 @@ from aortafit.fitter import (
     upsample_svf,
 )
 from aortafit.objective import LossWeights, total_loss
-from aortafit.volgrid import GridGeom, VectorField3D
+from aortafit.volgrid import GridGeom, VectorField3D, trilinear_sample
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +275,8 @@ def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
 
 def test_fit_records_raised_squaring_steps(translation_pair):
     # Each level records the squaring steps of the field it returns: the
-    # floor of 5 for a small motion, more once max |tau| passes 16 voxels.
+    # floor of 3 for a small motion, more once max |tau| passes 4 voxels: 6 or
+    # more here, past 16 voxels.
     template, _, _ = translation_pair
     far = template.with_vertices(template.vertices + np.array([50.0, 0.0, 0.0]))
     grid = bounding_grid([template, far], spacing=2.0, margin=6.0)
@@ -289,17 +290,44 @@ def test_fit_records_raised_squaring_steps(translation_pair):
 SMALL = FitConfig(svf_dims=(16, 16, 16), levels=((8, 8, 8), (16, 16, 16)), iters_per_level=80)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_small_config_fits_bulged_shifted_tubes(tube24, seed):
-    # A 24 x 60 tube fitted to a seeded bulged (2-12 mm) and shifted (+-3 mm)
-    # tube on 8^3 and 16^3 grids of a 2 mm image grid: the fit must land
-    # within criterion 3's chamfer bound with a positive Jacobian, and every
-    # level keeps the floor of 5 squaring steps.
-    rng = np.random.default_rng(seed)
+@pytest.fixture(scope="module", params=[0, 1, 2])
+def small_fit(request, tube24):
+    """(seed, fit): the small configuration's fit of tube24 to a seeded bulged
+    (2-12 mm) and shifted (+-3 mm) tube on a 2 mm image grid."""
+    rng = np.random.default_rng(request.param)
     amplitude, center, width = rng.uniform(2, 12), rng.uniform(20, 100), rng.uniform(6, 10)
     target = bulged_cylinder(amplitude=amplitude, width=width, center=center)
     target = target.with_vertices(target.vertices + rng.uniform(-3, 3, size=3))
-    res = fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), SMALL)
+    return request.param, fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), SMALL)
+
+
+def test_small_config_fits_bulged_shifted_tubes(small_fit):
+    # On 8^3 and 16^3 grids the fit must land within criterion 3's chamfer
+    # bound with a positive Jacobian. Each level records its squaring steps:
+    # the floor of 3, or 4 where the fine field passes 4 voxels (seed 0).
+    seed, res = small_fit
     assert res.final_chamfer <= 0.5
     assert res.min_jacobian > 0.0
-    assert [level["squaring_steps"] for level in res.levels] == [5, 5]
+    assert [level["squaring_steps"] for level in res.levels] == {0: [3, 4], 1: [3, 3], 2: [3, 3]}[seed]
+
+
+def test_default_steps_as_close_to_the_flow_as_eight(tube24, small_fit):
+    # At the template vertices, exp of a fitted field at the default steps is
+    # no further from the field's 4096-step Euler flow than exp at 8 steps,
+    # plus 0.05 mm: there trilinear interpolation, not the step count, sets
+    # the error. Over seeds 0-19 the default sat 0.011-0.160 mm closer than 8
+    # steps in 19 fits and 0.018 mm further in one, against 8 steps'
+    # 0.47-2.53 mm. One step without the auto raise sits 0.13 mm (seed 1) and
+    # 0.41 mm (seed 2) further. With the raise these fields (2.8-4.8 voxels)
+    # take 3 or more steps at any floor: criterion 1 guards the floor itself.
+    svf = small_fit[1].svf
+    start = svf.geom.world_to_voxel(tube24.vertices)
+    x = start.copy()
+    for _ in range(4096):
+        x = x + trilinear_sample(svf, x) / 4096
+    spacing = np.asarray(svf.geom.spacing)
+
+    def worst(cfg):
+        return np.linalg.norm((x - start - trilinear_sample(exponentiate(svf, cfg), start)) * spacing, axis=1).max()
+
+    assert worst(DiffeoConfig()) <= worst(DiffeoConfig(squaring_steps=8, auto_steps=False)) + 0.05

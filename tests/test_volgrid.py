@@ -1,5 +1,6 @@
 """Volume grid: geometry, trilinear sampling and its adjoint, I/O."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -318,4 +319,12 @@ def test_load_reports_missing_field(tmp_path):
     lines = [ln for ln in Path(hdr).read_text().splitlines() if not ln.startswith("components")]
     (tmp_path / "m.hdr").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="missing header field"):
+        load_volume(hdr)
+
+
+def test_load_rejects_empty_data_field(tmp_path):
+    # An empty ``data:`` names the header, not the directory it would open.
+    hdr = save_volume(Volume3D(GridGeom((2, 2, 2)), np.zeros((2, 2, 2))), str(tmp_path / "e"))
+    Path(hdr).write_text(Path(hdr).read_text().replace("data: e.raw", "data: "))
+    with pytest.raises(ValueError, match=f"^{re.escape(hdr)}: empty data field$"):
         load_volume(hdr)
