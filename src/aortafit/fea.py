@@ -18,21 +18,28 @@ a cylinder, pR/2t on a sphere).
 
 The damped Gram matrix of those normal equations couples only vertices that
 share a triangle, so on a structured tube it is a band: a quad's diagonal
-joins vertices one ring plus one slot apart. The order is chosen on that
-triangle graph of the free vertices, not on the Gram matrix: mesh order, or
-reverse Cuthill-McKee where that band is narrower (closed surfaces such as a
-cube sphere); each vertex's three unknowns follow it, so a vertex half-width
-w is a band of half-width 3 w + 2. The Gram matrix is formed a block of rows
-at a time, against only the rows the band lets a block meet, straight into
-LAPACK's band storage and factored by banded Cholesky, with OpenBLAS held at
-one thread so the factor's bytes do not depend on the thread count. Beside
-the band only A is large: freed heap goes back to the system (glibc's
-malloc_trim) before the band is allocated, and the factor is dropped before
-the collapse. Where the Gram matrix is only semidefinite to working
-precision (open tubes with free ends keep mechanism modes that the 1e-8
-damping barely lifts; an open mesh with no fixed vertex skips the banded
-attempt), or where scipy's OpenBLAS thread control is not available, SuperLU
-factors it instead, and only that path forms the whole Gram matrix.
+joins vertices one ring plus one slot apart. The order is chosen first, on
+that triangle graph of the free vertices, not on the Gram matrix: mesh
+order, or reverse Cuthill-McKee where that band is narrower (closed surfaces
+such as a cube sphere); each vertex's three unknowns follow it, so a vertex
+half-width w is a band of half-width 3 w + 2. The equations are then
+assembled in that order as a block sparse matrix of 3x3 blocks (one block
+row per free vertex, one block column per triangle, one index per block).
+The Gram matrix is formed a block of vertex rows at a time, as a block
+product against only the rows the band lets them meet, and scattered
+straight into LAPACK's band storage, then factored by banded Cholesky with
+OpenBLAS held at one thread so the factor's bytes do not depend on the
+thread count. While the band fills and is factored, only A and the load b
+live beside it: the element and triangle frames are dropped after the
+assembly and computed again for the collapse, and freed heap goes back to
+the system (glibc's malloc_trim) before the band is allocated. Refinement
+adds the solution vectors only: A x and Aᵀ y both come from the one block
+matrix, with no transposed copy of it. The factor is dropped before the
+collapse. Where the Gram matrix is only semidefinite to working precision
+(open tubes with free ends keep mechanism modes that the 1e-8 damping barely
+lifts; an open mesh with no fixed vertex skips the banded attempt and keeps
+mesh order), or where scipy's OpenBLAS thread control is not available,
+SuperLU factors it instead, and only that path forms the whole Gram matrix.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -50,7 +57,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse import bsr_array, csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -67,7 +74,8 @@ KPA_TO_N_PER_MM2 = 1e-3
 N_PER_MM2_TO_KPA = 1e3
 _DAMPING = 1e-8  # Tikhonov damping, relative to the equilibrium operator's RMS column norm
 _REFINE_ROUNDS = 40  # cap on residual-refinement rounds
-_GRAM_BLOCK = 4096  # Gram matrix rows formed per sparse product on the band path
+_GRAM_BLOCK = 1024  # Gram matrix vertex rows formed per block product on the band path
+_BLAS_ROOM = 40 << 20  # address space claimed for OpenBLAS's 32 MiB work buffer before its first use, bytes
 _SPLITS = ((0, 1, 2), (0, 2, 3))  # a quad's two triangles, split along its v0-v2 diagonal
 
 
@@ -162,17 +170,36 @@ def _element_frames(mesh):
     return t1, t2, n
 
 
-def _edge_blocks(q, n_tri, t1):
-    """In-plane frames (t1p, t2p) of triangles ``q`` (m, corner, xyz) with unit
-    normals ``n_tri``, and the force each edge puts on either endpoint per unit
-    resultant, (m, edge, unknown, force comp); edge k runs from corner k to k + 1.
+def _triangle(mesh, corner_ids):
+    """Each element's triangle on quad corners ``corner_ids``: its vertex ids
+    (m, 3), corners (m, corner, xyz), normal of twice its area and that
+    normal's length (m, 1).
     """
-    t1p = t1 - np.einsum("md,md->m", t1, n_tri)[:, None] * n_tri
+    tri = mesh.faces[:, corner_ids]
+    q = mesh.vertices[tri]
+    n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+    n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
+    if np.any(n_len == 0):
+        raise ValueError("degenerate element: zero-area triangle")
+    return tri, q, n_tri, n_len
+
+
+def _triangle_frame(t1, n_unit):
+    """In-plane frame (t1p, t2p) of triangles with unit normals ``n_unit``: the element axis t1 projected in."""
+    t1p = t1 - np.einsum("md,md->m", t1, n_unit)[:, None] * n_unit
     t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
     if np.any(t1p_len == 0):
         raise ValueError("degenerate element: frame perpendicular to triangle")
     t1p = t1p / t1p_len
-    t2p = np.cross(n_tri, t1p)
+    return t1p, np.cross(n_unit, t1p)
+
+
+def _edge_blocks(q, n_unit, frame):
+    """Force each edge of triangles ``q`` (m, corner, xyz) with unit normals
+    ``n_unit`` puts on either endpoint per unit resultant in ``frame``,
+    (m, edge, unknown, force comp); edge k runs from corner k to k + 1.
+    """
+    t1p, t2p = frame
     blocks = np.empty((len(q), 3, 3, 3))
     for k in range(3):
         edge = q[:, (k + 1) % 3] - q[:, k]  # lies in the triangle plane
@@ -180,7 +207,7 @@ def _edge_blocks(q, n_tri, t1):
         if np.any(length == 0):
             raise ValueError("degenerate element edge (zero length)")
         ehat = edge / length[:, None]
-        mhat = np.cross(ehat, n_tri)  # in-plane outward normal of the edge
+        mhat = np.cross(ehat, n_unit)  # in-plane outward normal of the edge
         m1 = np.einsum("md,md->m", mhat, t1p)
         m2 = np.einsum("md,md->m", mhat, t2p)
         # Traction direction per unit resultant: columns N11, N22, N12.
@@ -189,11 +216,11 @@ def _edge_blocks(q, n_tri, t1):
             axis=1,
         )  # (m, 3 unknowns, 3 force comps)
         np.multiply(0.5 * length[:, None, None], coeff, out=blocks[:, k])
-    return (t1p, t2p), blocks
+    return blocks
 
 
-def _assemble(mesh, t1, free, p):
-    """Free vertices' equilibrium rows A (3|free| x 6|F|) and pressure load b: A @ resultants = b.
+def _assemble(mesh, t1, vertices, p):
+    """Equilibrium rows A of ``vertices``, in that order, and their pressure load b: A @ resultants = b.
 
     Each element is integrated as its two flat triangles (split along the
     v0-v2 diagonal), each carrying its own constant (N11, N22, N12) in the
@@ -205,72 +232,82 @@ def _assemble(mesh, t1, free, p):
     and the load misses the column space by the discretization error, which
     puts the least-squares residual orders of magnitude above the solver
     contract.  The per-quad resultants reported to callers are the
-    area-weighted average of the two triangle tensors.
+    area-weighted average of the two triangle tensors
+    (``_collapse_resultants``).
 
-    ``t1`` is the elements' first frame axis. Corner c of a triangle is the
-    start of edge c and the end of edge c - 1, so one 3x3 block per corner,
-    the sum of those two edges' blocks, fills the corner's (vertex row,
-    triangle column) entries. Each entry has exactly these two addends, so
-    A does not depend on the order they are summed in, and no entry has a
-    second corner. ``free`` masks the vertices whose rows are kept, in vertex
-    order; the supported vertices' corners are dropped before the sparse
-    build. ``p`` (N/mm^2 for mm meshes) lumps p * area * outward normal / 3
-    onto each triangle corner, summed one corner slot at a time.
-
-    Returns (A, b, frames, areas): per split s in (0, 1), ``frames[s]`` is the
-    (t1, t2) in-plane basis pair and ``areas[s]`` the triangle areas.
+    A is a (3 |vertices| x 6 |F|) ``bsr_array`` of 3x3 blocks: block row r
+    is vertex ``vertices[r]``'s force components, block column 2 e + s the
+    unknowns of element e's triangle s, and each block row lists its
+    triangles in ascending order. ``t1`` is the elements' first frame axis.
+    Corner c of a triangle is the start of edge c and the end of edge c - 1,
+    so one block per corner, the sum of those two edges' blocks, is the
+    corner's (vertex, triangle) block. Each entry has exactly these two
+    addends, so A does not depend on the order they are summed in, and no
+    block has a second corner. Corners of vertices not in ``vertices`` (the
+    supported ones) are dropped. ``p`` (N/mm^2 for mm meshes) lumps
+    p * area * outward normal / 3 onto each triangle corner, summed one
+    corner slot at a time.
     """
     f = mesh.faces
     m = len(f)
-    v = mesh.vertices
-    data = np.empty((m, 2, 3, 3, 3))  # (element, split, unknown, corner, force comp)
-    load = np.zeros_like(v)
-    frames = []
-    areas = []
+    blocks = np.empty((m, 2, 3, 3, 3))  # (element, split, corner, force comp, unknown)
+    load = np.zeros_like(mesh.vertices)
     for split, corner_ids in enumerate(_SPLITS):
-        tri = f[:, corner_ids]
-        q = v[tri]  # (m, 3, 3)
-        n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-        n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
-        if np.any(n_len == 0):
-            raise ValueError("degenerate element: zero-area triangle")
-        areas.append(0.5 * n_len[:, 0])
+        tri, q, n_tri, n_len = _triangle(mesh, corner_ids)
         contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
         for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
-            load[:, c] += np.bincount(tri[:, k], contrib[:, c], minlength=len(v))
-        frame, edges = _edge_blocks(q, n_tri / n_len, t1)
-        frames.append(frame)
-        data[:, split] = (edges + edges[:, [2, 0, 1]]).transpose(0, 2, 1, 3)  # corner c: edges c and c - 1
+            load[:, c] += np.bincount(tri[:, k], contrib[:, c], minlength=len(load))
+        n_unit = n_tri / n_len
+        edges = _edge_blocks(q, n_unit, _triangle_frame(t1, n_unit))
+        blocks[:, split] = (edges + edges[:, [2, 0, 1]]).transpose(0, 1, 3, 2)  # corner c: edges c and c - 1
     del q, edges  # the last split's; only A's arrays are needed past here
 
-    # A column is one unknown of one triangle, its rows the free corners'
-    # force components: A's columns come straight out of the corner blocks,
-    # and scipy's conversion to rows leaves each row's columns ascending.
-    corners = f[:, np.array(_SPLITS)]
-    nrows = 3 * int(free.sum())
-    ncols = 6 * m
-    keep = free[corners]
-    index = np.int32 if max(nrows, ncols, data.size) < 2**31 else np.int64
-    row_of = (np.cumsum(free) - 1).astype(index)  # free vertex -> its row block
-    # Contiguous copies: a mask through a broadcast view indexes far slower.
-    kept = np.broadcast_to(keep[:, :, None, :, None], data.shape).copy()
-    rows = np.broadcast_to(3 * row_of[corners][:, :, None, :, None] + np.arange(3, dtype=index), data.shape).copy()
-    indptr = np.zeros(ncols + 1, dtype=index)
-    np.cumsum(np.repeat(3 * keep.sum(axis=2, dtype=index).ravel(), 3), out=indptr[1:])
-    A = csc_matrix((data[kept], rows[kept], indptr), shape=(nrows, ncols))
-    del data, rows, kept  # before the conversion copies A
-    return A.tocsr(), load[free].ravel(), frames, areas
+    # Corners in (element, split, corner) order are in ascending block
+    # column; a stable sort by block row keeps each row's columns ascending.
+    index = np.int32 if 6 * m < 2**31 else np.int64
+    row_of = np.full(len(load), -1, dtype=index)
+    row_of[vertices] = np.arange(len(vertices), dtype=index)
+    rows = row_of[f[:, np.array(_SPLITS)]].ravel()
+    kept = np.flatnonzero(rows >= 0)
+    kept = kept[np.argsort(rows[kept], kind="stable")]
+    indptr = np.zeros(len(vertices) + 1, dtype=index)
+    np.cumsum(np.bincount(rows[kept], minlength=len(vertices)), out=indptr[1:])
+    data = blocks.reshape(-1, 3, 3)[kept]
+    del blocks, row_of, rows  # before the block columns are formed
+    A = bsr_array((data, (kept // 3).astype(index), indptr), shape=(3 * len(vertices), 6 * m))
+    return A, load[vertices].ravel()
 
 
-def _collapse_resultants(x, frames, tri_frames, areas):
-    """Area-weighted per-quad average of the two triangle tensors, in the quad frame."""
-    t1, t2, _ = frames
+def _column_rms(A, vertices):
+    """RMS column norm of the bsr_array A whose block rows are ``vertices``.
+
+    The squares are summed as one sequence in the order of A's scalar rows
+    sorted by vertex, each row's entries by column (compressed sparse rows in
+    mesh order), so the damping does not depend on the band order.
+    """
+    rank = np.empty(len(vertices), dtype=np.intp)
+    rank[np.argsort(vertices)] = np.arange(len(vertices))
+    key = 3 * np.repeat(rank, np.diff(A.indptr))[:, None] + np.arange(3)  # (block, row in it) -> scalar row
+    squares = np.take(A.data.reshape(-1, 3), np.argsort(key.ravel(), kind="stable"), axis=0).ravel()
+    squares *= squares
+    return np.sqrt(squares.sum() / A.shape[1])
+
+
+def _collapse_resultants(x, mesh):
+    """Area-weighted per-quad average of the two triangle tensors, in the quad frame.
+
+    The frames and areas are those ``_assemble`` used, computed again rather
+    than kept alive through the factor.
+    """
+    t1, t2, _ = _element_frames(mesh)
     m = len(t1)
     xr = x.reshape(m, 2, 3)
-    tensor = np.zeros((m, 3, 3))
+    normals = [_triangle(mesh, corner_ids)[2:] for corner_ids in _SPLITS]
+    areas = [0.5 * n_len[:, 0] for _, n_len in normals]
     weight_sum = areas[0] + areas[1]
-    for split in range(2):
-        t1p, t2p = tri_frames[split]
+    tensor = np.zeros((m, 3, 3))
+    for split, (n_tri, n_len) in enumerate(normals):
+        t1p, t2p = _triangle_frame(t1, n_tri / n_len)
         a11, a22, a12 = xr[:, split, 0], xr[:, split, 1], xr[:, split, 2]
         part = (
             a11[:, None, None] * t1p[:, :, None] * t1p[:, None, :]
@@ -364,63 +401,110 @@ def _band_order(faces, free):
     return (rcm, rcm_width) if rcm_width < width else (np.arange(n), width)
 
 
-def _gram_band(A, perm, half_width):
-    """The lower band of A Aᵀ with rows and columns in ``perm`` order, in LAPACK's band storage.
+def _block_rows(A, lo, hi):
+    """Block rows lo:hi of the bsr_array A, sharing its data and block indices."""
+    start, stop = A.indptr[lo], A.indptr[hi]
+    return bsr_array((A.data[start:stop], A.indices[start:stop], A.indptr[lo:hi + 1] - start),
+                     shape=(3 * (hi - lo), A.shape[1]))
 
-    The Gram matrix is formed ``_GRAM_BLOCK`` rows at a time, each block
-    against only the rows the band lets it meet: those ``half_width`` before
-    it in band order and its own. Those rows come out in band order, so no
-    copy of Aᵀ and no inverse permutation is needed; each block's entries on
-    or below the diagonal go straight to their band places.
+
+def _rmatvec(A, y, out):
+    """Aᵀ y for the bsr_array A, written into ``out``, with no transposed copy of A.
+
+    y is taken as a one-row block matrix of 1x3 blocks, so the block product
+    y A sums each entry over A's rows in their order, as a transposed matrix-
+    vector product of A's rows would. The product holds the triangles'
+    blocks in the order it first meets them: the one temporary the size of
+    ``out``.
     """
-    n = A.shape[0]
-    index = np.int32 if (half_width + 1) * n < 2**31 else np.int64  # holds a flat band position
-    ab = np.zeros((half_width + 1, n), order="F")
-    flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + half_width * col]
+    n = A.shape[0] // 3
+    row = bsr_array((y.reshape(n, 1, 3), np.arange(n, dtype=A.indices.dtype), np.array([0, n], A.indptr.dtype)),
+                    shape=(1, A.shape[0]))
+    product = row @ A
+    out[:] = 0.0  # triangles with no free corner
+    out.reshape(-1, 3)[product.indices] = product.data.reshape(-1, 3)
+
+
+def _gram_band(A, width):
+    """The lower band of A Aᵀ, of half-width 3 width + 2, in LAPACK's band storage.
+
+    A's block rows are vertices in band order, and a vertex meets no other
+    more than ``width`` rows away. The Gram matrix is formed ``_GRAM_BLOCK``
+    vertex rows at a time, each block against only the rows it can meet:
+    the ``width`` before it and its own, with no copy of Aᵀ. Block (I, J) of
+    the product lands at flat band position 3 I + 3 J h plus one pattern of
+    offsets: all nine entries of a block below the diagonal, the six on or
+    below the diagonal of a diagonal block.
+    """
+    n = A.shape[0] // 3
+    h = 3 * width + 2
+    ab = np.zeros((h + 1, 3 * n), order="F")
+    flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + h * col]
+    i, j = np.indices((3, 3))
+    offsets = i + h * j
+    lower = i >= j
     for lo in range(0, n, _GRAM_BLOCK):
-        first = max(0, lo - half_width)  # the block's rows meet none further back
-        block = A[perm[lo:lo + _GRAM_BLOCK]] @ A[perm[first:lo + _GRAM_BLOCK]].T
-        rows = np.repeat(np.arange(lo, lo + block.shape[0], dtype=index), np.diff(block.indptr))
-        cols = block.indices + index(first)
-        lower = rows >= cols
-        cols *= half_width
-        cols += rows
-        flat[cols[lower]] = block.data[lower]
-        del block, rows, cols, lower  # before the next block's product
+        hi = min(lo + _GRAM_BLOCK, n)
+        first = max(0, lo - width)  # the block's rows meet none further back
+        block = _block_rows(A, lo, hi) @ _block_rows(A, first, hi).T
+        rows = np.repeat(np.arange(lo, hi), np.diff(block.indptr))
+        cols = block.indices.astype(np.intp) + first
+        base = 3 * rows + 3 * h * cols
+        below = cols < rows
+        flat[base[below, None, None] + offsets] = block.data[below]
+        diagonal = cols == rows
+        flat[base[diagonal, None] + offsets[lower]] = block.data[diagonal][:, lower]
+        del block, rows, cols, base  # before the next block's product
     return ab
 
 
-def _band_cholesky(A, faces, free, shift):
+def _map_blas_buffer(half_width):
+    """Have OpenBLAS map its work buffer now, before the band takes the room.
+
+    scipy's OpenBLAS maps that buffer (32 MiB) at its first level-3 call
+    and, where the address space has no room for it, retries the mapping
+    forever instead of failing. So room for it is claimed and released
+    first, which raises MemoryError where there is none, and then a factor
+    of an identity band of the band's half-width makes that first call.
+    """
+    warm = np.zeros((half_width + 1, 2 * (half_width + 1)), order="F")
+    warm[0] = 1.0
+    try:
+        np.empty(_BLAS_ROOM, dtype=np.uint8)
+    except MemoryError as exc:
+        raise MemoryError(f"no room for the BLAS work buffer ({_BLAS_ROOM >> 20} MiB)") from exc
+    scipy.linalg.lapack.dpbtrf(warm, lower=1, overwrite_ab=1)
+
+
+def _band_cholesky(A, width, shift):
     """Solver of (A Aᵀ + shift I) y = r by banded Cholesky; None if not positive definite.
 
-    Rows of A are the free vertices' force components, three per vertex, so
-    the vertex band order of ``_band_order`` becomes a band of half-width
-    3 w + 2 on the unknowns. Only the band and A are alive during the factor.
+    Rows of A are the free vertices' force components in band order, three
+    per vertex, so a vertex half-width ``width`` is a band of half-width
+    3 width + 2 on the unknowns. Only the band, A and b are alive during the
+    factor.
     """
-    if A.shape[0] == 0:  # every vertex is supported
-        return None
-    order, width = _band_order(faces, free)
-    perm = (3 * order[:, None] + np.arange(3)).ravel()
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm), dtype=perm.dtype)
     trim = _malloc_trim()
     if trim is not None:  # the band lands on the heap the assembly and the order have freed
         trim(0)
-    ab = _gram_band(A, perm, 3 * width + 2)
+    _map_blas_buffer(3 * width + 2)
+    ab = _gram_band(A, width)
     ab[0] += shift
     try:
         cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    return lambda r: cho_solve_banded((cb, True), r[perm], check_finite=False)[rank]
+    return lambda r: cho_solve_banded((cb, True), r, overwrite_b=True, check_finite=False)
 
 
 def _superlu(A, shift):
     """Solver of (A Aᵀ + shift I) y = r by SuperLU in symmetric mode.
 
-    The only path that forms the whole Gram matrix.
+    The only path that forms the whole Gram matrix, through A's scalar rows.
     """
+    A = A.tocsr()
     gram = (A @ A.T).tocsc()
+    del A
     if shift > 0.0:
         gram = (gram + shift * identity(gram.shape[0], format="csc")).tocsc()
     try:
@@ -452,11 +536,10 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     if not report.ok:
         raise ValueError("membrane solve needs a manifold, consistently oriented mesh")
 
-    frames = _element_frames(mesh)
+    t1 = _element_frames(mesh)[0]
     fixed = _fixed_vertices(mesh, model, report)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fixed] = False
-    A, b, tri_frames, tri_areas = _assemble(mesh, frames[0], free, model.pressure * KPA_TO_N_PER_MM2)
 
     # The system is always underdetermined (six unknowns per quad); the
     # minimum-norm solution x = A^T y comes from the damped second-kind normal
@@ -471,15 +554,19 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # SuperLU's symmetric-mode LU takes over; raising the damping instead
     # would move the resultants of every mesh.  An open mesh with no fixed
     # vertex (free tube ends) keeps such mechanism modes, so it goes to
-    # SuperLU without trying the banded factor.  Refining y against the
-    # true residual recovers the digits a single solve loses to roundoff on
-    # near-mechanism modes and removes the Tikhonov bias where the damping
-    # barely matters, while keeping x free of null-space components.
-    col_rms = np.sqrt((A.data**2).sum() / A.shape[1])
-    damp = _DAMPING * col_rms
+    # SuperLU without trying the banded factor, with A's rows in mesh order.
+    # Refining y against the true residual recovers the digits a single
+    # solve loses to roundoff on near-mechanism modes and removes the
+    # Tikhonov bias where the damping barely matters, while keeping x free
+    # of null-space components.
     with _one_blas_thread() as pinned:
-        banded = pinned and (fixed.size > 0 or report.boundary_edge_count == 0)
-        solve = (banded and _band_cholesky(A, mesh.faces, free, damp**2)) or _superlu(A, damp**2)
+        banded = pinned and free.any() and (fixed.size > 0 or report.boundary_edge_count == 0)
+        order, width = _band_order(mesh.faces, free) if banded else (slice(None), None)
+        vertices = np.flatnonzero(free)[order]
+        A, b = _assemble(mesh, t1, vertices, model.pressure * KPA_TO_N_PER_MM2)
+        damp = _DAMPING * _column_rms(A, vertices)
+        del t1, free, order, vertices  # nothing but A and b stays beside the band
+        solve = (banded and _band_cholesky(A, width, damp**2)) or _superlu(A, damp**2)
 
         b_norm = _norm(b)
         limit = max(10.0 * model.solver_tol, 1e-6)
@@ -488,10 +575,14 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
         residual = 1.0 if b_norm > 0.0 else 0.0
         itn = 0
         while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
-            y = y + solve(b - A @ x)
-            x = A.T @ y
+            # In place where it can be: the band is still alive.
+            r = A @ x
+            y += solve(np.subtract(b, r, out=r))
+            del r  # before Aᵀ y takes its room
+            _rmatvec(A, y, out=x)
             itn += 1
-            improved = _norm(A @ x - b) / b_norm
+            r = A @ x
+            improved = _norm(np.subtract(r, b, out=r)) / b_norm
             if improved >= 0.9 * residual and itn > 1:
                 residual = min(residual, improved)
                 break  # stagnated at the attainable floor
@@ -505,7 +596,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
         )
 
     field = StressField(
-        resultants=_collapse_resultants(x, frames, tri_frames, tri_areas),
+        resultants=_collapse_resultants(x, mesh),
         thickness=model.thickness,
         pressure=model.pressure,
         residual=residual,

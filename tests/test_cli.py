@@ -499,6 +499,52 @@ def test_stress_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+_UNDER_LIMIT = """\
+import resource, sys
+limit = int(sys.argv[1])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from aortafit.cli import main
+code = main(sys.argv[2:])
+if not limit:
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmPeak:")).split()[1])
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits and /proc are Linux's")
+def test_stress_exit_contract_under_address_space_limits(tmp_path):
+    # With one BLAS thread and too little address space, OpenBLAS retried
+    # mapping its work buffer forever inside the band factor. Limits from 40
+    # MiB below an unlimited run's peak to just above it cover the band (42
+    # MiB on this 78 x 100 phantom), the buffer and the factor; each child
+    # must exit 0, 2 or 3 in time, failing with one stderr line. The limit
+    # is set in the child process only.
+    mesh = str(tmp_path / "phantom.vtk")
+    save_mesh(make_phantom(PhantomSpec(axial=100)), mesh)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+    def stress(limit):
+        args = ["stress", "--mesh", mesh, "--out", str(tmp_path / f"stressed{limit}.vtk")]
+        return subprocess.run([sys.executable, "-c", _UNDER_LIMIT, str(limit), *args],
+                              capture_output=True, text=True, env=env, timeout=20)
+
+    unlimited = stress(0)
+    assert unlimited.returncode == 0, unlimited.stderr
+    peak = int(unlimited.stdout.split()[-1]) << 10  # kB
+    limits = [peak + (offset << 20) for offset in (-40, -30, -20, -10, 0, 8)]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(stress, limits))
+    for limit, run in zip(limits, runs):
+        assert run.returncode in (0, 2, 3), (limit, run.stderr)
+        assert len(run.stderr.splitlines()) == (run.returncode != 0), (limit, run.stderr)
+        assert "Traceback" not in run.stderr
+    assert runs[0].returncode == 2 and runs[-1].returncode == 0  # the sweep brackets the solve
+
+
 def test_pipeline_two_targets_deterministic(tmp_path, mesh_files, capsys):
     args = ["pipeline", "--template", mesh_files["template"],
             "--target", mesh_files["shifted"], "--target", mesh_files["bulged"],

@@ -79,8 +79,7 @@ def test_stress_field_cauchy_units():
 
 def _nodal_load(mesh, p):
     """``_assemble``'s lumped pressure load with every vertex free, per vertex."""
-    free = np.ones(mesh.n_vertices, dtype=bool)
-    _, b, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, p)
+    _, b = fea._assemble(mesh, fea._element_frames(mesh)[0], np.arange(mesh.n_vertices), p)
     return b.reshape(-1, 3)
 
 
@@ -294,16 +293,17 @@ def _default_splu_resultants(mesh, model):
     default column ordering and partial pivoting, refined for a fixed number
     of rounds.
     """
-    frames = fea._element_frames(mesh)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, model, validate_topology(mesh))] = False
-    A, b, tri_frames, tri_areas = fea._assemble(mesh, frames[0], free, model.pressure * fea.KPA_TO_N_PER_MM2)
+    A, b = fea._assemble(mesh, fea._element_frames(mesh)[0], np.flatnonzero(free),
+                         model.pressure * fea.KPA_TO_N_PER_MM2)
+    A = A.tocsr()
     damp = fea._DAMPING * np.sqrt((A.data**2).sum() / A.shape[1])
     lu = splu((A @ A.T + damp**2 * identity(A.shape[0])).tocsc())
     y = np.zeros(A.shape[0])
     for _ in range(4):
         y += lu.solve(b - A @ (A.T @ y))
-    return fea._collapse_resultants(A.T @ y, frames, tri_frames, tri_areas)
+    return fea._collapse_resultants(A.T @ y, mesh)
 
 
 @pytest.mark.parametrize("which", ["tube24", "sphere32"])
@@ -374,14 +374,14 @@ def test_failed_band_factor_falls_back_to_superlu(tube24, monkeypatch):
 
 @pytest.mark.parametrize("which", ["tube24", "sphere32"])
 def test_gram_blocks_leave_the_solve_bitwise_unchanged(which, tube24, sphere32, monkeypatch):
-    # The Gram matrix goes into the band a block of rows at a time. Blocks
-    # that do not divide the row count, or one block for all rows, give the
-    # same bytes: tube24 is banded in mesh order, sphere32 in reverse
-    # Cuthill-McKee order.
+    # The Gram matrix goes into the band a block of vertex rows at a time.
+    # Blocks that do not divide the vertex count, or one block for all
+    # vertices, give the same bytes: tube24 is banded in mesh order, sphere32
+    # in reverse Cuthill-McKee order.
     mesh = {"tube24": tube24, "sphere32": sphere32}[which]
-    rows = 3 * (mesh.n_vertices - fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh)).size)
+    rows = mesh.n_vertices - fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh)).size
     ref = solve_membrane_stress(mesh, MembraneModel())
-    for size in (11, 1000, rows):
+    for size in (11, 257, rows):
         assert size == rows or rows % size
         monkeypatch.setattr(fea, "_GRAM_BLOCK", size)
         got = solve_membrane_stress(mesh, MembraneModel())
@@ -391,14 +391,18 @@ def test_gram_blocks_leave_the_solve_bitwise_unchanged(which, tube24, sphere32, 
 
 def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
     # The membrane solve sets the full-size pipeline's peak memory. The band
-    # must live through the factor; beside it only A is large: no full Gram
-    # matrix, no copy of Aᵀ while the band fills, and no transient of the
-    # assembly or the ordering that outgrows them.
+    # must live through the factor; beside it only the block operator A and
+    # the solve's vectors: the load b, y, x and one temporary the size of x
+    # (Aᵀ y's blocks). No full Gram matrix, no copy of Aᵀ, no frames and no
+    # transient of the assembly or the ordering that outgrows them. The
+    # README target measured 3.7 MiB above the band and A (10.5 MiB with a
+    # scalar-row operator and the frames kept alive).
     mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))  # the README target
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh))] = False
-    A, _, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, 0.0)
+    A, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], np.flatnonzero(free), 0.0)
     a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    vectors = 8 * (2 * A.shape[0] + 2 * A.shape[1])
     del A
     band = []
     cholesky = fea.cholesky_banded
@@ -413,7 +417,7 @@ def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= band[0] + a_bytes + 16 * 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
+    assert peak <= band[0] + a_bytes + vectors + 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
 
 
 def test_band_is_freed_before_the_collapse(tube24, monkeypatch):
@@ -464,10 +468,10 @@ def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
     monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: widths.append(len(ab) - 1) or cholesky(ab, **kw))
     solve_membrane_stress(tube24, MembraneModel())
     solve_membrane_stress(sphere32, MembraneModel())
-    A, _, _, _ = fea._assemble(sphere32, fea._element_frames(sphere32)[0], np.ones(sphere32.n_vertices, bool), 0.0)
-    gram = (A @ A.T).tocoo()
+    tri = sphere32.faces[:, np.array(fea._SPLITS)].reshape(-1, 3)
+    mesh_order_width = np.abs(tri - np.roll(tri, 1, axis=1)).max()  # vertices that share a triangle
     assert widths[0] == 3 * (24 + 1) + 2
-    assert widths[1] < np.abs(gram.row - gram.col).max()
+    assert widths[1] < 3 * mesh_order_width + 2
 
 
 def test_explicit_end_rings_match_default(tube24):
@@ -525,8 +529,8 @@ def test_corner_assembly_bitwise_equals_per_edge(which, tube24, sphere16, defaul
         mesh = QuadMesh(verts, faces, mesh.regions[lo:hi], (c, 21))
     else:
         mesh = {"tube24": tube24, "sphere16": sphere16}[which]
-    got, _, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], np.ones(mesh.n_vertices, bool), 0.0)
-    _assert_csr_bitwise_equal(got, _assemble_per_edge(mesh))
+    got, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], np.arange(mesh.n_vertices), 0.0)
+    _assert_csr_bitwise_equal(got.tocsr(), _assemble_per_edge(mesh))
 
 
 def _assert_csr_bitwise_equal(got, ref):
@@ -538,18 +542,19 @@ def _assert_csr_bitwise_equal(got, ref):
 
 @pytest.mark.parametrize("which", ["default", "one_ring", "free_ends", "all_fixed", "sphere32"])
 def test_assembly_is_the_free_rows_of_per_edge(which, tube24, sphere32):
-    # _assemble builds only the free vertices' rows: bitwise the rows of the
-    # full per-edge operator that the supports leave, in vertex order.
+    # _assemble builds only the rows of the vertices it is given: in vertex
+    # order, bitwise the rows of the full per-edge operator that the supports
+    # leave.
     mesh = sphere32 if which == "sphere32" else tube24
     fixed_rings = {"one_ring": (rings(tube24)[0],), "free_ends": (),
                    "all_fixed": (np.arange(tube24.n_vertices),)}.get(which)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, MembraneModel(fixed_rings=fixed_rings), validate_topology(mesh))] = False
-    got, b, _, _ = fea._assemble(mesh, fea._element_frames(mesh)[0], free, 0.016)
+    got, b = fea._assemble(mesh, fea._element_frames(mesh)[0], np.flatnonzero(free), 0.016)
     assert got.shape[0] == b.size == 3 * free.sum()
     assert got.shape[0] == {"default": 3 * 24 * 58, "one_ring": 3 * 24 * 59, "all_fixed": 0}.get(
         which, 3 * mesh.n_vertices)
-    _assert_csr_bitwise_equal(got, _assemble_per_edge(mesh)[np.repeat(free, 3)].tocsr())
+    _assert_csr_bitwise_equal(got.tocsr(), _assemble_per_edge(mesh)[np.repeat(free, 3)].tocsr())
 
 
 # ---------------------------------------------------------------------------

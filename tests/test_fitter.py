@@ -286,6 +286,32 @@ def test_fit_records_raised_squaring_steps(translation_pair):
     assert res.levels[0]["squaring_steps"] == DiffeoConfig().resolve_steps(res.svf) > 5
 
 
+@pytest.mark.parametrize("bulge", [
+    (8.0, 8.0, None),
+    pytest.param((10.5, 6.0, 78.0), marks=pytest.mark.xfail(strict=True, reason=(
+        "the translation moves this fit's field by 1.8% of its largest entry"))),
+])
+def test_common_translation_leaves_the_fit(tube24, bulge):
+    # Template and target moved together carry their bounding grid along, so
+    # the fitted field, chamfer and certificate stay put. On one 8^3 level
+    # with a budget of 12, the 8 mm bulge measured 1.2e-15 of the largest
+    # field entry, 3.5e-16 relative chamfer and an equal min Jacobian.
+    # Over 10 seeded bulges (amplitude 2-12, width 6-10, center 20-100 mm)
+    # the field agreed within 8e-14 in 5, 7e-11 to 2e-8 in 4, and moved by
+    # 2e-2 in one, the second case here.
+    amplitude, width, center = bulge
+    target = bulged_cylinder(amplitude=amplitude, width=width, center=center)
+    shift = np.array([100.25, -37.5, 12.0])
+    cfg = FitConfig(svf_dims=(8, 8, 8), levels=((8, 8, 8),), iters_per_level=12)
+    ref = fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), cfg)
+    moved = [mesh.with_vertices(mesh.vertices + shift) for mesh in (tube24, target)]
+    got = fit_svf(*moved, bounding_grid(moved, spacing=2.0, margin=5.0), cfg)
+    assert got.svf.geom.dims == ref.svf.geom.dims
+    assert np.abs(got.svf.data - ref.svf.data).max() <= 1e-13 * np.abs(ref.svf.data).max()
+    assert got.final_chamfer == pytest.approx(ref.final_chamfer, rel=1e-13, abs=0.0)
+    assert got.min_jacobian == pytest.approx(ref.min_jacobian, rel=0.0, abs=1e-13)
+
+
 # Acceptance criterion 7's small configuration, at the default diffeo section.
 SMALL = FitConfig(svf_dims=(16, 16, 16), levels=((8, 8, 8), (16, 16, 16)), iters_per_level=80)
 
