@@ -23,23 +23,23 @@ that triangle graph of the free vertices, not on the Gram matrix: mesh
 order, or reverse Cuthill-McKee where that band is narrower (closed surfaces
 such as a cube sphere); each vertex's three unknowns follow it, so a vertex
 half-width w is a band of half-width 3 w + 2. The equations are then
-assembled in that order as a block sparse matrix of 3x3 blocks (one block
-row per free vertex, one block column per triangle, one index per block).
-The Gram matrix is formed a block of vertex rows at a time, as a block
-product against only the rows the band lets them meet, and scattered
-straight into LAPACK's band storage, then factored by banded Cholesky with
-OpenBLAS held at one thread so the factor's bytes do not depend on the
-thread count. While the band fills and is factored, only A and the load b
-live beside it: the element and triangle frames are dropped after the
-assembly and computed again for the collapse, and freed heap goes back to
-the system (glibc's malloc_trim) before the band is allocated. Refinement
-adds the solution vectors only: A x and Aᵀ y both come from the one block
-matrix, with no transposed copy of it. The factor is dropped before the
-collapse. Where the Gram matrix is only semidefinite to working precision
-(open tubes with free ends keep mechanism modes that the 1e-8 damping barely
-lifts; an open mesh with no fixed vertex skips the banded attempt and keeps
-mesh order), or where scipy's OpenBLAS thread control is not available,
-SuperLU factors it instead, and only that path forms the whole Gram matrix.
+assembled in that order in corner form: a constant-stress triangle's corner
+force is half its stress applied across the edge opposite the corner, so
+each (vertex, triangle) 3x3 block is fixed by two numbers per corner and
+one frame per triangle. Blocks are expanded a block of vertex rows at a
+time, for the Gram matrix (a block product against only the rows the band
+lets them meet, scattered straight into LAPACK's band storage) and for
+A x; Aᵀ y goes straight from the corner form. The band is factored by
+banded Cholesky with OpenBLAS held at one thread so the factor's bytes do
+not depend on the thread count. Beside the band live only the corner form,
+the load b and in refinement the solution vectors; freed heap goes back to
+the system (glibc's malloc_trim) before the band is allocated, and the
+factor is dropped before the collapse. Where the Gram matrix is only
+semidefinite to working precision (open tubes with free ends keep mechanism
+modes that the 1e-8 damping barely lifts; an open mesh with no fixed vertex
+skips the banded attempt and keeps mesh order), or where scipy's OpenBLAS
+thread control is not available, SuperLU factors it instead, and only that
+path expands the whole operator and forms the whole Gram matrix.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -52,7 +52,7 @@ import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -74,7 +74,7 @@ KPA_TO_N_PER_MM2 = 1e-3
 N_PER_MM2_TO_KPA = 1e3
 _DAMPING = 1e-8  # Tikhonov damping, relative to the equilibrium operator's RMS column norm
 _REFINE_ROUNDS = 40  # cap on residual-refinement rounds
-_GRAM_BLOCK = 1024  # Gram matrix vertex rows formed per block product on the band path
+_GRAM_BLOCK = 1024  # vertex rows of A expanded at a time (triangles for Aᵀ y)
 _BLAS_ROOM = 40 << 20  # address space claimed for OpenBLAS's 32 MiB work buffer before its first use, bytes
 _SPLITS = ((0, 1, 2), (0, 2, 3))  # a quad's two triangles, split along its v0-v2 diagonal
 
@@ -157,30 +157,39 @@ def _element_frames(mesh):
     q = mesh.vertices[mesh.faces]
     n = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(n, axis=1, keepdims=True)
-    if np.any(n_len == 0):
-        raise ValueError("degenerate element: normal undefined")
+    _check_elements(n_len, "normal undefined")
     n = n / n_len
     e01 = q[:, 1] - q[:, 0]
     t1 = e01 - np.einsum("md,md->m", e01, n)[:, None] * n
     t1_len = np.linalg.norm(t1, axis=1, keepdims=True)
-    if np.any(t1_len == 0):
-        raise ValueError("degenerate element: first edge collinear with normal")
+    _check_elements(t1_len, "first edge collinear with normal")
     t1 = t1 / t1_len
     t2 = np.cross(n, t1)
     return t1, t2, n
 
 
+def _check_elements(length, what):
+    """ValueError naming the first element whose ``length`` (m, 1) is zero."""
+    zero = np.flatnonzero(length[:, 0] == 0)
+    if zero.size:
+        raise ValueError(f"degenerate element {zero[0]}: {what}")
+
+
+def _dot(a, b):
+    """Dot products over the last axis (length 3), summed in component order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _triangle(mesh, corner_ids):
     """Each element's triangle on quad corners ``corner_ids``: its vertex ids
     (m, 3), corners (m, corner, xyz), normal of twice its area and that
-    normal's length (m, 1).
+    normal's length (m, 1). A triangle with a zero-length edge has zero area.
     """
     tri = mesh.faces[:, corner_ids]
     q = mesh.vertices[tri]
     n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
     n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
-    if np.any(n_len == 0):
-        raise ValueError("degenerate element: zero-area triangle")
+    _check_elements(n_len, "zero-area triangle")
     return tri, q, n_tri, n_len
 
 
@@ -188,35 +197,24 @@ def _triangle_frame(t1, n_unit):
     """In-plane frame (t1p, t2p) of triangles with unit normals ``n_unit``: the element axis t1 projected in."""
     t1p = t1 - np.einsum("md,md->m", t1, n_unit)[:, None] * n_unit
     t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
-    if np.any(t1p_len == 0):
-        raise ValueError("degenerate element: frame perpendicular to triangle")
+    _check_elements(t1p_len, "frame perpendicular to triangle")
     t1p = t1p / t1p_len
     return t1p, np.cross(n_unit, t1p)
 
 
-def _edge_blocks(q, n_unit, frame):
-    """Force each edge of triangles ``q`` (m, corner, xyz) with unit normals
-    ``n_unit`` puts on either endpoint per unit resultant in ``frame``,
-    (m, edge, unknown, force comp); edge k runs from corner k to k + 1.
+class _Corners(NamedTuple):
+    """The equilibrium operator A in corner form: corner c, in (element,
+    split, corner) order, lies on triangle (block column) c // 3, and its
+    block (force comp, unknown) is ½ [β t1p | −α t2p | β t2p − α t1p].
+    A dropped corner has row -1 and α = β = 0.
     """
-    t1p, t2p = frame
-    blocks = np.empty((len(q), 3, 3, 3))
-    for k in range(3):
-        edge = q[:, (k + 1) % 3] - q[:, k]  # lies in the triangle plane
-        length = np.linalg.norm(edge, axis=1)
-        if np.any(length == 0):
-            raise ValueError("degenerate element edge (zero length)")
-        ehat = edge / length[:, None]
-        mhat = np.cross(ehat, n_unit)  # in-plane outward normal of the edge
-        m1 = np.einsum("md,md->m", mhat, t1p)
-        m2 = np.einsum("md,md->m", mhat, t2p)
-        # Traction direction per unit resultant: columns N11, N22, N12.
-        coeff = np.stack(
-            [m1[:, None] * t1p, m2[:, None] * t2p, m2[:, None] * t1p + m1[:, None] * t2p],
-            axis=1,
-        )  # (m, 3 unknowns, 3 force comps)
-        np.multiply(0.5 * length[:, None, None], coeff, out=blocks[:, k])
-    return blocks
+
+    alpha: np.ndarray  # (6 |F|,) d · t1p, d from the corner before to the corner after
+    beta: np.ndarray  # (6 |F|,) d · t2p
+    rows: np.ndarray  # (6 |F|,) each corner's block row
+    order: np.ndarray  # the kept corners by block row, each row's in ascending column
+    indptr: np.ndarray  # (block rows + 1,) each block row's span of ``order``
+    frames: np.ndarray  # (axis, 2 |F|, xyz) each triangle's t1p and t2p
 
 
 def _assemble(mesh, t1, vertices, p):
@@ -224,43 +222,41 @@ def _assemble(mesh, t1, vertices, p):
 
     Each element is integrated as its two flat triangles (split along the
     v0-v2 diagonal), each carrying its own constant (N11, N22, N12) in the
-    element frame projected into the triangle plane.  Every triangle edge
-    applies half its length times the resultant traction to each endpoint.
-    Constant stress on a flat facet is exactly self-equilibrated (zero net
-    force and torque), so the pressure load stays reachable even for warped
-    quads; with a single tensor per quad, closed surfaces are overdetermined
-    and the load misses the column space by the discretization error, which
-    puts the least-squares residual orders of magnitude above the solver
-    contract.  The per-quad resultants reported to callers are the
-    area-weighted average of the two triangle tensors
-    (``_collapse_resultants``).
+    element frame projected into the triangle plane.  Constant stress on a
+    flat facet is exactly self-equilibrated (zero net force and torque), so
+    the pressure load stays reachable even for warped quads; with a single
+    tensor per quad, closed surfaces are overdetermined and the load misses
+    the column space by the discretization error, which puts the
+    least-squares residual orders of magnitude above the solver contract.
+    The per-quad resultants reported to callers are the area-weighted
+    average of the two triangle tensors (``_collapse_resultants``).
 
-    A is a (3 |vertices| x 6 |F|) ``bsr_array`` of 3x3 blocks: block row r
+    A is (3 |vertices| x 6 |F|) in corner form (``_Corners``): block row r
     is vertex ``vertices[r]``'s force components, block column 2 e + s the
-    unknowns of element e's triangle s, and each block row lists its
-    triangles in ascending order. ``t1`` is the elements' first frame axis.
-    Corner c of a triangle is the start of edge c and the end of edge c - 1,
-    so one block per corner, the sum of those two edges' blocks, is the
-    corner's (vertex, triangle) block. Each entry has exactly these two
-    addends, so A does not depend on the order they are summed in, and no
-    block has a second corner. Corners of vertices not in ``vertices`` (the
-    supported ones) are dropped. ``p`` (N/mm^2 for mm meshes) lumps
+    unknowns of element e's triangle s. ``t1`` is the elements' first frame
+    axis. Each edge puts half its length times the resultant traction on
+    either endpoint; a corner's two edges join the corner before to the one
+    after (d), so its block is ½ σ applied across d x n, the constant-stress
+    triangle's corner force. Corners of ``vertices`` are kept, the others
+    (supported) dropped. ``p`` (N/mm^2 for mm meshes) lumps
     p * area * outward normal / 3 onto each triangle corner, summed one
     corner slot at a time.
     """
     f = mesh.faces
     m = len(f)
-    blocks = np.empty((m, 2, 3, 3, 3))  # (element, split, corner, force comp, unknown)
+    alpha, beta = np.empty((2, m, 2, 3))  # (element, split, corner)
+    frames = np.empty((2, m, 2, 3))  # (axis, element, split, xyz)
     load = np.zeros_like(mesh.vertices)
     for split, corner_ids in enumerate(_SPLITS):
         tri, q, n_tri, n_len = _triangle(mesh, corner_ids)
         contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
         for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
             load[:, c] += np.bincount(tri[:, k], contrib[:, c], minlength=len(load))
-        n_unit = n_tri / n_len
-        edges = _edge_blocks(q, n_unit, _triangle_frame(t1, n_unit))
-        blocks[:, split] = (edges + edges[:, [2, 0, 1]]).transpose(0, 1, 3, 2)  # corner c: edges c and c - 1
-    del q, edges  # the last split's; only A's arrays are needed past here
+        t1p, t2p = frames[:, :, split] = _triangle_frame(t1, n_tri / n_len)
+        d = q[:, [1, 2, 0]] - q[:, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
+        alpha[:, split] = _dot(d, t1p[:, None])
+        beta[:, split] = _dot(d, t2p[:, None])
+    del q, d  # the last split's
 
     # Corners in (element, split, corner) order are in ascending block
     # column; a stable sort by block row keeps each row's columns ascending.
@@ -268,58 +264,52 @@ def _assemble(mesh, t1, vertices, p):
     row_of = np.full(len(load), -1, dtype=index)
     row_of[vertices] = np.arange(len(vertices), dtype=index)
     rows = row_of[f[:, np.array(_SPLITS)]].ravel()
-    kept = np.flatnonzero(rows >= 0)
-    kept = kept[np.argsort(rows[kept], kind="stable")]
+    dropped = rows < 0
+    alpha, beta = alpha.ravel(), beta.ravel()
+    alpha[dropped] = beta[dropped] = 0.0
+    kept = np.flatnonzero(~dropped)
+    order = kept[np.argsort(rows[kept], kind="stable")].astype(index)
     indptr = np.zeros(len(vertices) + 1, dtype=index)
     np.cumsum(np.bincount(rows[kept], minlength=len(vertices)), out=indptr[1:])
-    data = blocks.reshape(-1, 3, 3)[kept]
-    del blocks, row_of, rows  # before the block columns are formed
-    A = bsr_array((data, (kept // 3).astype(index), indptr), shape=(3 * len(vertices), 6 * m))
+    A = _Corners(alpha, beta, rows, order, indptr, frames.reshape(2, 2 * m, 3))
     return A, load[vertices].ravel()
 
 
-def _column_rms(A, vertices):
-    """RMS column norm of the bsr_array A whose block rows are ``vertices``.
+def _blocks(A, lo, hi):
+    """Block rows lo:hi of the corner form A, expanded into a bsr_array of 3x3 blocks."""
+    start, stop = A.indptr[lo], A.indptr[hi]
+    corners = A.order[start:stop]
+    columns = corners // 3
+    data = np.empty((len(corners), 3, 3))  # (corner, force comp, unknown)
+    t1p, t2p = data[:, :, 0], data[:, :, 1]
+    t1p[:] = A.frames[0].take(columns, axis=0)
+    t2p[:] = A.frames[1].take(columns, axis=0)
+    half_a, half_b = 0.5 * A.alpha.take(corners)[:, None], 0.5 * A.beta.take(corners)[:, None]
+    np.multiply(t2p, half_b, out=data[:, :, 2])
+    data[:, :, 2] -= t1p * half_a
+    t1p *= half_b
+    t2p *= -half_a
+    return bsr_array((data, columns, A.indptr[lo:hi + 1] - start), shape=(3 * (hi - lo), len(A.rows)))
 
-    The squares are summed as one sequence in the order of A's scalar rows
-    sorted by vertex, each row's entries by column (compressed sparse rows in
-    mesh order), so the damping does not depend on the band order.
-    """
-    rank = np.empty(len(vertices), dtype=np.intp)
-    rank[np.argsort(vertices)] = np.arange(len(vertices))
-    key = 3 * np.repeat(rank, np.diff(A.indptr))[:, None] + np.arange(3)  # (block, row in it) -> scalar row
-    squares = np.take(A.data.reshape(-1, 3), np.argsort(key.ravel(), kind="stable"), axis=0).ravel()
-    squares *= squares
-    return np.sqrt(squares.sum() / A.shape[1])
 
-
-def _collapse_resultants(x, mesh):
+def _collapse_resultants(x, mesh, frames):
     """Area-weighted per-quad average of the two triangle tensors, in the quad frame.
 
-    The frames and areas are those ``_assemble`` used, computed again rather
-    than kept alive through the factor.
+    ``frames`` are the triangles' (t1p, t2p) that ``_assemble`` used. A
+    triangle tensor a11 t1p t1p + a22 t2p t2p + a12 (t1p t2p + t2p t1p) is
+    projected onto the element axes (t1, t2) through the four cosines
+    c_ij = t_i · t_jp.
     """
-    t1, t2, _ = _element_frames(mesh)
-    m = len(t1)
-    xr = x.reshape(m, 2, 3)
-    normals = [_triangle(mesh, corner_ids)[2:] for corner_ids in _SPLITS]
-    areas = [0.5 * n_len[:, 0] for _, n_len in normals]
-    weight_sum = areas[0] + areas[1]
-    tensor = np.zeros((m, 3, 3))
-    for split, (n_tri, n_len) in enumerate(normals):
-        t1p, t2p = _triangle_frame(t1, n_tri / n_len)
-        a11, a22, a12 = xr[:, split, 0], xr[:, split, 1], xr[:, split, 2]
-        part = (
-            a11[:, None, None] * t1p[:, :, None] * t1p[:, None, :]
-            + a22[:, None, None] * t2p[:, :, None] * t2p[:, None, :]
-            + a12[:, None, None]
-            * (t1p[:, :, None] * t2p[:, None, :] + t2p[:, :, None] * t1p[:, None, :])
-        )
-        tensor += (areas[split] / weight_sum)[:, None, None] * part
-    n11 = np.einsum("md,mde,me->m", t1, tensor, t1)
-    n22 = np.einsum("md,mde,me->m", t2, tensor, t2)
-    n12 = np.einsum("md,mde,me->m", t1, tensor, t2)
-    return np.stack([n11, n22, n12], axis=1)
+    t1, t2 = (t[:, None] for t in _element_frames(mesh)[:2])
+    a11, a22, a12 = np.moveaxis(x.reshape(-1, 2, 3), 2, 0)  # (element, split) each
+    t1p, t2p = frames.reshape(2, -1, 2, 3)  # (element, split, xyz) each
+    c11, c12, c21, c22 = _dot(t1, t1p), _dot(t1, t2p), _dot(t2, t1p), _dot(t2, t2p)
+    n11 = a11 * c11 * c11 + a22 * c12 * c12 + 2.0 * a12 * c11 * c12
+    n22 = a11 * c21 * c21 + a22 * c22 * c22 + 2.0 * a12 * c21 * c22
+    n12 = a11 * c11 * c21 + a22 * c12 * c22 + a12 * (c11 * c22 + c12 * c21)
+    areas = np.concatenate([_triangle(mesh, corner_ids)[3] for corner_ids in _SPLITS], axis=1)
+    weights = areas / (areas[:, :1] + areas[:, 1:])
+    return np.stack([(weights * n).sum(axis=1) for n in (n11, n22, n12)], axis=1)
 
 
 def _fixed_vertices(mesh, model, report):
@@ -408,21 +398,31 @@ def _block_rows(A, lo, hi):
                      shape=(3 * (hi - lo), A.shape[1]))
 
 
-def _rmatvec(A, y, out):
-    """Aᵀ y for the bsr_array A, written into ``out``, with no transposed copy of A.
+def _matvec(A, x, out):
+    """A x for the corner form A, written into ``out``, ``_GRAM_BLOCK`` block rows expanded at a time."""
+    for lo in range(0, len(A.indptr) - 1, _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, len(A.indptr) - 1)
+        out[3 * lo:3 * hi] = _blocks(A, lo, hi) @ x
 
-    y is taken as a one-row block matrix of 1x3 blocks, so the block product
-    y A sums each entry over A's rows in their order, as a transposed matrix-
-    vector product of A's rows would. The product holds the triangles'
-    blocks in the order it first meets them: the one temporary the size of
-    ``out``.
+
+def _rmatvec(A, y, out):
+    """Aᵀ y for the corner form A, written into ``out``, ``_GRAM_BLOCK`` triangles at a time.
+
+    A corner's block transposed takes its vertex's part of y to
+    ½ (β u, −α v, β v − α u), with u = y · t1p and v = y · t2p; each
+    triangle sums its three corners in slot order (a dropped one adds zero),
+    independent of the chunk size and the band order, with no temporary the
+    size of ``out``.
     """
-    n = A.shape[0] // 3
-    row = bsr_array((y.reshape(n, 1, 3), np.arange(n, dtype=A.indices.dtype), np.array([0, n], A.indptr.dtype)),
-                    shape=(1, A.shape[0]))
-    product = row @ A
-    out[:] = 0.0  # triangles with no free corner
-    out.reshape(-1, 3)[product.indices] = product.data.reshape(-1, 3)
+    y3, x3 = y.reshape(-1, 3), out.reshape(-1, 3)
+    for lo in range(0, len(x3), _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, len(x3))
+        at = y3.take(A.rows[3 * lo:3 * hi], axis=0).reshape(hi - lo, 3, 3)  # (triangle, slot, xyz)
+        t1p, t2p = A.frames[:, lo:hi, None]  # (triangle, 1, xyz) each
+        u, v = _dot(at, t1p), _dot(at, t2p)
+        half_a, half_b = (0.5 * c[3 * lo:3 * hi].reshape(-1, 3) for c in (A.alpha, A.beta))
+        for j, part in enumerate((half_b * u, -half_a * v, half_b * v - half_a * u)):
+            x3[lo:hi, j] = part[:, 0] + part[:, 1] + part[:, 2]
 
 
 def _gram_band(A, width):
@@ -430,13 +430,13 @@ def _gram_band(A, width):
 
     A's block rows are vertices in band order, and a vertex meets no other
     more than ``width`` rows away. The Gram matrix is formed ``_GRAM_BLOCK``
-    vertex rows at a time, each block against only the rows it can meet:
-    the ``width`` before it and its own, with no copy of Aᵀ. Block (I, J) of
-    the product lands at flat band position 3 I + 3 J h plus one pattern of
+    vertex rows at a time, each block against only the rows it can meet,
+    the ``width`` before it and its own, expanded once. Block (I, J) of the
+    product lands at flat band position 3 I + 3 J h plus one pattern of
     offsets: all nine entries of a block below the diagonal, the six on or
     below the diagonal of a diagonal block.
     """
-    n = A.shape[0] // 3
+    n = len(A.indptr) - 1
     h = 3 * width + 2
     ab = np.zeros((h + 1, 3 * n), order="F")
     flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + h * col]
@@ -446,7 +446,8 @@ def _gram_band(A, width):
     for lo in range(0, n, _GRAM_BLOCK):
         hi = min(lo + _GRAM_BLOCK, n)
         first = max(0, lo - width)  # the block's rows meet none further back
-        block = _block_rows(A, lo, hi) @ _block_rows(A, first, hi).T
+        near = _blocks(A, first, hi)
+        block = _block_rows(near, lo - first, hi - first) @ near.T
         rows = np.repeat(np.arange(lo, hi), np.diff(block.indptr))
         cols = block.indices.astype(np.intp) + first
         base = 3 * rows + 3 * h * cols
@@ -454,7 +455,7 @@ def _gram_band(A, width):
         flat[base[below, None, None] + offsets] = block.data[below]
         diagonal = cols == rows
         flat[base[diagonal, None] + offsets[lower]] = block.data[diagonal][:, lower]
-        del block, rows, cols, base  # before the next block's product
+        del near, block, rows, cols, base  # before the next block's product
     return ab
 
 
@@ -481,8 +482,7 @@ def _band_cholesky(A, width, shift):
 
     Rows of A are the free vertices' force components in band order, three
     per vertex, so a vertex half-width ``width`` is a band of half-width
-    3 width + 2 on the unknowns. Only the band, A and b are alive during the
-    factor.
+    3 width + 2 on the unknowns. Only the band, A and b live during the factor.
     """
     trim = _malloc_trim()
     if trim is not None:  # the band lands on the heap the assembly and the order have freed
@@ -500,11 +500,12 @@ def _band_cholesky(A, width, shift):
 def _superlu(A, shift):
     """Solver of (A Aᵀ + shift I) y = r by SuperLU in symmetric mode.
 
-    The only path that forms the whole Gram matrix, through A's scalar rows.
+    The only path that forms the whole Gram matrix, through A's scalar rows,
+    expanded from its corner form all at once.
     """
-    A = A.tocsr()
-    gram = (A @ A.T).tocsc()
-    del A
+    rows = _blocks(A, 0, len(A.indptr) - 1).tocsr()
+    gram = (rows @ rows.T).tocsc()
+    del rows
     if shift > 0.0:
         gram = (gram + shift * identity(gram.shape[0], format="csc")).tocsc()
     try:
@@ -546,42 +547,41 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # equations (A A^T + damp^2 I) y = b, factored once.  That Gram matrix is
     # symmetric positive definite (semidefinite without damping) and, on a
     # structured tube in mesh order, a band of half-width 3 (C + 1) + 2 for C
-    # vertices per ring, so LAPACK's banded Cholesky factors it with no fill
-    # outside the band and no index bookkeeping.  OpenBLAS threads the
-    # updates inside that factor, and a different split of its sums gives
-    # different bytes, so the factor and its solves run on one BLAS thread.
+    # vertices per ring, which LAPACK's banded Cholesky factors with no fill.
+    # OpenBLAS threads the updates inside that factor, and a different split
+    # of its sums gives different bytes, so it runs on one BLAS thread.
     # Where the damping is too small to keep the factor positive definite,
     # SuperLU's symmetric-mode LU takes over; raising the damping instead
     # would move the resultants of every mesh.  An open mesh with no fixed
     # vertex (free tube ends) keeps such mechanism modes, so it goes to
-    # SuperLU without trying the banded factor, with A's rows in mesh order.
-    # Refining y against the true residual recovers the digits a single
-    # solve loses to roundoff on near-mechanism modes and removes the
-    # Tikhonov bias where the damping barely matters, while keeping x free
-    # of null-space components.
+    # SuperLU directly, with A's rows in mesh order.  Refining y against the
+    # true residual recovers the digits a single solve loses to roundoff on
+    # near-mechanism modes and removes the Tikhonov bias where the damping
+    # barely matters, while keeping x free of null-space components.
     with _one_blas_thread() as pinned:
         banded = pinned and free.any() and (fixed.size > 0 or report.boundary_edge_count == 0)
         order, width = _band_order(mesh.faces, free) if banded else (slice(None), None)
         vertices = np.flatnonzero(free)[order]
         A, b = _assemble(mesh, t1, vertices, model.pressure * KPA_TO_N_PER_MM2)
-        damp = _DAMPING * _column_rms(A, vertices)
+        # The RMS column norm of A: a corner's block has squared norm
+        # ½ (α² + β²), summed in element order whatever the band order.
+        damp = _DAMPING * np.sqrt(np.sum(0.5 * (A.alpha * A.alpha + A.beta * A.beta)) / len(A.rows))
         del t1, free, order, vertices  # nothing but A and b stays beside the band
         solve = (banded and _band_cholesky(A, width, damp**2)) or _superlu(A, damp**2)
 
         b_norm = _norm(b)
         limit = max(10.0 * model.solver_tol, 1e-6)
-        y = np.zeros(A.shape[0])
-        x = np.zeros(A.shape[1])
+        y = np.zeros_like(b)
+        x = np.zeros(len(A.rows))
+        r = -b  # A x - b, at x = 0
         residual = 1.0 if b_norm > 0.0 else 0.0
         itn = 0
         while b_norm > 0.0 and residual > model.solver_tol and itn < _REFINE_ROUNDS:
             # In place where it can be: the band is still alive.
-            r = A @ x
-            y += solve(np.subtract(b, r, out=r))
-            del r  # before Aᵀ y takes its room
+            y += solve(np.negative(r, out=r))
             _rmatvec(A, y, out=x)
             itn += 1
-            r = A @ x
+            _matvec(A, x, out=r)
             improved = _norm(np.subtract(r, b, out=r)) / b_norm
             if improved >= 0.9 * residual and itn > 1:
                 residual = min(residual, improved)
@@ -596,7 +596,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
         )
 
     field = StressField(
-        resultants=_collapse_resultants(x, mesh),
+        resultants=_collapse_resultants(x, mesh, A.frames),
         thickness=model.thickness,
         pressure=model.pressure,
         residual=residual,

@@ -710,6 +710,23 @@ def test_mesh_without_faces(tmp_path, capsys, command, code):
         assert data["n_elements"] == 0 and data["scaled_jacobian"] == {"mean": None, "std": None}
 
 
+def test_stress_collapsed_edge_names_the_element(tmp_path, capsys):
+    # Two distinct vertices of face 7 at one point: the topology is sound,
+    # but the edge between them has zero length, so the triangle on it has
+    # zero area. The solve stops there with one line naming the element, an
+    # input error (2), before any operator is built.
+    tube = straight_cylinder(circumferential=6, axial=4, length=10.0)
+    vertices = tube.vertices.copy()
+    _, a, b, _ = tube.faces[7]
+    vertices[b] = vertices[a]
+    path = str(tmp_path / "collapsed.vtk")
+    save_mesh(tube.with_vertices(vertices), path)
+    assert main(["stress", "--mesh", path, "--out", str(tmp_path / "s.vtk")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "degenerate element 7: zero-area triangle" in err
+
+
 @pytest.mark.parametrize("command, section, token, message", [
     pytest.param("quality", "POINTS", "nan", "finite", id="quality"),
     pytest.param("stress", "POINTS", "nan", "finite", id="stress"),
