@@ -34,14 +34,14 @@ from . import __version__
 from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
 from .fea import MembraneModel, SolverError, solve_membrane_stress
-from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, check_meshes, fit_svf
+from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, check_meshes, fit_svf, summary_line
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
 from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, rings, save_mesh
 from .quality import METRICS, quality_report
 from .volgrid import load_volume, save_volume
 
-__all__ = ["main", "SECTIONS", "default_config", "load_config", "build_sections"]
+__all__ = ["main", "default_config", "load_config", "build_sections"]
 
 # Config section -> the dataclass that defines its keys, defaults and ranges.
 # A field named after another section (FitConfig.weights, FitConfig.diffeo)
@@ -261,43 +261,30 @@ def _run_fit(template, target, sections):
     return fit_svf(template, target, grid, sections["fit"])
 
 
-def _save_fitted(result, out_dir, body=None):
-    return save_mesh(result.fitted, os.path.join(out_dir, "fitted.vtk"), title="aortafit fitted mesh", body=body)
+def _save_fitted(fitted, out_dir, body=None):
+    return save_mesh(fitted, os.path.join(out_dir, "fitted.vtk"), title="aortafit fitted mesh", body=body)
 
 
-def _write_fit_outputs(out_dir, cfg, seed, result, target_path):
-    """Every fit output but ``fitted.vtk``, which the caller writes."""
+def _write_fit_outputs(out_dir, cfg, seed, svf, history, summary, target_path):
+    """Every fit output but ``fitted.vtk``, which the caller writes: the
+    ``history`` and ``summary`` that ``fit_svf`` returned, the latter with
+    the run's seed, target, config and provenance added."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
-    files["svf.hdr"] = save_volume(result.svf, os.path.join(out_dir, "svf.hdr"))
+    files["svf.hdr"] = save_volume(svf, os.path.join(out_dir, "svf.hdr"))
     files["svf.raw"] = os.path.join(out_dir, "svf.raw")
-    files["history.json"] = _write_json(
-        os.path.join(out_dir, "history.json"),
-        {"loss": [float(x) for x in result.history], "level_starts": list(result.level_starts),
-         "levels": list(result.levels)},
-    )
-    summary = {
-        "final": result.final,
-        "final_chamfer_mm": result.final_chamfer,
-        "min_jacobian": result.min_jacobian,
-        "seed": seed,
-        "target": os.path.basename(target_path),
-        "config": cfg,
-        "provenance": _provenance(cfg),
-    }
+    files["history.json"] = _write_json(os.path.join(out_dir, "history.json"), history)
+    summary = dict(summary, seed=seed, target=os.path.basename(target_path), config=cfg, provenance=_provenance(cfg))
     files["summary.json"] = _write_json(os.path.join(out_dir, "summary.json"), summary)
     return files
 
 
 def cmd_fit(args):
     cfg, sections = _configure(args)
-    result = _run_fit(load_mesh(args.template), load_mesh(args.target), sections)
-    _write_fit_outputs(args.out, cfg, args.seed, result, args.target)
-    _save_fitted(result, args.out)
-    print(
-        f"fit done: chamfer {result.final_chamfer:.4f} mm, "
-        f"min Jacobian {result.min_jacobian:.4f}, outputs in {args.out}"
-    )
+    svf, fitted, history, summary = _run_fit(load_mesh(args.template), load_mesh(args.target), sections)
+    _write_fit_outputs(args.out, cfg, args.seed, svf, history, summary, args.target)
+    _save_fitted(fitted, args.out)
+    print(f"fit done: {summary_line(summary)}, outputs in {args.out}")
     return 0
 
 
@@ -305,8 +292,6 @@ def cmd_warp(args):
     _, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     svf = load_volume(args.svf)
-    if svf.data.ndim != 4:
-        raise ValueError(f"{args.svf}: expected a 3-component field")
     disp = exponentiate(svf, sections["diffeo"])
     warped = warp_vertices(mesh, disp, svf.geom)
     save_mesh(warped, args.out, title="aortafit warped mesh")
@@ -408,29 +393,29 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
 
     ``template`` and ``target`` are the meshes loaded from the two paths.
     """
-    result = _run_fit(template, target, sections)
-    files = _write_fit_outputs(case_dir, cfg, seed, result, target_path)
+    svf, fitted, history, summary = _run_fit(template, target, sections)
+    files = _write_fit_outputs(case_dir, cfg, seed, svf, history, summary, target_path)
 
-    qrep = quality_report(result.fitted)
+    qrep = quality_report(fitted)
     files["quality.json"] = _write_json(
         os.path.join(case_dir, "quality.json"),
         dict(qrep, provenance=_provenance(cfg)),
     )
 
-    field = solve_membrane_stress(result.fitted, sections["membrane"])
+    field = solve_membrane_stress(fitted, sections["membrane"])
     # Both files hold the fitted mesh: its rows are formatted once, after the
     # solve, so that the text does not add to the solve's peak memory.
-    body = _render_body(result.fitted)
-    files["fitted.vtk"] = _save_fitted(result, case_dir, body)
+    body = _render_body(fitted)
+    files["fitted.vtk"] = _save_fitted(fitted, case_dir, body)
     files["stressed.vtk"] = save_mesh(
-        result.fitted,
+        fitted,
         os.path.join(case_dir, "stressed.vtk"),
         cell_data=_stress_cell_data(field),
         title="aortafit stressed mesh",
         body=body,
     )
 
-    report = build_report(result.fitted, field, sections["report"], _provenance(cfg, mesh="fitted.vtk"),
+    report = build_report(fitted, field, sections["report"], _provenance(cfg, mesh="fitted.vtk"),
                           reference_mesh=target)
     validate_report(report)
     files["report.json"] = _write_json(os.path.join(case_dir, "report.json"), report)
@@ -445,10 +430,7 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
     }
     _write_json(os.path.join(case_dir, "manifest.json"), manifest)
     tables = _quality_table(qrep) + "\n\n" + _report_table(report)
-    line = (
-        f"{os.path.basename(case_dir) or case_dir}: chamfer {result.final_chamfer:.4f} mm, "
-        f"min Jacobian {result.min_jacobian:.4f}, stress residual {field.residual:.2e}"
-    )
+    line = f"{os.path.basename(case_dir) or case_dir}: {summary_line(summary)}, stress residual {field.residual:.2e}"
     return line, tables
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .volgrid import TrilinearSampler, VectorField3D, Volume3D
+from .volgrid import TrilinearSampler, VectorField3D
 
 __all__ = [
     "DiffeoConfig",
@@ -149,8 +149,9 @@ def warp_vertices(mesh, disp, grid, sampler=None):
 def jacobian_determinant(disp):
     """det(d phi / d x) per voxel for phi(x) = x + u(x), finite differences.
 
-    Central differences on the interior, one-sided at the boundary; positive
-    everywhere certifies a locally invertible (diffeomorphic) map.
+    Returns an array of the grid's dims. Central differences on the interior,
+    one-sided at the boundary; positive everywhere certifies a locally
+    invertible (diffeomorphic) map.
     """
     dims = disp.geom.dims
     if any(d < 3 for d in dims):
@@ -162,7 +163,7 @@ def jacobian_determinant(disp):
         for ax in range(3):
             jac[..., comp, ax] = grads[ax]
         jac[..., comp, comp] += 1.0
-    return Volume3D(disp.geom, np.linalg.det(jac))
+    return np.linalg.det(jac)
 
 
 class Linearization:

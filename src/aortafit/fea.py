@@ -312,13 +312,13 @@ def _collapse_resultants(x, mesh, frames):
     return np.stack([(weights * n).sum(axis=1) for n in (n11, n22, n12)], axis=1)
 
 
-def _fixed_vertices(mesh, model, report):
+def _fixed_vertices(mesh, model, boundary_edges):
     if model.fixed_rings is not None:
         fixed = np.unique(np.concatenate(model.fixed_rings)) if model.fixed_rings else np.zeros(0, dtype=np.int64)
         if fixed.size and (fixed[0] < 0 or fixed[-1] >= mesh.n_vertices):
             raise ValueError(f"fixed_rings vertex index out of range 0..{mesh.n_vertices - 1}")
         return fixed
-    if report.boundary_edge_count == 0:
+    if boundary_edges == 0:
         return np.zeros(0, dtype=np.int64)
     if mesh.ring_layout is None:
         raise ValueError("open mesh without ring_layout: fixed_rings must be given explicitly")
@@ -528,17 +528,15 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
 
     Raises SolverError when the relative equilibrium residual at free vertices
     is not below max(10 * solver_tol, 1e-6) or the principal stresses
-    overflow, and ValueError on meshes with no face or that are not
-    consistently oriented.
+    overflow, and ValueError on meshes with no face or that
+    :func:`~aortafit.quadmesh.validate_topology` refuses, naming the fault.
     """
     if mesh.n_faces == 0:
         raise ValueError("membrane solve needs a mesh with at least one face")
-    report = validate_topology(mesh)
-    if not report.ok:
-        raise ValueError("membrane solve needs a manifold, consistently oriented mesh")
+    boundary_edges = validate_topology(mesh)
 
     t1 = _element_frames(mesh)[0]
-    fixed = _fixed_vertices(mesh, model, report)
+    fixed = _fixed_vertices(mesh, model, boundary_edges)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fixed] = False
 
@@ -559,7 +557,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     # near-mechanism modes and removes the Tikhonov bias where the damping
     # barely matters, while keeping x free of null-space components.
     with _one_blas_thread() as pinned:
-        banded = pinned and free.any() and (fixed.size > 0 or report.boundary_edge_count == 0)
+        banded = pinned and free.any() and (fixed.size > 0 or boundary_edges == 0)
         order, width = _band_order(mesh.faces, free) if banded else (slice(None), None)
         vertices = np.flatnonzero(free)[order]
         A, b = _assemble(mesh, t1, vertices, model.pressure * KPA_TO_N_PER_MM2)

@@ -4,8 +4,10 @@ The velocity field tau lives on a coarse control grid node-aligned with the
 image grid (first and last control nodes coincide with the image grid's
 corner voxel centers). Optimization is coarse to fine: tau is fitted at each
 level of a multiresolution ladder, trilinearly upsampled to the next, and the
-best-loss iterate of the final level is returned. Gradients flow analytically
-from the loss through warp and exponentiation (exp_vjp).
+best-loss iterate of the final level is returned, with the fitted mesh and
+the fit's history and summary as the dicts that the CLI writes as JSON.
+Gradients flow analytically from the loss through warp and exponentiation
+(exp_vjp).
 
 Each level runs a Levenberg-Marquardt Gauss-Newton fit through the exact
 linearization J of tau -> warped vertices (:class:`~aortafit.diffeo.Linearization`).
@@ -58,11 +60,11 @@ from .volgrid import GridGeom, VectorField3D, trilinear_sample
 
 __all__ = [
     "FitConfig",
-    "FitResult",
     "FitDivergence",
     "GridConfig",
     "check_meshes",
     "fit_svf",
+    "summary_line",
     "upsample_svf",
     "control_grid",
     "bounding_grid",
@@ -129,20 +131,6 @@ class FitConfig:
             raise ValueError("iters_per_level must be >= 1")
         object.__setattr__(self, "levels", dims)
         object.__setattr__(self, "svf_dims", svf_dims)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of one fit: the field, the warped mesh, and diagnostics."""
-
-    svf: VectorField3D
-    fitted: object
-    history: np.ndarray
-    level_starts: tuple
-    levels: tuple
-    final: dict
-    final_chamfer: float
-    min_jacobian: float
 
 
 @dataclass(frozen=True)
@@ -235,12 +223,12 @@ def _solve(hess, g, lam, maxiter):
     return step, lam, n
 
 
-def _fit_level(template, target, geom, tau, cfg, history):
+def _fit_level(template, target, geom, tau, cfg, losses):
     """One level's LM Gauss-Newton fit from ``tau``.
 
     Returns the accepted field, its forward pass (displacement, warped
     template and loss breakdown) and the level's record. Every forward pass
-    that yields a loss appends it to ``history``.
+    that yields a loss appends it to ``losses``.
     """
     # The template does not move within a level: one sampler at its vertices
     # serves every warp and every linearization.
@@ -252,13 +240,13 @@ def _fit_level(template, target, geom, tau, cfg, history):
         disp = VectorField3D(geom, states[0][-1])
         warped = warp_vertices(template, disp, geom, sampler=sampler)
         loss = total_loss(warped, target, cfg.weights)
-        history.append(loss["total"])
+        losses.append(float(loss["total"]))
         return fld, states, len(states[1]), disp, warped, loss
 
     try:
         fld, states, steps, disp, warped, loss = forward(tau)
     except ValueError as exc:  # fit_svf checked the meshes, so only the squaring-step guard raises it
-        raise FitDivergence(str(exc), history) from None
+        raise FitDivergence(str(exc), losses) from None
     diag = 2.0 * vertex_weights(template, target, cfg.weights)[:, None]  # H = J^T diag J
     passes, products, accepted, lam = 1, 0, 0, None
     stop = "budget"
@@ -314,25 +302,30 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
     Both meshes need identical vertex counts, connectivity and region
     labels, with every region populated, and must lie inside the grid
     extent; with a smoothness weight the template needs a ring layout.
-    Meshes that fail this raise ValueError before any fit work. Returns the
-    last accepted field of the final level, its lowest-loss iterate; the
-    reported ``min_jacobian`` is the minimum interior Jacobian determinant of
-    the final displacement (the diffeomorphism certificate). The fitted mesh,
-    loss breakdown and certificate come from the final level's last accepted
-    forward pass, not from a second exponentiation. ``levels`` holds one
+    Meshes that fail this raise ValueError before any fit work.
+
+    Returns ``(svf, fitted, history, summary)``: the last accepted field of
+    the final level (its lowest-loss iterate), the template warped by it, and
+    the fit's parts of ``history.json`` and ``summary.json`` as the files
+    hold them. ``history`` has every forward pass's ``loss``, the
+    ``level_starts`` index of each level's first loss, and ``levels``, one
     record per level: why it stopped (``tolerance``, ``budget`` or
     ``zero_gradient``), its forward passes, Hessian-vector products and
     accepted steps, the final lambda (None if no step was solved for), the
     inf-norm of the gradient of the last field it linearized, and the
-    squaring steps of the field it returned. An accepted field that leaves
-    no budget for a product is not linearized: a level that stops on
-    ``budget`` right after an accepted step reports the gradient it took
-    that step from. Arithmetic that overflows or turns invalid raises
-    FloatingPointError: in a trial step it rejects the step, elsewhere it
-    ends the fit.
+    squaring steps of the field it returned. ``summary`` has the ``final``
+    loss breakdown, ``final_chamfer_mm`` and ``min_jacobian``, the minimum
+    interior Jacobian determinant of the final displacement (the
+    diffeomorphism certificate). The fitted mesh, loss breakdown and
+    certificate come from the final level's last accepted forward pass, not
+    from a second exponentiation. An accepted field that leaves no budget for
+    a product is not linearized: a level that stops on ``budget`` right after
+    an accepted step reports the gradient it took that step from. Arithmetic
+    that overflows or turns invalid raises FloatingPointError: in a trial
+    step it rejects the step, elsewhere it ends the fit.
     """
     check_meshes(template, target, cfg)
-    history = []
+    losses = []
     level_starts = []
     levels = []
     tau = np.zeros(cfg.levels[0] + (3,))
@@ -340,19 +333,18 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         geom = control_grid(grid, dims)
         if level > 0:
             tau = upsample_svf(VectorField3D(prev_geom, tau), dims).data
-        level_starts.append(len(history))
-        tau, (disp, fitted, final), record = _fit_level(template, target, geom, tau, cfg, history)
+        level_starts.append(len(losses))
+        tau, (disp, fitted, final), record = _fit_level(template, target, geom, tau, cfg, losses)
         levels.append(record)
         prev_geom = geom
 
-    det = jacobian_determinant(disp).data
-    return FitResult(
-        svf=VectorField3D(prev_geom, tau),
-        fitted=fitted,
-        history=np.asarray(history),
-        level_starts=tuple(level_starts),
-        levels=tuple(levels),
-        final=final,
-        final_chamfer=chamfer(fitted, target),
-        min_jacobian=float(det[1:-1, 1:-1, 1:-1].min()),
-    )
+    det = jacobian_determinant(disp)
+    history = {"loss": losses, "level_starts": level_starts, "levels": levels}
+    summary = {"final": final, "final_chamfer_mm": chamfer(fitted, target),
+               "min_jacobian": float(det[1:-1, 1:-1, 1:-1].min())}
+    return VectorField3D(prev_geom, tau), fitted, history, summary
+
+
+def summary_line(summary):
+    """A fit's ``summary`` as the CLI prints it: final chamfer and minimum Jacobian."""
+    return f"chamfer {summary['final_chamfer_mm']:.4f} mm, min Jacobian {summary['min_jacobian']:.4f}"

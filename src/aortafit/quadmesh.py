@@ -6,6 +6,10 @@ from the structured tube template additionally carry a ``ring_layout``
 ``(C, A)``: C vertices per circumferential ring, A rings along the axis, with
 vertex ``a*C + c`` sitting on ring ``a`` at circumferential slot ``c``.
 
+:func:`validate_topology` returns a mesh's boundary-edge count, or raises
+ValueError naming its first fault: a degenerate face, a non-manifold edge or
+an inconsistently oriented edge.
+
 File format (legacy VTK-style ASCII polydata)
 ---------------------------------------------
 ::
@@ -50,7 +54,6 @@ import numpy as np
 __all__ = [
     "REGIONS",
     "QuadMesh",
-    "TopologyReport",
     "validate_topology",
     "average_template",
     "rings",
@@ -133,73 +136,43 @@ def rings(mesh):
     return np.arange(c * a, dtype=np.int64).reshape(a, c)
 
 
-@dataclass
-class TopologyReport:
-    """Diagnostics from :func:`validate_topology`."""
-
-    n_faces: int
-    degenerate_faces: list
-    nonmanifold_edges: list
-    inconsistent_edges: list
-    boundary_edge_count: int
-
-    @property
-    def manifold(self):
-        return not self.nonmanifold_edges
-
-    @property
-    def oriented(self):
-        return not self.inconsistent_edges
-
-    @property
-    def ok(self):
-        return self.manifold and self.oriented and not self.degenerate_faces
-
-
 def validate_topology(mesh):
-    """Check manifoldness, orientation consistency, and face degeneracy.
+    """The boundary-edge count of a manifold, consistently oriented mesh.
 
     Each undirected edge may be used by at most two faces; a shared edge must
-    be traversed in opposite directions by its two faces. Purely diagnostic:
-    never raises on a bad mesh.
+    be traversed in opposite directions by its two faces, and no face may
+    repeat a vertex. A mesh that breaks this raises ValueError naming its
+    first fault: a degenerate face, else a non-manifold edge, else an
+    inconsistently oriented edge, the first of its kind in face order.
     """
     faces = mesh.faces
     sorted_f = np.sort(faces, axis=1)
-    degen = np.nonzero((sorted_f[:, 1:] == sorted_f[:, :-1]).any(axis=1))[0]
+    degen = np.flatnonzero((sorted_f[:, 1:] == sorted_f[:, :-1]).any(axis=1))
+    if degen.size:
+        raise ValueError(f"degenerate face {degen[0]}: repeated vertex in {faces[degen[0]].tolist()}")
 
-    a = faces
-    b = np.roll(faces, -1, axis=1)
-    tail = a.reshape(-1).astype(np.int64)
-    head = b.reshape(-1).astype(np.int64)
-    lo = np.minimum(tail, head)
-    hi = np.maximum(tail, head)
-    key = lo * mesh.n_vertices + hi
-    sign = np.where(tail < head, 1, -1)
-    # Degenerate self-edges (tail == head) would alias sign; drop them here,
-    # they are already reported through degenerate_faces.
-    keep = tail != head
-    key, sign, lo, hi = key[keep], sign[keep], lo[keep], hi[keep]
+    # Directed edges in face order; edge k belongs to face k // 4.
+    tail = faces.reshape(-1)
+    head = np.roll(faces, -1, axis=1).reshape(-1)
+    forward = tail < head
+    key = np.where(forward, tail, head) * mesh.n_vertices + np.where(forward, head, tail)
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    n_forward = np.bincount(inverse[forward], minlength=counts.size)
 
-    order = np.argsort(key, kind="stable")
-    key_s, sign_s = key[order], sign[order]
-    uniq, start = np.unique(key_s, return_index=True)
-    counts = np.diff(np.append(start, len(key_s)))
-    signsum = np.add.reduceat(sign_s, start) if len(key_s) else np.array([], dtype=int)
+    def first_uses(bad):
+        """The directed edges of the first flagged edge in face order, or None."""
+        return np.flatnonzero(inverse == np.flatnonzero(bad)[np.argmin(first[bad])]) if bad.any() else None
 
-    def decode(k):
-        return (int(k // mesh.n_vertices), int(k % mesh.n_vertices))
-
-    nonmanifold = [decode(k) for k in uniq[counts > 2]]
-    inconsistent = [decode(k) for k in uniq[(counts == 2) & (np.abs(signsum) == 2)]]
-    boundary = int(np.sum(counts == 1))
-
-    return TopologyReport(
-        n_faces=mesh.n_faces,
-        degenerate_faces=degen.tolist(),
-        nonmanifold_edges=nonmanifold,
-        inconsistent_edges=inconsistent,
-        boundary_edge_count=boundary,
-    )
+    uses = first_uses(counts > 2)
+    if uses is not None:
+        lo, hi = sorted((tail[uses[0]], head[uses[0]]))
+        raise ValueError(f"non-manifold edge ({lo}, {hi}): shared by faces {(uses // 4).tolist()}")
+    uses = first_uses((counts == 2) & (n_forward != 1))
+    if uses is not None:
+        t, h = tail[uses[0]], head[uses[0]]
+        raise ValueError(f"inconsistently oriented edge ({min(t, h)}, {max(t, h)}): "
+                         f"faces {uses[0] // 4} and {uses[1] // 4} both run it from {t} to {h}")
+    return int(np.sum(counts == 1))
 
 
 def average_template(meshes):

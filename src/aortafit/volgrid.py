@@ -1,7 +1,7 @@
 """Regular 3D voxel grids.
 
-Scalar volumes and 3-vector fields on a regular grid, trilinear sampling with
-edge clamping and its adjoint, and the volume file format.
+3-vector fields on a regular grid, trilinear sampling with edge clamping and
+its adjoint, and the volume file format, which holds one such field (an SVF).
 
 Conventions
 -----------
@@ -30,7 +30,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "GridGeom",
-    "Volume3D",
     "VectorField3D",
     "TrilinearSampler",
     "trilinear_sample",
@@ -72,25 +71,6 @@ class GridGeom:
             return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
 
-def _check_data(geom, data, ncomp):
-    expect = geom.dims if ncomp == 1 else geom.dims + (3,)
-    if data.shape != expect:
-        raise ValueError(f"data shape {data.shape} does not match grid {expect}")
-
-
-@dataclass(frozen=True)
-class Volume3D:
-    """Scalar volume on a regular grid."""
-
-    geom: GridGeom
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        _check_data(self.geom, data, 1)
-        object.__setattr__(self, "data", data)
-
-
 @dataclass(frozen=True)
 class VectorField3D:
     """3-vector per voxel, components in voxel units along the matching axis."""
@@ -100,7 +80,8 @@ class VectorField3D:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        _check_data(self.geom, data, 3)
+        if data.shape != self.geom.dims + (3,):
+            raise ValueError(f"data shape {data.shape} does not match grid {self.geom.dims + (3,)}")
         if not np.all(np.isfinite(data)):
             raise ValueError("vector field contains non-finite components")
         object.__setattr__(self, "data", data)
@@ -173,22 +154,22 @@ class TrilinearSampler:
         return tuple(sp.csr_array((d.ravel(), cols, ptr), shape=(len(px), self.weights.shape[1])) for d in data)
 
     def sample(self, data):
-        """Values at the points: (N,) for a scalar grid, (N, 3) for a vector grid."""
+        """Values at the points: (N,) for an (H, W, D) array, (N, 3) for an (H, W, D, 3) one."""
         return self.weights @ data.reshape((-1,) + data.shape[3:])
 
 
 def trilinear_sample(fld, points):
-    """Sample a volume or vector field at continuous voxel coordinates.
+    """Sample a vector field at continuous voxel coordinates.
 
     Parameters
     ----------
-    fld : Volume3D or VectorField3D
+    fld : VectorField3D
     points : (N, 3) or (3,) array of continuous voxel coordinates. Points
         outside the grid are clamped to the boundary face.
 
     Returns
     -------
-    (N,) scalars or (N, 3) vectors; a single point returns a scalar / (3,).
+    (N, 3) vectors; a single point returns one (3,) vector.
     """
     pts = np.asarray(points, dtype=np.float64)
     out = TrilinearSampler(fld.geom.dims, pts).sample(fld.data)
@@ -196,11 +177,11 @@ def trilinear_sample(fld, points):
 
 
 # ---------------------------------------------------------------------------
-# File format: structured-text header + raw little-endian payload.
+# File format: structured-text header + raw little-endian float64 payload of
+# one 3-component field.
 # ---------------------------------------------------------------------------
 
 _MAGIC = "aortafit volume 1"
-_DTYPES = {"float64": "<f8", "float32": "<f4"}
 
 
 def _header_path(path):
@@ -208,7 +189,7 @@ def _header_path(path):
 
 
 def save_volume(fld, path):
-    """Write a Volume3D or VectorField3D as a header + raw file pair.
+    """Write a VectorField3D as a header + raw file pair.
 
     ``path`` names the header file (``.hdr`` appended if missing); the payload
     goes next to it with the same stem and a ``.raw`` suffix.
@@ -216,7 +197,6 @@ def save_volume(fld, path):
     hdr = _header_path(path)
     raw = os.path.splitext(hdr)[0] + ".raw"
     geom = fld.geom
-    ncomp = 1 if fld.data.ndim == 3 else 3
     lines = [
         _MAGIC,
         "dims: {} {} {}".format(*geom.dims),
@@ -224,7 +204,7 @@ def save_volume(fld, path):
         "origin: {!r} {!r} {!r}".format(*geom.origin),
         "dtype: float64",
         "byteorder: little",
-        f"components: {ncomp}",
+        "components: 3",
         f"data: {os.path.basename(raw)}",
     ]
     with open(hdr, "w") as fh:
@@ -234,9 +214,11 @@ def save_volume(fld, path):
 
 
 def load_volume(path):
-    """Read a header + raw pair written by :func:`save_volume`.
+    """Read a header + raw pair written by :func:`save_volume` as a VectorField3D.
 
-    Returns a Volume3D (components: 1) or VectorField3D (components: 3).
+    A header that is not the one format, little-endian float64 with 3
+    components, raises ValueError naming the header; a payload of the wrong
+    size or with a non-finite value names the payload file.
     """
     hdr = _header_path(path)
     fields = {}
@@ -271,19 +253,20 @@ def load_volume(path):
         raise ValueError(f"{hdr}: empty data field")
     if byteorder != "little":
         raise ValueError(f"{hdr}: unsupported byte order {byteorder!r}")
-    if dtype not in _DTYPES:
-        raise ValueError(f"{hdr}: unsupported dtype {dtype!r}")
-    if ncomp not in (1, 3):
-        raise ValueError(f"{hdr}: components must be 1 or 3, got {ncomp}")
+    if dtype != "float64":
+        raise ValueError(f"{hdr}: unsupported dtype {dtype!r}, expected float64")
+    if ncomp != 3:
+        raise ValueError(f"{hdr}: components must be 3, got {ncomp}")
     try:
         geom = GridGeom(dims, spacing, origin)
     except ValueError as exc:
         raise ValueError(f"{hdr}: {exc}") from None
     raw = os.path.join(os.path.dirname(hdr) or ".", dataname)
-    count = math.prod(dims) * ncomp
-    data = np.fromfile(raw, dtype=_DTYPES[dtype])
+    count = math.prod(dims) * 3
+    data = np.fromfile(raw, dtype="<f8")
     if data.size != count:
         raise ValueError(f"{raw}: expected {count} values, found {data.size}")
-    if ncomp == 1:
-        return Volume3D(geom, data.reshape(dims))
-    return VectorField3D(geom, data.reshape(dims + (3,)))
+    try:
+        return VectorField3D(geom, data.reshape(dims + (3,)))
+    except ValueError as exc:  # a non-finite component
+        raise ValueError(f"{raw}: {exc}") from None

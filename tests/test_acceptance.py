@@ -89,7 +89,7 @@ def test_criterion_1_diffeomorphism_suite(capsys):
     for seed in range(100):
         amp = 0.5 + 1.5 * (seed / 99.0)
         f = smooth_svf(dims, max_abs=amp, seed=1000 + seed, sigma=8.0)
-        det = jacobian_determinant(exponentiate(f)).data
+        det = jacobian_determinant(exponentiate(f))
         min_det = min(min_det, det[1:-1, 1:-1, 1:-1].min())
     assert min_det > 0.0
 
@@ -168,35 +168,35 @@ def test_criterion_3_fitter_recovery(capsys, tube24):
     target_t = template.with_vertices(template.vertices + np.array([3.0, -2.0, 1.5]))
     grid_t = bounding_grid([template, target_t], spacing=1.0, margin=5.0)
     t0 = time.monotonic()
-    res_t = fit_svf(template, target_t, grid_t, cfg)
+    svf_t, fitted_t, history_t, summary_t = fit_svf(template, target_t, grid_t, cfg)
     wall_t = time.monotonic() - t0
     assert wall_t < 300.0
-    assert res_t.final_chamfer < 0.1
-    assert res_t.min_jacobian > 0.0
-    best = np.minimum.accumulate(res_t.history)
+    assert summary_t["final_chamfer_mm"] < 0.1
+    assert summary_t["min_jacobian"] > 0.0
+    best = np.minimum.accumulate(history_t["loss"])
     assert np.all(np.diff(best) <= 0.0)
 
     # Gaussian bulge, 8 mm amplitude
     target_b = bulged_cylinder(amplitude=8.0, width=8.0)
     grid_b = bounding_grid([template, target_b], spacing=1.0, margin=5.0)
     t0 = time.monotonic()
-    res_b = fit_svf(template, target_b, grid_b, cfg)
+    _, _, history_b, summary_b = fit_svf(template, target_b, grid_b, cfg)
     wall_b = time.monotonic() - t0
     assert wall_b < 300.0
-    assert res_b.final_chamfer < 0.5
-    assert res_b.min_jacobian > 0.0
-    best = np.minimum.accumulate(res_b.history)
+    assert summary_b["final_chamfer_mm"] < 0.5
+    assert summary_b["min_jacobian"] > 0.0
+    best = np.minimum.accumulate(history_b["loss"])
     assert np.all(np.diff(best) <= 0.0)
 
     # bit-identical rerun under the same seed and config
-    rerun = fit_svf(template, target_t, grid_t, cfg)
-    assert np.array_equal(rerun.svf.data, res_t.svf.data)
-    assert np.array_equal(rerun.history, res_t.history)
-    assert np.array_equal(rerun.fitted.vertices, res_t.fitted.vertices)
+    rerun_svf, rerun_fitted, rerun_history, _ = fit_svf(template, target_t, grid_t, cfg)
+    assert np.array_equal(rerun_svf.data, svf_t.data)
+    assert np.array_equal(rerun_history["loss"], history_t["loss"])
+    assert np.array_equal(rerun_fitted.vertices, fitted_t.vertices)
 
-    _announce(capsys, f"criterion 3 PASS: translation chamfer {res_t.final_chamfer:.2e} "
-                      f"< 0.1 ({wall_t:.0f}s), bulge chamfer {res_b.final_chamfer:.2e} < 0.5 "
-                      f"({wall_b:.0f}s), min jac {res_b.min_jacobian:.3f} > 0, "
+    _announce(capsys, f"criterion 3 PASS: translation chamfer {summary_t['final_chamfer_mm']:.2e} "
+                      f"< 0.1 ({wall_t:.0f}s), bulge chamfer {summary_b['final_chamfer_mm']:.2e} < 0.5 "
+                      f"({wall_b:.0f}s), min jac {summary_b['min_jacobian']:.3f} > 0, "
                       f"best nonincreasing, rerun bit-identical")
 
 

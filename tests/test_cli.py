@@ -24,7 +24,7 @@ from aortafit import __version__, cli
 from aortafit.cli import build_sections, config_hash, default_config, load_config, main
 from aortafit.phantom import PhantomSpec, make_phantom
 from aortafit.quadmesh import QuadMesh, load_mesh, save_mesh
-from aortafit.volgrid import GridGeom, VectorField3D, Volume3D, save_volume
+from aortafit.volgrid import GridGeom, VectorField3D, save_volume
 
 FIT_OVERRIDES = [
     "--set", "fit.levels=[[4,4,4],[6,6,6]]",
@@ -325,26 +325,33 @@ def test_report_with_peak_below_mean_exits_2(tmp_path, mesh_files, capsys):
     assert not out.exists()
 
 
+def _warp_with_header_line(tmp_path, mesh_files, old, new):
+    """warp's exit code on a stored SVF whose header line ``old`` is replaced by ``new``, and its header path."""
+    hdr = save_volume(VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3))), str(tmp_path / "svf.hdr"))
+    Path(hdr).write_text(Path(hdr).read_text().replace(old, new))
+    return main(["warp", "--mesh", mesh_files["template"], "--svf", hdr, "--out", str(tmp_path / "w.vtk")]), hdr
+
+
 def test_warp_rejects_scalar_volume(tmp_path, mesh_files, capsys):
-    vol = Volume3D(GridGeom((4, 4, 4), (10.0, 10.0, 10.0), (-15.0, -15.0, -5.0)),
-                   np.zeros((4, 4, 4)))
-    hdr = str(tmp_path / "scalar.hdr")
-    save_volume(vol, hdr)
-    code = main(["warp", "--mesh", mesh_files["template"], "--svf", hdr,
-                 "--out", str(tmp_path / "w.vtk")])
+    # A volume file holds an SVF; a scalar header is refused on one line
+    # that names it.
+    code, hdr = _warp_with_header_line(tmp_path, mesh_files, "components: 3", "components: 1")
     assert code == 2
-    assert "3-component" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"aortafit: {hdr}: components must be 3, got 1\n"
+
+
+def test_warp_rejects_float32_volume(tmp_path, mesh_files, capsys):
+    # No writer produces float32 payloads, so the reader takes float64 only.
+    code, hdr = _warp_with_header_line(tmp_path, mesh_files, "dtype: float64", "dtype: float32")
+    assert code == 2
+    assert capsys.readouterr().err == f"aortafit: {hdr}: unsupported dtype 'float32', expected float64\n"
+    assert not (tmp_path / "w.vtk").exists()
 
 
 def test_warp_rejects_two_axis_header(tmp_path, mesh_files, capsys):
     # A header with two dims is an input error (2), found before the payload
     # size is computed from the dims.
-    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
-    hdr = tmp_path / "svf.hdr"
-    save_volume(fld, str(hdr))
-    hdr.write_text(hdr.read_text().replace("dims: 4 4 4", "dims: 4 4"))
-    code = main(["warp", "--mesh", mesh_files["template"], "--svf", str(hdr),
-                 "--out", str(tmp_path / "w.vtk")])
+    code, _ = _warp_with_header_line(tmp_path, mesh_files, "dims: 4 4 4", "dims: 4 4")
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
@@ -365,14 +372,20 @@ def test_warp_names_a_header_that_is_not_text(tmp_path, mesh_files, capsys):
 
 
 def test_warp_names_an_empty_data_field(tmp_path, mesh_files, capsys):
-    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
-    hdr = tmp_path / "svf.hdr"
-    save_volume(fld, str(hdr))
-    hdr.write_text(hdr.read_text().replace("data: svf.raw", "data:"))
-    code = main(["warp", "--mesh", mesh_files["template"], "--svf", str(hdr),
-                 "--out", str(tmp_path / "w.vtk")])
+    code, hdr = _warp_with_header_line(tmp_path, mesh_files, "data: svf.raw", "data:")
     assert code == 2
     assert capsys.readouterr().err == f"aortafit: {hdr}: empty data field\n"
+
+
+def test_warp_names_a_non_finite_payload(tmp_path, mesh_files, capsys):
+    hdr = save_volume(VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3))), str(tmp_path / "svf.hdr"))
+    raw = tmp_path / "svf.raw"
+    values = np.fromfile(raw, dtype="<f8")
+    values[5] = np.nan
+    values.tofile(raw)
+    code = main(["warp", "--mesh", mesh_files["template"], "--svf", hdr, "--out", str(tmp_path / "w.vtk")])
+    assert code == 2
+    assert capsys.readouterr().err == f"aortafit: {raw}: vector field contains non-finite components\n"
 
 
 # Replacement values per SVF header field: valid (the first), malformed, out
@@ -725,6 +738,43 @@ def test_stress_collapsed_edge_names_the_element(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "degenerate element 7: zero-area triangle" in err
+
+
+def _broken_tube(which):
+    """A 6 x 4 tube broken one way: face 8 reversed, face 7 repeating a
+    vertex (both keep the ring layout), or a fin face on the edge that faces
+    0 and 1 share."""
+    tube = straight_cylinder(circumferential=6, axial=4, length=10.0)
+    faces = tube.faces.copy()
+    if which == "reversed":
+        faces[8] = faces[8][::-1]
+    elif which == "repeated":
+        faces[7, 2] = faces[7, 1]
+    else:
+        a, b = faces[0, 1], faces[0, 2]
+        n = tube.n_vertices
+        fin = 2.0 * tube.vertices[[a, b]]
+        return QuadMesh(np.concatenate([tube.vertices, fin]), np.concatenate([faces, [[a, b, n + 1, n]]]),
+                        np.concatenate([tube.regions, tube.regions[[a, b]]]))
+    return QuadMesh(tube.vertices, faces, tube.regions, tube.ring_layout)
+
+
+@pytest.mark.parametrize("command, which, message", [
+    pytest.param("stress", "reversed", "inconsistently oriented edge (8, 9): faces 2 and 8 both run it from 9 to 8",
+                 id="stress-reversed"),
+    pytest.param("report", "reversed", "inconsistently oriented edge (8, 9): faces 2 and 8 both run it from 9 to 8",
+                 id="report-reversed"),
+    pytest.param("stress", "repeated", "degenerate face 7: repeated vertex in [7, 8, 8, 13]", id="stress-repeated"),
+    pytest.param("stress", "fin", "non-manifold edge (1, 7): shared by faces [0, 1, 18]", id="stress-fin"),
+])
+def test_broken_topology_names_the_face_or_edge(tmp_path, capsys, command, which, message):
+    # A mesh the membrane solve cannot take is an input error (2), and its
+    # one stderr line names the first fault: the face or the edge to mend.
+    path = str(tmp_path / f"{which}.vtk")
+    save_mesh(_broken_tube(which), path)
+    assert main([command, "--mesh", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"aortafit: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, section, token, message", [

@@ -138,27 +138,27 @@ def test_fit_identical_meshes_is_fixed_point(translation_pair):
     template, _, grid = translation_pair
     cfg = FitConfig(svf_dims=(4, 4, 4), levels=((4, 4, 4),), iters_per_level=40,
                     weights=LossWeights(alpha=0.0))
-    res = fit_svf(template, template, grid, cfg)
-    assert np.all(res.svf.data == 0.0)
-    assert res.final_chamfer == 0.0
-    assert res.final["total"] == 0.0
-    assert res.min_jacobian == 1.0
-    assert len(res.history) == 1  # the zero gradient stops it at once
-    assert res.levels[0]["stop"] == "zero_gradient"
+    svf, _, history, summary = fit_svf(template, template, grid, cfg)
+    assert np.all(svf.data == 0.0)
+    assert summary["final_chamfer_mm"] == 0.0
+    assert summary["final"]["total"] == 0.0
+    assert summary["min_jacobian"] == 1.0
+    assert len(history["loss"]) == 1  # the zero gradient stops it at once
+    assert history["levels"][0]["stop"] == "zero_gradient"
 
 
 def test_fit_recovers_translation(translation_pair):
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)),
                     iters_per_level=60)
-    res = fit_svf(template, target, grid, cfg)
-    assert res.final_chamfer < 0.1
-    assert np.abs(res.fitted.vertices - target.vertices).max() < 0.25
-    assert res.min_jacobian > 0.5
-    assert res.level_starts == (0, res.levels[0]["forward_passes"])
-    assert res.svf.geom == control_grid(grid, (6, 6, 6))
+    svf, fitted, history, summary = fit_svf(template, target, grid, cfg)
+    assert summary["final_chamfer_mm"] < 0.1
+    assert np.abs(fitted.vertices - target.vertices).max() < 0.25
+    assert summary["min_jacobian"] > 0.5
+    assert history["level_starts"] == [0, history["levels"][0]["forward_passes"]]
+    assert svf.geom == control_grid(grid, (6, 6, 6))
     # best-of-final-level is what gets returned
-    assert res.final["total"] <= res.history[res.level_starts[-1]:].min() + 1e-15
+    assert summary["final"]["total"] <= min(history["loss"][history["level_starts"][-1]:]) + 1e-15
 
 
 def test_fit_deterministic_rerun(translation_pair):
@@ -167,10 +167,9 @@ def test_fit_deterministic_rerun(translation_pair):
                     iters_per_level=25)
     a = fit_svf(template, target, grid, cfg)
     b = fit_svf(template, target, grid, cfg)
-    assert np.array_equal(a.svf.data, b.svf.data)
-    assert np.array_equal(a.history, b.history)
-    assert np.array_equal(a.fitted.vertices, b.fitted.vertices)
-    assert a.final_chamfer == b.final_chamfer
+    assert np.array_equal(a[0].data, b[0].data)
+    assert np.array_equal(a[1].vertices, b[1].vertices)
+    assert a[2:] == b[2:]  # the history and summary, every number exactly
 
 
 def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair, blown_up_upsample):
@@ -182,7 +181,7 @@ def test_fit_step_guard_overflow_raises_divergence_with_history(translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=5)
     with pytest.raises(FitDivergence, match="squaring steps") as exc:
         fit_svf(template, target, grid, cfg)
-    assert np.array_equal(exc.value.history, first.history)  # all of the first level, nothing after
+    assert np.array_equal(exc.value.history, first[2]["loss"])  # all of the first level, nothing after
 
 
 def test_fit_reused_operators_match_reference_loop(translation_pair):
@@ -193,14 +192,15 @@ def test_fit_reused_operators_match_reference_loop(translation_pair):
     # minimum; a stale or mis-scaled operator, or a stale pass, would not.
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=12)
-    res = fit_svf(template, target, grid, cfg)
-    disp = exponentiate(res.svf, cfg.diffeo)
-    warped = warp_vertices(template, disp, res.svf.geom)
-    assert np.array_equal(res.fitted.vertices, warped.vertices)
-    assert res.final == total_loss(warped, target, cfg.weights)
-    assert res.min_jacobian == jacobian_determinant(disp).data[1:-1, 1:-1, 1:-1].min()
-    assert res.final["total"] == res.history[res.level_starts[-1]:].min()
-    assert res.history[res.level_starts[-1]:].min() < res.history[res.level_starts[-1]]
+    svf, fitted, history, summary = fit_svf(template, target, grid, cfg)
+    disp = exponentiate(svf, cfg.diffeo)
+    warped = warp_vertices(template, disp, svf.geom)
+    assert np.array_equal(fitted.vertices, warped.vertices)
+    assert summary["final"] == total_loss(warped, target, cfg.weights)
+    assert summary["min_jacobian"] == jacobian_determinant(disp)[1:-1, 1:-1, 1:-1].min()
+    last_level = history["loss"][history["level_starts"][-1]:]
+    assert summary["final"]["total"] == min(last_level)
+    assert min(last_level) < last_level[0]
 
 
 def test_fit_budget_caps_forward_passes_plus_hessian_products(translation_pair, monkeypatch):
@@ -221,11 +221,11 @@ def test_fit_budget_caps_forward_passes_plus_hessian_products(translation_pair, 
     spy(diffeo.Linearization, "jvp", lambda lin, d: lin.shape[:3])
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=17)
-    res = fit_svf(template, target, grid, cfg)
-    for dims, record in zip(cfg.levels, res.levels):
+    levels = fit_svf(template, target, grid, cfg)[2]["levels"]
+    for dims, record in zip(cfg.levels, levels):
         assert counts[dims] <= cfg.iters_per_level
         assert record["forward_passes"] + record["hessian_products"] == counts[dims]
-    assert any(r["stop"] == "budget" for r in res.levels)
+    assert any(r["stop"] == "budget" for r in levels)
 
 
 def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
@@ -261,16 +261,17 @@ def test_fit_accepted_losses_strictly_decrease(translation_pair, monkeypatch):
         seen.clear()
         norms.clear()
         cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=iters)
-        res = fit_svf(template, target, grid, cfg)
-        assert [r["stop"] for r in res.levels] == stops
-        ends = res.level_starts[1:] + (len(res.history),)
-        for record, start, end, level, level_norms in zip(res.levels, res.level_starts, ends, seen, norms):
-            losses = res.history[start:end]
+        _, _, history, summary = fit_svf(template, target, grid, cfg)
+        assert [r["stop"] for r in history["levels"]] == stops
+        starts = history["level_starts"]
+        ends = starts[1:] + [len(history["loss"])]
+        for record, start, end, level, level_norms in zip(history["levels"], starts, ends, seen, norms):
+            losses = np.asarray(history["loss"][start:end])
             stepped_last = len(losses) > 1 and losses[-1] < losses[:-1].min()  # the last pass was accepted
             assert len(level) == 1 + record["accepted_steps"] - (stepped_last and record["stop"] != "zero_gradient")
             assert len(level) > 2 and np.all(np.diff(level) < 0.0)
             assert record["grad_inf_norm"] == level_norms[-1]
-        assert res.final["total"] <= seen[-1][-1]
+        assert summary["final"]["total"] <= seen[-1][-1]
 
 
 def test_fit_records_raised_squaring_steps(translation_pair):
@@ -281,9 +282,9 @@ def test_fit_records_raised_squaring_steps(translation_pair):
     far = template.with_vertices(template.vertices + np.array([50.0, 0.0, 0.0]))
     grid = bounding_grid([template, far], spacing=2.0, margin=6.0)
     cfg = FitConfig(svf_dims=(24, 6, 6), levels=((24, 6, 6),), iters_per_level=60)
-    res = fit_svf(template, far, grid, cfg)
-    assert np.abs(res.svf.data).max() > 16.0
-    assert res.levels[0]["squaring_steps"] == DiffeoConfig().resolve_steps(res.svf) > 5
+    svf, _, history, _ = fit_svf(template, far, grid, cfg)
+    assert np.abs(svf.data).max() > 16.0
+    assert history["levels"][0]["squaring_steps"] == DiffeoConfig().resolve_steps(svf) > 5
 
 
 @pytest.mark.parametrize("bulge", [
@@ -303,13 +304,13 @@ def test_common_translation_leaves_the_fit(tube24, bulge):
     target = bulged_cylinder(amplitude=amplitude, width=width, center=center)
     shift = np.array([100.25, -37.5, 12.0])
     cfg = FitConfig(svf_dims=(8, 8, 8), levels=((8, 8, 8),), iters_per_level=12)
-    ref = fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), cfg)
+    ref_svf, _, _, ref = fit_svf(tube24, target, bounding_grid([tube24, target], spacing=2.0, margin=5.0), cfg)
     moved = [mesh.with_vertices(mesh.vertices + shift) for mesh in (tube24, target)]
-    got = fit_svf(*moved, bounding_grid(moved, spacing=2.0, margin=5.0), cfg)
-    assert got.svf.geom.dims == ref.svf.geom.dims
-    assert np.abs(got.svf.data - ref.svf.data).max() <= 1e-13 * np.abs(ref.svf.data).max()
-    assert got.final_chamfer == pytest.approx(ref.final_chamfer, rel=1e-13, abs=0.0)
-    assert got.min_jacobian == pytest.approx(ref.min_jacobian, rel=0.0, abs=1e-13)
+    got_svf, _, _, got = fit_svf(*moved, bounding_grid(moved, spacing=2.0, margin=5.0), cfg)
+    assert got_svf.geom.dims == ref_svf.geom.dims
+    assert np.abs(got_svf.data - ref_svf.data).max() <= 1e-13 * np.abs(ref_svf.data).max()
+    assert got["final_chamfer_mm"] == pytest.approx(ref["final_chamfer_mm"], rel=1e-13, abs=0.0)
+    assert got["min_jacobian"] == pytest.approx(ref["min_jacobian"], rel=0.0, abs=1e-13)
 
 
 # Acceptance criterion 7's small configuration, at the default diffeo section.
@@ -331,10 +332,10 @@ def test_small_config_fits_bulged_shifted_tubes(small_fit):
     # On 8^3 and 16^3 grids the fit must land within criterion 3's chamfer
     # bound with a positive Jacobian. Each level records its squaring steps:
     # the floor of 3, or 4 where the fine field passes 4 voxels (seed 0).
-    seed, res = small_fit
-    assert res.final_chamfer <= 0.5
-    assert res.min_jacobian > 0.0
-    assert [level["squaring_steps"] for level in res.levels] == {0: [3, 4], 1: [3, 3], 2: [3, 3]}[seed]
+    seed, (_, _, history, summary) = small_fit
+    assert summary["final_chamfer_mm"] <= 0.5
+    assert summary["min_jacobian"] > 0.0
+    assert [level["squaring_steps"] for level in history["levels"]] == {0: [3, 4], 1: [3, 3], 2: [3, 3]}[seed]
 
 
 def test_default_steps_as_close_to_the_flow_as_eight(tube24, small_fit):
@@ -346,7 +347,7 @@ def test_default_steps_as_close_to_the_flow_as_eight(tube24, small_fit):
     # 0.47-2.53 mm. One step without the auto raise sits 0.13 mm (seed 1) and
     # 0.41 mm (seed 2) further. With the raise these fields (2.8-4.8 voxels)
     # take 3 or more steps at any floor: criterion 1 guards the floor itself.
-    svf = small_fit[1].svf
+    svf = small_fit[1][0]
     start = svf.geom.world_to_voxel(tube24.vertices)
     x = start.copy()
     for _ in range(4096):

@@ -1,5 +1,5 @@
-"""Package surface: every exported name exists, nothing defined is unreachable,
-and the package and CLI import."""
+"""Package surface: every exported name exists and is used from another file,
+nothing defined is unreachable, and the package and CLI import."""
 
 import ast
 import importlib
@@ -68,10 +68,10 @@ def _references(tree):
 DEAD_API_ALLOWED = {}
 
 
-def _program_trees():
-    """The parsed source of every Python file under src/ and perfbench/, by path."""
+def _program_trees(tops=("src", "perfbench")):
+    """The parsed source of every Python file under src/ and perfbench/ (or ``tops``), by path."""
     trees = {}
-    for top in ("src", "perfbench"):
+    for top in tops:
         for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
             for name in files:
                 if name.endswith(".py"):
@@ -97,6 +97,21 @@ def test_no_unreferenced_api():
     dead = sorted({name for name, is_method in defined if name not in (members if is_method else used)}
                   - set(DEAD_API_ALLOWED))
     assert not dead, f"defined in src/aortafit but referenced nowhere in src/ or perfbench/: {dead}"
+
+
+def test_every_export_is_referenced_from_another_file():
+    # A module's __all__ is the API it offers. Each name in it is imported,
+    # read as an attribute or spelled as a string by another file of src/,
+    # perfbench/ or tests/; a name only its own module uses is no API.
+    trees = _program_trees(("src", "perfbench", "tests"))
+    package = os.path.dirname(aortafit.__file__)
+    unused = []
+    for module in pkgutil.iter_modules(aortafit.__path__):
+        path = os.path.join(package, f"{module.name}.py")
+        refs = {ref for other, tree in trees.items() if other != path for ref, _ in _references(tree)}
+        exported = importlib.import_module(f"aortafit.{module.name}").__all__
+        unused += [f"{module.name}.{name}" for name in exported if name not in refs]
+    assert not unused, f"exported but referenced from no other file of src/, perfbench/ or tests/: {unused}"
 
 
 def _dataclass_fields(tree):

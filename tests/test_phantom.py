@@ -114,9 +114,7 @@ def test_jitter_reproducible_with_seed():
 
 
 def test_topology_and_intersections(arch_small):
-    rep = validate_topology(arch_small)
-    assert rep.ok
-    assert rep.boundary_edge_count == 2 * arch_small.ring_layout[0]
+    assert validate_topology(arch_small) == 2 * arch_small.ring_layout[0]
     count, pairs = self_intersections(arch_small)
     assert count == 0 and pairs == []
 

@@ -126,17 +126,12 @@ def test_consecutive_rings_share_c_faces(tube24):
 # ---------------------------------------------------------------------------
 
 def test_topology_clean_tube(tube24):
-    rep = validate_topology(tube24)
-    assert rep.ok and rep.manifold and rep.oriented
-    assert rep.degenerate_faces == []
     # Open tube: one boundary loop of C edges at each end.
-    assert rep.boundary_edge_count == 2 * tube24.ring_layout[0]
+    assert validate_topology(tube24) == 2 * tube24.ring_layout[0]
 
 
 def test_topology_clean_sphere(sphere16):
-    rep = validate_topology(sphere16)
-    assert rep.ok
-    assert rep.boundary_edge_count == 0
+    assert validate_topology(sphere16) == 0
 
 
 def test_topology_flipped_face_reported():
@@ -144,22 +139,19 @@ def test_topology_flipped_face_reported():
     faces = mesh.faces.copy()
     faces[8] = faces[8][::-1]
     bad = QuadMesh(mesh.vertices, faces, mesh.regions, mesh.ring_layout)
-    rep = validate_topology(bad)
-    assert not rep.oriented
-    assert rep.manifold
-    # Every shared edge of the flipped face now runs the same way twice.
-    assert len(rep.inconsistent_edges) == 4
-    flipped_verts = set(int(v) for v in faces[8])
-    for u, v in rep.inconsistent_edges:
-        assert u in flipped_verts and v in flipped_verts
+    # Every shared edge of the flipped face now runs the same way twice; the
+    # one named is the first in face order, which face 2 shares with it.
+    with pytest.raises(ValueError) as exc:
+        validate_topology(bad)
+    assert str(exc.value) == "inconsistently oriented edge (8, 9): faces 2 and 8 both run it from 9 to 8"
 
 
 def test_topology_degenerate_face_reported():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0]])
     faces = np.array([[0, 1, 2, 3], [1, 4, 4, 2]])
-    rep = validate_topology(QuadMesh(verts, faces, np.zeros(5, dtype=np.int8)))
-    assert rep.degenerate_faces == [1]
-    assert not rep.ok
+    with pytest.raises(ValueError) as exc:
+        validate_topology(QuadMesh(verts, faces, np.zeros(5, dtype=np.int8)))
+    assert str(exc.value) == "degenerate face 1: repeated vertex in [1, 4, 4, 2]"
 
 
 def test_topology_nonmanifold_edge_reported():
@@ -171,9 +163,60 @@ def test_topology_nonmanifold_edge_reported():
         [-1, 0, 0], [-1, 0, 1],
     ])
     faces = np.array([[0, 1, 3, 2], [1, 0, 4, 5], [0, 1, 7, 6]])
-    rep = validate_topology(QuadMesh(verts, faces, np.zeros(8, dtype=np.int8)))
-    assert rep.nonmanifold_edges == [(0, 1)]
-    assert not rep.manifold
+    with pytest.raises(ValueError) as exc:
+        validate_topology(QuadMesh(verts, faces, np.zeros(8, dtype=np.int8)))
+    assert str(exc.value) == "non-manifold edge (0, 1): shared by faces [0, 1, 2]"
+
+
+def _topology_oracle(faces):
+    """(the start of the error naming the first fault, or None; the boundary-edge count, or None).
+
+    Reads a quad soup through a dict of directed edges: degenerate faces
+    first, then edges used more than twice, then edges two faces run the
+    same way, each the first in face order.
+    """
+    for i, face in enumerate(faces):
+        if len(set(face)) < 4:
+            return f"degenerate face {i}:", None
+    runs = {}
+    edges = [(t, h) for face in faces for t, h in zip(face, face[1:] + face[:1])]
+    for edge in edges:
+        runs[edge] = runs.get(edge, 0) + 1
+    uses = {(t, h): runs.get((t, h), 0) + runs.get((h, t), 0) for t, h in edges}
+    for t, h in edges:
+        if uses[t, h] > 2:
+            return f"non-manifold edge ({min(t, h)}, {max(t, h)}):", None
+    for t, h in edges:
+        if runs[t, h] == 2 and uses[t, h] == 2:
+            return f"inconsistently oriented edge ({min(t, h)}, {max(t, h)}):", None
+    return None, sum(n == 1 for n in uses.values())
+
+
+_QUAD = st.permutations(range(10)).map(lambda p: list(p[:4]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(base=st.lists(_QUAD, min_size=1, max_size=5),
+       copies=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["repeat", "reverse", "collapse", "neighbour"]),
+                                 st.integers(0, 9), st.integers(0, 9)), max_size=7))
+def test_topology_matches_directed_edge_oracle(base, copies):
+    # Quad soups of up to 12 faces on 10 vertices: faces repeated, reversed,
+    # collapsed onto a repeated vertex, or joined along one edge by a
+    # neighbour that runs it the other way. The count is the oracle's
+    # boundary edges, and the error names the oracle's first fault.
+    faces = list(base)
+    for i, how, p, q in copies:
+        a, b, c, d = base[i % len(base)]
+        faces.append({"repeat": [a, b, c, d], "reverse": [d, c, b, a], "collapse": [a, a, c, d],
+                      "neighbour": [b, a, p, q]}[how])
+    mesh = QuadMesh(np.arange(30.0).reshape(10, 3), np.array(faces), np.zeros(10, dtype=np.int8))
+    fault, boundary = _topology_oracle(faces)
+    if fault is None:
+        assert validate_topology(mesh) == boundary
+    else:
+        with pytest.raises(ValueError) as exc:
+            validate_topology(mesh)
+        assert str(exc.value).startswith(fault)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from aortafit.volgrid import (
     GridGeom,
     TrilinearSampler,
-    Volume3D,
     VectorField3D,
     trilinear_sample,
     save_volume,
@@ -51,7 +50,7 @@ def test_geom_world_voxel_round_trip():
 def test_field_shape_checks():
     geom = GridGeom((4, 4, 4))
     with pytest.raises(ValueError):
-        Volume3D(geom, np.zeros((4, 4, 5)))
+        VectorField3D(geom, np.zeros((4, 4, 5, 3)))
     with pytest.raises(ValueError):
         VectorField3D(geom, np.zeros((4, 4, 4)))
     bad = np.zeros((4, 4, 4, 3))
@@ -64,22 +63,25 @@ def test_field_shape_checks():
 # Trilinear sampling
 # ---------------------------------------------------------------------------
 
+def _scalar_sample(data, points):
+    """Trilinear samples of a raw (H, W, D) array at continuous voxel coordinates, as (N,)."""
+    return TrilinearSampler(data.shape, points).sample(data)
+
+
 def test_sample_exact_at_lattice_points():
     rng = np.random.default_rng(11)
-    geom = GridGeom((5, 6, 7))
-    vol = Volume3D(geom, rng.standard_normal((5, 6, 7)))
-    idx = np.stack([rng.integers(0, n, size=40) for n in geom.dims], axis=1)
-    vals = trilinear_sample(vol, idx.astype(float))
-    expect = vol.data[idx[:, 0], idx[:, 1], idx[:, 2]]
+    data = rng.standard_normal((5, 6, 7))
+    idx = np.stack([rng.integers(0, n, size=40) for n in data.shape], axis=1)
+    vals = _scalar_sample(data, idx.astype(float))
+    expect = data[idx[:, 0], idx[:, 1], idx[:, 2]]
     assert np.array_equal(vals, expect)
 
 
 def test_sample_midpoint_is_neighbor_average():
     rng = np.random.default_rng(12)
-    geom = GridGeom((4, 4, 4))
-    vol = Volume3D(geom, rng.standard_normal((4, 4, 4)))
-    v = trilinear_sample(vol, [1.5, 2.0, 3.0])
-    assert v == pytest.approx(0.5 * (vol.data[1, 2, 3] + vol.data[2, 2, 3]), abs=1e-15)
+    data = rng.standard_normal((4, 4, 4))
+    (v,) = _scalar_sample(data, [1.5, 2.0, 3.0])
+    assert v == pytest.approx(0.5 * (data[1, 2, 3] + data[2, 2, 3]), abs=1e-15)
 
 
 def test_sample_reproduces_trilinear_polynomial():
@@ -93,23 +95,20 @@ def test_sample_reproduces_trilinear_polynomial():
             x, y, z = p[..., 0], p[..., 1], p[..., 2]
             return a + b * x + c * y + d * z + e * x * y + f * x * z + g * y * z + h * x * y * z
 
-        geom = GridGeom((6, 5, 7))
-        ii, jj, kk = np.meshgrid(*(np.arange(n, dtype=float) for n in geom.dims), indexing="ij")
+        ii, jj, kk = np.meshgrid(*(np.arange(n, dtype=float) for n in (6, 5, 7)), indexing="ij")
         lattice = np.stack([ii, jj, kk], axis=-1)
-        vol = Volume3D(geom, poly(lattice))
         pts = rng.uniform([0, 0, 0], [5, 4, 6], size=(30, 3))
-        assert np.allclose(trilinear_sample(vol, pts), poly(pts), rtol=0.0, atol=1e-10)
+        assert np.allclose(_scalar_sample(poly(lattice), pts), poly(pts), rtol=0.0, atol=1e-10)
 
 
 def test_sample_clamps_outside_points_to_boundary():
     rng = np.random.default_rng(14)
-    geom = GridGeom((5, 5, 5))
-    vol = Volume3D(geom, rng.standard_normal((5, 5, 5)))
-    assert trilinear_sample(vol, [-5.0, 2.0, 3.0]) == vol.data[0, 2, 3]
-    assert trilinear_sample(vol, [1.0, 9.0, 3.0]) == vol.data[1, 4, 3]
+    data = rng.standard_normal((5, 5, 5))
+    assert _scalar_sample(data, [-5.0, 2.0, 3.0]) == data[0, 2, 3]
+    assert _scalar_sample(data, [1.0, 9.0, 3.0]) == data[1, 4, 3]
     # Fractional coordinate on one axis, clamped on another.
-    v = trilinear_sample(vol, [-2.0, 1.5, 0.0])
-    assert v == pytest.approx(0.5 * (vol.data[0, 1, 0] + vol.data[0, 2, 0]), abs=1e-15)
+    (v,) = _scalar_sample(data, [-2.0, 1.5, 0.0])
+    assert v == pytest.approx(0.5 * (data[0, 1, 0] + data[0, 2, 0]), abs=1e-15)
 
 
 def test_sample_vector_field_componentwise():
@@ -121,7 +120,7 @@ def test_sample_vector_field_componentwise():
     got = trilinear_sample(fld, pts)
     assert got.shape == (20, 3)
     for k in range(3):
-        comp = trilinear_sample(Volume3D(geom, data[..., k]), pts)
+        comp = _scalar_sample(data[..., k], pts)
         # Scalar and vector paths contract in different orders, so only
         # last-bit rounding may differ.
         assert np.allclose(got[:, k], comp, rtol=0.0, atol=1e-14)
@@ -130,9 +129,8 @@ def test_sample_vector_field_componentwise():
     assert np.array_equal(single, got[0])
 
 
-@pytest.mark.parametrize("kind, comps", [(Volume3D, ()), (VectorField3D, (3,))],
-                         ids=["Volume3D", "VectorField3D"])
-def test_sample_vjp_is_exact_adjoint_in_data(kind, comps):
+@pytest.mark.parametrize("comps", [(), (3,)], ids=["scalar", "vector"])
+def test_sample_vjp_is_exact_adjoint_in_data(comps):
     # Sampling is linear in the stored values, so the data gradient must
     # satisfy <cot, S(data + delta) - S(data)> = <grad_data, delta> exactly
     # up to roundoff, for any perturbation delta.
@@ -140,13 +138,12 @@ def test_sample_vjp_is_exact_adjoint_in_data(kind, comps):
     geom = GridGeom((5, 6, 4))
     for _ in range(5):
         data = rng.standard_normal(geom.dims + comps)
-        fld = kind(geom, data)
         pts = rng.uniform(-1.0, 6.0, size=(25, 3))
         cot = rng.standard_normal((25,) + comps)
-        grad_data = (TrilinearSampler(geom.dims, pts).weights.T @ cot).reshape(data.shape)
+        sampler = TrilinearSampler(geom.dims, pts)
+        grad_data = (sampler.weights.T @ cot).reshape(data.shape)
         delta = rng.standard_normal(data.shape)
-        lhs = np.sum(cot * (trilinear_sample(kind(geom, data + delta), pts)
-                            - trilinear_sample(fld, pts)))
+        lhs = np.sum(cot * (sampler.sample(data + delta) - sampler.sample(data)))
         rhs = np.sum(grad_data * delta)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -173,11 +170,10 @@ def test_sample_vjp_position_gradient_matches_fd():
 def test_sample_vjp_clamped_axes_have_zero_position_gradient():
     # Clamping is per axis: only the clamped coordinate loses its gradient.
     rng = np.random.default_rng(18)
-    geom = GridGeom((4, 4, 4))
-    vol = Volume3D(geom, rng.standard_normal((4, 4, 4)))
+    data = rng.standard_normal((4, 4, 4))
     pts = np.array([[-3.0, 1.2, 1.7], [1.0, 1.0, 1.0], [1.3, 8.0, 0.6]])
-    sampler = TrilinearSampler(geom.dims, pts)
-    grad_pts = _reference_point_grad(sampler.slopes(np.arange(3)), sampler.interior, vol.data, np.ones(3))
+    sampler = TrilinearSampler(data.shape, pts)
+    grad_pts = _reference_point_grad(sampler.slopes(np.arange(3)), sampler.interior, data, np.ones(3))
     assert grad_pts[0, 0] == 0.0
     assert grad_pts[2, 1] == 0.0
     # Unclamped axes of the same points keep their slopes.
@@ -185,10 +181,9 @@ def test_sample_vjp_clamped_axes_have_zero_position_gradient():
 
 
 def test_sample_rejects_nonfinite_points():
-    geom = GridGeom((4, 4, 4))
-    vol = Volume3D(geom, np.zeros((4, 4, 4)))
+    fld = VectorField3D(GridGeom((4, 4, 4)), np.zeros((4, 4, 4, 3)))
     with pytest.raises(ValueError):
-        trilinear_sample(vol, [np.nan, 1.0, 1.0])
+        trilinear_sample(fld, [np.nan, 1.0, 1.0])
 
 
 def _reference_sampler(dims, pts):
@@ -275,24 +270,18 @@ def test_sampler_rejects_grids_beyond_int32_indices():
 # save / load
 # ---------------------------------------------------------------------------
 
-def test_save_load_scalar_round_trip(tmp_path):
-    rng = np.random.default_rng(22)
-    geom = GridGeom((4, 5, 6), spacing=(0.5, 1.0, 1.5), origin=(-1.0, 2.0, 0.25))
-    vol = Volume3D(geom, rng.standard_normal((4, 5, 6)))
-    save_volume(vol, str(tmp_path / "vol"))
-    back = load_volume(str(tmp_path / "vol.hdr"))
-    assert isinstance(back, Volume3D)
-    assert back.geom == geom
-    assert np.array_equal(back.data, vol.data)
+def _zero_field(dims):
+    return VectorField3D(GridGeom(dims), np.zeros(dims + (3,)))
 
 
 def test_save_load_vector_round_trip(tmp_path):
     rng = np.random.default_rng(23)
-    geom = GridGeom((3, 4, 5))
+    geom = GridGeom((3, 4, 5), spacing=(0.5, 1.0, 1.5), origin=(-1.0, 2.0, 0.25))
     fld = VectorField3D(geom, rng.standard_normal((3, 4, 5, 3)))
     save_volume(fld, str(tmp_path / "svf.hdr"))
     back = load_volume(str(tmp_path / "svf"))
     assert isinstance(back, VectorField3D)
+    assert back.geom == geom
     assert np.array_equal(back.data, fld.data)
 
 
@@ -304,18 +293,15 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_truncated_payload(tmp_path):
-    geom = GridGeom((4, 4, 4))
-    vol = Volume3D(geom, np.zeros((4, 4, 4)))
-    hdr = save_volume(vol, str(tmp_path / "t"))
+    hdr = save_volume(_zero_field((4, 4, 4)), str(tmp_path / "t"))
     raw = tmp_path / "t.raw"
     raw.write_bytes(raw.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="expected 64 values"):
+    with pytest.raises(ValueError, match="expected 192 values, found 190"):
         load_volume(hdr)
 
 
 def test_load_reports_missing_field(tmp_path):
-    geom = GridGeom((2, 2, 2))
-    hdr = save_volume(Volume3D(geom, np.zeros((2, 2, 2))), str(tmp_path / "m"))
+    hdr = save_volume(_zero_field((2, 2, 2)), str(tmp_path / "m"))
     lines = [ln for ln in Path(hdr).read_text().splitlines() if not ln.startswith("components")]
     (tmp_path / "m.hdr").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="missing header field"):
@@ -324,7 +310,7 @@ def test_load_reports_missing_field(tmp_path):
 
 def test_load_rejects_empty_data_field(tmp_path):
     # An empty ``data:`` names the header, not the directory it would open.
-    hdr = save_volume(Volume3D(GridGeom((2, 2, 2)), np.zeros((2, 2, 2))), str(tmp_path / "e"))
+    hdr = save_volume(_zero_field((2, 2, 2)), str(tmp_path / "e"))
     Path(hdr).write_text(Path(hdr).read_text().replace("data: e.raw", "data: "))
     with pytest.raises(ValueError, match=f"^{re.escape(hdr)}: empty data field$"):
         load_volume(hdr)
