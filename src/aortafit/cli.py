@@ -16,7 +16,10 @@ missing input, template and target meshes that do not correspond, a mesh
 the report must measure ring by ring that has no ring layout, an
 allocation too large, ``--jobs`` below 1, a pipeline worker process that
 died), 3 numerical failure (divergence, solver residual, non-finite
-stresses).
+stresses). The exception's type alone sets the code: FloatingPointError
+exits 3, ValueError and OSError exit 2. These builtins pickle, so a
+``pipeline --jobs`` worker's failure reaches ``main`` as the exception a
+serial run raises, and exits with the same code and message.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ import sys
 from . import __version__
 from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
-from .fea import MembraneModel, SolverError, solve_membrane_stress
-from .fitter import FitConfig, FitDivergence, GridConfig, bounding_grid, check_meshes, fit_svf, summary_line
+from .fea import MembraneModel, solve_membrane_stress
+from .fitter import FitConfig, GridConfig, bounding_grid, check_meshes, fit_svf, summary_line
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
-from .quadmesh import MeshFileError, REGIONS, _render_body, average_template, load_mesh, rings, save_mesh
+from .quadmesh import REGIONS, _render_body, average_template, load_mesh, rings, save_mesh
 from .quality import METRICS, quality_report
 from .volgrid import load_volume, save_volume
 
@@ -551,10 +554,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FitDivergence, SolverError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"aortafit: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (MeshFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"aortafit: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

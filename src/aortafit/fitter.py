@@ -60,7 +60,6 @@ from .volgrid import GridGeom, VectorField3D, trilinear_sample
 
 __all__ = [
     "FitConfig",
-    "FitDivergence",
     "GridConfig",
     "check_meshes",
     "fit_svf",
@@ -77,18 +76,6 @@ _CG_RTOL = 0.01  # CG stops once ||r|| < _CG_RTOL ||g||
 _LAMBDA_INIT = 1e-3  # first lambda, relative to the Rayleigh quotient g^T H g / g^T g
 _LAMBDA_DOWN = 3.0  # lambda is divided by this on an accepted step
 _LAMBDA_UP = 4.0  # and multiplied by this on a rejected one
-
-
-class FitDivergence(RuntimeError):
-    """The fit blew up; the loss history up to that point is attached.
-
-    Raised when a level's first field, upsampled from the level before,
-    outgrows the squaring-step guard of scaling and squaring.
-    """
-
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = np.asarray(history)
 
 
 def _grid_dim(d):
@@ -223,12 +210,13 @@ def _solve(hess, g, lam, maxiter):
     return step, lam, n
 
 
-def _fit_level(template, target, geom, tau, cfg, losses):
-    """One level's LM Gauss-Newton fit from ``tau``.
+def _fit_level(template, target, geom, tau, cfg, losses, level):
+    """One level's LM Gauss-Newton fit from ``tau``, the ``level``-th (from 0) of ``cfg.levels``.
 
     Returns the accepted field, its forward pass (displacement, warped
     template and loss breakdown) and the level's record. Every forward pass
-    that yields a loss appends it to ``losses``.
+    that yields a loss appends it to ``losses``. A first field past the
+    squaring-step guard raises FloatingPointError naming the level.
     """
     # The template does not move within a level: one sampler at its vertices
     # serves every warp and every linearization.
@@ -246,7 +234,7 @@ def _fit_level(template, target, geom, tau, cfg, losses):
     try:
         fld, states, steps, disp, warped, loss = forward(tau)
     except ValueError as exc:  # fit_svf checked the meshes, so only the squaring-step guard raises it
-        raise FitDivergence(str(exc), losses) from None
+        raise FloatingPointError(f"fit level {level + 1} of {len(cfg.levels)}: {exc}") from None
     diag = 2.0 * vertex_weights(template, target, cfg.weights)[:, None]  # H = J^T diag J
     passes, products, accepted, lam = 1, 0, 0, None
     stop = "budget"
@@ -322,7 +310,9 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
     a product is not linearized: a level that stops on ``budget`` right after
     an accepted step reports the gradient it took that step from. Arithmetic
     that overflows or turns invalid raises FloatingPointError: in a trial
-    step it rejects the step, elsewhere it ends the fit.
+    step it rejects the step, elsewhere it ends the fit. A level's first
+    field, upsampled from the level before, that outgrows the squaring-step
+    guard ends it too, with a FloatingPointError naming the level.
     """
     check_meshes(template, target, cfg)
     losses = []
@@ -334,7 +324,7 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         if level > 0:
             tau = upsample_svf(VectorField3D(prev_geom, tau), dims).data
         level_starts.append(len(losses))
-        tau, (disp, fitted, final), record = _fit_level(template, target, geom, tau, cfg, losses)
+        tau, (disp, fitted, final), record = _fit_level(template, target, geom, tau, cfg, losses, level)
         levels.append(record)
         prev_geom = geom
 

@@ -31,7 +31,7 @@ File format (legacy VTK-style ASCII polydata)
     <C> <A>
     CELL_DATA <nf>                   # optional, written when cell data given
     FIELD celldata <k>
-    <name> <ncomp> <nf> double
+    <name> <ncomp> <nf> double       # save_mesh writes ncomp 1; the reader takes any
     <values> ...
 
 Numbers may be split across lines arbitrarily; a number is what Python's
@@ -201,10 +201,6 @@ def average_template(meshes):
 # ---------------------------------------------------------------------------
 
 
-class MeshFileError(ValueError):
-    """Malformed mesh file; message carries file and line context."""
-
-
 def _render_body(mesh):
     """The POINTS through FIELD sections of ``mesh``'s file, as :func:`save_mesh` writes them.
 
@@ -229,11 +225,11 @@ def _render_body(mesh):
 def save_mesh(mesh, path, cell_data=None, title="aortafit mesh", body=None):
     """Write a mesh (plus optional per-face cell data arrays) to ``path``.
 
-    ``cell_data`` maps array names to (n_faces,) or (n_faces, k) float arrays,
-    written one ``repr`` per value. Vertex coordinates round-trip bitwise
-    (shortest-roundtrip decimals). ``body`` may pass ``_render_body(mesh)``
-    rendered earlier, to write one mesh to several files without formatting
-    its rows again.
+    ``cell_data`` maps array names to (n_faces,) float arrays, written one
+    ``repr`` per value; an array of another shape raises ValueError naming
+    it. Vertex coordinates round-trip bitwise (shortest-roundtrip decimals).
+    ``body`` may pass ``_render_body(mesh)`` rendered earlier, to write one
+    mesh to several files without formatting its rows again.
     """
     lines = []
     if cell_data:
@@ -241,15 +237,10 @@ def save_mesh(mesh, path, cell_data=None, title="aortafit mesh", body=None):
         lines.append(f"FIELD celldata {len(cell_data)}")
         for name, arr in cell_data.items():
             arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape[0] != mesh.n_faces:
-                raise ValueError(f"cell data {name!r} has {arr.shape[0]} rows, mesh has {mesh.n_faces} faces")
-            ncomp = 1 if arr.ndim == 1 else arr.shape[1]
-            lines.append(f"{name} {ncomp} {mesh.n_faces} double")
-            flat = arr.reshape(mesh.n_faces, -1)
-            if flat.shape[1] == 1:
-                lines += map(repr, flat[:, 0].tolist())
-            else:
-                lines += [" ".join(map(repr, row)) for row in flat.tolist()]
+            if arr.shape != (mesh.n_faces,):
+                raise ValueError(f"cell data {name!r} has shape {arr.shape}, mesh has {mesh.n_faces} faces")
+            lines.append(f"{name} 1 {mesh.n_faces} double")
+            lines += map(repr, arr.tolist())
     if body is None:
         body = _render_body(mesh)
     with open(path, "w") as fh:
@@ -277,13 +268,13 @@ class _Cursor:
         self.pos = pos
 
     def error(self, msg, at=None):
-        """Raise MeshFileError on the line of offset ``at``, by default of the last token read."""
+        """Raise ValueError on the line of offset ``at``, by default of the last token read."""
         if at is None:
             at = self.pos
             while self.text[at - 1].isspace():  # a block's run may end in blank lines
                 at -= 1
         line = self.text.count("\n", 0, at) + 1
-        raise MeshFileError(f"{self.path}:{line}: {msg}")
+        raise ValueError(f"{self.path}:{line}: {msg}")
 
     def more(self):
         return _TOKEN.search(self.text, self.pos) is not None
@@ -291,7 +282,7 @@ class _Cursor:
     def next(self, what):
         m = _TOKEN.search(self.text, self.pos)
         if m is None:
-            raise MeshFileError(f"{self.path}: unexpected end of file, expected {what}")
+            raise ValueError(f"{self.path}: unexpected end of file, expected {what}")
         self.pos = m.end()
         return m.group()
 
@@ -357,7 +348,7 @@ class _Cursor:
         if fault is not None:
             self.error(fault[1], fault[0])
         if len(values) < count:
-            raise MeshFileError(f"{self.path}: unexpected end of file, "
+            raise ValueError(f"{self.path}: unexpected end of file, "
                                 f"expected {whats[len(values) % len(whats)]}")
         return np.array(values, dtype=kind)
 
@@ -377,11 +368,11 @@ def _parse(path, text):
         lines.append(text[pos:stop])
         pos = stop
     if not lines[0].startswith("# vtk DataFile"):
-        raise MeshFileError(f"{path}:1: not a VTK-style mesh file")
+        raise ValueError(f"{path}:1: not a VTK-style mesh file")
     if lines[2].strip() != "ASCII":
-        raise MeshFileError(f"{path}:3: only ASCII files are supported")
+        raise ValueError(f"{path}:3: only ASCII files are supported")
     if lines[3].strip() != "DATASET POLYDATA":
-        raise MeshFileError(f"{path}:4: expected DATASET POLYDATA")
+        raise ValueError(f"{path}:4: expected DATASET POLYDATA")
     cur = _Cursor(path, text, pos)
 
     cur.expect("POINTS")
@@ -468,23 +459,25 @@ def load_mesh(path, return_cell_data=False):
     region labels, each field and cell-data array) is parsed as one array
     and checked as a whole: cell size 4, vertex indices in 0..nv-1, region
     labels in 0..3, ring_layout as 2 integers in 1..nv. A number is what
-    Python's ``float()`` (``int()`` for polygons and labels) accepts. On a
-    bad or missing token the error names the file and the line of the first
-    bad token; a file that is not text names the file.
+    Python's ``float()`` (``int()`` for polygons and labels) accepts. A bad
+    or missing token raises ValueError naming the file and the line of the
+    first bad token; a file that is not text, or a mesh that is not valid,
+    names the file.
 
     With ``return_cell_data`` the result is ``(mesh, dict)`` where the dict
-    holds any per-face arrays stored in the file.
+    holds any per-face arrays stored in the file: (n_faces,) for one
+    component, (n_faces, k) for k.
     """
     with open(path) as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise MeshFileError(f"{path}: not a text file: {exc}") from None
+            raise ValueError(f"{path}: not a text file: {exc}") from None
     verts, faces, regions, ring_layout, cell_data = _parse(path, text)
     try:
         mesh = QuadMesh(verts, faces, regions, ring_layout)
     except ValueError as exc:
-        raise MeshFileError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     if return_cell_data:
         return mesh, cell_data
     return mesh

@@ -104,6 +104,36 @@ def bulged_cylinder(circumferential=24, axial=60, length=120.0, radius=15.0,
     return make_phantom(spec)
 
 
+def save_per_element(mesh, path, cell_data=None, title="aortafit mesh"):
+    """The per-element writer save_mesh replaced: its byte-identity reference,
+    and the writer of (n_faces, k) cell arrays, which save_mesh refuses."""
+    def fmt(x):
+        return repr(float(x))
+
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA",
+             f"POINTS {mesh.n_vertices} double"]
+    for v in mesh.vertices:
+        lines.append(f"{fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
+    lines.append(f"POLYGONS {mesh.n_faces} {5 * mesh.n_faces}")
+    for f in mesh.faces:
+        lines.append(f"4 {f[0]} {f[1]} {f[2]} {f[3]}")
+    lines += [f"POINT_DATA {mesh.n_vertices}", "SCALARS region int 1", "LOOKUP_TABLE default"]
+    for r in mesh.regions:
+        lines.append(str(int(r)))
+    if mesh.ring_layout is not None:
+        lines += ["FIELD meta 1", "ring_layout 2 1 int", f"{mesh.ring_layout[0]} {mesh.ring_layout[1]}"]
+    if cell_data:
+        lines += [f"CELL_DATA {mesh.n_faces}", f"FIELD celldata {len(cell_data)}"]
+        for name, arr in cell_data.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            ncomp = 1 if arr.ndim == 1 else arr.shape[1]
+            lines.append(f"{name} {ncomp} {mesh.n_faces} double")
+            for row in arr.reshape(mesh.n_faces, -1):
+                lines.append(" ".join(fmt(x) for x in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def smooth_svf(dims, max_abs, seed, sigma=2.5):
     """Random smooth stationary velocity field with a pinned infinity norm."""
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bulged_cylinder, straight_cylinder
+from conftest import bulged_cylinder, save_per_element, straight_cylinder
 
 from aortafit import __version__, cli
 from aortafit.cli import build_sections, config_hash, default_config, load_config, main
@@ -663,6 +663,27 @@ def test_pipeline_broken_pool_exit_2(tmp_path, capsys, inline_pool):
                                 "A process in the process pool was terminated abruptly"]
 
 
+def test_pipeline_worker_numerical_failure_exit_3(tmp_path, capsys):
+    # A case that fails numerically in a real two-process pool exits 3 with
+    # the one line a serial run prints: the worker's FloatingPointError
+    # pickles back to main as itself, so the pool does not break (exit 2).
+    # Free tube ends leave the curved phantoms with no membrane equilibrium.
+    paths = []
+    for name, aneurysm in [("t", None), ("a", (60.0, 3.0, 10.0)), ("b", (80.0, 3.0, 10.0))]:
+        paths.append(str(tmp_path / f"{name}.vtk"))
+        save_mesh(make_phantom(PhantomSpec(circumferential=12, axial=24, aneurysm=aneurysm)), paths[-1])
+    code = main(["pipeline", "--template", paths[0], "--target", paths[1], "--target", paths[2],
+                 "--out", str(tmp_path / "p"), "--seed", "0", "--jobs", "2",
+                 "--set", "fit.levels=[[4,4,4]]", "--set", "fit.svf_dims=[4,4,4]",
+                 "--set", "fit.iters_per_level=4", "--set", "grid.spacing=4.0",
+                 "--set", "membrane.fixed_rings=[]"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"aortafit: numerical failure: equilibrium residual \S+ above limit 1e-06 "
+                        r"after \d+ refinement rounds", err[0]), err
+
+
 def test_pipeline_single_target_writes_flat(tmp_path, mesh_files, capsys):
     out = str(tmp_path / "single")
     code = main(["pipeline", "--template", mesh_files["template"],
@@ -843,7 +864,7 @@ def test_quality_exit_code_under_mesh_fuzz(seed, edits):
     mesh = straight_cylinder(circumferential=4, axial=3, length=10.0)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.vtk")
-        save_mesh(mesh, path, cell_data={"s": rng.standard_normal((mesh.n_faces, 2))})
+        save_per_element(mesh, path, cell_data={"s": rng.standard_normal((mesh.n_faces, 2))})
         lines = Path(path).read_text().split("\n")
         tokens = " ".join(lines[4:]).split()
         for edit in edits:

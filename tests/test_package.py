@@ -2,6 +2,7 @@
 nothing defined is unreachable, and the package and CLI import."""
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
@@ -155,6 +156,25 @@ def test_no_class_defines_as_dict():
     assert ("DiffeoConfig", "resolve_steps") in methods  # the scan sees the package's methods
     offenders = sorted(cls for cls, name in methods if name == "as_dict")
     assert not offenders, f"classes in src/aortafit that define as_dict: {offenders}"
+
+
+def test_no_class_derives_from_an_exception():
+    # A failure is a builtin exception whose type alone sets the exit code
+    # (FloatingPointError 3; ValueError and OSError 2). A subclass repeats
+    # a builtin's role, and one whose __init__ takes more than the message
+    # does not unpickle, so a pipeline worker raising it breaks the pool.
+    package = os.path.dirname(aortafit.__file__)
+    classes = {node.name: {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None) for b in node.bases}
+               for path, tree in _program_trees().items() if path.startswith(package)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "DiffeoConfig" in classes  # the scan sees the package's classes
+    exceptions = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+    # A class deriving from one of the package's exceptions is one too.
+    while grown := {cls for cls, bases in classes.items() if bases & exceptions} - exceptions:
+        exceptions |= grown
+    offenders = sorted(exceptions & set(classes))
+    assert not offenders, f"classes in src/aortafit that derive from an exception type: {offenders}"
 
 
 def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):

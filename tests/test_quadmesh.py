@@ -1,6 +1,7 @@
 """Quad mesh container, topology checks, template averaging, VTK-style I/O."""
 
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cube_sphere, straight_cylinder
+from conftest import cube_sphere, save_per_element, straight_cylinder
 
 from aortafit.quadmesh import (
     REGIONS,
-    MeshFileError,
     QuadMesh,
     average_template,
     face_regions,
@@ -319,7 +319,7 @@ def test_load_rejects_triangle_cell(tmp_path):
     # Keep POLYGONS size consistent with the shrunk cell record.
     text = text.replace("POLYGONS 4 20", "POLYGONS 4 19", 1)
     path.write_text(text)
-    with pytest.raises(MeshFileError, match="non-quad cell of size 3"):
+    with pytest.raises(ValueError, match="non-quad cell of size 3"):
         load_mesh(str(path))
 
 
@@ -328,18 +328,18 @@ def test_load_rejects_out_of_range_index(tmp_path):
     path = tmp_path / "oob.vtk"
     save_mesh(mesh, str(path))
     path.write_text(path.read_text().replace("4 0 1 4 3", "4 0 1 4 99", 1))
-    with pytest.raises(MeshFileError):
+    with pytest.raises(ValueError):
         load_mesh(str(path))
 
 
 def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "junk.vtk"
     p.write_text("this is not a mesh\n")
-    with pytest.raises(MeshFileError):
+    with pytest.raises(ValueError):
         load_mesh(str(p))
     # A binary file is a mesh file error that names the file, not a codec error.
     p.write_bytes(b"# vtk DataFile Version 3.0\n\xff\xfe\x00\x01binary\n")
-    with pytest.raises(MeshFileError, match="junk.vtk: not a text file"):
+    with pytest.raises(ValueError, match="junk.vtk: not a text file"):
         load_mesh(str(p))
 
 
@@ -349,7 +349,7 @@ def test_load_rejects_truncated_file(tmp_path):
     save_mesh(mesh, str(path))
     text = path.read_text()
     path.write_text(text[: int(len(text) * 0.6)])
-    with pytest.raises(MeshFileError):
+    with pytest.raises(ValueError):
         load_mesh(str(path))
 
 
@@ -378,61 +378,42 @@ def test_load_mesh_allocation_stays_near_file_size(tmp_path, default_phantom):
 # Reader: layouts, number forms and error messages
 # ---------------------------------------------------------------------------
 
-def _save_per_element(mesh, path, cell_data=None, title="aortafit mesh"):
-    """The per-element writer save_mesh replaced: the byte-identity reference."""
-    def fmt(x):
-        return repr(float(x))
-
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA",
-             f"POINTS {mesh.n_vertices} double"]
-    for v in mesh.vertices:
-        lines.append(f"{fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
-    lines.append(f"POLYGONS {mesh.n_faces} {5 * mesh.n_faces}")
-    for f in mesh.faces:
-        lines.append(f"4 {f[0]} {f[1]} {f[2]} {f[3]}")
-    lines += [f"POINT_DATA {mesh.n_vertices}", "SCALARS region int 1", "LOOKUP_TABLE default"]
-    for r in mesh.regions:
-        lines.append(str(int(r)))
-    if mesh.ring_layout is not None:
-        lines += ["FIELD meta 1", "ring_layout 2 1 int", f"{mesh.ring_layout[0]} {mesh.ring_layout[1]}"]
-    if cell_data:
-        lines += [f"CELL_DATA {mesh.n_faces}", f"FIELD celldata {len(cell_data)}"]
-        for name, arr in cell_data.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            ncomp = 1 if arr.ndim == 1 else arr.shape[1]
-            lines.append(f"{name} {ncomp} {mesh.n_faces} double")
-            for row in arr.reshape(mesh.n_faces, -1):
-                lines.append(" ".join(fmt(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def test_save_mesh_bytes_match_per_element_writer(tmp_path, tube24):
     verts = tube24.vertices * (1.0 / 3.0) + np.array([0.1, -1e-7, 12345.6789])
     mesh = tube24.with_vertices(verts)
     rng = np.random.default_rng(34)
     cell_data = {
         "one": rng.standard_normal(mesh.n_faces) * 1e-7,
-        "column": rng.uniform(-1, 1, (mesh.n_faces, 1)) / 3.0,
-        "three": rng.standard_normal((mesh.n_faces, 3)) * np.array([1.0, 1e5, 1e-300]),
+        "scaled": rng.standard_normal(mesh.n_faces) * np.resize([1.0, 1e5, 1e-300], mesh.n_faces),
     }
-    cell_data["three"][0] = [-0.0, 12345.6789, 1.0 / 3.0]
+    cell_data["scaled"][:3] = [-0.0, 12345.6789, 1.0 / 3.0]
     for cd in (None, cell_data):
         new, old = str(tmp_path / "new.vtk"), str(tmp_path / "old.vtk")
         save_mesh(mesh, new, cell_data=cd)
-        _save_per_element(mesh, old, cell_data=cd)
+        save_per_element(mesh, old, cell_data=cd)
         assert Path(new).read_bytes() == Path(old).read_bytes()
     # and without a ring layout
     save_mesh(_patch_mesh(), new)
-    _save_per_element(_patch_mesh(), old)
+    save_per_element(_patch_mesh(), old)
     assert Path(new).read_bytes() == Path(old).read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (4, 3), (3,), (5,), ()])
+def test_save_mesh_refuses_cell_array_not_one_per_face(tmp_path, shape):
+    # Every cell array the CLI writes is one value per face; any other shape
+    # is refused before the file is opened, naming the array and its shape.
+    path = tmp_path / "m.vtk"
+    cell_data = {"ok": np.zeros(4), "bad": np.zeros(shape)}
+    with pytest.raises(ValueError, match=rf"^cell data 'bad' has shape {re.escape(str(shape))}, mesh has 4 faces$"):
+        save_mesh(_patch_mesh(), str(path), cell_data=cell_data)
+    assert not path.exists()
 
 
 def _outcome(path):
     """load_mesh's result as (mesh, cell_data), or its exception's type and text."""
     try:
         return load_mesh(path, return_cell_data=True)
-    except Exception as exc:  # any failure must be a MeshFileError naming the file
+    except Exception as exc:  # any failure must be a ValueError naming the file
         return type(exc).__name__, str(exc)
 
 
@@ -462,7 +443,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
     # Rewrapped lines, other line endings and other separators load the saved
     # arrays bit for bit. One number swapped for a form that float() or int()
     # and np.fromstring may read differently loads as float(tok) or int(tok)
-    # at that place, or raises MeshFileError naming that token's line (or the
+    # at that place, or raises ValueError naming that token's line (or the
     # file, when the mesh itself is invalid). Zero or two tokens in place of
     # one shift every later token, which no file layout absorbs.
     rng = np.random.default_rng(seed)
@@ -474,7 +455,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
     cell_data = {"s": values.squeeze(-1) if ncomp == 1 else values} if ncomp else None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.vtk")
-        save_mesh(mesh, path, cell_data=cell_data)
+        save_per_element(mesh, path, cell_data=cell_data)  # save_mesh writes no 3-component array
         lines = Path(path).read_text().split("\n")
         tokens = " ".join(lines[4:]).split()
         # Where each saved array's numbers start among the body tokens.
@@ -514,7 +495,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
             assert parsed == [(arr.dtype, arr.size) for arr in arrays.values()]
 
         if tricky is not None and len(tricky.split()) != 1:
-            assert got[0] == "MeshFileError"
+            assert got[0] == "ValueError"
             return
         if tricky is not None:
             kind = int if name in ("POLYGONS", "LOOKUP_TABLE") else float
@@ -522,7 +503,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
             try:
                 value = kind(tricky)
             except ValueError:
-                assert got[0] == "MeshFileError" and f"m.vtk:{line_of[at]}: expected " in got[1]
+                assert got[0] == "ValueError" and f"m.vtk:{line_of[at]}: expected " in got[1]
                 assert got[1].endswith(f", got {tricky!r}")
                 return
             if name == "POLYGONS":
@@ -534,7 +515,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
             else:
                 in_range = True
             if not in_range:
-                assert got[0] == "MeshFileError" and f"m.vtk:{line_of[at]}: " in got[1]
+                assert got[0] == "ValueError" and f"m.vtk:{line_of[at]}: " in got[1]
                 return
             arrays[name].flat[i] = value
         ring = arrays.get("ring_layout")
@@ -542,7 +523,7 @@ def test_reader_takes_any_layout_and_reads_numbers_as_python_does(
             want = QuadMesh(arrays["POINTS"], arrays["POLYGONS"][:, 1:], arrays["LOOKUP_TABLE"],
                             None if ring is None else tuple(int(x) for x in ring))
         except ValueError as exc:
-            assert got == ("MeshFileError", f"{path}: {exc}")
+            assert got == ("ValueError", f"{path}: {exc}")
             return
         assert not isinstance(got[0], str), got
         back, back_cd = got
@@ -595,7 +576,7 @@ def test_block_reader_failures_give_walker_message(tmp_path, line, text, message
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
     got = _outcome(path)
-    assert got[0] == "MeshFileError" and message in got[1]
+    assert got[0] == "ValueError" and message in got[1]
 
 
 @pytest.mark.parametrize("token, fast", [
@@ -627,10 +608,10 @@ def test_block_reader_token_forms(tmp_path, token, fast):
     try:
         want = float(token)
     except ValueError:
-        assert got[0] == "MeshFileError" and "m.vtk:6: expected coordinate, got " in got[1]
+        assert got[0] == "ValueError" and "m.vtk:6: expected coordinate, got " in got[1]
         return
     if not np.isfinite(want):
-        assert got[0] == "MeshFileError" and "vertex coordinates must be finite" in got[1]
+        assert got[0] == "ValueError" and "vertex coordinates must be finite" in got[1]
         return
     assert np.float64(want).tobytes() == got[0].vertices[0, 0].tobytes()
 
