@@ -22,24 +22,37 @@ joins vertices one ring plus one slot apart. The order is chosen first, on
 that triangle graph of the free vertices, not on the Gram matrix: mesh
 order, or reverse Cuthill-McKee where that band is narrower (closed surfaces
 such as a cube sphere); each vertex's three unknowns follow it, so a vertex
-half-width w is a band of half-width 3 w + 2. The equations are then
-assembled in that order in corner form: a constant-stress triangle's corner
-force is half its stress applied across the edge opposite the corner, so
-each (vertex, triangle) 3x3 block is fixed by two numbers per corner and
-one frame per triangle. Blocks are expanded a block of vertex rows at a
-time, for the Gram matrix (a block product against only the rows the band
-lets them meet, scattered straight into LAPACK's band storage) and for
-A x; Aᵀ y goes straight from the corner form. The band is factored by
-banded Cholesky with OpenBLAS held at one thread so the factor's bytes do
-not depend on the thread count. Beside the band live only the corner form,
-the load b and in refinement the solution vectors; freed heap goes back to
-the system (glibc's malloc_trim) before the band is allocated, and the
-factor is dropped before the collapse. Where the Gram matrix is only
-semidefinite to working precision (open tubes with free ends keep mechanism
-modes that the 1e-8 damping barely lifts; an open mesh with no fixed vertex
-skips the banded attempt and keeps mesh order), or where scipy's OpenBLAS
-thread control is not available, SuperLU factors it instead, and only that
-path expands the whole operator and forms the whole Gram matrix.
+half-width w is a band of half-width 3 w + 2. One ring of nested dissection
+then cuts it: the w vertices in the middle of that order touch no pair of
+vertices on opposite sides, so the free vertices go in the order [left half,
+right half reversed, those w], and each half is a band of the same
+half-width. The equations are then assembled in that order in corner form:
+a constant-stress triangle's corner force is half its stress applied across
+the edge opposite the corner, so each (vertex, triangle) 3x3 block is fixed
+by two numbers per corner and one frame per triangle. Blocks are expanded a
+block of vertex rows at a time, for each half's Gram matrix (a block product
+against only the rows the band lets them meet, scattered straight into
+LAPACK's band storage) and for A x; Aᵀ y goes straight from the corner
+form. A second thread fills the right half's band and factors it by
+banded Cholesky (LAPACK's dpbtrf through ctypes, which releases the GIL)
+while the main thread does the left; then the separator's Schur complement,
+3 w unknowns, is formed and factored dense. A solve is a forward band solve
+on each half, two triangular solves on the separator and a back band solve
+on each half. OpenBLAS is held at one thread, so no byte depends on its
+thread count or on whether the halves overlap. A band whose factor work is
+small keeps one half, with no separator and no second thread. Beside the two bands live only the
+separator's dense blocks, the corner form, the load b and in refinement the
+solution vectors; freed heap goes back to the system (glibc's malloc_trim)
+before the bands are allocated, and the factor is dropped before the
+collapse. The worker thread has a small stack and shares glibc's main malloc
+arena, and OpenBLAS maps its two work buffers before the bands, so the run's
+peak address space is what the solve's arrays and buffers need. Where the
+Gram matrix is only semidefinite to working precision (open tubes with free
+ends keep mechanism modes that the 1e-8 damping barely lifts; an open mesh
+with no fixed vertex skips the banded attempt and keeps mesh order), or
+where scipy's OpenBLAS does not export its thread control, dpbtrf and its
+buffer pool, SuperLU factors it instead, and only that path expands the
+whole operator and forms the whole Gram matrix.
 
 Units: meshes in mm, pressures in kPa, forces in N. Resultants then come out
 in N/mm (= kN/m) and Cauchy stresses (resultant / thickness) are reported in
@@ -48,15 +61,20 @@ kPa.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemv, dsyrk, dtbsv, dtrsv
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import bsr_array, csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
@@ -76,7 +94,10 @@ _REFINE_ROUNDS = 40  # cap on residual-refinement rounds
 _REFINE_TOL = 1e-8  # refinement stops once the relative residual is at or below this
 _RESIDUAL_LIMIT = 1e-6  # a solve whose relative residual stays above this fails
 _GRAM_BLOCK = 1024  # vertex rows of A expanded at a time (triangles for Aᵀ y)
-_BLAS_ROOM = 40 << 20  # address space claimed for OpenBLAS's 32 MiB work buffer before its first use, bytes
+_BLAS_ROOM = 40 << 20  # address space claimed per OpenBLAS 32 MiB work buffer before it is mapped, bytes
+_SPLIT_WORK = 1e8  # band factor work (unknowns x half-width^2) from which the band is split over two threads
+_THREAD_STACK = 256 << 10  # the band worker thread's stack, bytes
+_M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
 _SPLITS = ((0, 1, 2), (0, 2, 3))  # a quad's two triangles, split along its v0-v2 diagonal
 
 
@@ -323,14 +344,34 @@ def _norm(v):
     return float(np.sqrt(np.sum(v * v)))
 
 
+class _OpenBLAS(NamedTuple):
+    """The entries of scipy's OpenBLAS that the band's threads use."""
+
+    get_threads: Callable
+    set_threads: Callable
+    dpbtrf: Callable  # the band Cholesky factor; through ctypes it runs without the GIL, which scipy's wrapper holds
+    alloc: Callable  # a work buffer from OpenBLAS's pool, mapped if it has none free
+    free: Callable  # a buffer back to the pool, still mapped
+
+
 @functools.cache
 def _blas_threads():
-    """scipy's OpenBLAS thread-count (get, set) pair, or None where it exports none."""
+    """scipy's OpenBLAS thread control, band factor and buffer pool (``_OpenBLAS``); None where it exports any not."""
     try:
         lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
-        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        blas = _OpenBLAS(lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads,
+                         lib.scipy_dpbtrf_, lib.blas_memory_alloc, lib.blas_memory_free)
     except (OSError, AttributeError):
         return None
+    blas.get_threads.argtypes, blas.get_threads.restype = [], ctypes.c_int
+    blas.set_threads.argtypes, blas.set_threads.restype = [ctypes.c_int], None
+    integer = ctypes.POINTER(ctypes.c_int)
+    # uplo, n, kd, ab, ldab, info and the length of uplo, as gfortran passes them
+    blas.dpbtrf.argtypes = [ctypes.c_char_p, integer, integer, ctypes.c_void_p, integer, integer, ctypes.c_size_t]
+    blas.dpbtrf.restype = None
+    blas.alloc.argtypes, blas.alloc.restype = [ctypes.c_int], ctypes.c_void_p
+    blas.free.argtypes, blas.free.restype = [ctypes.c_void_p], None
+    return blas
 
 
 @functools.cache
@@ -344,20 +385,34 @@ def _malloc_trim():
     return trim
 
 
+@functools.cache
+def _single_arena():
+    """Have glibc's malloc serve every thread from its main arena, once per process; nothing where it has no mallopt.
+
+    A thread's first malloc otherwise reserves an arena of its own, 64 MiB
+    of address space (128 MiB while it is aligned).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold scipy's OpenBLAS at one thread; yields False where it cannot."""
-    control = _blas_threads()
-    if control is None:
+    blas = _blas_threads()
+    if blas is None:
         yield False
         return
-    get, set_ = control
-    old = get()
-    set_(1)
+    old = blas.get_threads()
+    blas.set_threads(1)
     try:
         yield True
     finally:
-        set_(old)
+        blas.set_threads(old)
 
 
 def _band_order(faces, free):
@@ -381,6 +436,25 @@ def _band_order(faces, free):
     width = int(np.abs(a - b).max(initial=0))
     rcm_width = int(np.abs(rank[a] - rank[b]).max(initial=0))
     return (rcm, rcm_width) if rcm_width < width else (np.arange(n), width)
+
+
+def _dissect(order, width):
+    """``order`` as [left half, right half reversed, separator], and the halves' vertex counts.
+
+    ``order`` is a band order of vertex half-width ``width``: no two vertices
+    more than ``width`` apart in it share a triangle. So the ``width``
+    vertices in its middle separate the halves on either side (one ring of
+    nested dissection), and each half, the right one read backwards so that
+    both end next to the separator, is a band of the same half-width. A band
+    whose factor work (unknowns times squared half-width) is under
+    ``_SPLIT_WORK``, or shorter than three separators, stays one left half
+    with an empty right half and an empty separator.
+    """
+    n, h = len(order), 3 * width + 2
+    if 3 * n * h * h < _SPLIT_WORK or n < 3 * width:
+        return order, (n, 0)
+    left = (n - width) // 2
+    return np.concatenate([order[:left], order[left + width:][::-1], order[left:left + width]]), (left, n - width - left)
 
 
 def _block_rows(A, lo, hi):
@@ -417,31 +491,30 @@ def _rmatvec(A, y, out):
             x3[lo:hi, j] = part[:, 0] + part[:, 1] + part[:, 2]
 
 
-def _gram_band(A, width):
-    """The lower band of A Aᵀ, of half-width 3 width + 2, in LAPACK's band storage.
+def _gram_band(A, width, lo, hi):
+    """The lower band of block rows lo:hi's Gram matrix among themselves, of half-width 3 width + 2, in LAPACK's band storage.
 
-    A's block rows are vertices in band order, and a vertex meets no other
-    more than ``width`` rows away. The Gram matrix is formed ``_GRAM_BLOCK``
-    vertex rows at a time, each block against only the rows it can meet,
-    the ``width`` before it and its own, expanded once. Block (I, J) of the
-    product lands at flat band position 3 I + 3 J h plus one pattern of
-    offsets: all nine entries of a block below the diagonal, the six on or
-    below the diagonal of a diagonal block.
+    A's block rows lo:hi are vertices in band order, and a vertex meets no
+    other more than ``width`` rows away. The Gram matrix is formed
+    ``_GRAM_BLOCK`` vertex rows at a time, each block against only the rows
+    of lo:hi it can meet, the ``width`` before it and its own, expanded
+    once. Block (I, J) of the product lands at flat band position
+    3 I + 3 J h plus one pattern of offsets: all nine entries of a block
+    below the diagonal, the six on or below the diagonal of a diagonal block.
     """
-    n = len(A.indptr) - 1
     h = 3 * width + 2
-    ab = np.zeros((h + 1, 3 * n), order="F")
+    ab = np.zeros((h + 1, 3 * (hi - lo)), order="F")
     flat = ab.reshape(-1, order="F")  # entry (row, col) of the lower band is flat[row + h * col]
     i, j = np.indices((3, 3))
     offsets = i + h * j
     lower = i >= j
-    for lo in range(0, n, _GRAM_BLOCK):
-        hi = min(lo + _GRAM_BLOCK, n)
-        first = max(0, lo - width)  # the block's rows meet none further back
-        near = _blocks(A, first, hi)
-        block = _block_rows(near, lo - first, hi - first) @ near.T
-        rows = np.repeat(np.arange(lo, hi), np.diff(block.indptr))
-        cols = block.indices.astype(np.intp) + first
+    for start in range(lo, hi, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, hi)
+        first = max(lo, start - width)  # the block's rows meet none further back
+        near = _blocks(A, first, stop)
+        block = _block_rows(near, start - first, stop - first) @ near.T
+        rows = np.repeat(np.arange(start - lo, stop - lo), np.diff(block.indptr))
+        cols = block.indices.astype(np.intp) + (first - lo)
         base = 3 * rows + 3 * h * cols
         below = cols < rows
         flat[base[below, None, None] + offsets] = block.data[below]
@@ -451,42 +524,172 @@ def _gram_band(A, width):
     return ab
 
 
-def _map_blas_buffer(half_width):
-    """Have OpenBLAS map its work buffer now, before the band takes the room.
+def _map_blas_buffers(count):
+    """Have OpenBLAS map ``count`` work buffers, one per thread that factors a half, before the bands take the room.
 
-    scipy's OpenBLAS maps that buffer (32 MiB) at its first level-3 call
-    and, where the address space has no room for it, retries the mapping
-    forever instead of failing. So room for it is claimed and released
-    first, which raises MemoryError where there is none, and then a factor
-    of an identity band of the band's half-width makes that first call.
+    scipy's OpenBLAS maps a 32 MiB buffer at a level-3 call that finds none
+    of its mapped ones free. Where the address space has no room for it,
+    OpenBLAS either retries the mapping forever (0.3.30, as scipy ships it)
+    or gives up after ten retries and ends the process with status 1
+    (0.3.31, as numpy ships it). So room for them is claimed and released
+    first, which raises MemoryError where there is none, and then ``count``
+    buffers are taken from the pool at once, which maps those it has not
+    mapped yet, and given back.
     """
-    warm = np.zeros((half_width + 1, 2 * (half_width + 1)), order="F")
-    warm[0] = 1.0
     try:
-        np.empty(_BLAS_ROOM, dtype=np.uint8)
+        np.empty(count * _BLAS_ROOM, dtype=np.uint8)
     except MemoryError as exc:
-        raise MemoryError(f"no room for the BLAS work buffer ({_BLAS_ROOM >> 20} MiB)") from exc
-    scipy.linalg.lapack.dpbtrf(warm, lower=1, overwrite_ab=1)
+        raise MemoryError(f"no room for {count} BLAS work buffers ({_BLAS_ROOM >> 20} MiB each)") from exc
+    blas = _blas_threads()
+    for buffer in [blas.alloc(0) for _ in range(count)]:
+        blas.free(buffer)
 
 
-def _band_cholesky(A, width, shift):
-    """Solver of (A Aᵀ + shift I) y = r by banded Cholesky; None if not positive definite.
+def _start(task):
+    """Run ``task`` on a new thread; returns the function that joins it and gives ``task``'s result or raises its exception.
 
-    Rows of A are the free vertices' force components in band order, three
-    per vertex, so a vertex half-width ``width`` is a band of half-width
-    3 width + 2 on the unknowns. Only the band, A and b live during the factor.
+    The thread has a 256 KiB stack rather than the default 8 MiB, and glibc
+    serves its mallocs from the main arena, so it costs about 1 MiB of
+    address space and a run's peak stays what its arrays need. A thread
+    that cannot start, for want of room for its stack, raises MemoryError.
     """
-    trim = _malloc_trim()
-    if trim is not None:  # the band lands on the heap the assembly and the order have freed
-        trim(0)
-    _map_blas_buffer(3 * width + 2)
-    ab = _gram_band(A, width)
-    ab[0] += shift
+    _single_arena()
+    future = concurrent.futures.Future()
+
+    def run():
+        try:
+            future.set_result(task())
+        except BaseException as exc:  # raised again in the thread that joins
+            future.set_exception(exc)
+
+    thread = threading.Thread(target=run, name="aortafit-band")
+    old = threading.stack_size(_THREAD_STACK)
     try:
-        cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+        thread.start()
+    except RuntimeError as exc:  # can't start new thread
+        raise MemoryError(f"cannot start the band's second thread: {exc}") from exc
+    finally:
+        threading.stack_size(old)
+
+    def join():
+        thread.join()
+        return future.result()
+
+    return join
+
+
+def _half_factor(A, width, lo, hi, shift):
+    """Banded Cholesky factor of (G + shift I), G the Gram matrix among block rows lo:hi of A; None if not positive definite.
+
+    The factor is in LAPACK's lower band storage, the band's own array.
+    """
+    ab = _gram_band(A, width, lo, hi)
+    ab[0] += shift
+    n, h = ab.shape[1], len(ab) - 1
+    info = ctypes.c_int()
+    _blas_threads().dpbtrf(b"L", ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(h)), ab.ctypes.data,
+                           ctypes.byref(ctypes.c_int(h + 1)), ctypes.byref(info), 1)
+    return ab if info.value == 0 else None
+
+
+def _coupling(A, rows, band, width, lo, hi):
+    """L⁻¹ Bᵀ on the last rows of a half, the only ones where it is not zero.
+
+    ``band`` is the factor L of the half on block rows lo:hi, ``rows`` the
+    separator's rows of A, and B their Gram block against the half. The
+    separator meets only the half's last ``width`` vertices, so Bᵀ is zero
+    above their k unknowns, and so is L⁻¹ Bᵀ; on them it is T⁻¹ Bᵀ for T,
+    L's dense lower corner there, read in place from the band storage.
+    """
+    coupling = (rows @ _blocks(A, max(lo, hi - width), hi).T).toarray().T  # (k, separator unknowns)
+    k, h = len(coupling), len(band) - 1
+    flat = band.reshape(-1, order="F")  # L[i, j] = flat[i + h j] for i >= j
+    corner = as_strided(flat[(band.shape[1] - k) * (h + 1):], shape=(k, k), strides=(8, 8 * h))
+    return solve_triangular(corner, coupling, lower=True, overwrite_b=True, check_finite=False)
+
+
+class _Factor(NamedTuple):
+    """A Aᵀ + shift I = L Lᵀ with the unknowns in the order of ``_dissect``:
+
+        L = | L_left     0        0   |
+            |   0      L_right    0   |
+            | W_leftᵀ  W_rightᵀ  L_sep |
+
+    with W = L⁻¹ Bᵀ for each half's Gram block B against the separator.
+    """
+
+    left: np.ndarray  # (h + 1, left unknowns) L_left in LAPACK's lower band storage
+    right: np.ndarray  # (h + 1, right unknowns) L_right, the same
+    couple_left: np.ndarray  # (k, separator unknowns) W_left's last k rows, the rest being zero
+    couple_right: np.ndarray  # (k, separator unknowns) W_right's
+    separator: np.ndarray  # lower Cholesky factor L_sep of the separator's Schur complement
+
+
+def _band_factor(A, width, halves, shift):
+    """(A Aᵀ + shift I) factored in the dissected order; None if not positive definite.
+
+    Rows of A are the free vertices' force components, three per vertex, in
+    the order of ``_dissect``, whose ``halves`` give the two halves' vertex
+    counts; a vertex half-width ``width`` is a band of half-width 3 width + 2
+    on each half's unknowns. A second thread fills and factors the right
+    half, where there is one, while this one does the left; the separator's
+    Schur complement (3 width unknowns) is formed and factored after both.
+    OpenBLAS runs on one thread (``_one_blas_thread``), so neither its bytes
+    nor anything else depends on whether the halves overlap. Only the two
+    bands, the separator's dense blocks, A and b live during the factor.
+    """
+    n_left, n_right = halves
+    trim = _malloc_trim()
+    if trim is not None:  # the bands land on the heap the assembly and the order have freed
+        trim(0)
+    _map_blas_buffers(1 + (n_right > 0))
+    right_half = functools.partial(_half_factor, A, width, n_left, n_left + n_right, shift)
+    join = _start(right_half) if n_right else right_half  # an empty right half needs no thread
+    try:
+        left = _half_factor(A, width, 0, n_left, shift)
+    finally:
+        right = join()
+    if left is None or right is None:
         return None
-    return lambda r: cho_solve_banded((cb, True), r, overwrite_b=True, check_finite=False)
+    if not n_right:  # one half, and no separator
+        empty = np.zeros((0, 0))
+        return _Factor(left, right, empty, empty, empty)
+    rows = _blocks(A, n_left + n_right, len(A.indptr) - 1)
+    couple_left = _coupling(A, rows, left, width, 0, n_left)
+    couple_right = _coupling(A, rows, right, width, n_left, n_left + n_right)
+    schur = (rows @ rows.T).toarray(order="F")
+    schur[np.diag_indices_from(schur)] += shift
+    for couple in (couple_left, couple_right):
+        schur = dsyrk(-1.0, couple, beta=1.0, c=schur, trans=1, lower=1, overwrite_c=1)
+    separator, info = dpotrf(schur, lower=1, clean=1, overwrite_a=1)
+    return _Factor(left, right, couple_left, couple_right, separator) if info == 0 else None
+
+
+def _band_solve(factor, r):
+    """(A Aᵀ + shift I)⁻¹ r through the dissected factor, in place in ``r``.
+
+    A forward band solve on each half, the separator's two triangular
+    solves, and a back band solve on each half: the same dtbsv calls as
+    LAPACK's dpbtrs where the band is not split.
+    """
+    left, right, couple_left, couple_right, separator = factor
+    h = len(left) - 1
+    mid, cut = left.shape[1], left.shape[1] + right.shape[1]
+    halves = [(left, couple_left, r[:mid]), (right, couple_right, r[mid:cut])]
+    halves = [half for half in halves if half[2].size]  # BLAS takes no empty operand
+    tail = r[cut:]
+    for band, _, part in halves:
+        dtbsv(h, band, part, lower=1, overwrite_x=1)
+    if tail.size:  # a split band
+        for _, couple, part in halves:
+            dgemv(-1.0, couple, part[-len(couple):], beta=1.0, y=tail, trans=1, overwrite_y=1)
+        dtrsv(separator, tail, lower=1, overwrite_x=1)
+        dtrsv(separator, tail, lower=1, trans=1, overwrite_x=1)
+        for _, couple, part in halves:
+            dgemv(-1.0, couple, tail, beta=1.0, y=part[-len(couple):], overwrite_y=1)
+    for band, _, part in halves:
+        dtbsv(h, band, part, lower=1, trans=1, overwrite_x=1)
+    return r
 
 
 def _superlu(A, shift):
@@ -548,13 +751,15 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     with _one_blas_thread() as pinned:
         banded = pinned and free.any() and (fixed.size > 0 or boundary_edges == 0)
         order, width = _band_order(mesh.faces, free) if banded else (slice(None), None)
+        order, halves = _dissect(order, width) if banded else (order, None)
         vertices = np.flatnonzero(free)[order]
         A, b = _assemble(mesh, t1, vertices, model.pressure * KPA_TO_N_PER_MM2)
         # The RMS column norm of A: a corner's block has squared norm
         # ½ (α² + β²), summed in element order whatever the band order.
         damp = _DAMPING * np.sqrt(np.sum(0.5 * (A.alpha * A.alpha + A.beta * A.beta)) / len(A.rows))
-        del t1, free, order, vertices  # nothing but A and b stays beside the band
-        solve = (banded and _band_cholesky(A, width, damp**2)) or _superlu(A, damp**2)
+        del t1, free, order, vertices  # nothing but A and b stays beside the bands
+        factor = banded and _band_factor(A, width, halves, damp**2)
+        solve = functools.partial(_band_solve, factor) if factor else _superlu(A, damp**2)
 
         b_norm = _norm(b)
         y = np.zeros_like(b)
@@ -573,7 +778,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
                 residual = min(residual, improved)
                 break  # stagnated at the attainable floor
             residual = improved
-    del solve  # the factor, before the collapse allocates its temporaries
+    del factor, solve  # before the collapse allocates its temporaries
     if not residual <= _RESIDUAL_LIMIT:  # a NaN residual fails too
         raise FloatingPointError(f"equilibrium residual {residual:.3g} above limit {_RESIDUAL_LIMIT:.3g} "
                                  f"after {itn} refinement rounds")

@@ -558,6 +558,42 @@ def test_stress_exit_contract_under_address_space_limits(tmp_path):
     assert runs[0].returncode == 2 and runs[-1].returncode == 0  # the sweep brackets the solve
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits and /proc are Linux's")
+def test_pipeline_exit_contract_under_address_space_limits(tmp_path):
+    # The `stress` sweep above, through `pipeline`: a 78 x 100 phantom fitted
+    # to its 6 mm bulge at one 6^3 level, so that the membrane solve, not the
+    # fit, sets the run's peak. Limits from 48 MiB below an unlimited run's
+    # peak to 8 MiB above it; each child must exit 0, 2 or 3 in time,
+    # failing with one stderr line. A run whose peak grows by what the solve
+    # does not need (a thread's default stack and malloc arena, say) moves
+    # every limit above the solve, and the lowest exits 0.
+    template, target = str(tmp_path / "template.vtk"), str(tmp_path / "target.vtk")
+    save_mesh(make_phantom(PhantomSpec(axial=100)), template)
+    save_mesh(make_phantom(PhantomSpec(axial=100, aneurysm=(36.0, 6.0, 8.0))), target)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+    def pipeline(limit):
+        args = ["pipeline", "--template", template, "--target", target, "--out", str(tmp_path / f"out{limit}"),
+                "--seed", "0", "--set", "fit.levels=[[6,6,6]]", "--set", "fit.svf_dims=[6,6,6]",
+                "--set", "fit.iters_per_level=12"]
+        return subprocess.run([sys.executable, "-c", _UNDER_LIMIT, str(limit), *args],
+                              capture_output=True, text=True, env=env, timeout=20)
+
+    unlimited = pipeline(0)
+    assert unlimited.returncode == 0, unlimited.stderr
+    peak = int(unlimited.stdout.split()[-1]) << 10  # kB
+    limits = [peak + (offset << 20) for offset in (-48, -40, -32, -24, -16, -8, 0, 8)]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(pipeline, limits))
+    for limit, run in zip(limits, runs):
+        assert run.returncode in (0, 2, 3), (limit, run.stderr)
+        assert len(run.stderr.splitlines()) == (run.returncode != 0), (limit, run.stderr)
+        assert "Traceback" not in run.stderr
+    assert runs[0].returncode == 2 and runs[-1].returncode == 0  # the sweep brackets the solve
+
+
 def test_pipeline_two_targets_deterministic(tmp_path, mesh_files, capsys):
     args = ["pipeline", "--template", mesh_files["template"],
             "--target", mesh_files["shifted"], "--target", mesh_files["bulged"],

@@ -1,24 +1,27 @@
 """Membrane equilibrium: operator and pressure load, resultant solve, principal stresses."""
 
 import re
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from conftest import cube_sphere, random_rotation, straight_cylinder
 
 from aortafit import fea
+from aortafit.cli import main
 from aortafit.fea import (
     MembraneModel,
     StressField,
     solve_membrane_stress,
 )
 from aortafit.phantom import PhantomSpec, make_phantom
-from aortafit.quadmesh import QuadMesh, rings, validate_topology
+from aortafit.quadmesh import QuadMesh, rings, save_mesh, validate_topology
 
 HOOP = 120.0  # kPa: p R / t for p = 16 kPa, R = 15 mm, t = 2 mm
 
@@ -298,15 +301,15 @@ def test_damping_is_the_rms_column_norm_in_any_order(sphere16, monkeypatch):
     # face order (which changes the band order, not the corners).
     kept = _band_orders(monkeypatch)
     shifts, rms = [], []
-    band_cholesky = fea._band_cholesky
+    band_factor = fea._band_factor
 
-    def spy(A, width, shift):
+    def spy(A, width, halves, shift):
         expanded = _expanded(A)
         shifts.append(shift)
         rms.append(np.sqrt((expanded.data**2).sum() / expanded.shape[1]))
-        return band_cholesky(A, width, shift)
+        return band_factor(A, width, halves, shift)
 
-    monkeypatch.setattr(fea, "_band_cholesky", spy)
+    monkeypatch.setattr(fea, "_band_factor", spy)
     renumbered, _ = _renumbered(sphere16, np.random.default_rng(61), faces=False)
     solve_membrane_stress(sphere16, MembraneModel())
     solve_membrane_stress(renumbered, MembraneModel())
@@ -400,7 +403,7 @@ def _factor_spies(monkeypatch):
             return func(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(fea, "cholesky_banded", spy("cholesky", fea.cholesky_banded))
+    monkeypatch.setattr(fea, "_band_factor", spy("cholesky", fea._band_factor))
     monkeypatch.setattr(fea, "splu", spy("splu", fea.splu))
     return calls
 
@@ -435,11 +438,11 @@ def test_failed_band_factor_falls_back_to_superlu(tube24, monkeypatch):
     # default splu oracle.
     calls = _factor_spies(monkeypatch)
 
-    def not_positive_definite(ab, **kwargs):
+    def not_positive_definite(A, width, halves, shift):
         calls["cholesky"] += 1
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+        return None
 
-    monkeypatch.setattr(fea, "cholesky_banded", not_positive_definite)
+    monkeypatch.setattr(fea, "_band_factor", not_positive_definite)
     field = solve_membrane_stress(tube24, MembraneModel())
     assert calls == {"cholesky": 1, "splu": 1}
     ref = _default_splu_resultants(tube24, MembraneModel())
@@ -465,16 +468,18 @@ def test_gram_blocks_leave_the_solve_bitwise_unchanged(which, tube24, sphere32, 
 
 
 def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
-    # The membrane solve sets the full-size pipeline's peak memory. The band
-    # must live through the factor; beside it only the operator A in corner
-    # form and the solve's vectors: the load b, y, x and the residual r,
-    # with no temporary the size of x. No full Gram matrix, no copy of Aᵀ,
-    # no expanded operator and no transient of the assembly, the ordering or
+    # The membrane solve sets the full-size pipeline's peak memory. The two
+    # half bands must live through the factor; beside them only the
+    # separator's three dense blocks of 3 width unknowns square (the two
+    # couplings and its factor), the operator A in corner form and the
+    # solve's vectors: the load b, y, x and the residual r, with no
+    # temporary the size of x. No full Gram matrix, no copy of Aᵀ, no
+    # expanded operator and no transient of the assembly, the ordering or
     # the block expansion that outgrows 1 MiB. The README target measured
-    # 145.6 MiB: the 136.3 MiB band, the 5.8 MiB corner form, 2.8 MiB of
-    # vectors and 0.8 MiB of one block expansion. With A as 10.9 MiB of 3x3
-    # blocks and Aᵀ y's blocks as an x-sized temporary it peaked at
-    # 150.9 MiB, above this bound.
+    # 145.8 MiB: the two 67.9 MiB half bands, 1.3 MiB of separator blocks,
+    # the 5.8 MiB corner form and 2.8 MiB of vectors. With A as 10.9 MiB of
+    # 3x3 blocks and Aᵀ y's blocks as an x-sized temporary the whole band
+    # peaked at 150.9 MiB, above this bound.
     mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))  # the README target
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh))] = False
@@ -482,9 +487,16 @@ def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
     a_bytes = sum(part.nbytes for part in A)
     vectors = 8 * (3 * b.size + len(A.rows))
     del A, b
-    band = []
-    cholesky = fea.cholesky_banded
-    monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: band.append(ab.nbytes) or cholesky(ab, **kw))
+    band, separator = [], []
+    band_factor = fea._band_factor
+
+    def spy(*args):
+        factor = band_factor(*args)
+        band.append(factor.left.nbytes + factor.right.nbytes)
+        separator.append(3 * 8 * (len(factor.left) - 3) ** 2)  # three blocks of 3 width unknowns square
+        return factor
+
+    monkeypatch.setattr(fea, "_band_factor", spy)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -495,19 +507,20 @@ def test_solve_peak_memory_is_the_band_and_one_operator(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= band[0] + a_bytes + vectors + 2**20, (peak / 2**20, band[0] / 2**20, a_bytes / 2**20)
+    assert peak <= band[0] + separator[0] + a_bytes + vectors + 2**20, (
+        peak / 2**20, band[0] / 2**20, separator[0] / 2**20, a_bytes / 2**20)
 
 
 def test_band_is_freed_before_the_collapse(tube24, monkeypatch):
     # The factor is dropped once refinement ends, so the collapse's
     # temporaries do not land on top of the band.
     factors = []
-    cholesky = fea.cholesky_banded
+    band_factor = fea._band_factor
 
-    def kept(ab, **kw):
-        cb = cholesky(ab, **kw)
-        factors.extend((weakref.ref(ab), weakref.ref(cb)))
-        return cb
+    def kept(*args):
+        factor = band_factor(*args)
+        factors.extend(weakref.ref(part) for part in factor)
+        return factor
 
     collapse = fea._collapse_resultants
 
@@ -515,7 +528,7 @@ def test_band_is_freed_before_the_collapse(tube24, monkeypatch):
         assert factors and all(ref() is None for ref in factors)
         return collapse(*args)
 
-    monkeypatch.setattr(fea, "cholesky_banded", kept)
+    monkeypatch.setattr(fea, "_band_factor", kept)
     monkeypatch.setattr(fea, "_collapse_resultants", check)
     solve_membrane_stress(tube24, MembraneModel())
 
@@ -542,14 +555,137 @@ def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
     # than reverse Cuthill-McKee makes it; the cube sphere's panels lie far
     # apart in mesh order, and reverse Cuthill-McKee narrows its band.
     widths = []
-    cholesky = fea.cholesky_banded
-    monkeypatch.setattr(fea, "cholesky_banded", lambda ab, **kw: widths.append(len(ab) - 1) or cholesky(ab, **kw))
+    band_factor = fea._band_factor
+
+    def spy(*args):
+        factor = band_factor(*args)
+        widths.append(len(factor.left) - 1)
+        return factor
+
+    monkeypatch.setattr(fea, "_band_factor", spy)
     solve_membrane_stress(tube24, MembraneModel())
     solve_membrane_stress(sphere32, MembraneModel())
     tri = sphere32.faces[:, np.array(fea._SPLITS)].reshape(-1, 3)
     mesh_order_width = np.abs(tri - np.roll(tri, 1, axis=1)).max()  # vertices that share a triangle
     assert widths[0] == 3 * (24 + 1) + 2
     assert widths[1] < 3 * mesh_order_width + 2
+
+
+def _halves_on_threads(monkeypatch):
+    """Spy on ``_half_factor``: per half, its first block row and whether it ran off the main thread."""
+    off_main = []
+    half_factor = fea._half_factor
+
+    def spy(A, width, lo, hi, shift):
+        off_main.append((lo, threading.current_thread() is not threading.main_thread()))
+        return half_factor(A, width, lo, hi, shift)
+
+    monkeypatch.setattr(fea, "_half_factor", spy)
+    return off_main
+
+
+def test_split_solve_is_the_same_bytes_whether_the_halves_overlap(monkeypatch):
+    # The README target's band is split in two halves, and a second thread
+    # fills and factors the right one while the main thread does the left.
+    # Run one after the other instead (the worker's task inline), the solve
+    # gives the same bytes; no thread outlives either solve.
+    off_main = _halves_on_threads(monkeypatch)
+    mesh = make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))
+    threads = threading.active_count()
+    ref = solve_membrane_stress(mesh, MembraneModel())
+    assert threading.active_count() == threads
+    (_, left), (right_lo, right) = sorted(off_main)
+    assert right_lo > 0 and right and not left
+    off_main.clear()
+    monkeypatch.setattr(fea, "_start", lambda task: (lambda result: lambda: result)(task()))
+    got = solve_membrane_stress(mesh, MembraneModel())
+    assert [off for _, off in off_main] == [False, False]
+    assert np.array_equal(got.resultants, ref.resultants)
+    assert got.residual == ref.residual
+    assert threading.active_count() == threads
+
+
+def test_failing_half_leaves_no_thread(sphere16, tmp_path, monkeypatch, capsys):
+    # sphere16's band is split too. A right half that is not positive
+    # definite sends the solve to SuperLU, which meets the banded solve; a
+    # MemoryError in the worker thread reaches `stress` as exit 2 with one
+    # line. Either way the worker thread is joined.
+    calls = _factor_spies(monkeypatch)
+    threads = threading.active_count()
+    ref = solve_membrane_stress(sphere16, MembraneModel())
+    half_factor, faults = fea._half_factor, []
+
+    def right_fails(fault):
+        def half(A, width, lo, hi, shift):
+            if lo == 0:
+                return half_factor(A, width, lo, hi, shift)
+            faults.append(threading.current_thread() is not threading.main_thread())
+            return fault()
+        return half
+
+    monkeypatch.setattr(fea, "_half_factor", right_fails(lambda: None))
+    got = solve_membrane_stress(sphere16, MembraneModel())
+    assert faults == [True]
+    assert calls == {"cholesky": 2, "splu": 1}
+    assert np.abs(got.resultants - ref.resultants).max() <= 1e-8 * np.abs(ref.resultants).max()
+    assert threading.active_count() == threads
+
+    def out_of_memory():
+        raise MemoryError("Unable to allocate the right half band")
+
+    monkeypatch.setattr(fea, "_half_factor", right_fails(out_of_memory))
+    mesh = str(tmp_path / "sphere16.vtk")
+    save_mesh(sphere16, mesh)
+    capsys.readouterr()
+    assert main(["stress", "--mesh", mesh, "--out", str(tmp_path / "stressed.vtk")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["aortafit: out of memory: Unable to allocate the right half band"]
+    assert faults == [True, True]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("which", ["readme_target", "tube24"])
+def test_dissected_solve_matches_whole_band_cholesky(which, tube24):
+    # The dissected factor's solve of (A Aᵀ + δ² I) y = b against scipy's
+    # banded Cholesky of the whole band: the same Gram matrix, put back in
+    # band order. The README target's band is split; tube24's is not. At
+    # the solver's damping (1e-8 of A's RMS column norm) the system is too
+    # ill-conditioned for two factors to agree beyond about 1e-8 (the README
+    # target's whole band filled two ways already differs by 5.7e-9), so
+    # there the solve must leave no larger a residual than the oracle's
+    # (both 7.3e-13 on the README target); at a damping of 0.1 the two agree
+    # within 1e-12 (README target 6.9e-14; tube24 runs the same arithmetic
+    # as the oracle and agrees bitwise).
+    mesh = tube24 if which == "tube24" else make_phantom(PhantomSpec(aneurysm=(36.0, 8.0, 8.0)))
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[fea._fixed_vertices(mesh, MembraneModel(), validate_topology(mesh))] = False
+    order, width = fea._band_order(mesh.faces, free)
+    dissected, halves = fea._dissect(order, width)
+    assert (halves[1] > 0) == (which == "readme_target")
+    A, b = fea._assemble(mesh, fea._element_frames(mesh)[0], np.flatnonzero(free)[dissected],
+                         16.0 * fea.KPA_TO_N_PER_MM2)
+    expanded = _expanded(A)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    unknown = (3 * rank[dissected][:, None] + np.arange(3)).ravel()  # each unknown's place in band order
+    h = 3 * width + 2
+    r = np.empty_like(b)
+    r[unknown] = b
+    for damping in (fea._DAMPING, 0.1):
+        shift = damping**2 * (expanded.data**2).sum() / expanded.shape[1]
+        with fea._one_blas_thread():
+            y = fea._band_solve(fea._band_factor(A, width, halves, shift), b.copy())
+        gram = (expanded @ expanded.T + shift * identity(len(b))).tocsr()
+        coo = gram.tocoo()
+        rows, cols = unknown[coo.row], unknown[coo.col]
+        lower = rows >= cols
+        assert (rows - cols).max() <= h
+        ab = np.zeros((h + 1, len(b)))
+        ab[(rows - cols)[lower], cols[lower]] = coo.data[lower]
+        ref = cho_solve_banded((cholesky_banded(ab, lower=True), True), r)[unknown]
+        if damping == fea._DAMPING:
+            assert np.linalg.norm(gram @ y - b) <= 2 * np.linalg.norm(gram @ ref - b)
+        else:
+            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_explicit_end_rings_match_default(tube24):
