@@ -6,9 +6,10 @@ any material law. Per element the three resultants are unknowns in a local
 in-plane frame; per free vertex, three force-balance equations: the element
 edge tractions (constant-stress membrane, each edge force split half to its
 endpoints) must balance the outward pressure load. Internally each quad's two
-flat triangles carry their own resultant tensor (closed quad surfaces are
-otherwise overdetermined and the load sits outside the column space by the
-discretization error); the reported per-element resultants average the pair.
+flat triangles, ``quadmesh.TRIANGLES``, carry their own resultant tensor
+(closed quad surfaces are otherwise overdetermined and the load sits outside
+the column space by the discretization error); the reported per-element
+resultants average the pair.
 One pass over those triangles builds the free vertices' equations and lumps
 the pressure onto them, a third of each triangle's load per corner.
 The underdetermined system is solved to minimum norm through its Tikhonov-
@@ -79,7 +80,7 @@ from scipy.sparse import bsr_array, csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .quadmesh import rings, validate_topology
+from .quadmesh import TRIANGLES, rings, triangle_normals, validate_topology
 
 __all__ = [
     "MembraneModel",
@@ -98,7 +99,6 @@ _BLAS_ROOM = 40 << 20  # address space claimed per OpenBLAS 32 MiB work buffer b
 _SPLIT_WORK = 1e8  # band factor work (unknowns x half-width^2) from which the band is split over two threads
 _THREAD_STACK = 256 << 10  # the band worker thread's stack, bytes
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
-_SPLITS = ((0, 1, 2), (0, 2, 3))  # a quad's two triangles, split along its v0-v2 diagonal
 
 
 @dataclass(frozen=True)
@@ -193,19 +193,6 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _triangle(mesh, corner_ids):
-    """Each element's triangle on quad corners ``corner_ids``: its vertex ids
-    (m, 3), corners (m, corner, xyz), normal of twice its area and that
-    normal's length (m, 1). A triangle with a zero-length edge has zero area.
-    """
-    tri = mesh.faces[:, corner_ids]
-    q = mesh.vertices[tri]
-    n_tri = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-    n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
-    _check_elements(n_len, "zero-area triangle")
-    return tri, q, n_tri, n_len
-
-
 def _triangle_frame(t1, n_unit):
     """In-plane frame (t1p, t2p) of triangles with unit normals ``n_unit``: the element axis t1 projected in."""
     t1p = t1 - np.einsum("md,md->m", t1, n_unit)[:, None] * n_unit
@@ -233,11 +220,11 @@ class _Corners(NamedTuple):
 def _assemble(mesh, t1, vertices, p):
     """Equilibrium rows A of ``vertices``, in that order, and their pressure load b: A @ resultants = b.
 
-    Each element is integrated as its two flat triangles (split along the
-    v0-v2 diagonal), each carrying its own constant (N11, N22, N12) in the
-    element frame projected into the triangle plane.  Constant stress on a
-    flat facet is exactly self-equilibrated (zero net force and torque), so
-    the pressure load stays reachable even for warped quads; with a single
+    Each element is integrated as its two flat triangles
+    (``quadmesh.TRIANGLES``), each carrying its own constant (N11, N22, N12)
+    in the element frame projected into the triangle plane.  Constant stress
+    on a flat facet is exactly self-equilibrated (zero net force and torque),
+    so the pressure load stays reachable even for warped quads; with a single
     tensor per quad, closed surfaces are overdetermined and the load misses
     the column space by the discretization error, which puts the
     least-squares residual orders of magnitude above the solver contract.
@@ -255,28 +242,29 @@ def _assemble(mesh, t1, vertices, p):
     p * area * outward normal / 3 onto each triangle corner, summed one
     corner slot at a time.
     """
-    f = mesh.faces
-    m = len(f)
-    alpha, beta = np.empty((2, m, 2, 3))  # (element, split, corner)
+    m = mesh.n_faces
+    tri = mesh.faces[:, TRIANGLES]  # (element, split, corner)
+    n_tri = triangle_normals(mesh.vertices[mesh.faces])  # (element, split, xyz)
     frames = np.empty((2, m, 2, 3))  # (axis, element, split, xyz)
+    for split in range(2):  # a triangle with a zero-length edge has zero area
+        n_len = np.linalg.norm(n_tri[:, split], axis=1, keepdims=True)
+        _check_elements(n_len, "zero-area triangle")
+        frames[:, :, split] = _triangle_frame(t1, n_tri[:, split] / n_len)
+    contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
     load = np.zeros_like(mesh.vertices)
-    for split, corner_ids in enumerate(_SPLITS):
-        tri, q, n_tri, n_len = _triangle(mesh, corner_ids)
-        contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
-        for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
-            load[:, c] += np.bincount(tri[:, k], contrib[:, c], minlength=len(load))
-        t1p, t2p = frames[:, :, split] = _triangle_frame(t1, n_tri / n_len)
-        d = q[:, [1, 2, 0]] - q[:, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
-        alpha[:, split] = _dot(d, t1p[:, None])
-        beta[:, split] = _dot(d, t2p[:, None])
-    del q, d  # the last split's
+    for split, k, c in np.ndindex(2, 3, 3):  # a vertex is corner k of at most one ring-layout quad
+        load[:, c] += np.bincount(tri[:, split, k], contrib[:, split, c], minlength=len(load))
+    q = mesh.vertices[tri]
+    d = q[:, :, [1, 2, 0]] - q[:, :, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
+    alpha, beta = (_dot(d, t[:, :, None]) for t in frames)  # (element, split, corner) each
+    del q, d, n_tri, contrib
 
     # Corners in (element, split, corner) order are in ascending block
     # column; a stable sort by block row keeps each row's columns ascending.
     index = np.int32 if 6 * m < 2**31 else np.int64
     row_of = np.full(len(load), -1, dtype=index)
     row_of[vertices] = np.arange(len(vertices), dtype=index)
-    rows = row_of[f[:, np.array(_SPLITS)]].ravel()
+    rows = row_of[tri].ravel()
     dropped = rows < 0
     alpha, beta = alpha.ravel(), beta.ravel()
     alpha[dropped] = beta[dropped] = 0.0
@@ -320,7 +308,7 @@ def _collapse_resultants(x, mesh, frames):
     n11 = a11 * c11 * c11 + a22 * c12 * c12 + 2.0 * a12 * c11 * c12
     n22 = a11 * c21 * c21 + a22 * c22 * c22 + 2.0 * a12 * c21 * c22
     n12 = a11 * c11 * c21 + a22 * c12 * c22 + a12 * (c11 * c22 + c12 * c21)
-    areas = np.concatenate([_triangle(mesh, corner_ids)[3] for corner_ids in _SPLITS], axis=1)
+    areas = np.linalg.norm(triangle_normals(mesh.vertices[mesh.faces]), axis=2)
     weights = areas / (areas[:, :1] + areas[:, 1:])
     return np.stack([(weights * n).sum(axis=1) for n in (n11, n22, n12)], axis=1)
 
@@ -424,7 +412,7 @@ def _band_order(faces, free):
     reverse Cuthill-McKee where that is strictly narrower.
     """
     row_of = np.cumsum(free) - 1
-    tri = faces[:, np.array(_SPLITS)].reshape(-1, 3)
+    tri = faces[:, TRIANGLES].reshape(-1, 3)
     ends = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     both = free[ends[0]] & free[ends[1]]
     a, b = (row_of[e[both]] for e in ends)

@@ -6,6 +6,10 @@ from the structured tube template additionally carry a ``ring_layout``
 ``(C, A)``: C vertices per circumferential ring, A rings along the axis, with
 vertex ``a*C + c`` sitting on ring ``a`` at circumferential slot ``c``.
 
+Both analyses of a surface read each quad as the same two flat triangles,
+split along its v0-v2 diagonal: :data:`TRIANGLES` names their corners, and
+:func:`triangle_normals` gives their twice-area normals.
+
 :func:`validate_topology` returns a mesh's boundary-edge count, or raises
 ValueError naming its first fault: a degenerate face, a non-manifold edge or
 an inconsistently oriented edge.
@@ -53,10 +57,12 @@ import numpy as np
 
 __all__ = [
     "REGIONS",
+    "TRIANGLES",
     "QuadMesh",
     "validate_topology",
     "average_template",
     "rings",
+    "triangle_normals",
     "majority_region",
     "face_regions",
     "load_mesh",
@@ -64,6 +70,10 @@ __all__ = [
 ]
 
 REGIONS = ("root", "ascending", "arch", "descending")
+
+# A quad's two triangles, (v0, v1, v2) and (v0, v2, v3), split along its v0-v2
+# diagonal: triangle s of face e is the mesh's triangle 2 e + s.
+TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,12 @@ def rings(mesh):
         raise ValueError("mesh has no ring_layout; rings are undefined")
     c, a = mesh.ring_layout
     return np.arange(c * a, dtype=np.int64).reshape(a, c)
+
+
+def triangle_normals(quads):
+    """Normals of twice the area, (m, 2, 3), of the ``TRIANGLES`` of (m, 4, 3) quad corners."""
+    t = quads[:, TRIANGLES]  # (quad, triangle, corner, xyz)
+    return np.cross(t[:, :, 1] - t[:, :, 0], t[:, :, 2] - t[:, :, 0])
 
 
 def validate_topology(mesh):

@@ -6,7 +6,7 @@ Metrics follow the standard verification definitions, computed directly in 3D
 * angles: at corner k, the angle between edges to the neighboring corners;
 * equiangle skew: max((max_angle - 90) / 90, (90 - min_angle) / 90);
 * aspect ratio: L_max * (sum of edge lengths) / (4 * area), area being the
-  sum of the two triangles split along the v0-v2 diagonal; zero area gives
+  sum of the quad's two triangles, ``quadmesh.TRIANGLES``; zero area gives
   an infinite sentinel;
 * scaled Jacobian: min over corners of the normalized corner cross product
   against the element normal (normalized cross of the diagonals).
@@ -18,7 +18,7 @@ no zero-length edge and non-collinear diagonals; ``quality_report`` counts
 the others as degenerate and leaves them out of its means and standard
 deviations.
 
-Self-intersection splits quads into triangles and runs an exact
+Self-intersection splits quads into the same triangles and runs an exact
 segment-triangle narrow phase (with a coplanar overlap fallback) on candidate
 triangle pairs. The broad phase works on faces: it finds the face pairs whose
 padded axis-aligned bounding boxes overlap with a k-d tree over the box
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .quadmesh import TRIANGLES, triangle_normals
 
 __all__ = ["METRICS", "element_metrics", "self_intersections", "quality_report"]
 
@@ -59,8 +61,7 @@ def element_metrics(quads):
     nxt = np.roll(q, -1, axis=1) - q  # corner k to corner k + 1: the edges
     prev = np.roll(q, 1, axis=1) - q  # corner k to corner k - 1
     lengths = np.linalg.norm(nxt, axis=2)
-    diag = q[:, 2] - q[:, 0]
-    normal = np.cross(diag, q[:, 3] - q[:, 1])
+    normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
 
     # One corner cross product serves both: its length gives the corner angle,
@@ -71,9 +72,7 @@ def element_metrics(quads):
     ang = np.degrees(np.arctan2(np.linalg.norm(corner, axis=2), np.einsum("mkd,mkd->mk", prev, nxt)))
     min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
     jac = np.einsum("mkd,md->mk", corner, normal / n_len) / (lengths * np.linalg.norm(prev, axis=2))
-    area = 0.5 * (
-        np.linalg.norm(np.cross(nxt[:, 0], diag), axis=1) + np.linalg.norm(np.cross(diag, prev[:, 0]), axis=1)
-    )
+    area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
     aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
     return {
         "angles": ang,
@@ -89,15 +88,6 @@ def element_metrics(quads):
 # ---------------------------------------------------------------------------
 # Self-intersection
 # ---------------------------------------------------------------------------
-
-
-def _mesh_triangles(mesh):
-    """Split quads along the v0-v2 diagonal; triangle t belongs to face t // 2."""
-    f = mesh.faces
-    tris = np.empty((2 * len(f), 3), dtype=np.int64)
-    tris[0::2] = f[:, [0, 1, 2]]
-    tris[1::2] = f[:, [0, 2, 3]]
-    return tris
 
 
 def _padded_boxes(points):
@@ -246,7 +236,8 @@ def _tri_pairs_intersect(A, B):
 def _candidate_pairs(mesh, pts, method):
     """Triangle pairs (i < j) of different faces that share no vertex, for the narrow phase.
 
-    ``pts`` holds the corners of ``_mesh_triangles(mesh)``. ``"bvh"`` keeps
+    ``pts`` holds the (2 m, 3, 3) corners of the faces' ``TRIANGLES``,
+    triangle 2 e + s of face e being its triangle s. ``"bvh"`` keeps
     the pairs whose padded boxes overlap, ``"brute"`` every pair.
     """
     if method == "bvh":
@@ -277,7 +268,7 @@ def self_intersections(mesh, method="bvh"):
     found from the faces' boxes with a k-d tree over the box centers; both
     share the exact narrow phase and return identical results.
     """
-    pts = mesh.vertices[_mesh_triangles(mesh)]
+    pts = mesh.vertices[mesh.faces[:, TRIANGLES]].reshape(-1, 3, 3)
     cand = _candidate_pairs(mesh, pts, method)
     if len(cand) == 0:
         return 0, []

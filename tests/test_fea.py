@@ -21,7 +21,7 @@ from aortafit.fea import (
     solve_membrane_stress,
 )
 from aortafit.phantom import PhantomSpec, make_phantom
-from aortafit.quadmesh import QuadMesh, rings, save_mesh, validate_topology
+from aortafit.quadmesh import TRIANGLES, QuadMesh, rings, save_mesh, validate_topology
 
 HOOP = 120.0  # kPa: p R / t for p = 16 kPa, R = 15 mm, t = 2 mm
 
@@ -313,7 +313,7 @@ def test_damping_is_the_rms_column_norm_in_any_order(sphere16, monkeypatch):
     renumbered, _ = _renumbered(sphere16, np.random.default_rng(61), faces=False)
     solve_membrane_stress(sphere16, MembraneModel())
     solve_membrane_stress(renumbered, MembraneModel())
-    tri = sphere16.faces[:, np.array(fea._SPLITS)].reshape(-1, 3)
+    tri = sphere16.faces[:, TRIANGLES].reshape(-1, 3)
     mesh_order = (np.arange(sphere16.n_vertices), int(np.abs(tri - np.roll(tri, 1, axis=1)).max()))
     monkeypatch.setattr(fea, "_band_order", lambda faces, free: mesh_order)
     solve_membrane_stress(sphere16, MembraneModel())
@@ -565,7 +565,7 @@ def test_band_order_is_the_narrower(tube24, sphere32, monkeypatch):
     monkeypatch.setattr(fea, "_band_factor", spy)
     solve_membrane_stress(tube24, MembraneModel())
     solve_membrane_stress(sphere32, MembraneModel())
-    tri = sphere32.faces[:, np.array(fea._SPLITS)].reshape(-1, 3)
+    tri = sphere32.faces[:, TRIANGLES].reshape(-1, 3)
     mesh_order_width = np.abs(tri - np.roll(tri, 1, axis=1)).max()  # vertices that share a triangle
     assert widths[0] == 3 * (24 + 1) + 2
     assert widths[1] < 3 * mesh_order_width + 2

@@ -8,11 +8,10 @@ from conftest import random_rotation, straight_cylinder
 
 from aortafit import quality
 from aortafit.phantom import PhantomSpec, make_phantom
-from aortafit.quadmesh import QuadMesh, rings
+from aortafit.quadmesh import TRIANGLES, QuadMesh, rings
 from aortafit.quality import (
     METRICS,
     _box_overlap_pairs,
-    _mesh_triangles,
     element_metrics,
     quality_report,
     self_intersections,
@@ -21,6 +20,11 @@ from aortafit.quality import (
 UNIT_SQUARE = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
 COLLAPSED = np.array([[0.0, 0, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]])  # a zero-length edge
 LINE = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])  # zero area, collinear diagonals
+
+
+def _mesh_triangles(mesh):
+    """The mesh's triangles as (2 m, 3) vertex ids: triangle 2 e + s is ``TRIANGLES[s]`` of face e."""
+    return mesh.faces[:, TRIANGLES].reshape(-1, 3)
 
 
 def _quad_soup(quads):
