@@ -120,9 +120,9 @@ class MembraneModel:
     solver_tol = _REFINE_TOL  # not a field; perfbench/workloads.py derives the residual limit from it
 
     def __post_init__(self):
-        if self.pressure < 0:
+        if not self.pressure >= 0:  # NaN fails too
             raise ValueError("pressure must be nonnegative")
-        if self.thickness <= 0:
+        if not self.thickness > 0:
             raise ValueError("thickness must be positive")
         if self.fixed_rings is not None:
             try:
@@ -300,6 +300,13 @@ def _collapse_resultants(x, mesh, frames):
     triangle tensor a11 t1p t1p + a22 t2p t2p + a12 (t1p t2p + t2p t1p) is
     projected onto the element axes (t1, t2) through the four cosines
     c_ij = t_i · t_jp.
+
+    The element axes and the triangle normals are computed again here
+    rather than kept from the assembly: only A, b and the solve's vectors
+    may live beside the bands, and t1 and t2 alone (48 bytes per element,
+    1.14 MiB on the README target) would lift the solve's peak past the
+    band, the separator, A and the vectors by more than the 1 MiB that
+    bounds it (0.2 MiB of it is unused).
     """
     t1, t2 = (t[:, None] for t in _element_frames(mesh)[:2])
     a11, a22, a12 = np.moveaxis(x.reshape(-1, 2, 3), 2, 0)  # (element, split) each

@@ -114,7 +114,7 @@ class FitConfig:
             raise ValueError("last level must equal svf_dims")
         if any(d < 3 for d in svf_dims):  # the certificate's central differences
             raise ValueError(f"svf_dims, the last level, needs >= 3 nodes per axis, got {svf_dims}")
-        if self.iters_per_level < 1:
+        if not self.iters_per_level >= 1:  # NaN fails too
             raise ValueError("iters_per_level must be >= 1")
         object.__setattr__(self, "levels", dims)
         object.__setattr__(self, "svf_dims", svf_dims)

@@ -52,7 +52,7 @@ class LossWeights:
         if not 0 < total < np.inf:
             raise ValueError("region weights must not all be zero, and their sum must be finite")
         object.__setattr__(self, "omega", tuple(om / total))
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN fails too
             raise ValueError("alpha must be nonnegative")
         object.__setattr__(self, "alpha", float(self.alpha))
 

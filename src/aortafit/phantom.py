@@ -55,13 +55,15 @@ class PhantomSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.circumferential < 3 or self.axial < 2:
-            raise ValueError("layout must have C >= 3 and A >= 2")
-        if self.base_radius <= 0:
+        # Every range check is written so that NaN fails it.
+        if not (self.circumferential >= 3 and self.axial >= 2):
+            raise ValueError("layout must have circumferential C >= 3 and axial A >= 2")
+        if not self.base_radius > 0:
             raise ValueError("base_radius must be positive")
-        if min(self.ascending_length, self.arch_radius, self.descending_length) < 0:
-            raise ValueError("segment lengths must be nonnegative")
-        if self.ascending_length + self.arch_radius + self.descending_length <= 0:
+        for name in ("ascending_length", "arch_radius", "descending_length"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"segment length {name} must be nonnegative")
+        if not self.ascending_length + self.arch_radius + self.descending_length > 0:
             raise ValueError("centerline has zero length")
         if self.aneurysm is not None:
             try:
@@ -70,14 +72,14 @@ class PhantomSpec:
                 c, amp, w = (float(x) for x in self.aneurysm)
             except (TypeError, ValueError):
                 raise ValueError(f"aneurysm must be [center, amplitude, width] in mm, got {self.aneurysm!r}") from None
-            if w <= 0:
+            if not w > 0:
                 raise ValueError("aneurysm width must be positive")
             object.__setattr__(self, "aneurysm", (c, amp, w))
         fr = tuple(float(f) for f in self.region_fractions)
         if len(fr) != 3 or not _numbers(self.region_fractions) or not (0.0 <= fr[0] <= fr[1] <= fr[2] <= 1.0):
             raise ValueError("region_fractions must be 3 nondecreasing values in [0, 1]")
         object.__setattr__(self, "region_fractions", fr)
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("jitter must be nonnegative")
         seed_ok = isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0
         if self.seed is not None and not seed_ok:

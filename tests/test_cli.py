@@ -594,6 +594,51 @@ def test_pipeline_exit_contract_under_address_space_limits(tmp_path):
     assert runs[0].returncode == 2 and runs[-1].returncode == 0  # the sweep brackets the solve
 
 
+_MODULE_UNDER_LIMIT = """\
+import resource, runpy, sys
+limit = int(sys.argv[1])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.argv = ["aortafit", *sys.argv[2:]]
+try:
+    runpy.run_module("aortafit", run_name="__main__", alter_sys=True)  # python -m aortafit
+finally:
+    if not limit:
+        with open("/proc/self/status") as fh:
+            print(next(line for line in fh if line.startswith("VmPeak:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits and /proc are Linux's")
+def test_command_exit_contract_when_the_import_runs_out_of_memory(tmp_path):
+    # `python -m aortafit` loads the CLI, and with it numpy and scipy, inside
+    # its error handling. From 114 to 54 MiB below an unlimited `--help`'s
+    # peak (216 MiB), that import fails at once with a MemoryError or a
+    # shared object that cannot be mapped; each child must exit 2 with one
+    # stderr line. Further below, numpy's OpenBLAS ends the process with
+    # status 1 as it starts; from 50 to 26 MiB below, OpenBLAS's start-up
+    # hangs. Neither is tested here.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+    def command(limit):
+        return subprocess.run([sys.executable, "-c", _MODULE_UNDER_LIMIT, str(limit), "--help"],
+                              capture_output=True, text=True, env=env, timeout=20)
+
+    unlimited = command(0)
+    assert unlimited.returncode == 0, unlimited.stderr
+    assert "pipeline" in unlimited.stdout
+    peak = int(unlimited.stdout.split()[-1]) << 10  # kB
+    limits = [peak - (offset << 20) for offset in (100, 84, 68)]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(command, limits))
+    for limit, run in zip(limits, runs):
+        assert run.returncode == 2, (limit, run.stderr)
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("aortafit: "), (limit, run.stderr)
+        assert "Traceback" not in run.stderr
+
+
 def test_pipeline_two_targets_deterministic(tmp_path, mesh_files, capsys):
     args = ["pipeline", "--template", mesh_files["template"],
             "--target", mesh_files["shifted"], "--target", mesh_files["bulged"],
@@ -1029,6 +1074,31 @@ def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("membrane", "pressure", float("nan")),
+    ("membrane", "thickness", float("nan")),
+    ("weights", "alpha", float("nan")),
+    ("fit", "iters_per_level", float("nan")),
+    ("grid", "spacing", float("nan")),
+    ("grid", "margin", float("nan")),
+    ("report", "percentile", float("nan")),
+    ("phantom", "circumferential", float("nan")),
+    ("phantom", "axial", float("nan")),
+    ("phantom", "base_radius", float("nan")),
+    ("phantom", "ascending_length", float("nan")),
+    ("phantom", "arch_radius", float("nan")),
+    ("phantom", "descending_length", float("nan")),
+    ("phantom", "jitter", float("nan")),
+    ("phantom", "aneurysm", (36.0, 8.0, float("nan"))),
+])
+def test_config_dataclasses_reject_nan(section, key, value):
+    # The CLI rejects a non-finite value before any dataclass sees it; the
+    # Python API has only the dataclass's range check, which NaN must fail
+    # too. A NaN iters_per_level once reached the fit and crashed there.
+    with pytest.raises(ValueError, match=key):
+        cli.SECTIONS[section](**{key: value})
 
 
 @pytest.mark.parametrize("command, setting", [

@@ -177,6 +177,19 @@ def test_no_class_derives_from_an_exception():
     assert not offenders, f"classes in src/aortafit that derive from an exception type: {offenders}"
 
 
+def test_the_quad_split_is_written_only_in_quadmesh():
+    # Both analyses read a quad as the triangles (v0, v1, v2) and (v0, v2, v3)
+    # of quadmesh.TRIANGLES. A second literal (0, 2, 3) would be a second copy
+    # of that split, which only happens to agree. (0, 1, 2) alone is no
+    # split: it is also an axis tuple.
+    package = os.path.dirname(aortafit.__file__)
+    copies = [f"{os.path.relpath(path, package)}:{node.lineno}"
+              for path, tree in _program_trees(("src",)).items() if os.path.basename(path) != "quadmesh.py"
+              for node in ast.walk(tree) if isinstance(node, (ast.Tuple, ast.List))
+              and [getattr(e, "value", None) for e in node.elts] == [0, 2, 3]]
+    assert not copies, f"the quad split (0, 2, 3) written outside quadmesh.py: {copies}"
+
+
 def test_every_traced_name_is_defined_where_the_benchmark_wraps_it(monkeypatch):
     # perfbench/layers.py wraps each name by reading owner.__dict__[attr]. A
     # module that stops defining or importing one (say fitter.exponentiate,
