@@ -243,21 +243,25 @@ def _assemble(mesh, t1, vertices, p):
     corner slot at a time.
     """
     m = mesh.n_faces
+    quads = mesh.vertices[mesh.faces]
     tri = mesh.faces[:, TRIANGLES]  # (element, split, corner)
-    n_tri = triangle_normals(mesh.vertices[mesh.faces])  # (element, split, xyz)
+    normals = triangle_normals(quads)  # (element, split, xyz)
+    alpha, beta = np.empty((2, m, 2, 3))  # (element, split, corner)
     frames = np.empty((2, m, 2, 3))  # (axis, element, split, xyz)
-    for split in range(2):  # a triangle with a zero-length edge has zero area
-        n_len = np.linalg.norm(n_tri[:, split], axis=1, keepdims=True)
-        _check_elements(n_len, "zero-area triangle")
-        frames[:, :, split] = _triangle_frame(t1, n_tri[:, split] / n_len)
-    contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
     load = np.zeros_like(mesh.vertices)
-    for split, k, c in np.ndindex(2, 3, 3):  # a vertex is corner k of at most one ring-layout quad
-        load[:, c] += np.bincount(tri[:, split, k], contrib[:, split, c], minlength=len(load))
-    q = mesh.vertices[tri]
-    d = q[:, :, [1, 2, 0]] - q[:, :, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
-    alpha, beta = (_dot(d, t[:, :, None]) for t in frames)  # (element, split, corner) each
-    del q, d, n_tri, contrib
+    for split in range(2):
+        n_tri = normals[:, split]
+        n_len = np.linalg.norm(n_tri, axis=1, keepdims=True)
+        _check_elements(n_len, "zero-area triangle")  # a triangle with a zero-length edge has zero area
+        contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
+        for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
+            load[:, c] += np.bincount(tri[:, split, k], contrib[:, c], minlength=len(load))
+        t1p, t2p = frames[:, :, split] = _triangle_frame(t1, n_tri / n_len)
+        q = quads[:, TRIANGLES[split]]
+        d = q[:, [1, 2, 0]] - q[:, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
+        alpha[:, split] = _dot(d, t1p[:, None])
+        beta[:, split] = _dot(d, t2p[:, None])
+    del quads, normals, q, d
 
     # Corners in (element, split, corner) order are in ascending block
     # column; a stable sort by block row keeps each row's columns ascending.

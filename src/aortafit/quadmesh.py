@@ -6,10 +6,6 @@ from the structured tube template additionally carry a ``ring_layout``
 ``(C, A)``: C vertices per circumferential ring, A rings along the axis, with
 vertex ``a*C + c`` sitting on ring ``a`` at circumferential slot ``c``.
 
-Both analyses of a surface read each quad as the same two flat triangles,
-split along its v0-v2 diagonal: :data:`TRIANGLES` names their corners, and
-:func:`triangle_normals` gives their twice-area normals.
-
 :func:`validate_topology` returns a mesh's boundary-edge count, or raises
 ValueError naming its first fault: a degenerate face, a non-manifold edge or
 an inconsistently oriented edge.
@@ -72,7 +68,8 @@ __all__ = [
 REGIONS = ("root", "ascending", "arch", "descending")
 
 # A quad's two triangles, (v0, v1, v2) and (v0, v2, v3), split along its v0-v2
-# diagonal: triangle s of face e is the mesh's triangle 2 e + s.
+# diagonal, as the quality audit and the membrane solve both read it: triangle
+# s of face e is the mesh's triangle 2 e + s.
 TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
 
 
@@ -147,9 +144,12 @@ def rings(mesh):
 
 
 def triangle_normals(quads):
-    """Normals of twice the area, (m, 2, 3), of the ``TRIANGLES`` of (m, 4, 3) quad corners."""
-    t = quads[:, TRIANGLES]  # (quad, triangle, corner, xyz)
-    return np.cross(t[:, :, 1] - t[:, :, 0], t[:, :, 2] - t[:, :, 0])
+    """Normals of twice the area, (m, 2, 3), of the ``TRIANGLES`` of (m, 4, 3) quad corners.
+
+    Both fan from v0: with e the edges v1 - v0, v2 - v0, v3 - v0, triangle s has normal e[s] x e[s + 1].
+    """
+    e = quads[:, 1:] - quads[:, :1]
+    return np.cross(e[:, :2], e[:, 1:])
 
 
 def validate_topology(mesh):

@@ -16,6 +16,7 @@ from conftest import cube_sphere, save_per_element, straight_cylinder
 
 from aortafit.quadmesh import (
     REGIONS,
+    TRIANGLES,
     QuadMesh,
     average_template,
     face_regions,
@@ -23,6 +24,7 @@ from aortafit.quadmesh import (
     majority_region,
     rings,
     save_mesh,
+    triangle_normals,
     validate_topology,
 )
 
@@ -106,6 +108,19 @@ def test_rings_layout(tube24):
     # Vertex a*C + c sits on ring a, slot c.
     assert r[3, 5] == 3 * 24 + 5
     assert np.array_equal(np.sort(r.ravel()), np.arange(tube24.n_vertices))
+
+
+def test_triangle_normals_split_along_v0_v2():
+    # A square folded along its v0-v2 diagonal: each half keeps its own
+    # plane, and the normal of twice its area is that half's, with the
+    # corners of TRIANGLES in that order.
+    quad = np.array([[[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]]])
+    assert TRIANGLES.tolist() == [[0, 1, 2], [0, 2, 3]]
+    assert triangle_normals(quad).tolist() == [[[0.0, 0.0, 1.0], [1.0, -1.0, 1.0]]]
+    # On any quads, bitwise the cross product over each triangle's corners.
+    quads = np.random.default_rng(3).normal(size=(50, 4, 3))
+    t = quads[:, TRIANGLES]
+    assert np.array_equal(triangle_normals(quads), np.cross(t[:, :, 1] - t[:, :, 0], t[:, :, 2] - t[:, :, 0]))
 
 
 def test_rings_requires_layout():
