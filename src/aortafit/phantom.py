@@ -3,9 +3,11 @@
 The centerline is piecewise: a straight ascending segment along +z, a
 half-torus arch of radius ``arch_radius`` bending through the x-z plane, and
 a straight descending segment along -z. Rings of ``circumferential`` vertices
-are placed on circles normal to the centerline using rotation-minimizing
-frames (double-reflection method), so rings never twist through the arch.
-Setting ``arch_radius = descending_length = 0`` yields a straight cylinder.
+are placed on circles normal to the centerline. The centerline lies in the
+x-z plane by construction, so its rotation-minimizing frame is exact in
+closed form: the binormal is the constant y axis and the normal is y x t for
+tangent t (Bishop 1975), and no ring twists through the arch. Setting
+``arch_radius = descending_length = 0`` yields a straight cylinder.
 
 An optional Gaussian bulge raises the ring radius around a chosen arc length,
 standing in for an aneurysm of known size.
@@ -26,6 +28,9 @@ __all__ = [
     "make_phantom",
     "centerline_length",
 ]
+
+# The binormal of every ring: the normal of the centerline's x-z plane.
+_Y = np.array([0.0, 1.0, 0.0])
 
 
 def _numbers(values):
@@ -121,29 +126,6 @@ def _centerline(spec, s):
     return pts, tan
 
 
-def _rotation_minimizing_normals(pts, tan):
-    """Propagate an initial normal along the curve by double reflection."""
-    n = len(pts)
-    normals = np.zeros_like(pts)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ tan[0]) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    n0 = ref - (ref @ tan[0]) * tan[0]
-    normals[0] = n0 / np.linalg.norm(n0)
-    for i in range(n - 1):
-        v1 = pts[i + 1] - pts[i]
-        c1 = v1 @ v1
-        rl = normals[i] - (2.0 / c1) * (v1 @ normals[i]) * v1
-        tl = tan[i] - (2.0 / c1) * (v1 @ tan[i]) * v1
-        v2 = tan[i + 1] - tl
-        c2 = v2 @ v2
-        if c2 < 1e-30:
-            normals[i + 1] = rl
-        else:
-            normals[i + 1] = rl - (2.0 / c2) * (v2 @ rl) * v2
-    return normals
-
-
 def ring_radii(spec, s):
     """Ring radius at arc lengths ``s`` (base radius plus any bulge)."""
     s = np.asarray(s, dtype=np.float64)
@@ -168,16 +150,15 @@ def make_phantom(spec):
     total = centerline_length(spec)
     s = np.linspace(0.0, total, a_n)
     pts, tan = _centerline(spec, s)
-    normals = _rotation_minimizing_normals(pts, tan)
-    binorm = np.cross(tan, normals)
+    normals = np.cross(_Y, tan)
     radii = ring_radii(spec, s)
 
     phi = 2.0 * np.pi * np.arange(c_n) / c_n
     cos_p, sin_p = np.cos(phi), np.sin(phi)
-    # (A, C, 3): ring center + r * (cos(phi) N + sin(phi) B)
+    # (A, C, 3): ring center + r * (cos(phi) N + sin(phi) y)
     verts = (
         pts[:, None, :]
-        + radii[:, None, None] * (cos_p[None, :, None] * normals[:, None, :] + sin_p[None, :, None] * binorm[:, None, :])
+        + radii[:, None, None] * (cos_p[None, :, None] * normals[:, None, :] + sin_p[None, :, None] * _Y)
     ).reshape(-1, 3)
 
     a_idx = np.repeat(np.arange(a_n - 1), c_n)
@@ -193,12 +174,9 @@ def make_phantom(spec):
         axis=1,
     )
 
-    bounds = [int(round(f * a_n)) for f in spec.region_fractions]
-    ring_region = np.zeros(a_n, dtype=np.int8)
-    ring_region[bounds[0]:] = 1
-    ring_region[bounds[1]:] = 2
-    ring_region[bounds[2]:] = 3
-    regions = np.repeat(ring_region, c_n)
+    # A ring's region code is the number of region bounds at or below its index.
+    bounds = np.rint(np.multiply(spec.region_fractions, a_n))
+    regions = np.repeat(np.searchsorted(bounds, np.arange(a_n), side="right").astype(np.int8), c_n)
 
     if spec.jitter > 0.0:
         rng = np.random.default_rng(spec.seed)
