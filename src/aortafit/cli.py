@@ -144,7 +144,7 @@ def load_config(path=None, overrides=()):
 def build_sections(cfg):
     """Every section object of a merged config, by name; every config-taking
     subcommand calls this first. An error names the keys that the dataclass
-    rejects on their own, else the section.
+    rejects on their own, if those keys alone give the error, else the section.
     """
     built = {}
     for name, cls in SECTIONS.items():
@@ -152,14 +152,21 @@ def build_sections(cfg):
         try:
             built[name] = cls(**cfg[name], **nested)
         except (TypeError, ValueError) as exc:
-            culprits = []
-            for key, value in cfg[name].items():
-                try:
-                    cls(**{key: value})
-                except (TypeError, ValueError):
-                    culprits.append(f"'{name}.{key}'")
-            raise ValueError(f"config {', '.join(culprits) or repr(name)}: {exc}") from None
+            culprits = [key for key, value in cfg[name].items() if _rejection(cls, {key: value}) is not None]
+            if _rejection(cls, {key: cfg[name][key] for key in culprits}) != str(exc):
+                culprits = []  # the error needs other keys too
+            named = ", ".join(f"'{name}.{key}'" for key in culprits)
+            raise ValueError(f"config {named or repr(name)}: {exc}") from None
     return built
+
+
+def _rejection(cls, fields):
+    """The message with which ``cls`` rejects ``fields`` (the rest at their defaults), else None."""
+    try:
+        cls(**fields)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return None
 
 
 def _configure(args):

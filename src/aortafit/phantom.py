@@ -70,6 +70,9 @@ class PhantomSpec:
                 raise ValueError(f"segment length {name} must be nonnegative")
         if not self.ascending_length + self.arch_radius + self.descending_length > 0:
             raise ValueError("centerline has zero length")
+        if not (self.descending_length == 0 or self.arch_radius > 0):
+            # Without an arch the descending segment would run back through the ascending one.
+            raise ValueError("descending_length > 0 needs arch_radius > 0")
         if self.aneurysm is not None:
             try:
                 if not _numbers(self.aneurysm):

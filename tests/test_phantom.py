@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import straight_cylinder, bulged_cylinder
 
-from aortafit.phantom import PhantomSpec, centerline_length, make_phantom
+from aortafit.cli import main
+from aortafit.phantom import PhantomSpec, _centerline, centerline_length, make_phantom, ring_radii
 from aortafit.quadmesh import rings, validate_topology
 from aortafit.quality import self_intersections
 
@@ -29,6 +32,25 @@ def test_spec_validation():
         make_phantom(PhantomSpec(circumferential=8, axial=21, ascending_length=100.0,
                                  arch_radius=0.0, descending_length=0.0,
                                  aneurysm=(50.0, -20.0, 5.0)))
+
+
+@pytest.mark.parametrize("ascending_length", [60.0, 0.0], ids=["no_arch", "no_arch_no_ascending"])
+def test_descending_segment_needs_an_arch(tmp_path, capsys, ascending_length):
+    # Without an arch the descending segment turns back in place and runs
+    # through the ascending one; with no ascending segment either, ring 0
+    # takes the ascending tangent +z while the tube runs -z, and the first
+    # band twists. Both specs are rejected, by the dataclass and by the CLI.
+    fields = {"circumferential": 24, "axial": 60, "ascending_length": ascending_length, "arch_radius": 0.0}
+    with pytest.raises(ValueError, match=r"^descending_length > 0 needs arch_radius > 0$"):
+        PhantomSpec(**fields)
+    out = tmp_path / "p.vtk"
+    argv = ["phantom", "--out", str(out)]
+    for key, value in fields.items():
+        argv += ["--set", f"phantom.{key}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "aortafit: config 'phantom.arch_radius': descending_length > 0 needs arch_radius > 0\n"
+    assert not out.exists()
 
 
 def test_centerline_length_arithmetic():
@@ -57,11 +79,45 @@ def test_straight_cylinder_rings_exact():
 
 
 def test_arch_rings_stay_circular(arch_small):
-    # Rotation-minimizing frames keep every cross-section an exact circle
-    # even through the curved arch.
+    # Every cross-section is an exact circle, even through the curved arch.
+    # The centerline lies in the x-z plane, so each ring's binormal is
+    # exactly the y axis: no ring twists, and a vertex's y is exactly
+    # r sin(phi) on the default phantom and on the bulged one.
     means, maxdev = _ring_radii_of(arch_small)
     assert np.allclose(means, 15.0, rtol=0.0, atol=1e-9)
     assert maxdev < 1e-9
+    for spec in (PhantomSpec(), PhantomSpec(aneurysm=(36.0, 8.0, 8.0))):
+        c_n, a_n = spec.circumferential, spec.axial
+        y = make_phantom(spec).vertices[:, 1].reshape(a_n, c_n)
+        r = ring_radii(spec, np.linspace(0.0, centerline_length(spec), a_n))
+        assert np.array_equal(y, r[:, None] * np.sin(2.0 * np.pi * np.arange(c_n) / c_n))
+
+
+_LENGTH = st.floats(0.0, 200.0)
+# Segment lengths a spec accepts: a positive sum, and a descending segment only after an arch.
+_SEGMENTS = st.tuples(_LENGTH, st.floats(0.0, 60.0), _LENGTH).map(
+    lambda seg: seg if seg[1] > 0 else (seg[0], 0.0, 0.0)).filter(lambda seg: sum(seg) > 0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(layout=st.tuples(st.integers(3, 12), st.integers(2, 40)), base=st.floats(0.5, 30.0),
+       segments=_SEGMENTS,
+       bulge=st.none() | st.tuples(st.floats(0.0, 500.0), st.floats(-0.5, 1.0), st.floats(0.5, 50.0)))
+def test_rings_lie_in_their_normal_planes(layout, base, segments, bulge):
+    # The closed-form frame holds because every centerline a spec describes
+    # is planar. Over accepted specs, each ring is a circle of its radius in
+    # the plane through its centerline point normal to the tangent there.
+    ascending, arch, descending = segments
+    aneurysm = None if bulge is None else (bulge[0], bulge[1] * base, bulge[2])
+    spec = PhantomSpec(circumferential=layout[0], axial=layout[1], base_radius=base, ascending_length=ascending,
+                       arch_radius=arch, descending_length=descending, aneurysm=aneurysm)
+    s = np.linspace(0.0, centerline_length(spec), spec.axial)
+    centers, tangents = _centerline(spec, s)
+    r = ring_radii(spec, s)[:, None]
+    mesh = make_phantom(spec)
+    offsets = mesh.vertices[rings(mesh)] - centers[:, None]
+    assert np.all(np.abs(np.einsum("acd,ad->ac", offsets, tangents)) <= 1e-12 * r)
+    assert np.all(np.abs(np.linalg.norm(offsets, axis=2) - r) <= 1e-12 * r)
 
 
 def test_descending_limb_position():
