@@ -34,13 +34,13 @@ import os
 import sys
 
 from . import __version__
-from .clinical import ReportConfig, build_report, regional_stress_stats, validate_report
+from .clinical import ReportConfig, build_report, region_faces, region_rings, regional_stress_stats, validate_report
 from .diffeo import DiffeoConfig, exponentiate, warp_vertices
 from .fea import MembraneModel, solve_membrane_stress
 from .fitter import FitConfig, GridConfig, bounding_grid, check_meshes, fit_svf, summary_line
 from .objective import LossWeights, chamfer
 from .phantom import PhantomSpec, make_phantom
-from .quadmesh import REGIONS, _render_body, average_template, load_mesh, rings, save_mesh
+from .quadmesh import REGIONS, _render_body, average_template, load_mesh, save_mesh
 from .quality import METRICS, quality_report
 from .volgrid import load_volume, save_volume
 
@@ -276,10 +276,10 @@ def _save_fitted(fitted, out_dir, body=None):
 
 
 def _write_fit_outputs(out_dir, cfg, seed, svf, history, summary, target_path):
-    """Every fit output but ``fitted.vtk``, which the caller writes: the
-    ``history`` and ``summary`` that ``fit_svf`` returned, the latter with
-    the run's seed, target, config and provenance added."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Every fit output but ``fitted.vtk``, which the caller writes, into the
+    existing ``out_dir``: the ``history`` and ``summary`` that ``fit_svf``
+    returned, the latter with the run's seed, target, config and provenance
+    added."""
     files = {}
     files["svf.hdr"] = save_volume(svf, os.path.join(out_dir, "svf.hdr"))
     files["svf.raw"] = os.path.join(out_dir, "svf.raw")
@@ -291,7 +291,9 @@ def _write_fit_outputs(out_dir, cfg, seed, svf, history, summary, target_path):
 
 def cmd_fit(args):
     cfg, sections = _configure(args)
-    svf, fitted, history, summary = _run_fit(load_mesh(args.template), load_mesh(args.target), sections)
+    template, target = load_mesh(args.template), load_mesh(args.target)
+    os.makedirs(args.out, exist_ok=True)
+    svf, fitted, history, summary = _run_fit(template, target, sections)
     _write_fit_outputs(args.out, cfg, args.seed, svf, history, summary, args.target)
     _save_fitted(fitted, args.out)
     print(f"fit done: {summary_line(summary)}, outputs in {args.out}")
@@ -342,10 +344,14 @@ def _stress_cell_data(field):
 def cmd_stress(args):
     cfg, sections = _configure(args)
     mesh = load_mesh(args.mesh)
+    # The summary needs a face in every region: checked before the solve,
+    # except on a mesh with no face, which the solve rejects first.
+    if mesh.n_faces:
+        region_faces(mesh)
     field = solve_membrane_stress(mesh, sections["membrane"])
-    save_mesh(mesh, args.out, cell_data=_stress_cell_data(field), title="aortafit stressed mesh")
     report_cfg = sections["report"]
     stats = regional_stress_stats(mesh, field, peak_rule=report_cfg.peak_rule, percentile=report_cfg.percentile)
+    save_mesh(mesh, args.out, cell_data=_stress_cell_data(field), title="aortafit stressed mesh")
     summary = {
         "pressure_kpa": field.pressure,
         "thickness_mm": field.thickness,
@@ -363,13 +369,15 @@ def cmd_report(args):
     cfg, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     reference = load_mesh(args.reference) if args.reference else None
-    # The report measures diameters ring by ring: a mesh without rings is
-    # rejected before the solve, except one with no face, which the solve
+    # The report measures diameters ring by ring and stresses face by face:
+    # a mesh without rings, or a region without a ring or a face, is rejected
+    # before the solve, except on a mesh with no face, which the solve
     # rejects first.
     if mesh.n_faces:
-        rings(mesh)
+        region_rings(mesh)
+        region_faces(mesh)
     if reference is not None:
-        rings(reference)
+        region_rings(reference)
     field = solve_membrane_stress(mesh, sections["membrane"])
     provenance = _provenance(cfg, mesh=os.path.basename(args.mesh))
     report = build_report(mesh, field, sections["report"], provenance, reference_mesh=reference)
@@ -386,15 +394,18 @@ def cmd_report(args):
 
 def _pipeline_meshes(template_path, target_paths, fit_cfg):
     """The template and target meshes, checked before any case runs: each pair
-    as the fit checks it, and each mesh for a ring layout, by which the report
-    measures the fitted mesh (it has the template's) and the target.
+    as the fit checks it, and each mesh as the report measures the fitted
+    mesh and the target, which need a ring in every region. The fitted mesh
+    has the template's faces and labels, so the template also needs a face in
+    every region.
     """
     template = load_mesh(template_path)
     targets = [load_mesh(path) for path in target_paths]
     for target in targets:
         check_meshes(template, target, fit_cfg)
     for mesh in (template, *targets):
-        rings(mesh)
+        region_rings(mesh)
+    region_faces(template)
     return template, targets
 
 
@@ -403,6 +414,7 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
 
     ``template`` and ``target`` are the meshes loaded from the two paths.
     """
+    os.makedirs(case_dir, exist_ok=True)
     svf, fitted, history, summary = _run_fit(template, target, sections)
     files = _write_fit_outputs(case_dir, cfg, seed, svf, history, summary, target_path)
 

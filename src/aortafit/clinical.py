@@ -25,6 +25,8 @@ __all__ = [
     "ReportConfig",
     "all_ring_diameters",
     "ring_region_codes",
+    "region_rings",
+    "region_faces",
     "max_diameter_per_region",
     "regional_stress_stats",
     "build_report",
@@ -61,6 +63,26 @@ def ring_region_codes(mesh):
     return majority_region(mesh.regions[rings(mesh)])
 
 
+def _members(codes, missing):
+    """Indices holding each region's code in ``codes``, in ``REGIONS`` order;
+    a region with none raises ValueError("region <name> <missing>")."""
+    members = [np.flatnonzero(codes == code) for code in range(len(REGIONS))]
+    for name, idx in zip(REGIONS, members):
+        if not idx.size:
+            raise ValueError(f"region {name!r} {missing}")
+    return members
+
+
+def region_rings(mesh):
+    """Ring indices of each region, in ``REGIONS`` order; every region must own a ring."""
+    return _members(ring_region_codes(mesh), "owns no rings")
+
+
+def region_faces(mesh):
+    """Face indices of each region, in ``REGIONS`` order; every region must have a face."""
+    return _members(face_regions(mesh), "has no faces")
+
+
 def max_diameter_per_region(mesh, method="equivalent"):
     """Per-region maximum ring diameter: {name: (diameter_mm, ring_index)}.
 
@@ -69,13 +91,8 @@ def max_diameter_per_region(mesh, method="equivalent"):
     uniform segment) reports its first ring wherever the mesh is moved.
     """
     diams = all_ring_diameters(mesh, method=method)
-    codes = ring_region_codes(mesh)
     out = {}
-    for code, name in enumerate(REGIONS):
-        mask = codes == code
-        if not mask.any():
-            raise ValueError(f"region {name!r} owns no rings")
-        idx = np.nonzero(mask)[0]
+    for name, idx in zip(REGIONS, region_rings(mesh)):
         top = diams[idx].max()
         best = idx[np.argmax(diams[idx] >= top - _PLATEAU_RTOL * top)]
         out[name] = (float(top), int(best))
@@ -88,15 +105,12 @@ def regional_stress_stats(mesh, field, peak_rule="max", percentile=99.0):
     ``peak_rule`` is "max" or "percentile" (then ``percentile`` applies),
     guarding against single-element outliers when requested.
     """
-    fr = face_regions(mesh)
     sigma1 = field.principal[:, 0]
     if len(sigma1) != len(mesh.faces):
         raise ValueError("stress field does not match the mesh face count")
     out = {}
-    for code, name in enumerate(REGIONS):
-        vals = sigma1[fr == code]
-        if vals.size == 0:
-            raise ValueError(f"region {name!r} has no faces")
+    for name, idx in zip(REGIONS, region_faces(mesh)):
+        vals = sigma1[idx]
         if peak_rule == "max":
             peak = float(vals.max())
         elif peak_rule == "percentile":

@@ -829,8 +829,9 @@ def test_stress_collapsed_edge_names_the_element(tmp_path, capsys):
     # Two distinct vertices of face 7 at one point: the topology is sound,
     # but the edge between them has zero length, so the triangle on it has
     # zero area. The solve stops there with one line naming the element, an
-    # input error (2), before any operator is built.
-    tube = straight_cylinder(circumferential=6, axial=4, length=10.0)
+    # input error (2), before any operator is built. Five rings give every
+    # region a face, which stress checks before the solve.
+    tube = straight_cylinder(circumferential=6, axial=5, length=10.0)
     vertices = tube.vertices.copy()
     _, a, b, _ = tube.faces[7]
     vertices[b] = vertices[a]
@@ -843,10 +844,10 @@ def test_stress_collapsed_edge_names_the_element(tmp_path, capsys):
 
 
 def _broken_tube(which):
-    """A 6 x 4 tube broken one way: face 8 reversed, face 7 repeating a
-    vertex (both keep the ring layout), or a fin face on the edge that faces
-    0 and 1 share."""
-    tube = straight_cylinder(circumferential=6, axial=4, length=10.0)
+    """A 6 x 5 tube, whose every region has a face and a ring, broken one way:
+    face 8 reversed, face 7 repeating a vertex (both keep the ring layout), or
+    a fin face on the edge that faces 0 and 1 share."""
+    tube = straight_cylinder(circumferential=6, axial=5, length=10.0)
     faces = tube.faces.copy()
     if which == "reversed":
         faces[8] = faces[8][::-1]
@@ -867,7 +868,7 @@ def _broken_tube(which):
     pytest.param("report", "reversed", "inconsistently oriented edge (8, 9): faces 2 and 8 both run it from 9 to 8",
                  id="report-reversed"),
     pytest.param("stress", "repeated", "degenerate face 7: repeated vertex in [7, 8, 8, 13]", id="stress-repeated"),
-    pytest.param("stress", "fin", "non-manifold edge (1, 7): shared by faces [0, 1, 18]", id="stress-fin"),
+    pytest.param("stress", "fin", "non-manifold edge (1, 7): shared by faces [0, 1, 24]", id="stress-fin"),
 ])
 def test_broken_topology_names_the_face_or_edge(tmp_path, capsys, command, which, message):
     # A mesh the membrane solve cannot take is an input error (2), and its
@@ -1439,3 +1440,77 @@ def test_report_ringless_mesh_rejected_before_solve(tmp_path, mesh_files, capsys
     assert code == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"aortafit: {NO_RINGS}"]
     assert not (tmp_path / "report.json").exists()
+
+
+def _refuse(what):
+    """A stand-in for ``what`` that fails the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the inputs were checked")
+    return refuse
+
+
+def _phantom_file(tmp_path, name, **fields):
+    path = str(tmp_path / name)
+    save_mesh(make_phantom(PhantomSpec(**fields)), path)
+    return path
+
+
+# A 12 x 40 phantom whose one descending ring (ring 39) owns no face: the
+# faces between rings 38 and 39 tie two arch labels with two descending
+# ones, and ties go to the lower code.
+NO_DESCENDING_FACE = {"circumferential": 12, "axial": 40, "region_fractions": (0.125, 0.4375, 0.98)}
+
+
+def test_stress_region_without_faces_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The regional summary needs a face in every region. A 3 x 3 phantom's
+    # root has none: stress exits 2 before the solve, and leaves no file.
+    monkeypatch.setattr(cli, "solve_membrane_stress", _refuse("the membrane solve"))
+    mesh = _phantom_file(tmp_path, "p.vtk", circumferential=3, axial=3)
+    out = tmp_path / "s.vtk"
+    assert main(["stress", "--mesh", mesh, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "aortafit: region 'root' has no faces\n"
+    assert sorted(os.listdir(tmp_path)) == ["p.vtk"]
+
+
+def test_pipeline_region_without_faces_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    # The fitted mesh has the template's faces and labels, so a template
+    # region without a face fails the report after the fit; it is found
+    # before the fit instead, and nothing is written under --out.
+    monkeypatch.setattr(cli, "fit_svf", _refuse("the fit"))
+    template = _phantom_file(tmp_path, "t.vtk", **NO_DESCENDING_FACE)
+    target = _phantom_file(tmp_path, "g.vtk", **NO_DESCENDING_FACE, aneurysm=(36.0, 3.0, 8.0))
+    out = tmp_path / "b"
+    code = main(["pipeline", "--template", template, "--target", target, "--out", str(out), "--seed", "0",
+                 "--set", "fit.levels=[[6,6,6]]", "--set", "fit.svf_dims=[6,6,6]", "--set", "fit.iters_per_level=12"])
+    assert code == 2
+    assert capsys.readouterr().err == "aortafit: region 'descending' has no faces\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, message", [
+    ("mesh", "region 'descending' has no faces"),
+    ("reference", "region 'root' owns no rings"),
+])
+def test_report_region_check_before_solve(tmp_path, capsys, monkeypatch, which, message):
+    # The report needs a face and a ring of the mesh, and a ring of the
+    # reference, in every region: each is checked before the solve.
+    monkeypatch.setattr(cli, "solve_membrane_stress", _refuse("the membrane solve"))
+    good = _phantom_file(tmp_path, "good.vtk", circumferential=12, axial=40)
+    bad = {"mesh": NO_DESCENDING_FACE, "reference": {"circumferential": 3, "axial": 3}}[which]
+    paths = {"mesh": good, "reference": good, which: _phantom_file(tmp_path, "bad.vtk", **bad)}
+    out = tmp_path / "report.json"
+    assert main(["report", "--mesh", paths["mesh"], "--reference", paths["reference"], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"aortafit: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_makes_its_directory_before_fitting(tmp_path, mesh_files, capsys, monkeypatch):
+    # --out naming an existing file fails when fit makes the directory,
+    # which it does before the fit.
+    monkeypatch.setattr(cli, "fit_svf", _refuse("the fit"))
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["fit", "--template", mesh_files["template"], "--target", mesh_files["shifted"], "--out", str(out),
+                 "--seed", "0", *FIT_OVERRIDES])
+    assert code == 2
+    assert "File exists" in capsys.readouterr().err
