@@ -13,13 +13,15 @@ config and seed produce byte-identical output bundles.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
 missing input, template and target meshes that do not correspond, a mesh
-the report must measure ring by ring that has no ring layout, an
-allocation too large, ``--jobs`` below 1, a pipeline worker process that
-died), 3 numerical failure (divergence, solver residual, non-finite
-stresses). The exception's type alone sets the code: FloatingPointError
-exits 3, ValueError and OSError exit 2. These builtins pickle, so a
-``pipeline --jobs`` worker's failure reaches ``main`` as the exception a
-serial run raises, and exits with the same code and message.
+the report must measure ring by ring that has no ring layout, a region
+without the face or ring that a stress summary or report needs, found
+before any fit, solve or file write, an allocation too large, ``--jobs``
+below 1, a pipeline worker process that died), 3 numerical failure
+(divergence, solver residual, non-finite stresses). The exception's type
+alone sets the code: FloatingPointError exits 3, ValueError and OSError
+exit 2. These builtins pickle, so a ``pipeline --jobs`` worker's failure
+reaches ``main`` as the exception a serial run raises, and exits with the
+same code and message.
 """
 
 from __future__ import annotations
