@@ -177,18 +177,19 @@ def _configure(args):
     return cfg, build_sections(cfg)
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg):
-    return hashlib.sha256(_canonical(cfg).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _write_json(path, obj):
+    """Write ``obj`` as JSON to ``path``, or print the same text when ``path``
+    is None. NaN and infinity, which are no JSON, raise ValueError either way."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
     return path
 
 
@@ -273,10 +274,6 @@ def _run_fit(template, target, sections):
     return fit_svf(template, target, grid, sections["fit"])
 
 
-def _save_fitted(fitted, out_dir, body=None):
-    return save_mesh(fitted, os.path.join(out_dir, "fitted.vtk"), title="aortafit fitted mesh", body=body)
-
-
 def _write_fit_outputs(out_dir, cfg, seed, svf, history, summary, target_path):
     """Every fit output but ``fitted.vtk``, which the caller writes, into the
     existing ``out_dir``: the ``history`` and ``summary`` that ``fit_svf``
@@ -297,7 +294,7 @@ def cmd_fit(args):
     os.makedirs(args.out, exist_ok=True)
     svf, fitted, history, summary = _run_fit(template, target, sections)
     _write_fit_outputs(args.out, cfg, args.seed, svf, history, summary, args.target)
-    _save_fitted(fitted, args.out)
+    save_mesh(fitted, os.path.join(args.out, "fitted.vtk"), title="aortafit fitted mesh")
     print(f"fit done: {summary_line(summary)}, outputs in {args.out}")
     return 0
 
@@ -316,11 +313,9 @@ def cmd_warp(args):
 def cmd_quality(args):
     rep = quality_report(load_mesh(args.mesh))
     payload = dict(rep, provenance={"mesh": os.path.basename(args.mesh), "tool_version": __version__})
-    if args.out:
-        _write_json(args.out, payload)
+    _write_json(args.out, payload)
+    if args.out is not None:
         print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
     if args.summary_table:
         print(_quality_table(rep))
     return 0
@@ -384,11 +379,9 @@ def cmd_report(args):
     provenance = _provenance(cfg, mesh=os.path.basename(args.mesh))
     report = build_report(mesh, field, sections["report"], provenance, reference_mesh=reference)
     validate_report(report)
-    if args.out:
-        _write_json(args.out, report)
+    _write_json(args.out, report)
+    if args.out is not None:
         print(f"wrote {args.out}")
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
     if args.summary_table:
         print(_report_table(report))
     return 0
@@ -430,7 +423,8 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
     # Both files hold the fitted mesh: its rows are formatted once, after the
     # solve, so that the text does not add to the solve's peak memory.
     body = _render_body(fitted)
-    files["fitted.vtk"] = _save_fitted(fitted, case_dir, body)
+    files["fitted.vtk"] = save_mesh(fitted, os.path.join(case_dir, "fitted.vtk"), title="aortafit fitted mesh",
+                                    body=body)
     files["stressed.vtk"] = save_mesh(
         fitted,
         os.path.join(case_dir, "stressed.vtk"),
@@ -444,14 +438,9 @@ def _run_case(template_path, target_path, case_dir, cfg, sections, seed, templat
     validate_report(report)
     files["report.json"] = _write_json(os.path.join(case_dir, "report.json"), report)
 
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "template": os.path.basename(template_path),
-        "target": os.path.basename(target_path),
-        "files": {name: _hash_file(path) for name, path in sorted(files.items())},
-    }
+    manifest = _provenance(cfg, seed=seed, template=os.path.basename(template_path),
+                           target=os.path.basename(target_path),
+                           files={name: _hash_file(path) for name, path in sorted(files.items())})
     _write_json(os.path.join(case_dir, "manifest.json"), manifest)
     tables = _quality_table(qrep) + "\n\n" + _report_table(report)
     line = f"{os.path.basename(case_dir) or case_dir}: {summary_line(summary)}, stress residual {field.residual:.2e}"
