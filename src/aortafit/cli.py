@@ -17,7 +17,8 @@ the report must measure ring by ring that has no ring layout, a region
 without the face or ring that a stress summary or report needs, found
 before any fit, solve or file write, an allocation too large, ``--jobs``
 below 1, a pipeline worker process that died), 3 numerical failure
-(divergence, solver residual, non-finite stresses). The exception's type
+(divergence, solver residual, non-finite stresses, quality metrics or
+chamfer distances). The exception's type
 alone sets the code: FloatingPointError exits 3, ValueError and OSError
 exit 2. These builtins pickle, so a ``pipeline --jobs`` worker's failure
 reaches ``main`` as the exception a serial run raises, and exits with the
@@ -357,7 +358,11 @@ def cmd_stress(args):
         "provenance": _provenance(cfg, mesh=os.path.basename(args.mesh)),
     }
     out_json = args.summary or (os.path.splitext(args.out)[0] + ".stress.json")
-    _write_json(out_json, summary)
+    try:
+        _write_json(out_json, summary)
+    except BaseException:  # a failed command leaves no stressed mesh without its summary
+        os.remove(args.out)
+        raise
     print(f"wrote {args.out} and {out_json} (residual {field.residual:.2e})")
     return 0
 

@@ -202,11 +202,14 @@ def chamfer(a, b):
 
     0.5 * (mean nearest-neighbor distance a->b + mean b->a). Nearest indices
     come from a k-d tree; distances are recomputed so the result equals the
-    brute-force double loop exactly.
+    brute-force double loop exactly. Raises FloatingPointError if a nearest
+    distance overflows: the tree then returns no neighbour.
     """
     va, vb = _vertex_array(a), _vertex_array(b)
-    ia = cKDTree(vb).query(va)[1]
-    ib = cKDTree(va).query(vb)[1]
+    da, ia = cKDTree(vb).query(va)
+    db, ib = cKDTree(va).query(vb)
+    if not np.isfinite(da.sum() + db.sum()):
+        raise FloatingPointError("nearest-neighbour distances between the vertex sets overflow")
     d_ab = np.linalg.norm(va - vb[ia], axis=1).mean()
     d_ba = np.linalg.norm(vb - va[ib], axis=1).mean()
     return float(0.5 * (d_ab + d_ba))

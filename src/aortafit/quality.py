@@ -14,9 +14,9 @@ Metrics follow the standard verification definitions, computed directly in 3D
 ``element_metrics`` computes all of them, and the per-corner angles, in one
 pass over (m, 4, 3) quads that shares the edge vectors, the corner cross
 products and the element normal. Its ``valid`` mask marks the elements with
-no zero-length edge and non-collinear diagonals; ``quality_report`` counts
-the others as degenerate and leaves them out of its means and standard
-deviations.
+no zero-length edge, non-collinear diagonals and a nonzero area;
+``quality_report`` counts the others as degenerate and leaves them out of its
+means and standard deviations.
 
 Self-intersection splits quads into the same triangles and runs an exact
 segment-triangle narrow phase (with a coplanar overlap fallback) on candidate
@@ -44,16 +44,19 @@ __all__ = ["METRICS", "element_metrics", "self_intersections", "quality_report"]
 METRICS = ("equiangle_skew", "aspect_ratio", "scaled_jacobian", "min_angle", "max_angle")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def element_metrics(quads):
     """Corner angles and per-element metrics of (m, 4, 3) quads, from one pass.
 
     Returns a dict: ``"angles"`` holds the (m, 4) interior corner angles in
     degrees, each name in ``METRICS`` an (m,) array, and ``"valid"`` the (m,)
-    mask of elements with no zero-length edge and non-collinear diagonals (an
-    element normal); the metrics of the others are meaningless. Edge vectors,
+    mask of elements with no zero-length edge, non-collinear diagonals (an
+    element normal) and a nonzero area, which rounding can lose when the
+    normal is kept; the metrics of the others are meaningless. Edge vectors,
     their lengths, the corner cross products and the element normal are
-    computed once and shared.
+    computed once and shared. Raises FloatingPointError naming the first
+    element whose edge length, corner cross product, normal or area
+    overflows: its metrics would be NaN, or it would be taken for degenerate.
     """
     q = np.asarray(quads, dtype=np.float64)
     if q.ndim != 3 or q.shape[1:] != (4, 3):
@@ -63,16 +66,21 @@ def element_metrics(quads):
     lengths = np.linalg.norm(nxt, axis=2)
     normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
-
     # One corner cross product serves both: its length gives the corner angle,
     # and its projection on the unit normal over the two edge lengths the
     # corner's scaled Jacobian (1 for a square, sin(theta) at a planar corner
     # of angle theta, negative at an inverted, concave corner).
     corner = np.cross(nxt, prev)
-    ang = np.degrees(np.arctan2(np.linalg.norm(corner, axis=2), np.einsum("mkd,mkd->mk", prev, nxt)))
+    c_len = np.linalg.norm(corner, axis=2)
+    area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
+    finite = np.isfinite(lengths).all(axis=1) & np.isfinite(c_len).all(axis=1) & np.isfinite(n_len[:, 0] + area)
+    if not finite.all():
+        raise FloatingPointError(f"element {np.argmin(finite)} overflows: its edge lengths, corner cross products, "
+                                 "normal or area are not finite")
+
+    ang = np.degrees(np.arctan2(c_len, np.einsum("mkd,mkd->mk", prev, nxt)))
     min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
     jac = np.einsum("mkd,md->mk", corner, normal / n_len) / (lengths * np.linalg.norm(prev, axis=2))
-    area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
     aspect = np.where(area > 0, lengths.max(axis=1) * lengths.sum(axis=1) / (4.0 * area), np.inf)
     return {
         "angles": ang,
@@ -81,7 +89,7 @@ def element_metrics(quads):
         "scaled_jacobian": jac.min(axis=1),
         "min_angle": min_angle,
         "max_angle": max_angle,
-        "valid": np.all(lengths > 0, axis=1) & (n_len[:, 0] > 0),
+        "valid": np.all(lengths > 0, axis=1) & (n_len[:, 0] > 0) & (area > 0),
     }
 
 

@@ -243,6 +243,74 @@ def test_quality_all_degenerate_writes_null(tmp_path, capsys):
     assert any(line.split() == ["scaled_jacobian", "n/a", "n/a"] for line in table.splitlines())
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("quality", ["--mesh", "tube8"]),
+    ("report", ["--mesh", "tube8", "--reference", "bulged"]),
+])
+def test_json_on_stdout_matches_the_out_file(tmp_path, mesh_files, capsys, command, argv):
+    # One writer serves both modes: standard output holds the bytes of --out.
+    argv = [mesh_files.get(arg, arg) for arg in argv]
+    out = tmp_path / f"{command}.json"
+    assert main([command, *argv]) == 0
+    printed = capsys.readouterr().out
+    assert main([command, *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == printed
+
+
+def test_quality_nan_refused_with_or_without_out(tmp_path, mesh_files, capsys, monkeypatch):
+    # A NaN mean is no JSON: standard output refuses it as the file does.
+    real = cli.quality_report
+    monkeypatch.setattr(cli, "quality_report",
+                        lambda mesh: dict(real(mesh), scaled_jacobian={"mean": float("nan"), "std": 0.0}))
+    out = tmp_path / "quality.json"
+    errors = []
+    for extra in ([], ["--out", str(out)]):
+        assert main(["quality", "--mesh", mesh_files["tube8"], *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == "aortafit: Out of range float values are not JSON compliant: nan\n"
+    assert not out.exists()
+
+
+def _edited_tube(path, edit, circumferential=24, axial=60):
+    tube = straight_cylinder(circumferential=circumferential, axial=axial)
+    save_mesh(tube.with_vertices(edit(tube.vertices.copy())), path)
+    return path
+
+
+def _spike(factor, vertex=5):
+    def edit(v):
+        v[vertex] *= factor
+        return v
+    return edit
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edit", [_spike(1e160), lambda v: v * 1e200], ids=["spike", "scaled"])
+def test_quality_overflow_exits_3(tmp_path, capsys, edit):
+    # Squared edge lengths, normals and areas that overflow made NaN means
+    # (spike) or every element degenerate (scaled) at exit 0, with numpy
+    # warnings on stderr. The first overflowing element is named instead.
+    mesh = _edited_tube(str(tmp_path / "m.vtk"), edit)
+    assert main(["quality", "--mesh", mesh]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"aortafit: numerical failure: element \d+ overflows: .*not finite\n", captured.err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chamfer_overflow_exits_3(tmp_path, mesh_files, capsys):
+    # A distance that overflows leaves cKDTree.query no neighbour: it returned
+    # the index n, which raised IndexError out of main.
+    far = _edited_tube(str(tmp_path / "far.vtk"), lambda v: v + 1e300)
+    assert main(["chamfer", far, mesh_files["tube"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aortafit: numerical failure: nearest-neighbour distances between the vertex sets overflow\n"
+
+
 def test_stress_command_free_end_cylinder(tmp_path, mesh_files, capsys):
     out = str(tmp_path / "stressed.vtk")
     summary = str(tmp_path / "stress.json")
@@ -973,6 +1041,73 @@ def test_quality_exit_code_under_mesh_fuzz(seed, edits):
         assert "m.vtk" in err.getvalue()
 
 
+def _collapse_ring_0(v):
+    v[:12] = v[:12].mean(axis=0)
+    return v
+
+
+def _flatten_x(v):
+    v[:, 0] = 0.0
+    return v
+
+
+# Edits of a 12 x 20 tube's (240, 3) vertices, ring a holding rows 12 a to 12 a + 11.
+_GEOMETRIC_EDITS = {
+    "scale 1e200": lambda v: v * 1e200,
+    "scale 1e-200": lambda v: v * 1e-200,
+    "shift 1e300": lambda v: v + 1e300,
+    "shift 1e15": lambda v: v + 1e15,
+    "spike 1e6": _spike(1e6, vertex=100),
+    "spike 1e160": _spike(1e160, vertex=100),
+    "flatten x": _flatten_x,
+    "collapse ring 0": _collapse_ring_0,
+    "reverse rings": lambda v: v.reshape(20, 12, 3)[::-1].reshape(-1, 3),
+}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} printed as JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["quality", "chamfer", "stress", "report"]),
+       edits=st.lists(st.sampled_from(sorted(_GEOMETRIC_EDITS)), min_size=1, max_size=2, unique=True))
+@example(command="quality", edits=["spike 1e160"])  # NaN means in the JSON
+@example(command="chamfer", edits=["shift 1e300"])  # IndexError out of main
+def test_exit_contract_under_geometric_edits(command, edits):
+    # Valid meshes whose coordinates overflow, underflow, round or fold:
+    # every mesh-reading command exits 0, 2 or 3, a failure prints one
+    # "aortafit: " line, no numpy warning escapes, and what is printed as
+    # JSON parses without NaN or infinity.
+    tube = straight_cylinder(circumferential=12, axial=20)
+    v = tube.vertices.copy()
+    with np.errstate(over="ignore"):
+        for name in edits:
+            v = _GEOMETRIC_EDITS[name](v)
+    assume(np.isfinite(v).all())  # a mesh file holds finite coordinates only
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = save_mesh(tube, os.path.join(tmp, "clean.vtk"))
+        mesh = save_mesh(tube.with_vertices(v), os.path.join(tmp, "m.vtk"))
+        argv = {
+            "quality": ["quality", "--mesh", mesh],
+            "chamfer": ["chamfer", mesh, clean],
+            "stress": ["stress", "--mesh", mesh, "--out", os.path.join(tmp, "s.vtk")],
+            "report": ["report", "--mesh", mesh],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("aortafit: "), lines
+    else:
+        assert lines == []
+        if command != "stress":
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize("command, setting", [
     ("phantom", "phantom.circumferential=abc"),
     ("phantom", "phantom.base_radius=null"),
@@ -1470,6 +1605,16 @@ def test_stress_region_without_faces_writes_nothing(tmp_path, capsys, monkeypatc
     assert main(["stress", "--mesh", mesh, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "aortafit: region 'root' has no faces\n"
     assert sorted(os.listdir(tmp_path)) == ["p.vtk"]
+
+
+def test_stress_unwritable_summary_leaves_no_mesh(tmp_path, mesh_files, capsys):
+    # The stressed mesh is written first: a summary that cannot be written
+    # removes it, and the write's error is reported as before.
+    out = tmp_path / "s.vtk"
+    summary = tmp_path / "nodir" / "s.json"
+    assert main(["stress", "--mesh", mesh_files["tube8"], "--out", str(out), "--summary", str(summary)]) == 2
+    assert capsys.readouterr().err == f"aortafit: [Errno 2] No such file or directory: '{summary}'\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_pipeline_region_without_faces_rejected_before_any_work(tmp_path, capsys, monkeypatch):

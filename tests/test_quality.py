@@ -81,6 +81,10 @@ def test_zero_area_line_quad_is_invalid():
     # A quad collapsed onto a line has no element normal; quality_report
     # counts it as degenerate (test_report_excludes_degenerate_elements).
     assert element_metrics(LINE[None])["valid"].tolist() == [False]
+    # Far from its other corners, v0's fan triangles round to zero area while
+    # the diagonals keep a normal: no aspect ratio, so degenerate too.
+    far = np.array([[1e21, 1e21, 1e21], [1e15, 1e15, 1e15], [1e15 + 4, 1e15, 1e15], [1e15, 1e15 + 4, 1e15]])
+    assert element_metrics(far[None])["valid"].tolist() == [False]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the metrics of invalid quads warn nothing
