@@ -66,6 +66,7 @@ def element_metrics(quads):
     lengths = np.linalg.norm(nxt, axis=2)
     normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
+
     # One corner cross product serves both: its length gives the corner angle,
     # and its projection on the unit normal over the two edge lengths the
     # corner's scaled Jacobian (1 for a square, sin(theta) at a planar corner
@@ -73,11 +74,10 @@ def element_metrics(quads):
     corner = np.cross(nxt, prev)
     c_len = np.linalg.norm(corner, axis=2)
     area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
-    finite = np.isfinite(lengths).all(axis=1) & np.isfinite(c_len).all(axis=1) & np.isfinite(n_len[:, 0] + area)
+    finite = np.isfinite(np.concatenate([lengths, c_len, n_len, area[:, None]], axis=1)).all(axis=1)
     if not finite.all():
         raise FloatingPointError(f"element {np.argmin(finite)} overflows: its edge lengths, corner cross products, "
                                  "normal or area are not finite")
-
     ang = np.degrees(np.arctan2(c_len, np.einsum("mkd,mkd->mk", prev, nxt)))
     min_angle, max_angle = ang.min(axis=1), ang.max(axis=1)
     jac = np.einsum("mkd,md->mk", corner, normal / n_len) / (lengths * np.linalg.norm(prev, axis=2))

@@ -1065,10 +1065,6 @@ _GEOMETRIC_EDITS = {
 }
 
 
-def _refuse_constant(name):
-    raise AssertionError(f"{name} printed as JSON")
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(["quality", "chamfer", "stress", "report"]),
@@ -1105,7 +1101,7 @@ def test_exit_contract_under_geometric_edits(command, edits):
     else:
         assert lines == []
         if command != "stress":
-            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
 
 
 @pytest.mark.parametrize("command, setting", [
