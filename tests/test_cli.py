@@ -274,8 +274,8 @@ def test_quality_nan_refused_with_or_without_out(tmp_path, mesh_files, capsys, m
     assert not out.exists()
 
 
-def _edited_tube(path, edit, circumferential=24, axial=60):
-    tube = straight_cylinder(circumferential=circumferential, axial=axial)
+def _edited_tube(path, edit):
+    tube = straight_cylinder()
     save_mesh(tube.with_vertices(edit(tube.vertices.copy())), path)
     return path
 
