@@ -19,15 +19,13 @@ no zero-length edge, non-collinear diagonals and a nonzero area;
 means and standard deviations.
 
 Self-intersection splits quads into the same triangles and runs an exact
-segment-triangle narrow phase (with a coplanar overlap fallback) on candidate
-triangle pairs. The broad phase works on faces: it finds the face pairs whose
-padded axis-aligned bounding boxes overlap with a k-d tree over the box
-centers, drops the pairs that share a vertex (adjacency is not an
-intersection), and keeps those of each survivor's 4 triangle pairs whose
-padded triangle boxes overlap. A padded quad box contains both of its padded
-triangle boxes, so this yields exactly the triangle pairs a triangle-level
-search would, from half as many boxes and without the adjacent pairs that
-make up most overlaps. The brute-force path takes every pair of faces and
+segment-triangle narrow phase (with a coplanar overlap fallback) on triangle
+pairs of different faces. The broad phase works on faces: it finds the face
+pairs whose padded axis-aligned bounding boxes overlap with a k-d tree over
+the box centers and drops the pairs that share a vertex (adjacency is not an
+intersection, and such pairs make up most overlaps); all 4 triangle pairs of
+each survivor go to the narrow phase, which decides them whether or not
+their own boxes overlap. The brute-force path takes every pair of faces and
 shares the narrow phase, so the accelerated result matches it exactly.
 """
 
@@ -98,14 +96,6 @@ def element_metrics(quads):
 # ---------------------------------------------------------------------------
 
 
-def _padded_boxes(points):
-    """Lower and upper corners of the (m, k, 3) point sets' boxes, padded as below."""
-    lo = points.min(axis=1)
-    hi = points.max(axis=1)
-    pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
-    return lo - pad, hi + pad
-
-
 def _box_overlap_pairs(points):
     """Index pairs (i < j) of the (m, k, 3) point sets whose padded AABBs overlap.
 
@@ -122,7 +112,9 @@ def _box_overlap_pairs(points):
     box widens only its own group's search, never everyone's. An exact test
     of the padded boxes then drops the pairs that miss.
     """
-    lo, hi = _padded_boxes(points)
+    lo, hi = points.min(axis=1), points.max(axis=1)
+    pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
+    lo, hi = lo - pad, hi + pad
     center = 0.5 * (lo + hi)
     reach = (hi - lo).max(axis=1)
     _, group = np.frexp(reach)
@@ -163,9 +155,6 @@ def _segments_hit_triangle(seg_a, seg_b, t0, t1, t2, scale):
 
 def _coplanar_overlap(A, B, normal, scale):
     """2D separating-axis test for coplanar triangles; touching does not count."""
-    k = len(A)
-    if k == 0:
-        return np.zeros(0, dtype=bool)
     # In-plane orthonormal basis per pair (the normals are nonzero).
     n = normal / np.linalg.norm(normal, axis=1, keepdims=True)
     ref = np.where(np.abs(n[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
@@ -176,7 +165,7 @@ def _coplanar_overlap(A, B, normal, scale):
     b2 = np.stack([np.einsum("kpd,kd->kp", B, u), np.einsum("kpd,kd->kp", B, v)], axis=-1)
 
     tol = 1e-10 * scale
-    overlapping = np.ones(k, dtype=bool)
+    overlapping = np.ones(len(A), dtype=bool)
     for tri in (a2, b2):
         for e in range(3):
             edge = tri[:, (e + 1) % 3] - tri[:, e]
@@ -192,9 +181,6 @@ def _coplanar_overlap(A, B, normal, scale):
 
 def _tri_pairs_intersect(A, B):
     """Exact intersection test for triangle pairs A, B of shape (k, 3, 3)."""
-    k = len(A)
-    if k == 0:
-        return np.zeros(0, dtype=bool)
     edges = np.concatenate(
         [
             np.linalg.norm(A - np.roll(A, -1, axis=1), axis=2),
@@ -224,29 +210,29 @@ def _tri_pairs_intersect(A, B):
     )
     coplanar = np.all(np.abs(dB) <= eps_a[:, None], axis=1) & np.all(np.abs(dA) <= eps_b[:, None], axis=1)
 
-    result = np.zeros(k, dtype=bool)
+    result = np.zeros(len(A), dtype=bool)
     general = ~sep & ~coplanar
-    if general.any():
-        ga, gb, gs = A[general], B[general], scale[general]
-        hit = np.zeros(int(general.sum()), dtype=bool)
-        for tri_from, tri_to in ((ga, gb), (gb, ga)):
-            for e in range(3):
-                hit |= _segments_hit_triangle(
-                    tri_from[:, e], tri_from[:, (e + 1) % 3], tri_to[:, 0], tri_to[:, 1], tri_to[:, 2], gs
-                )
-        result[general] = hit
+    ga, gb, gs = A[general], B[general], scale[general]
+    hit = np.zeros(len(ga), dtype=bool)
+    for tri_from, tri_to in ((ga, gb), (gb, ga)):
+        for e in range(3):
+            hit |= _segments_hit_triangle(
+                tri_from[:, e], tri_from[:, (e + 1) % 3], tri_to[:, 0], tri_to[:, 1], tri_to[:, 2], gs
+            )
+    result[general] = hit
     flat = ~sep & coplanar
-    if flat.any():
-        result[flat] = _coplanar_overlap(A[flat], B[flat], nA[flat], scale[flat, None])
+    result[flat] = _coplanar_overlap(A[flat], B[flat], nA[flat], scale[flat, None])
     return result
 
 
-def _candidate_pairs(mesh, pts, method):
-    """Triangle pairs (i < j) of different faces that share no vertex, for the narrow phase.
+def self_intersections(mesh, method="bvh"):
+    """Count and list face pairs whose surfaces cross.
 
-    ``pts`` holds the (2 m, 3, 3) corners of the faces' ``TRIANGLES``,
-    triangle 2 e + s of face e being its triangle s. ``"bvh"`` keeps
-    the pairs whose padded boxes overlap, ``"brute"`` every pair.
+    ``method="bvh"`` takes the face pairs whose padded bounding boxes
+    overlap, found with a k-d tree over the box centers, ``"brute"`` every
+    pair. Pairs sharing any vertex are skipped (adjacency is not an
+    intersection); the 4 triangle pairs of each other pair go to the exact
+    narrow phase, so both methods return identical results.
     """
     if method == "bvh":
         faces = _box_overlap_pairs(mesh.vertices[mesh.faces])
@@ -254,37 +240,13 @@ def _candidate_pairs(mesh, pts, method):
         faces = np.stack(np.triu_indices(mesh.n_faces, k=1), axis=1)
     else:
         raise ValueError(f"unknown method {method!r}")
-    fa = mesh.faces[faces[:, 0]]
-    fb = mesh.faces[faces[:, 1]]
+    fa, fb = mesh.faces[faces[:, 0]], mesh.faces[faces[:, 1]]
     faces = faces[~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))]
-    # Face a's triangles are 2a and 2a + 1, so a < b keeps i < j.
+    pts = mesh.vertices[mesh.faces[:, TRIANGLES]].reshape(-1, 3, 3)  # triangle 2 e + s: split s of face e
     i = (2 * faces[:, :1] + [0, 0, 1, 1]).ravel()
     j = (2 * faces[:, 1:] + [0, 1, 0, 1]).ravel()
-    if method == "bvh":
-        lo, hi = _padded_boxes(pts)
-        hit = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
-        i, j = i[hit], j[hit]
-    return np.stack([i, j], axis=1)
-
-
-def self_intersections(mesh, method="bvh"):
-    """Count and list face pairs whose surfaces cross.
-
-    Quads are split into triangles; face pairs sharing any vertex are skipped
-    (adjacency is not an intersection). ``method="brute"`` tests every pair,
-    ``"bvh"`` tests only the triangle pairs whose bounding boxes overlap,
-    found from the faces' boxes with a k-d tree over the box centers; both
-    share the exact narrow phase and return identical results.
-    """
-    pts = mesh.vertices[mesh.faces[:, TRIANGLES]].reshape(-1, 3, 3)
-    cand = _candidate_pairs(mesh, pts, method)
-    if len(cand) == 0:
-        return 0, []
-    hit = _tri_pairs_intersect(pts[cand[:, 0]], pts[cand[:, 1]])
-    if not hit.any():
-        return 0, []
-    face_pairs = np.unique(cand[hit] // 2, axis=0)
-    pairs = [(int(a), int(b)) for a, b in face_pairs]
+    hit = _tri_pairs_intersect(pts[i], pts[j]).reshape(-1, 4).any(axis=1)
+    pairs = [(int(a), int(b)) for a, b in np.unique(faces[hit], axis=0)]
     return len(pairs), pairs
 
 

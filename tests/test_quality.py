@@ -188,9 +188,13 @@ def test_metrics_rigid_and_scale_invariant():
 # Self-intersections
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clean_tube_has_no_intersections(tube24):
-    count, pairs = self_intersections(tube24)
-    assert count == 0 and pairs == []
+    # A one-face mesh has no face pair at all: its empty arrays pass through
+    # the broad and narrow phases without a warning.
+    for mesh in (tube24, _quad_soup([UNIT_SQUARE])):
+        for method in ("bvh", "brute"):
+            assert self_intersections(mesh, method=method) == (0, []), method
 
 
 def test_crossing_quads_detected_both_methods():
@@ -354,15 +358,16 @@ def _broad_phase_meshes(mesh):
 
 
 def test_face_broad_phase_equals_triangle_broad_phase(default_phantom):
-    # A padded quad box holds both of its padded triangle boxes, so the face
-    # pairs expanded to their overlapping triangle pairs are exactly the
-    # triangle-level candidates, and the narrow phase sees the same pairs.
+    # A padded quad box holds both of its padded triangle boxes, so every
+    # triangle-level candidate lies in a face pair that the face broad phase
+    # keeps, and the search finds exactly the narrow phase's hits among the
+    # triangle-level candidates: the triangle pairs of those face pairs whose
+    # boxes miss add none.
     for name, mesh in _broad_phase_meshes(default_phantom[0]):
-        pts = mesh.vertices[_mesh_triangles(mesh)]
-        got = quality._candidate_pairs(mesh, pts, "bvh")
         ref = _triangle_level_candidates(mesh)
-        assert np.all(got[:, 0] < got[:, 1]), name
-        assert len(got) == len(ref) and {tuple(p) for p in got} == {tuple(p) for p in ref}, name
+        kept = {tuple(p) for p in _box_overlap_pairs(mesh.vertices[mesh.faces])}
+        assert {tuple(p) for p in ref // 2} <= kept, name
+        pts = mesh.vertices[_mesh_triangles(mesh)]
         hit = quality._tri_pairs_intersect(pts[ref[:, 0]], pts[ref[:, 1]])
         expect = sorted({(int(a) // 2, int(b) // 2) for a, b in ref[hit]})
         assert self_intersections(mesh) == (len(expect), expect), name
