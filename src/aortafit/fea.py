@@ -172,13 +172,7 @@ def _element_frames(mesh):
     n_len = np.linalg.norm(n, axis=1, keepdims=True)
     _check_elements(n_len, "normal undefined")
     n = n / n_len
-    e01 = q[:, 1] - q[:, 0]
-    t1 = e01 - np.einsum("md,md->m", e01, n)[:, None] * n
-    t1_len = np.linalg.norm(t1, axis=1, keepdims=True)
-    _check_elements(t1_len, "first edge collinear with normal")
-    t1 = t1 / t1_len
-    t2 = np.cross(n, t1)
-    return t1, t2, n
+    return (*_in_plane_frame(q[:, 1] - q[:, 0], n, "first edge collinear with normal"), n)
 
 
 def _check_elements(length, what):
@@ -193,13 +187,16 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _triangle_frame(t1, n_unit):
-    """In-plane frame (t1p, t2p) of triangles with unit normals ``n_unit``: the element axis t1 projected in."""
-    t1p = t1 - np.einsum("md,md->m", t1, n_unit)[:, None] * n_unit
-    t1p_len = np.linalg.norm(t1p, axis=1, keepdims=True)
-    _check_elements(t1p_len, "frame perpendicular to triangle")
-    t1p = t1p / t1p_len
-    return t1p, np.cross(n_unit, t1p)
+def _in_plane_frame(t, n_unit, what):
+    """Orthonormal frame (t1, t2) in the planes of unit normals ``n_unit``: ``t`` projected in, normalized.
+
+    ``what`` is the ValueError message for a ``t`` along the normal.
+    """
+    t1 = t - np.einsum("md,md->m", t, n_unit)[:, None] * n_unit
+    t1_len = np.linalg.norm(t1, axis=1, keepdims=True)
+    _check_elements(t1_len, what)
+    t1 = t1 / t1_len
+    return t1, np.cross(n_unit, t1)
 
 
 class _Corners(NamedTuple):
@@ -256,7 +253,7 @@ def _assemble(mesh, t1, vertices, p):
         contrib = (p / 3.0) * (0.5 * n_tri)  # area * outward normal
         for k, c in np.ndindex(3, 3):  # a vertex is corner k of at most one ring-layout quad
             load[:, c] += np.bincount(tri[:, split, k], contrib[:, c], minlength=len(load))
-        t1p, t2p = frames[:, :, split] = _triangle_frame(t1, n_tri / n_len)
+        t1p, t2p = frames[:, :, split] = _in_plane_frame(t1, n_tri / n_len, "frame perpendicular to triangle")
         q = quads[:, TRIANGLES[split]]
         d = q[:, [1, 2, 0]] - q[:, [2, 0, 1]]  # corner c: corner c - 1 to corner c + 1
         alpha[:, split] = _dot(d, t1p[:, None])
