@@ -59,10 +59,16 @@ def element_metrics(quads):
     q = np.asarray(quads, dtype=np.float64)
     if q.ndim != 3 or q.shape[1:] != (4, 3):
         raise ValueError(f"expected (m, 4, 3) quad vertices, got {q.shape}")
-    nxt = np.roll(q, -1, axis=1) - q  # corner k to corner k + 1: the edges
-    prev = np.roll(q, 1, axis=1) - q  # corner k to corner k - 1
+    # The metrics are ratios, which an exact power-of-two scale leaves as
+    # they are. The difference vectors of an element whose corners all lie
+    # within 0.5 of v0 are scaled up until the largest offset is in [0.5, 1),
+    # so that no squared length of a tiny element underflows; none is scaled down.
+    offsets = q - q[:, :1]  # v0 to each corner
+    up = np.maximum(-np.frexp(np.abs(offsets).max(axis=(1, 2)))[1], 0)[:, None]
+    nxt = np.ldexp(np.roll(q, -1, axis=1) - q, up[:, :, None])  # corner k to corner k + 1: the edges
+    prev = np.ldexp(np.roll(q, 1, axis=1) - q, up[:, :, None])  # corner k to corner k - 1
     lengths = np.linalg.norm(nxt, axis=2)
-    normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
+    normal = np.cross(np.ldexp(q[:, 2] - q[:, 0], up), np.ldexp(q[:, 3] - q[:, 1], up))
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
 
     # One corner cross product serves both: its length gives the corner angle,
@@ -71,7 +77,7 @@ def element_metrics(quads):
     # of angle theta, negative at an inverted, concave corner).
     corner = np.cross(nxt, prev)
     c_len = np.linalg.norm(corner, axis=2)
-    area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
+    area = 0.5 * np.linalg.norm(triangle_normals(np.ldexp(offsets, up[:, :, None])), axis=2).sum(axis=1)
     finite = np.isfinite(np.concatenate([lengths, c_len, n_len, area[:, None]], axis=1)).all(axis=1)
     if not finite.all():
         raise FloatingPointError(f"element {np.argmin(finite)} overflows: its edge lengths, corner cross products, "
@@ -250,25 +256,31 @@ def self_intersections(mesh, method="bvh"):
     return len(pairs), pairs
 
 
-def _mean_std(x):
+@np.errstate(all="ignore")
+def _mean_std(name, x):
+    """Mean and population std of metric ``name``'s values ``x``; FloatingPointError when either overflows."""
     if x.size == 0:
         return {"mean": None, "std": None}  # no element to average: null in JSON, not NaN
-    return {"mean": float(x.mean()), "std": float(x.std())}
+    mean, std = float(x.mean()), float(x.std())
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise FloatingPointError(f"the mean or standard deviation of {name} overflows")
+    return {"mean": mean, "std": std}
 
 
 def quality_report(mesh):
     """The quality JSON of a mesh, without provenance: ``n_elements``, the
     ``n_degenerate`` elements that ``element_metrics`` marks invalid, the mean
     and population std of each of ``METRICS`` over the other elements (nulls
-    when there is none), and the ``self_intersection_count``.
+    when there is none), and the ``self_intersection_count``. Raises
+    FloatingPointError, before the search, when a metric or its mean or std
+    overflows.
     """
     metrics = element_metrics(mesh.vertices[mesh.faces])
     valid = metrics["valid"]
-    report = {
+    stats = {name: _mean_std(name, metrics[name][valid]) for name in METRICS}
+    return {
         "n_elements": len(mesh.faces),
         "n_degenerate": int((~valid).sum()),
         "self_intersection_count": self_intersections(mesh)[0],
+        **stats,
     }
-    for name in METRICS:
-        report[name] = _mean_std(metrics[name][valid])
-    return report

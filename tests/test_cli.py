@@ -301,6 +301,18 @@ def test_quality_overflow_exits_3(tmp_path, capsys, edit):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quality_std_overflow_exits_3(tmp_path, capsys):
+    # A tube scaled by 1e-60 with vertex 5 moved out by 1e160: no edge
+    # length overflows, but aspect ratios near 1e160 do when the std squares
+    # them, which warned and exited 2 on the JSON writer's refusal of inf.
+    mesh = _edited_tube(str(tmp_path / "m.vtk"), lambda v: _spike(1e160)(v * 1e-60))
+    assert main(["quality", "--mesh", mesh]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "aortafit: numerical failure: the mean or standard deviation of aspect_ratio overflows\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chamfer_overflow_exits_3(tmp_path, mesh_files, capsys):
     # A distance that overflows leaves cKDTree.query no neighbour: it returned
     # the index n, which raised IndexError out of main.
@@ -1067,15 +1079,17 @@ _GEOMETRIC_EDITS = {
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(command=st.sampled_from(["quality", "chamfer", "stress", "report"]),
+@given(command=st.sampled_from(["quality", "chamfer", "stress", "report", "warp"]),
        edits=st.lists(st.sampled_from(sorted(_GEOMETRIC_EDITS)), min_size=1, max_size=2, unique=True))
 @example(command="quality", edits=["spike 1e160"])  # NaN means in the JSON
 @example(command="chamfer", edits=["shift 1e300"])  # IndexError out of main
+@example(command="quality", edits=["scale 1e-200", "spike 1e160"])  # the aspect ratio's std overflows
 def test_exit_contract_under_geometric_edits(command, edits):
     # Valid meshes whose coordinates overflow, underflow, round or fold:
     # every mesh-reading command exits 0, 2 or 3, a failure prints one
     # "aortafit: " line, no numpy warning escapes, and what is printed as
-    # JSON parses without NaN or infinity.
+    # JSON parses without NaN or infinity. warp moves the mesh through a zero
+    # SVF on a coarse grid around the clean tube (x, y within 15, z in 0-120).
     tube = straight_cylinder(circumferential=12, axial=20)
     v = tube.vertices.copy()
     with np.errstate(over="ignore"):
@@ -1085,11 +1099,14 @@ def test_exit_contract_under_geometric_edits(command, edits):
     with tempfile.TemporaryDirectory() as tmp:
         clean = save_mesh(tube, os.path.join(tmp, "clean.vtk"))
         mesh = save_mesh(tube.with_vertices(v), os.path.join(tmp, "m.vtk"))
+        svf = save_volume(VectorField3D(GridGeom((4, 4, 4), (12.0, 12.0, 45.0), (-18.0, -18.0, -10.0)),
+                                        np.zeros((4, 4, 4, 3))), os.path.join(tmp, "svf.hdr"))
         argv = {
             "quality": ["quality", "--mesh", mesh],
             "chamfer": ["chamfer", mesh, clean],
             "stress": ["stress", "--mesh", mesh, "--out", os.path.join(tmp, "s.vtk")],
             "report": ["report", "--mesh", mesh],
+            "warp": ["warp", "--mesh", mesh, "--svf", svf, "--out", os.path.join(tmp, "w.vtk")],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1100,7 +1117,7 @@ def test_exit_contract_under_geometric_edits(command, edits):
         assert len(lines) == 1 and lines[0].startswith("aortafit: "), lines
     else:
         assert lines == []
-        if command != "stress":
+        if command not in ("stress", "warp"):  # these two print "wrote <path>"
             json.loads(out.getvalue(), parse_constant=pytest.fail)
 
 

@@ -184,6 +184,19 @@ def test_metrics_rigid_and_scale_invariant():
         assert np.allclose(moved["scaled_jacobian"], base["scaled_jacobian"], atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+def test_tiny_tube_is_measured(scale):
+    # The squared lengths of these elements underflow, so unscaled they would
+    # all read as degenerate; an exact power-of-two scale measures them.
+    tube = straight_cylinder(circumferential=12, axial=20)
+    base = quality_report(tube)
+    tiny = quality_report(tube.with_vertices(tube.vertices * scale))
+    assert tiny["n_degenerate"] == 0
+    for name in METRICS:
+        assert tiny[name]["mean"] == pytest.approx(base[name]["mean"], rel=1e-12, abs=0), name
+
+
 # ---------------------------------------------------------------------------
 # Self-intersections
 # ---------------------------------------------------------------------------
