@@ -287,29 +287,27 @@ def _spike(factor, vertex=5):
     return edit
 
 
+_ELEMENT_OVERFLOW = r"element \d+ overflows: .*not finite"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("edit", [_spike(1e160), lambda v: v * 1e200], ids=["spike", "scaled"])
-def test_quality_overflow_exits_3(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    (_spike(1e160), _ELEMENT_OVERFLOW),
+    (lambda v: v * 1e200, _ELEMENT_OVERFLOW),
+    (lambda v: _spike(1e160)(v * 1e-60), "the mean or standard deviation of aspect_ratio overflows"),
+], ids=["spike", "scaled", "spiked_tiny"])
+def test_quality_overflow_exits_3(tmp_path, capsys, edit, message):
     # Squared edge lengths, normals and areas that overflow made NaN means
     # (spike) or every element degenerate (scaled) at exit 0, with numpy
     # warnings on stderr. The first overflowing element is named instead.
+    # On a tiny tube (spiked_tiny) no edge length overflows, but the std
+    # squares aspect ratios near 1e160: it warned and exited 2 on the JSON
+    # writer's refusal of inf.
     mesh = _edited_tube(str(tmp_path / "m.vtk"), edit)
     assert main(["quality", "--mesh", mesh]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"aortafit: numerical failure: element \d+ overflows: .*not finite\n", captured.err)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_quality_std_overflow_exits_3(tmp_path, capsys):
-    # A tube scaled by 1e-60 with vertex 5 moved out by 1e160: no edge
-    # length overflows, but aspect ratios near 1e160 do when the std squares
-    # them, which warned and exited 2 on the JSON writer's refusal of inf.
-    mesh = _edited_tube(str(tmp_path / "m.vtk"), lambda v: _spike(1e160)(v * 1e-60))
-    assert main(["quality", "--mesh", mesh]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "aortafit: numerical failure: the mean or standard deviation of aspect_ratio overflows\n"
+    assert re.fullmatch(rf"aortafit: numerical failure: {message}\n", captured.err)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

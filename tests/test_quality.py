@@ -203,11 +203,11 @@ def test_tiny_tube_is_measured(scale):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clean_tube_has_no_intersections(tube24):
+    assert self_intersections(tube24) == (0, [])
     # A one-face mesh has no face pair at all: its empty arrays pass through
     # the broad and narrow phases without a warning.
-    for mesh in (tube24, _quad_soup([UNIT_SQUARE])):
-        for method in ("bvh", "brute"):
-            assert self_intersections(mesh, method=method) == (0, []), method
+    for method in ("bvh", "brute"):
+        assert self_intersections(_quad_soup([UNIT_SQUARE]), method=method) == (0, []), method
 
 
 def test_crossing_quads_detected_both_methods():
