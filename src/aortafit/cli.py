@@ -1,7 +1,7 @@
 """Command-line front end: phantom generation through clinical reporting.
 
 Subcommands: phantom, template, fit, warp, quality, chamfer, stress, report,
-pipeline. Those taking a config (phantom, fit, warp, stress, report, pipeline)
+pipeline. Those taking a config (phantom, fit, stress, report, pipeline)
 read an optional JSON file whose sections are the dataclasses of ``SECTIONS``:
 their fields are the keys, defaults and checks. Any value can be overridden
 with ``--set section.key=value``. Unknown keys, values of another JSON type
@@ -9,7 +9,8 @@ than the default's, and non-finite numbers are rejected, and every section is
 built before any work, so all these subcommands accept the same configs. The
 effective config (defaults merged with file and overrides, as given) is echoed
 into every output next to its sha256 hash, so runs are reproducible: identical
-config and seed produce byte-identical output bundles.
+config and seed produce byte-identical output bundles. The squaring rule is
+no config: ``warp`` reads no config, so an SVF file alone fixes its warp.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
 missing input, template and target meshes that do not correspond, a mesh
@@ -38,7 +39,7 @@ import sys
 
 from . import __version__
 from .clinical import ReportConfig, build_report, region_faces, region_rings, regional_stress_stats, validate_report
-from .diffeo import DiffeoConfig, exponentiate, warp_vertices
+from .diffeo import exponentiate, warp_vertices
 from .fea import MembraneModel, solve_membrane_stress
 from .fitter import FitConfig, GridConfig, bounding_grid, check_meshes, fit_svf, summary_line
 from .objective import LossWeights, chamfer
@@ -50,13 +51,11 @@ from .volgrid import load_volume, save_volume
 __all__ = ["main", "default_config", "load_config", "build_sections"]
 
 # Config section -> the dataclass that defines its keys, defaults and ranges.
-# A field named after another section (FitConfig.weights, FitConfig.diffeo)
-# is no key: it takes that section's object, built first in this order.
+# A field named after another section (FitConfig.weights) is no key: it takes that section's object, built first in this order.
 SECTIONS = {
     "grid": GridConfig,
     "phantom": PhantomSpec,
     "weights": LossWeights,
-    "diffeo": DiffeoConfig,
     "fit": FitConfig,
     "membrane": MembraneModel,
     "report": ReportConfig,
@@ -301,10 +300,9 @@ def cmd_fit(args):
 
 
 def cmd_warp(args):
-    _, sections = _configure(args)
     mesh = load_mesh(args.mesh)
     svf = load_volume(args.svf)
-    disp = exponentiate(svf, sections["diffeo"])
+    disp = exponentiate(svf)
     warped = warp_vertices(mesh, disp, svf.geom)
     save_mesh(warped, args.out, title="aortafit warped mesh")
     print(f"wrote {args.out}")
@@ -523,7 +521,6 @@ def build_parser():
     p.add_argument("--mesh", required=True)
     p.add_argument("--svf", required=True, help="SVF header file")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_warp)
 
     p = sub.add_parser("quality", help="element quality and self-intersection report")

@@ -4,7 +4,8 @@ A stationary velocity field (SVF) tau lives on a regular grid with components
 in voxel units. Its unit-time flow phi = exp(tau) is computed by scaling and
 squaring: start from u = tau / 2^S, then compose the displacement with itself
 S times, u <- u + u(x + u), using clamped trilinear sampling. The result is a
-displacement field u = phi - id in voxel units on the same grid.
+displacement field u = phi - id in voxel units on the same grid. S follows one
+fixed rule, ``DiffeoConfig()``'s: the fit and ``warp`` read no setting for it.
 
 Each squaring step samples u at the points x + u, and that sample is one
 sparse linear operator W (:class:`~aortafit.volgrid.TrilinearSampler`). The
@@ -50,10 +51,9 @@ _MAX_STEPS = 20
 class DiffeoConfig:
     """Scaling-and-squaring parameters.
 
-    ``squaring_steps`` is the number of compositions S. With ``auto_steps``
-    set, S is raised (never lowered) until the scaled field satisfies
-    max |tau| / 2^S <= 0.5 voxel, keeping each composition step well inside
-    the contraction regime; more than 20 steps is refused.
+    ``squaring_steps`` is the floor of the number of compositions S, which
+    is raised until max |tau| / 2^S <= 0.5 voxel, keeping each composition
+    well inside the contraction regime; more than 20 steps is refused.
 
     The floor of 3 is where more steps stop paying: from it on, exp's error
     at the vertices is set by the trilinear interpolation inside each
@@ -66,7 +66,6 @@ class DiffeoConfig:
     """
 
     squaring_steps: int = 3
-    auto_steps: bool = True
 
     def __post_init__(self):
         s = int(self.squaring_steps)
@@ -79,10 +78,9 @@ class DiffeoConfig:
     def resolve_steps(self, svf):
         """Number of squaring steps to use for this field."""
         s = self.squaring_steps
-        if self.auto_steps:
-            m = svf.max_abs()
-            if m > 0.5:
-                s = max(s, int(np.ceil(np.log2(2.0 * m))))
+        m = svf.max_abs()
+        if m > 0.5:
+            s = max(s, int(np.ceil(np.log2(2.0 * m))))
         if s > _MAX_STEPS:
             raise ValueError(
                 f"field needs {s} squaring steps (max |tau| = {svf.max_abs():.3g} voxels), guard is {_MAX_STEPS}"

@@ -93,7 +93,6 @@ class FitConfig:
     levels: tuple = ((8, 8, 8), (16, 16, 16), (32, 32, 32))
     iters_per_level: int = 300
     weights: LossWeights = field(default_factory=LossWeights)
-    diffeo: DiffeoConfig = field(default_factory=DiffeoConfig)
 
     def __post_init__(self):
         try:
@@ -224,7 +223,7 @@ def _fit_level(template, target, geom, tau, cfg, losses, level):
 
     def forward(tau):
         fld = VectorField3D(geom, tau)
-        states = _forward(fld, cfg.diffeo)
+        states = _forward(fld, DiffeoConfig())
         disp = VectorField3D(geom, states[0][-1])
         warped = warp_vertices(template, disp, geom, sampler=sampler)
         loss = total_loss(warped, target, cfg.weights)

@@ -130,7 +130,7 @@ def test_criterion_2_gradients_match_finite_differences(capsys):
     # 100 exp_vjp trials on an 8^3 grid and a 40-vertex mesh
     mesh = straight_cylinder(circumferential=8, axial=5, length=10.0, radius=2.5)
     grid = GridGeom((8, 8, 8), spacing=(5.0, 5.0, 5.0), origin=(-17.5, -17.5, -12.5))
-    cfg = DiffeoConfig(squaring_steps=4, auto_steps=False)
+    cfg = DiffeoConfig(squaring_steps=4)
     assert mesh.n_vertices <= 100
     worst_vjp = 0.0
     for trial in range(100):

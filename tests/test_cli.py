@@ -58,7 +58,7 @@ def mesh_files(tmp_path_factory):
 
 def test_default_config_sections():
     cfg = default_config()
-    assert set(cfg) == {"grid", "phantom", "fit", "weights", "diffeo", "membrane", "report"}
+    assert set(cfg) == {"grid", "phantom", "fit", "weights", "membrane", "report"}
     # nested dataclass settings live in their own sections, not under fit
     assert {"weights", "diffeo", "seed"}.isdisjoint(cfg["fit"])
     # optimizer and solver tuning values are constants, not config keys
@@ -93,15 +93,13 @@ def test_load_config_typed_overrides():
         "fit.svf_dims=[8,8,8]",
         "membrane.fixed_rings=[]",
         "fit.iters_per_level=5",
-        "diffeo.auto_steps=false",
     ))
     assert cfg["fit"]["levels"] == [[4, 4, 4], [8, 8, 8]]
     assert cfg["membrane"]["fixed_rings"] == []
     assert cfg["fit"]["iters_per_level"] == 5
-    assert cfg["diffeo"]["auto_steps"] is False
     sections = build_sections(cfg)
     assert sections["fit"].levels == ((4, 4, 4), (8, 8, 8))
-    assert sections["fit"].diffeo is sections["diffeo"] and not sections["diffeo"].auto_steps
+    assert sections["fit"].weights is sections["weights"]
     # a float key takes an integer, stored as given; a section object merges
     cfg = load_config(overrides=("grid.spacing=2", 'grid={"margin": 3.5}'))
     assert cfg["grid"] == {"spacing": 2, "margin": 3.5}
@@ -129,8 +127,8 @@ def test_load_config_rejections(tmp_path):
     with pytest.raises(ValueError, match="grid.*space"):
         load_config(str(nested))
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps({"diffeo": {"\r\n": None}}))  # the message stays one line
-    with pytest.raises(ValueError, match=re.escape("unknown config key 'diffeo.\\r\\n'")):
+    broken.write_text(json.dumps({"grid": {"\r\n": None}}))  # the message stays one line
+    with pytest.raises(ValueError, match=re.escape("unknown config key 'grid.\\r\\n'")):
         load_config(str(broken))
     sectionless = tmp_path / "sectionless.json"
     sectionless.write_text(json.dumps({"grid": 5}))
@@ -1132,7 +1130,7 @@ def test_exit_contract_under_geometric_edits(command, edits):
     ("fit", "fit.svf_dims=5"),
     ("fit", "weights.alpha=abc"),
     ("fit", "grid.spacing=abc"),
-    ("fit", "diffeo.auto_steps=1"),
+    ("fit", "fit.iters_per_level=true"),
     ("report", "membrane.thickness=abc"),
     ("report", "membrane.pressure=NaN"),
     ("report", "membrane.thickness=Infinity"),
@@ -1180,7 +1178,6 @@ def test_exit_code_2_config_type(tmp_path, mesh_files, capsys, command, setting)
     ("phantom", "phantom.aneurysm=[1,2]", "config 'phantom.aneurysm': aneurysm must be [center, amplitude, width]"),
     pytest.param("phantom", ("phantom.seed=-1", "phantom.jitter=0.1"),
                  "config 'phantom.seed': seed must be null or an integer >= 0", id="phantom-seed_negative"),
-    ("warp", "grid.margin=-100", "config 'grid.margin'"),
     ("stress", "fit.svf_dims=[16,16,16]", "config 'fit.svf_dims': last level must equal svf_dims"),
     ("fit", "report.diameter_method=\"area\"", "config 'report.diameter_method'"),
     ("pipeline", "weights.omega=[1,2,3,4,5]", "config 'weights.omega'"),
@@ -1208,7 +1205,6 @@ def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting
     argv = {
         "phantom": ["phantom", "--out", str(tmp_path / "p.vtk")],
         "fit": ["fit", "--template", template, "--target", shifted, "--out", str(tmp_path / "f"), "--seed", "0"],
-        "warp": ["warp", "--mesh", template, "--svf", str(tmp_path / "svf.hdr"), "--out", str(tmp_path / "w.vtk")],
         "stress": ["stress", "--mesh", template, "--out", str(tmp_path / "s.vtk")],
         "report": ["report", "--mesh", template],
         "pipeline": ["pipeline", "--template", template, "--target", shifted, "--out", str(tmp_path / "b"),
@@ -1221,6 +1217,36 @@ def test_exit_code_2_config_range(tmp_path, mesh_files, capsys, command, setting
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["phantom", "template", "fit", "warp", "quality", "chamfer", "stress", "report",
+                                     "pipeline"])
+def test_every_subcommand_reads_set_or_refuses_it(tmp_path, capsys, command):
+    # The five subcommands that take a config exit 2 naming the unknown key
+    # before they read any input; the other four take no --set at all, so an
+    # SVF file alone fixes a warp, and argparse refuses the option (exit 2).
+    mesh, out = str(tmp_path / "m.vtk"), str(tmp_path / "out")
+    argv = {
+        "phantom": ["phantom", "--out", out],
+        "template": ["template", mesh, "--out", out],
+        "fit": ["fit", "--template", mesh, "--target", mesh, "--out", out, "--seed", "0"],
+        "warp": ["warp", "--mesh", mesh, "--svf", str(tmp_path / "svf.hdr"), "--out", out],
+        "quality": ["quality", "--mesh", mesh],
+        "chamfer": ["chamfer", mesh, mesh],
+        "stress": ["stress", "--mesh", mesh, "--out", out],
+        "report": ["report", "--mesh", mesh],
+        "pipeline": ["pipeline", "--template", mesh, "--target", mesh, "--out", out, "--seed", "0"],
+    }[command] + ["--set", "grid.margin=1", "--set", "grid.nosuch=1"]
+    if command in ("template", "warp", "quality", "chamfer"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: aortafit") and "error: unrecognized arguments: --set grid.margin=1" in err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "aortafit: unknown config key 'grid.nosuch'\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -1428,8 +1454,6 @@ _FIT_SPECS = st.fixed_dictionaries({
     "weights": st.fixed_dictionaries({}, optional={
         "omega": st.lists(st.floats(0, 1), min_size=4, max_size=4) | st.lists(_PHANTOM_NUMBER, max_size=5),
         "alpha": st.floats(0, 1) | _PHANTOM_NUMBER}),
-    "diffeo": st.fixed_dictionaries({}, optional={"squaring_steps": st.integers(-3, 22),
-                                                  "auto_steps": st.booleans()}),
     "membrane": st.fixed_dictionaries({}, optional={"pressure": _PHANTOM_NUMBER, "thickness": _PHANTOM_NUMBER,
                                                     "fixed_rings": st.lists(st.integers(-3, 12), max_size=3)}),
 })
@@ -1449,11 +1473,11 @@ def _small_fit_only(path):
 @given(spec=_FIT_SPECS, edits=st.just([]) | _FUZZ_EDITS, damage=st.none() | st.tuples(_FUZZ_CUT, st.binary(max_size=4)))
 @example(spec={"fit": {}, "grid": {"spacing": 1.65e77}}, edits=[], damage=None)  # Hessian products overflow
 @example(spec={"fit": {}, "grid": {"margin": 9e307}}, edits=[], damage=None)  # the grid extent overflows
-@example(spec={"fit": {}}, edits=[("section", "diffeo.auto_steps", {"\r": None})], damage=None)  # a key with a line break
+@example(spec={"fit": {}}, edits=[("section", "grid.margin", {"\r": None})], damage=None)  # a key with a line break
 def test_fit_exit_code_under_config_file_fuzz(mesh_files, command, spec, edits, damage):
     # Whole config files for fit and pipeline, which allocate by the fit's
     # grid dims and run for its budget: small fit levels and budgets, any
-    # grid, weights and squaring steps, then, in some files, report's edits,
+    # grid and weights, then, in some files, report's edits,
     # a cut and appended bytes. Fits above the caps are not run. Each exits
     # 0, 2 or 3, with at most one stderr line, and nothing escapes main; the
     # pipeline's single case runs in this process.

@@ -40,8 +40,6 @@ def test_resolve_steps_raises_never_lowers():
     huge = VectorField3D(geom, np.full((4, 4, 4, 3), 2.0**24))
     with pytest.raises(ValueError, match="guard"):
         DiffeoConfig().resolve_steps(huge)
-    # auto_steps off trusts the configured count.
-    assert DiffeoConfig(squaring_steps=1, auto_steps=False).resolve_steps(big) == 1
     # The default floor is 3 up to max|tau| = 4 voxels, then
     # ceil(log2(2 max|tau|)): 8.5 voxels need 5.
     for peak, steps in ((0.0, 3), (2.0, 3), (4.0, 3), (4.5, 4), (8.5, 5), (16.5, 6), (33.0, 7)):
@@ -274,7 +272,7 @@ def test_exp_vjp_zero_steps_matches_hand_built_scatter():
     rng = np.random.default_rng(51)
     svf = VectorField3D(grid, np.zeros(grid.dims + (3,)))
     g = rng.standard_normal(mesh.vertices.shape)
-    cfg = DiffeoConfig(squaring_steps=0, auto_steps=False)
+    cfg = DiffeoConfig(squaring_steps=0)
     out = exp_vjp(svf, linearize(svf, cfg, mesh, grid), g)
 
     expect = np.zeros(grid.dims + (3,))
@@ -296,7 +294,7 @@ def test_exp_vjp_zero_steps_matches_hand_built_scatter():
 
 def test_exp_vjp_matches_directional_finite_differences():
     mesh, grid = _mesh_in_grid()
-    cfg = DiffeoConfig(squaring_steps=4, auto_steps=False)
+    cfg = DiffeoConfig(squaring_steps=4)
     rng = np.random.default_rng(52)
     for trial in range(10):
         svf = smooth_svf(grid.dims, max_abs=0.4, seed=60 + trial)
@@ -409,7 +407,7 @@ def _cone_cases():
     tight = GridGeom((7, 7, 6), tuple((hi - lo) / [6, 6, 5]), tuple(lo))
     return {
         "strict_subset": (mesh, wide, DiffeoConfig(), 2.0),
-        "zero_steps": (mesh, grid, DiffeoConfig(squaring_steps=0, auto_steps=False), 0.4),
+        "zero_steps": (mesh, grid, DiffeoConfig(squaring_steps=0), 0.4),
         "vertices_on_faces": (mesh, tight, DiffeoConfig(squaring_steps=3), 1.5),
     }
 

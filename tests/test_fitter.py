@@ -190,7 +190,7 @@ def test_fit_reused_operators_match_reference_loop(translation_pair):
     template, target, grid = translation_pair
     cfg = FitConfig(svf_dims=(6, 6, 6), levels=((4, 4, 4), (6, 6, 6)), iters_per_level=12)
     svf, fitted, history, summary = fit_svf(template, target, grid, cfg)
-    disp = exponentiate(svf, cfg.diffeo)
+    disp = exponentiate(svf)
     warped = warp_vertices(template, disp, svf.geom)
     assert np.array_equal(fitted.vertices, warped.vertices)
     assert summary["final"] == total_loss(warped, target, cfg.weights)
@@ -341,9 +341,8 @@ def test_default_steps_as_close_to_the_flow_as_eight(tube24, small_fit):
     # plus 0.05 mm: there trilinear interpolation, not the step count, sets
     # the error. Over seeds 0-19 the default sat 0.011-0.160 mm closer than 8
     # steps in 19 fits and 0.018 mm further in one, against 8 steps'
-    # 0.47-2.53 mm. One step without the auto raise sits 0.13 mm (seed 1) and
-    # 0.41 mm (seed 2) further. With the raise these fields (2.8-4.8 voxels)
-    # take 3 or more steps at any floor: criterion 1 guards the floor itself.
+    # 0.47-2.53 mm. These fields (2.8-4.8 voxels) take 3 or more steps at any
+    # floor: criterion 1 guards the floor itself.
     svf = small_fit[1][0]
     start = svf.geom.world_to_voxel(tube24.vertices)
     x = start.copy()
@@ -354,4 +353,4 @@ def test_default_steps_as_close_to_the_flow_as_eight(tube24, small_fit):
     def worst(cfg):
         return np.linalg.norm((x - start - trilinear_sample(exponentiate(svf, cfg), start)) * spacing, axis=1).max()
 
-    assert worst(DiffeoConfig()) <= worst(DiffeoConfig(squaring_steps=8, auto_steps=False)) + 0.05
+    assert worst(DiffeoConfig()) <= worst(DiffeoConfig(squaring_steps=8)) + 0.05
