@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadmesh import REGIONS, face_regions, majority_region, rings
+from .quadmesh import REGIONS, face_regions, majority_region, rings, unit_scale
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,18 +44,21 @@ def all_ring_diameters(mesh, method="equivalent"):
 
     ``equivalent``: 2 * mean distance to the ring centroid (exact for a
     regular polygon inscribed in a circle). ``chord``: maximum pairwise
-    vertex distance.
+    vertex distance. A ring below 2^-64 mm is measured as ``unit_scale``
+    moves it, and its diameter scaled back.
     """
-    v = mesh.vertices[rings(mesh)]  # (A, C, 3)
+    v, e = unit_scale(mesh.vertices[rings(mesh)])  # (A, C, 3)
     radii = np.linalg.norm(v - v.mean(axis=1, keepdims=True), axis=2)
     if np.any(radii.max(axis=1) == 0):
         raise ValueError("degenerate ring: all vertices coincide")
     if method == "equivalent":
-        return 2.0 * radii.mean(axis=1)
-    if method == "chord":
+        diameters = 2.0 * radii.mean(axis=1)
+    elif method == "chord":
         diff = v[:, :, None, :] - v[:, None, :, :]
-        return np.sqrt(np.einsum("aijd,aijd->aij", diff, diff).max(axis=(1, 2)))
-    raise ValueError(f"unknown diameter method {method!r}")
+        diameters = np.sqrt(np.einsum("aijd,aijd->aij", diff, diff).max(axis=(1, 2)))
+    else:
+        raise ValueError(f"unknown diameter method {method!r}")
+    return np.ldexp(diameters, -e)
 
 
 def ring_region_codes(mesh):

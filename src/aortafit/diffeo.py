@@ -145,22 +145,22 @@ def warp_vertices(mesh, disp, grid, sampler=None):
 
 
 def jacobian_determinant(disp):
-    """det(d phi / d x) per voxel for phi(x) = x + u(x), finite differences.
+    """det(d phi / d x) per interior voxel for phi(x) = x + u(x), by central differences.
 
-    Returns an array of the grid's dims. Central differences on the interior,
-    one-sided at the boundary; positive everywhere certifies a locally
+    Returns an array of the grid's dims less 2 per axis: the boundary voxels
+    have no central difference. Positive everywhere certifies a locally
     invertible (diffeomorphic) map.
     """
     dims = disp.geom.dims
     if any(d < 3 for d in dims):
         raise ValueError("jacobian needs >= 3 voxels per axis")
     u = disp.data
-    jac = np.empty(dims + (3, 3))
-    for comp in range(3):
-        grads = np.gradient(u[..., comp], axis=(0, 1, 2))
-        for ax in range(3):
-            jac[..., comp, ax] = grads[ax]
-        jac[..., comp, comp] += 1.0
+    jac = np.empty(tuple(d - 2 for d in dims) + (3, 3))
+    for ax in range(3):
+        hi, lo = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+        hi[ax], lo[ax] = slice(2, None), slice(None, -2)
+        jac[..., ax] = (u[tuple(hi)] - u[tuple(lo)]) / 2.0  # [..., component, axis]
+        jac[..., ax, ax] += 1.0
     return np.linalg.det(jac)
 
 

@@ -80,7 +80,7 @@ from scipy.sparse import bsr_array, csr_matrix, identity
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .quadmesh import TRIANGLES, rings, triangle_normals, validate_topology
+from .quadmesh import TRIANGLES, rings, triangle_normals, unit_scale, validate_topology
 
 __all__ = [
     "MembraneModel",
@@ -722,6 +722,11 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
     if mesh.n_faces == 0:
         raise ValueError("membrane solve needs a mesh with at least one face")
     boundary_edges = validate_topology(mesh)
+    # A mesh below 2^-64 mm is solved as ``unit_scale`` moves it, and its
+    # resultants, which have the degree of a length, are scaled back.
+    points, e = unit_scale(mesh.vertices)
+    if e:
+        mesh = mesh.with_vertices(points)
 
     t1 = _element_frames(mesh)[0]
     fixed = _fixed_vertices(mesh, model, boundary_edges)
@@ -780,7 +785,7 @@ def solve_membrane_stress(mesh, model=MembraneModel()):
                                  f"after {itn} refinement rounds")
 
     field = StressField(
-        resultants=_collapse_resultants(x, mesh, A.frames),
+        resultants=np.ldexp(_collapse_resultants(x, mesh, A.frames), -e),
         thickness=model.thickness,
         pressure=model.pressure,
         residual=residual,

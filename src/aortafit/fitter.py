@@ -327,10 +327,9 @@ def fit_svf(template, target, grid, cfg=FitConfig()):
         levels.append(record)
         prev_geom = geom
 
-    det = jacobian_determinant(disp)
     history = {"loss": losses, "level_starts": level_starts, "levels": levels}
     summary = {"final": final, "final_chamfer_mm": chamfer(fitted, target),
-               "min_jacobian": float(det[1:-1, 1:-1, 1:-1].min())}
+               "min_jacobian": float(jacobian_determinant(disp).min())}
     return VectorField3D(prev_geom, tau), fitted, history, summary
 
 

@@ -10,6 +10,12 @@ vertex ``a*C + c`` sitting on ring ``a`` at circumferential slot ``c``.
 ValueError naming its first fault: a degenerate face, a non-manifold edge or
 an inconsistently oriented edge.
 
+:func:`unit_scale` is the one rule for meshes so small that their squared
+lengths underflow (below about 1e-77 mm): a group of points within 2^-64 mm
+of its first point is moved to the origin and scaled by a power of two, which
+is exact. The quality metrics, the intersection search, the membrane solve
+and the ring diameters measure such groups at that scale.
+
 File format (legacy VTK-style ASCII polydata)
 ---------------------------------------------
 ::
@@ -59,6 +65,7 @@ __all__ = [
     "average_template",
     "rings",
     "triangle_normals",
+    "unit_scale",
     "majority_region",
     "face_regions",
     "load_mesh",
@@ -150,6 +157,28 @@ def triangle_normals(quads):
     """
     e = quads[:, 1:] - quads[:, :1]
     return np.cross(e[:, :2], e[:, 1:])
+
+
+def unit_scale(points):
+    """Groups of points (..., k, 3) at a scale where their squared lengths cannot underflow.
+
+    A group whose largest offset from its first point (max abs component) is
+    below 2^-64 is moved to start at the origin and scaled by the power of
+    two 2^e that brings that offset into [0.5, 1); every other group comes
+    back unchanged, with e = 0. Returns the groups, ``points`` itself when no
+    group is scaled, and the (...,) integer e.
+    Ratios of lengths, areas and volumes are kept exactly, and a length of
+    the scaled group is 2^e times the original's. The offsets, not the
+    absolute coordinates, are scaled, so that a tiny group far from the
+    origin cannot overflow; groups above 2^-64 keep their own rounding.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    offsets = p - p[..., :1, :]
+    largest = np.abs(offsets).max(axis=(-2, -1))
+    e = np.where(largest < 2.0**-64, -np.frexp(largest)[1], 0)  # 0 where the points coincide
+    if not np.any(e):
+        return p, e  # no copy
+    return np.where((e > 0)[..., None, None], np.ldexp(offsets, e[..., None, None]), p), e
 
 
 def validate_topology(mesh):

@@ -27,6 +27,11 @@ intersection, and such pairs make up most overlaps); all 4 triangle pairs of
 each survivor go to the narrow phase, which decides them whether or not
 their own boxes overlap. The brute-force path takes every pair of faces and
 shares the narrow phase, so the accelerated result matches it exactly.
+
+Squared lengths underflow below about 1e-77 mm. Each element, and each
+triangle pair of the narrow phase, is therefore measured as
+``quadmesh.unit_scale`` moves it: an exact power-of-two scale that a group
+below 2^-64 mm takes and every other group is spared.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .quadmesh import TRIANGLES, triangle_normals
+from .quadmesh import TRIANGLES, triangle_normals, unit_scale
 
 __all__ = ["METRICS", "element_metrics", "self_intersections", "quality_report"]
 
@@ -52,23 +57,20 @@ def element_metrics(quads):
     element normal) and a nonzero area, which rounding can lose when the
     normal is kept; the metrics of the others are meaningless. Edge vectors,
     their lengths, the corner cross products and the element normal are
-    computed once and shared. Raises FloatingPointError naming the first
-    element whose edge length, corner cross product, normal or area
-    overflows: its metrics would be NaN, or it would be taken for degenerate.
+    computed once and shared. An element below 2^-64 mm is measured as
+    ``unit_scale`` moves it, which keeps the ratios that the metrics are.
+    Raises FloatingPointError naming the first element whose edge length,
+    corner cross product, normal or area overflows: its metrics would be
+    NaN, or it would be taken for degenerate.
     """
     q = np.asarray(quads, dtype=np.float64)
     if q.ndim != 3 or q.shape[1:] != (4, 3):
         raise ValueError(f"expected (m, 4, 3) quad vertices, got {q.shape}")
-    # The metrics are ratios, which an exact power-of-two scale leaves as
-    # they are. The difference vectors of an element whose corners all lie
-    # within 0.5 of v0 are scaled up until the largest offset is in [0.5, 1),
-    # so that no squared length of a tiny element underflows; none is scaled down.
-    offsets = q - q[:, :1]  # v0 to each corner
-    up = np.maximum(-np.frexp(np.abs(offsets).max(axis=(1, 2)))[1], 0)[:, None]
-    nxt = np.ldexp(np.roll(q, -1, axis=1) - q, up[:, :, None])  # corner k to corner k + 1: the edges
-    prev = np.ldexp(np.roll(q, 1, axis=1) - q, up[:, :, None])  # corner k to corner k - 1
+    q, _ = unit_scale(q)
+    nxt = np.roll(q, -1, axis=1) - q  # corner k to corner k + 1: the edges
+    prev = np.roll(q, 1, axis=1) - q  # corner k to corner k - 1
     lengths = np.linalg.norm(nxt, axis=2)
-    normal = np.cross(np.ldexp(q[:, 2] - q[:, 0], up), np.ldexp(q[:, 3] - q[:, 1], up))
+    normal = np.cross(q[:, 2] - q[:, 0], q[:, 3] - q[:, 1])
     n_len = np.linalg.norm(normal, axis=1, keepdims=True)
 
     # One corner cross product serves both: its length gives the corner angle,
@@ -77,7 +79,7 @@ def element_metrics(quads):
     # of angle theta, negative at an inverted, concave corner).
     corner = np.cross(nxt, prev)
     c_len = np.linalg.norm(corner, axis=2)
-    area = 0.5 * np.linalg.norm(triangle_normals(np.ldexp(offsets, up[:, :, None])), axis=2).sum(axis=1)
+    area = 0.5 * np.linalg.norm(triangle_normals(q), axis=2).sum(axis=1)
     finite = np.isfinite(np.concatenate([lengths, c_len, n_len, area[:, None]], axis=1)).all(axis=1)
     if not finite.all():
         raise FloatingPointError(f"element {np.argmin(finite)} overflows: its edge lengths, corner cross products, "
@@ -251,7 +253,8 @@ def self_intersections(mesh, method="bvh"):
     pts = mesh.vertices[mesh.faces[:, TRIANGLES]].reshape(-1, 3, 3)  # triangle 2 e + s: split s of face e
     i = (2 * faces[:, :1] + [0, 0, 1, 1]).ravel()
     j = (2 * faces[:, 1:] + [0, 1, 0, 1]).ravel()
-    hit = _tri_pairs_intersect(pts[i], pts[j]).reshape(-1, 4).any(axis=1)
+    six, _ = unit_scale(np.concatenate([pts[i], pts[j]], axis=1))  # a tiny pair's norms would underflow
+    hit = _tri_pairs_intersect(six[:, :3], six[:, 3:]).reshape(-1, 4).any(axis=1)
     pairs = [(int(a), int(b)) for a, b in np.unique(faces[hit], axis=0)]
     return len(pairs), pairs
 

@@ -90,7 +90,7 @@ def test_criterion_1_diffeomorphism_suite(capsys):
         amp = 0.5 + 1.5 * (seed / 99.0)
         f = smooth_svf(dims, max_abs=amp, seed=1000 + seed, sigma=8.0)
         det = jacobian_determinant(exponentiate(f))
-        min_det = min(min_det, det[1:-1, 1:-1, 1:-1].min())
+        min_det = min(min_det, det.min())
     assert min_det > 0.0
 
     wall = time.monotonic() - t0

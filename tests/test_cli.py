@@ -1117,6 +1117,28 @@ def test_exit_contract_under_geometric_edits(command, edits):
             json.loads(out.getvalue(), parse_constant=pytest.fail)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+def test_tiny_tube_is_stressed_and_reported(tmp_path, scale):
+    # Below about 1e-77 mm squared lengths underflow. The membrane solve and
+    # the ring diameters run at the exact power-of-two scale of
+    # ``quadmesh.unit_scale`` and scale back, so every subcommand that reads
+    # the tiny tube exits 0, with the clean tube's stresses and diameters
+    # times the scale.
+    tube = straight_cylinder(circumferential=12, axial=20)
+    reports = []
+    for name, mesh in (("clean", tube), ("tiny", tube.with_vertices(tube.vertices * scale))):
+        path = save_mesh(mesh, str(tmp_path / f"{name}.vtk"))
+        assert main(["quality", "--mesh", path, "--out", str(tmp_path / f"{name}.quality.json")]) == 0
+        assert main(["stress", "--mesh", path, "--out", str(tmp_path / f"{name}.stressed.vtk")]) == 0
+        assert main(["report", "--mesh", path, "--out", str(tmp_path / f"{name}.report.json")]) == 0
+        reports.append(json.loads((tmp_path / f"{name}.report.json").read_text())["regions"])
+    clean, tiny = reports
+    for region in clean:
+        for key in ("max_diameter_mm", "mean_sigma1_kpa", "peak_sigma1_kpa"):
+            assert tiny[region][key] == pytest.approx(clean[region][key] * scale, rel=1e-12, abs=0), (region, key)
+        assert tiny[region]["ring_index"] == clean[region]["ring_index"]
+
+
 @pytest.mark.parametrize("command, setting", [
     ("phantom", "phantom.circumferential=abc"),
     ("phantom", "phantom.base_radius=null"),

@@ -109,7 +109,7 @@ def test_exp_random_fields_stay_diffeomorphic():
         amp = 0.5 + 1.5 * (seed / 9.0)
         svf = smooth_svf(dims, max_abs=amp, seed=100 + seed)
         det = jacobian_determinant(exponentiate(svf))
-        assert det[1:-1, 1:-1, 1:-1].min() > 0.0, f"seed {seed}, amp {amp}"
+        assert det.min() > 0.0, f"seed {seed}, amp {amp}"
 
 
 def test_exp_rejects_nonfinite_growth():
@@ -237,7 +237,8 @@ def test_jacobian_of_linear_scaling_exact():
     ii, jj, kk = np.meshgrid(*(np.arange(6.0),) * 3, indexing="ij")
     u = np.stack([0.1 * ii, -0.05 * jj, 0.2 * kk], axis=-1)
     det = jacobian_determinant(VectorField3D(geom, u))
-    # Finite differences are exact on linear fields, boundary included.
+    # Central differences are exact on linear fields.
+    assert det.shape == (4, 4, 4)
     assert np.allclose(det, 1.1 * 0.95 * 1.2, rtol=0.0, atol=1e-12)
 
 

@@ -194,7 +194,7 @@ def test_fit_reused_operators_match_reference_loop(translation_pair):
     warped = warp_vertices(template, disp, svf.geom)
     assert np.array_equal(fitted.vertices, warped.vertices)
     assert summary["final"] == total_loss(warped, target, cfg.weights)
-    assert summary["min_jacobian"] == jacobian_determinant(disp)[1:-1, 1:-1, 1:-1].min()
+    assert summary["min_jacobian"] == jacobian_determinant(disp).min()
     last_level = history["loss"][history["level_starts"][-1]:]
     assert summary["final"]["total"] == min(last_level)
     assert min(last_level) < last_level[0]

@@ -238,18 +238,34 @@ def test_shared_vertices_are_not_intersections():
     assert count == 0 and pairs == []
 
 
-def test_pierced_tube_bvh_matches_brute():
+def _pierced_tube():
     mesh = make_phantom(PhantomSpec(circumferential=10, axial=24))
     v = mesh.vertices.copy()
     ring = rings(mesh)[12]
     center = v[ring].mean(axis=0)
     vid = int(ring[0])
     v[vid] = center + (center - v[vid]) * 1.4  # push through the far wall
-    bad = mesh.with_vertices(v)
+    return mesh.with_vertices(v)
+
+
+def test_pierced_tube_bvh_matches_brute():
+    bad = _pierced_tube()
     nb, pb = self_intersections(bad, method="bvh")
     nr, pr = self_intersections(bad, method="brute")
     assert nb == nr > 0
     assert sorted(pb) == sorted(pr)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+def test_tiny_pierced_tube_has_the_same_crossings(scale):
+    # Below about 1e-77 mm the squared norms of a triangle pair underflow;
+    # each pair is tested at the exact power-of-two scale of ``unit_scale``.
+    bad = _pierced_tube()
+    n, pairs = self_intersections(bad)
+    assert n > 0
+    tiny = bad.with_vertices(bad.vertices * scale)
+    for method in ("bvh", "brute"):
+        assert self_intersections(tiny, method=method) == (n, pairs), method
 
 
 def test_random_soups_bvh_matches_brute():
