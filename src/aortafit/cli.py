@@ -10,7 +10,7 @@ built before any work, so all these subcommands accept the same configs. The
 effective config (defaults merged with file and overrides, as given) is echoed
 into every output next to its sha256 hash, so runs are reproducible: identical
 config and seed produce byte-identical output bundles. The squaring rule is
-no config: ``warp`` reads no config, so an SVF file alone fixes its warp.
+fixed, and ``warp`` takes no config: an SVF file alone fixes its warp.
 
 Exit codes: 0 success, 2 validation error (bad config, malformed file,
 missing input, template and target meshes that do not correspond, a mesh
@@ -51,7 +51,8 @@ from .volgrid import load_volume, save_volume
 __all__ = ["main", "default_config", "load_config", "build_sections"]
 
 # Config section -> the dataclass that defines its keys, defaults and ranges.
-# A field named after another section (FitConfig.weights) is no key: it takes that section's object, built first in this order.
+# A field named after another section (FitConfig.weights) is no key: it
+# takes that section's object, built first in this order.
 SECTIONS = {
     "grid": GridConfig,
     "phantom": PhantomSpec,

@@ -83,7 +83,7 @@ class DiffeoConfig:
             s = max(s, int(np.ceil(np.log2(2.0 * m))))
         if s > _MAX_STEPS:
             raise ValueError(
-                f"field needs {s} squaring steps (max |tau| = {svf.max_abs():.3g} voxels), guard is {_MAX_STEPS}"
+                f"field needs {s} squaring steps (max |tau| = {m:.3g} voxels), guard is {_MAX_STEPS}"
             )
         return s
 

@@ -165,12 +165,12 @@ def unit_scale(points):
     A group whose largest offset from its first point (max abs component) is
     below 2^-64 is moved to start at the origin and scaled by the power of
     two 2^e that brings that offset into [0.5, 1); every other group comes
-    back unchanged, with e = 0. Returns the groups, ``points`` itself when no
-    group is scaled, and the (...,) integer e.
-    Ratios of lengths, areas and volumes are kept exactly, and a length of
-    the scaled group is 2^e times the original's. The offsets, not the
-    absolute coordinates, are scaled, so that a tiny group far from the
-    origin cannot overflow; groups above 2^-64 keep their own rounding.
+    back unchanged, with e = 0. Returns the groups (``points`` itself when
+    no group is scaled) and the (...,) integer e. Ratios of lengths, areas
+    and volumes are kept exactly, and a length of a scaled group is 2^e
+    times the original's. The offsets, not the absolute coordinates, are
+    scaled, so that a tiny group far from the origin cannot overflow; groups
+    above 2^-64 keep their own rounding.
     """
     p = np.asarray(points, dtype=np.float64)
     offsets = p - p[..., :1, :]

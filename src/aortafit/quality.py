@@ -253,7 +253,7 @@ def self_intersections(mesh, method="bvh"):
     pts = mesh.vertices[mesh.faces[:, TRIANGLES]].reshape(-1, 3, 3)  # triangle 2 e + s: split s of face e
     i = (2 * faces[:, :1] + [0, 0, 1, 1]).ravel()
     j = (2 * faces[:, 1:] + [0, 1, 0, 1]).ravel()
-    six, _ = unit_scale(np.concatenate([pts[i], pts[j]], axis=1))  # a tiny pair's norms would underflow
+    six, _ = unit_scale(pts[np.stack([i, j], axis=1)].reshape(-1, 6, 3))  # a tiny pair's norms would underflow
     hit = _tri_pairs_intersect(six[:, :3], six[:, 3:]).reshape(-1, 4).any(axis=1)
     pairs = [(int(a), int(b)) for a, b in np.unique(faces[hit], axis=0)]
     return len(pairs), pairs
