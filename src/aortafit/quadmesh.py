@@ -10,11 +10,9 @@ vertex ``a*C + c`` sitting on ring ``a`` at circumferential slot ``c``.
 ValueError naming its first fault: a degenerate face, a non-manifold edge or
 an inconsistently oriented edge.
 
-:func:`unit_scale` is the one rule for meshes so small that their squared
-lengths underflow (below about 1e-77 mm): a group of points within 2^-64 mm
-of its first point is moved to the origin and scaled by a power of two, which
-is exact. The quality metrics, the intersection search, the membrane solve
-and the ring diameters measure such groups at that scale.
+:func:`unit_scale` is the one exact power-of-two scale by which ``quality``,
+``fea`` and ``clinical`` measure groups of points within 2^-64 mm of their
+first point, whose squared lengths would otherwise underflow.
 
 File format (legacy VTK-style ASCII polydata)
 ---------------------------------------------
